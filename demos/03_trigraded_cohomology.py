@@ -1,8 +1,9 @@
 """Trigraded integral cohomology, Euler tables, and the Tutte bridge.
 
 The trigraded complex refines the wedge complex by polynomial weight.
-Its cohomology is computed with exact Smith normal forms, so free ranks
-and torsion are certified, not floating-point estimates.  Summing Euler
+Its cohomology is computed by exact integer elimination (unit pivots,
+then a Smith normal form of whatever remains), so free ranks and
+torsion are certified, not floating-point estimates.  Summing Euler
 characteristics along the stripes packages everything into a
 two-variable generating polynomial that equals a one-line substitution
 into the Tutte polynomial.

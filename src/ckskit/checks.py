@@ -10,10 +10,10 @@ import itertools
 
 from . import activity, cks, graphs, ht, periodize
 from .intlinalg import (
+    _rank_and_torsion,
     is_zero_matrix,
     matmul,
     rank,
-    smith_normal_form,
     verify_direct_sum,
     zeros,
 )
@@ -148,9 +148,7 @@ def check_cycle_space(ctx):
         sub = g.delete(s)
         if sub.genus() + len(s) != d:
             return False, {"reason": "genus did not drop by |S|", "face": sorted(map(str, s))}
-        m = ref.pairing(s)
-        snf = smith_normal_form(m)
-        if snf.rank != len(s) or any(x != 1 for x in snf.invariant_factors):
+        if _rank_and_torsion(ref.pairing(s)) != (len(s), []):
             return False, {"reason": "pairing onto the face is not surjective",
                            "face": sorted(map(str, s))}
     return True, None
@@ -354,13 +352,11 @@ def check_ht_exactness(ctx):
         dims = _stripe_dims(ctx, k)
         ranks = []
         for p in range(k):
-            m = htc.d_matrix(p, k - p)
-            ranks.append(rank(m) if m and m[0] else 0)
-            if m and m[0]:
-                snf = smith_normal_form(m)
-                if any(x != 1 for x in snf.invariant_factors):
-                    return False, {"stripe": k, "position": p,
-                                   "reason": "image is not a direct summand"}
+            r, torsion = _rank_and_torsion(htc.d_matrix(p, k - p))
+            ranks.append(r)
+            if torsion:
+                return False, {"stripe": k, "position": p,
+                               "reason": "image is not a direct summand"}
         for p in range(k + 1):
             incoming = ranks[p - 1] if p > 0 else 0
             if p < k:

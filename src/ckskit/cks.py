@@ -210,15 +210,20 @@ def euler_table(graph, cc=None, cross_check=False):
             if nonzero or val:
                 table[(k, ell)] = val
     if cross_check:
-        coh = cks_cohomology(cks)
-        alt = {}
-        for (two_p, q, r), (free, _) in coh.items():
-            key = (two_p // 2 + q, r)
-            alt[key] = alt.get(key, 0) + (-1) ** (two_p // 2) * free
-        for key in set(table) | set(alt):
-            assert table.get(key, 0) == alt.get(key, 0), \
-                f"Euler characteristic mismatch at {key}"
+        assert_euler_matches(table, cks_cohomology(cks))
     return table
+
+
+def assert_euler_matches(table, coh):
+    """Assert that an Euler table equals the alternating sum over p of
+    the free ranks in `coh`, a cks_cohomology result (χ is invariant)."""
+    alt = {}
+    for (two_p, q, r), (free, _) in coh.items():
+        key = (two_p // 2 + q, r)
+        alt[key] = alt.get(key, 0) + (-1) ** (two_p // 2) * free
+    for key in set(table) | set(alt):
+        assert table.get(key, 0) == alt.get(key, 0), \
+            f"Euler characteristic mismatch at {key}"
 
 
 def h_hat(graph, cc=None):

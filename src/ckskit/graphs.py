@@ -23,10 +23,6 @@ from .errors import (
 )
 from .intlinalg import det, solve_exact
 
-# Exhaustive subset enumerations are cut off beyond this many edges.
-MAX_ENUM_EDGES = int(os.environ.get("CKS_KIT_MAX_ENUM_EDGES", "14"))
-
-
 class Graph:
     """Connected oriented multigraph with totally ordered edges."""
 
@@ -228,18 +224,29 @@ def graph_from_json(text):
         raise ParseError("expected an object with an 'edges' field")
     edges = data["edges"]
     if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 for e in edges):
-        raise ParseError("'edges' must be a list of [head, tail] pairs")
+            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
+            for e in edges):
+        raise ParseError("'edges' must be a list of [head, tail] integer pairs")
     n = data.get("vertices")
     if n is not None:
+        if not _is_int(n):
+            raise ParseError("'vertices' must be an integer")
         used = {v for e in edges for v in e}
         if used and (min(used) < 0 or max(used) >= n):
             raise ParseError("edge endpoint outside declared vertex range")
     order = data.get("order")
+    if order is not None and not (
+            isinstance(order, list) and all(map(_is_int, order))):
+        raise ParseError("'order' must be a list of integer edge positions")
     try:
         return build_graph([tuple(e) for e in edges], edge_order=order)
     except (EmptyGraph, DisconnectedGraph, ValueError) as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _is_int(x):
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 _DSL_EDGE = re.compile(r"^(?:(\w+):)?v?(\d+)-v?(\d+)$")
@@ -288,10 +295,18 @@ def graph_to_json(graph):
 # matroid queries
 
 def _guard(graph, what):
-    if graph.n_edges > MAX_ENUM_EDGES:
+    """Refuse exhaustive subset enumerations beyond CKS_KIT_MAX_ENUM_EDGES
+    edges (default 14), read at each call."""
+    raw = os.environ.get("CKS_KIT_MAX_ENUM_EDGES", "14")
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise ParseError(
+            f"CKS_KIT_MAX_ENUM_EDGES must be an integer, got {raw!r}") from None
+    if graph.n_edges > limit:
         raise ResourceGuard(
             f"{what} enumerates subsets of {graph.n_edges} edges "
-            f"(limit {MAX_ENUM_EDGES}; set CKS_KIT_MAX_ENUM_EDGES to raise)")
+            f"(limit {limit}; set CKS_KIT_MAX_ENUM_EDGES to raise)")
 
 
 def is_independent(graph, edges):

@@ -1,6 +1,7 @@
 """Command-line driver: goldens, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -32,6 +33,20 @@ def test_cks_loop_ranks(tmp_path, capsys):
     assert data["schema"] == 1
     assert data["ranks_by_tridegree"] == {"0,0,0": 1, "0,0,1": 1, "0,1,1": 1}
     assert data["h_hat"] == data["tutte_specialization"]
+
+
+def test_cks_computes_cohomology_once(monkeypatch, capsys):
+    from ckskit import cks
+    calls = []
+    original = cks.cks_cohomology
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cks, "cks_cohomology", counting)
+    code, _, _ = run_cli(["cks", "--inline", THETA_INLINE], capsys)
+    assert code == 0 and len(calls) == 1
 
 
 def test_verify_theta_passes(capsys):
@@ -69,6 +84,31 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
     code, _, _ = run_cli(["analyze", "--graph", "/nonexistent.json"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"vertices": "x", "edges": [[0, 1]]}',
+    '{"vertices": 2, "edges": [["a", "b"]]}',
+    '{"edges": [[0, 1.5]]}',
+    '{"edges": [[true, false]]}',
+    '{"edges": [[0, 1], [0, 1]], "order": [0, "a"]}',
+], ids=["vertices-string", "edges-strings", "edges-float", "edges-bool",
+        "order-string"])
+def test_malformed_json_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code, _, err = run_cli(["analyze", "--graph", str(path)], capsys)
+    assert code == 2 and err.startswith("error:")
+
+
+def test_malformed_enum_limit_exits_2():
+    env = dict(os.environ, CKS_KIT_MAX_ENUM_EDGES="abc")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ckskit.cli", "analyze", "--inline", THETA_INLINE],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: CKS_KIT_MAX_ENUM_EDGES")
+    assert "Traceback" not in proc.stderr
 
 
 def test_order_override(capsys):

@@ -3,10 +3,16 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ckskit.cks import build_cks
+from ckskit.corpus import corpus_graphs, k4_graph
 from ckskit.errors import NotAComplex
+from ckskit.graphs import graph_from_dsl
 from ckskit.intlinalg import (
     CochainComplex,
+    _rank_and_torsion,
     det,
     identity,
     matmul,
@@ -117,3 +123,84 @@ def test_direct_sum_edge_cases():
     assert verify_direct_sum(0, [], [])
     assert not verify_direct_sum(2, [[], []], [[], []])
     assert verify_direct_sum(2, [[], []], [[1, 0], [0, 1]])
+
+
+# ---------------------------------------------------------------------------
+# the sparse unit-pivot engine against the dense SNF oracle
+
+def snf_rank_and_torsion(a):
+    snf = smith_normal_form(a)
+    return snf.rank, [x for x in snf.invariant_factors if x > 1]
+
+
+def rank_mod_p(a, p):
+    m = [[x % p for x in row] for row in a]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, p)
+        for i in range(r + 1, len(m)):
+            f = m[i][c] * inv % p
+            if f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def assert_rank_mod_p_identity(a, rank_, torsion):
+    # over F_p exactly the invariant factors divisible by p vanish
+    for p in (2, 2**31 - 1):
+        assert rank_mod_p(a, p) == rank_ - sum(1 for t in torsion if t % p == 0)
+
+
+def stripe_differentials(graph):
+    cks = build_cks(graph)
+    for k in range(2 * cks.genus + 1):
+        for ell in range(cks.genus + 1):
+            yield from cks.stripe(k, ell).diffs.values()
+
+
+@pytest.mark.parametrize("graphs", [
+    [graph_from_dsl("v0-v1 " * 5)],
+    [k4_graph()],
+    [g for _, g in corpus_graphs(bound=4)],
+], ids=["theta5", "k4", "corpus4"])
+def test_engine_matches_snf_on_cks_differentials(graphs):
+    seen = 0
+    for g in graphs:
+        for m in stripe_differentials(g):
+            got = _rank_and_torsion(m)
+            assert got == snf_rank_and_torsion(m)
+            assert_rank_mod_p_identity(m, *got)
+            seen += 1
+    assert seen
+
+
+@st.composite
+def small_matrices(draw):
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 7))
+    entry = st.one_of(st.sampled_from([-1, 0, 0, 1]), st.integers(-4, 4))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_matrices())
+@example([[1, 1], [1, -1]])
+@example([[2, 0], [0, 3]])
+@example([[0, 0], [0, 0]])
+def test_engine_matches_snf_on_small_matrices(a):
+    got = _rank_and_torsion(a)
+    assert got == snf_rank_and_torsion(a)
+    assert_rank_mod_p_identity(a, *got)
+
+
+def test_engine_torsion_examples():
+    assert _rank_and_torsion([[1, 1], [1, -1]]) == (2, [2])
+    # no unit entry: the whole matrix is the residual core
+    assert _rank_and_torsion([[2, 0], [0, 3]]) == (2, [6])
+    assert _rank_and_torsion([]) == (0, [])
+    assert _rank_and_torsion([[], []]) == (0, [])
