@@ -9,7 +9,7 @@ integer matrix equations.
 Run:  python3 demos/02_wedge_complex_and_homotopy.py
 """
 
-from ckskit import build_graph, build_ht, maps_fgh, r_ring, reduce_monomial
+from ckskit import FGH, RRing, build_graph, build_ht, reduce_monomial
 from ckskit.intlinalg import matmul
 
 
@@ -41,7 +41,7 @@ def main():
     print("  x*y*z     ->", reduce_monomial(ht, {0: 1, 1: 1, 2: 1}),
           "(the support contains a bond, so it dies)")
 
-    fgh = maps_fgh(ht)
+    fgh = FGH(ht)
     print("\nf collapses every 1-face onto the basis representative:")
     for e in range(3):
         print(f"  f({face(frozenset({e}))}) =", fgh.f_face(frozenset({e})))
@@ -55,7 +55,7 @@ def main():
                  for i in range(len(prod)) for j in range(len(prod)))
         print(f"  degree {k}: f o g = id  ->  {ok}")
 
-    rr = r_ring(ht)
+    rr = RRing(ht)
     print("\nquotient ring multiplication on basis classes:")
     print("  [{2}] * [{2}]   =", {face(s): c
                                   for s, c in rr.multiply(s, s).items()})

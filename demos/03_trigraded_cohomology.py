@@ -12,9 +12,10 @@ Run:  python3 demos/03_trigraded_cohomology.py
 """
 
 from ckskit import (
+    DelConCKS,
+    DelConR,
     build_graph,
     cks_cohomology,
-    delcon_cks,
     euler_recurrence_holds,
     euler_table,
     h_hat,
@@ -49,11 +50,11 @@ def main():
           "= spanning trees =", spanning_tree_count(theta))
 
     print("\ndeletion-contraction of edge 0 (neither loop nor bridge):")
-    dc = delcon_cks(theta, 0)
+    dc = DelConCKS(DelConR(theta, 0))
     exact = all(dc.check_exact(p, q, r) and dc.check_chain_maps(p, q, r)
                 for p in range(3) for q in range(3) for r in range(3))
     print("  short exact sequences + chain-map squares:", exact)
-    print("  Euler-table recurrence:", euler_recurrence_holds(theta, 0))
+    print("  Euler-table recurrence:", euler_recurrence_holds(dc))
 
 
 if __name__ == "__main__":

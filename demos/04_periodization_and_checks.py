@@ -11,9 +11,9 @@ Run:  python3 demos/04_periodization_and_checks.py
 """
 
 from ckskit import (
+    PeriodizedGraph,
     build_graph,
     coherent_cotree,
-    periodize_graph,
     run_checks,
 )
 from ckskit.periodize import (
@@ -26,7 +26,7 @@ from ckskit.periodize import (
 
 def main():
     theta = build_graph([(0, 1), (0, 1), (0, 1)])
-    pg = periodize_graph(theta, 1)
+    pg = PeriodizedGraph(theta, 1)
     print("level-1 periodization of three parallel edges:")
     print("  edges:", pg.graph.n_edges, " genus:", pg.graph.genus())
 
@@ -37,16 +37,17 @@ def main():
     for n in (1, 2):
         ok_in, _ = check_in_lemma(cc, n)
         ok_b, _ = check_basis_formula(cc, n)
-        formula = basis_by_formula(cc, periodize_graph(theta, n))
+        formula = basis_by_formula(cc, PeriodizedGraph(theta, n))
         print(f"  level {n}: In-formula {ok_in}, basis formula {ok_b},"
               f" |B| = {len(formula)}")
 
     print("\nconsistency-check registry on the three-parallel-edge graph:")
     results = run_checks(theta)
     width = max(len(name) for name in results)
-    for name, (ok, witness) in sorted(results.items()):
-        print(f"  {name:<{width}}  {'pass' if ok else 'FAIL  ' + str(witness)}")
-    print("\nall passed:", all(ok for ok, _ in results.values()))
+    for name, r in sorted(results.items()):
+        verdict = "pass" if r["passed"] else "FAIL  " + str(r["payload"])
+        print(f"  {name:<{width}}  {verdict}")
+    print("\nall passed:", all(r["passed"] for r in results.values()))
 
 
 if __name__ == "__main__":

@@ -5,9 +5,7 @@ invariants, all over the integers."""
 from .activity import (
     CoherentCotree,
     Shelling,
-    basis_B,
     coherent_cotree,
-    cotree_in,
     external_activity,
     h_polynomial,
     internal_activity,
@@ -21,7 +19,6 @@ from .cks import (
     DelConCKS,
     build_cks,
     cks_cohomology,
-    delcon_cks,
     euler_recurrence_holds,
     euler_table,
     h_hat,
@@ -51,9 +48,6 @@ from .ht import (
     HTComplex,
     RRing,
     build_ht,
-    delcon_r,
-    maps_fgh,
-    r_ring,
     reduce_monomial,
 )
 from .intlinalg import (
@@ -66,7 +60,6 @@ from .periodize import (
     DelConPeriodized,
     PeriodizedGraph,
     delcon_r_periodized,
-    periodize_graph,
     periodized_cotree,
 )
 from .polynomials import Poly1, Poly2
@@ -95,16 +88,12 @@ __all__ = [
     "RRing",
     "Shelling",
     "SmithForm",
-    "basis_B",
     "build_cks",
     "build_graph",
     "build_ht",
     "cks_cohomology",
     "coherent_cotree",
     "corpus_graphs",
-    "cotree_in",
-    "delcon_cks",
-    "delcon_r",
     "delcon_r_periodized",
     "enumerate_connected_multigraphs",
     "euler_recurrence_holds",
@@ -120,11 +109,8 @@ __all__ = [
     "internal_activity",
     "is_generic_character",
     "lex_shelling",
-    "maps_fgh",
     "named_graphs",
-    "periodize_graph",
     "periodized_cotree",
-    "r_ring",
     "reduce_monomial",
     "run_checks",
     "smith_normal_form",

@@ -17,8 +17,9 @@ from .graphs import (
     fundamental_cycle,
     is_spanning_tree,
     spanning_cotrees,
+    union_find,
 )
-from .polynomials import Poly1, Poly2
+from .polynomials import Poly2
 
 
 class Shelling:
@@ -55,7 +56,7 @@ class Shelling:
         return out
 
 
-def lex_shelling(graph, faces=None):
+def lex_shelling(graph):
     """Order the spanning cotrees lexicographically (in the edge order) and
     compute each facet's minimal new face."""
     cotrees = spanning_cotrees(graph)
@@ -167,21 +168,14 @@ def coherent_cotree(graph, faces=None):
     if faces is None:
         faces = face_complex(graph)
     shelling = lex_shelling(graph)
-    table = {}
-    for k in range(1, len(shelling.cotrees) + 1):
-        ct = shelling.cotrees[k - 1]
+    step = {}
+    for k, ct in enumerate(shelling.cotrees, 1):
         for s in shelling.new_faces(k):
-            table[s] = ct - s
-    assert set(table) == set(faces.faces())
+            step[s] = ct
+    assert set(step) == set(faces.faces())
+    # keyed by the face complex's own sets, so each face is held once
+    table = {s: step[s] - s for s in faces.faces()}
     return CoherentCotree(graph, faces, table, shelling)
-
-
-def cotree_in(cc, s):
-    return cc.in_set(s)
-
-
-def basis_B(cc):
-    return cc.basis()
 
 
 # ---------------------------------------------------------------------------
@@ -217,43 +211,17 @@ def internal_activity(graph, tree):
 
 def _fundamental_cut(graph, tree, t):
     """Edges reconnecting the two components of tree - t (including t)."""
-    rest = tree - {t}
-    adj = {v: [] for v in graph.vertices}
-    for e in rest:
-        adj[graph.head[e]].append(graph.tail[e])
-        adj[graph.tail[e]].append(graph.head[e])
-    side = {}
-    for root, label in ((graph.head[t], 0), (graph.tail[t], 1)):
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            if v in side:
-                continue
-            side[v] = label
-            stack.extend(adj[v])
+    find, _ = union_find(graph.vertices, graph.ends(tree - {t}))
     return frozenset(e for e in graph.eids
-                     if side.get(graph.head[e]) is not None
-                     and side.get(graph.tail[e]) is not None
-                     and side[graph.head[e]] != side[graph.tail[e]])
+                     if find(graph.head[e]) != find(graph.tail[e]))
 
 
 # ---------------------------------------------------------------------------
 # Tutte / h polynomials
 
 def _component_count(graph, edges):
-    parent = {v: v for v in graph.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in edges:
-        a, b = find(graph.head[e]), find(graph.tail[e])
-        if a != b:
-            parent[a] = b
-    return len({find(v) for v in graph.vertices})
+    _, merged = union_find(graph.vertices, graph.ends(edges))
+    return graph.n_vertices - len(merged)
 
 
 def tutte(graph):
@@ -285,7 +253,6 @@ def tutte(graph):
 
 def tutte_by_activity(graph):
     """Sum of x^{internal activity} y^{external activity} over spanning trees."""
-    d = graph.genus()
     out = {}
     for ct in spanning_cotrees(graph):
         tree = graph.eids - ct
@@ -297,8 +264,4 @@ def tutte_by_activity(graph):
 
 def h_polynomial(graph):
     """Specialization x <- 1 of the Tutte polynomial, as a Poly1 in q."""
-    t = tutte(graph)
-    out = {}
-    for (i, j), c in t.coeffs.items():
-        out[j] = out.get(j, 0) + c
-    return Poly1(out)
+    return tutte(graph).eval_y()

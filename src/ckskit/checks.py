@@ -72,9 +72,15 @@ class GraphContext:
 
     def admissible_edges(self):
         """Edges that are neither loops nor bridges."""
-        return [e for e in self.graph.order
-                if not self.graph.is_loop(e)
-                and not graphs.contains_bond(self.graph, {e})]
+        return self._get("admissible", lambda: [
+            e for e in self.graph.order
+            if not self.graph.is_loop(e)
+            and not graphs.contains_bond(self.graph, {e})])
+
+    def delcon(self, e):
+        """The deletion-contraction setup (an ht.DelConR) at an admissible
+        edge, built once and shared by every check that needs it."""
+        return self._get(("delcon", e), lambda: ht.DelConR(self.graph, e))
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +539,10 @@ def check_ring(ctx):
 def check_delcon_r(ctx):
     """Basis partition and graded dimension identity for every edge that
     is neither a loop nor a bridge."""
-    g = ctx.graph
     results = {}
+    hp = activity.h_polynomial(ctx.graph)
     for e in ctx.admissible_edges():
-        dc = ht.DelConR(g, e)
+        dc = ctx.delcon(e)
         if not dc.check_partition():
             return False, {"edge": str(e), "reason": "basis partition failed"}
         mid, dl, cn = dc.dims()
@@ -549,7 +555,6 @@ def check_delcon_r(ctx):
             if get(mid, k) != get(dl, k - 1) + get(cn, k):
                 return False, {"edge": str(e), "grade": k,
                                "reason": "dimension identity failed"}
-        hp = activity.h_polynomial(g)
         if hp != activity.h_polynomial(dc.deleted) \
                 + activity.h_polynomial(dc.contracted):
             return False, {"edge": str(e), "reason": "h-polynomial additivity failed"}
@@ -613,10 +618,9 @@ def check_hhat_tutte(ctx):
 def check_delcon_cks(ctx):
     """Chain maps of the deletion-contraction sequence commute with d and
     are degreewise short-exact; the Euler recurrence follows."""
-    g = ctx.graph
-    d = g.genus()
+    d = ctx.graph.genus()
     for e in ctx.admissible_edges():
-        dc = cks.DelConCKS(g, e)
+        dc = cks.DelConCKS(ctx.delcon(e))
         for p in range(d + 1):
             for q in range(d - p + 1):
                 for r in range(d - p + 1):
@@ -626,7 +630,7 @@ def check_delcon_cks(ctx):
                     if not dc.check_chain_maps(p, q, r):
                         return False, {"edge": str(e), "piece": (2 * p, q, r),
                                        "reason": "chain maps do not commute"}
-        if not cks.euler_recurrence_holds(g, e):
+        if not cks.euler_recurrence_holds(dc):
             return False, {"edge": str(e), "reason": "Euler recurrence failed"}
     return True, None
 
@@ -660,7 +664,7 @@ def check_periodize(ctx, levels=(1, 2)):
         if not ok:
             return False, {"level": n, "reason": "contraction compatibility failed"}
         for e in ctx.admissible_edges():
-            rep = periodize.delcon_r_periodized(g, e, n)
+            rep = periodize.delcon_r_periodized(ctx.delcon(e), n)
             if not rep["dimension_identity"] or not rep["basis_partition"]:
                 return False, {"level": n, "edge": str(e), "report": rep}
         payload[f"level_{n}"] = "ok"

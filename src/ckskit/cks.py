@@ -12,11 +12,9 @@ that table is a Tutte specialization, verified against exact cohomology.
 
 import itertools
 
-from .activity import coherent_cotree, tutte
-from .errors import EdgeIsBondOrLoop, MismatchedGraph
-from .graphs import Graph, contains_bond
-from .ht import HTComplex, induced_contraction_cotree, induced_deletion_cotree
-from .intlinalg import CochainComplex, rank, zeros
+from .activity import CoherentCotree, coherent_cotree, tutte
+from .ht import HTComplex
+from .intlinalg import CochainComplex, matmul, rank, zeros
 from .polynomials import Poly2
 
 # base value for the Tutte specialization: the loop graph's generating
@@ -28,15 +26,13 @@ class CKSComplex:
     """Lazily materialized trigraded complex over a coherent cotree."""
 
     def __init__(self, graph, cc):
-        if cc.graph is not graph and not (
-                isinstance(cc.graph, Graph) and cc.graph.order == graph.order
-                and cc.graph.head == graph.head and cc.graph.tail == graph.tail):
-            raise MismatchedGraph("coherent cotree was built from a different graph")
+        # reuse the interior-product machinery; raises MismatchedGraph
+        # when cc was built from a different graph
+        self.ht = HTComplex(graph, cc)
         self.graph = graph
         self.cc = cc
         self.faces = cc.faces
         self.genus = cc.faces.genus
-        self.ht = HTComplex(graph, cc)  # reuse the interior-product machinery
         self._basis = {}
         self._index = {}
         self._proj = {}
@@ -258,27 +254,21 @@ def tutte_specialization_literal(graph):
 class DelConCKS:
     """Short exact sequence of complexes at a non-loop, non-bridge edge.
 
-    With the edge ordered last and induced cotrees on both sides, the
+    Takes the deletion-contraction setup of that edge (an ht.DelConR):
+    with the edge ordered last and induced cotrees on both sides, the
     middle basis splits literally: triples with e ∈ S come from the
     deleted graph (degree shift +2, stripe shift (k,ℓ) -> (k+1,ℓ)) and
     triples with e ∉ S project to the contracted graph.
     """
 
-    def __init__(self, graph, e):
-        if graph.is_loop(e) or contains_bond(graph, {e}):
-            raise EdgeIsBondOrLoop(f"edge {e!r} is a loop or a bridge")
-        self.edge = e
-        order = [x for x in graph.order if x != e] + [e]
-        self.graph = Graph(graph.vertices, graph.head, graph.tail, order)
-        self.cc = coherent_cotree(self.graph)
-        assert e not in self.cc.C(frozenset())
-        self.deleted = self.graph.delete({e})
-        self.contracted = self.graph.contract({e})
-        self.cc_del = induced_deletion_cotree(self.cc, e, self.deleted)
-        self.cc_con = induced_contraction_cotree(self.cc, e, self.contracted)
-        self.mid = CKSComplex(self.graph, self.cc)
-        self.sub = CKSComplex(self.deleted, self.cc_del)
-        self.quo = CKSComplex(self.contracted, self.cc_con)
+    def __init__(self, setup):
+        self.edge = setup.edge
+        # fresh views of the setup's cotree tables: the cycle bases the
+        # complexes cache are freed with this sequence instead of being
+        # kept alive by the setup, which outlives it
+        self.mid, self.sub, self.quo = (
+            CKSComplex(cc.graph, CoherentCotree(cc.graph, cc.faces, cc.table))
+            for cc in (setup.cc, setup.cc_del, setup.cc_con))
 
     def include_matrix(self, p, q, r):
         """Inclusion (2p,q,r) of the deleted complex into (2p+2,q,r) of
@@ -324,7 +314,6 @@ class DelConCKS:
 
     def check_chain_maps(self, p, q, r):
         """Both squares with the differentials commute at (2p, q, r)."""
-        from .intlinalg import matmul
 
         def mul(a, b, rows, cols):
             out = matmul(a, b)
@@ -356,13 +345,9 @@ class DelConCKS:
         return ok
 
 
-def delcon_cks(graph, e):
-    return DelConCKS(graph, e)
-
-
-def euler_recurrence_holds(graph, e):
-    """e_Γ(k,ℓ) = e_{Γ/e}(k,ℓ) − e_{Γ∖e}(k−1,ℓ) for a non-loop non-bridge e."""
-    dc = DelConCKS(graph, e)
+def euler_recurrence_holds(dc):
+    """e_Γ(k,ℓ) = e_{Γ/e}(k,ℓ) − e_{Γ∖e}(k−1,ℓ) on the complexes of a
+    DelConCKS at a non-loop non-bridge edge e."""
     mid = euler_table(dc.mid)
     sub = euler_table(dc.sub)
     quo = euler_table(dc.quo)

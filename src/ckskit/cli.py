@@ -15,10 +15,8 @@ from .activity import coherent_cotree, h_polynomial, tutte
 from .corpus import corpus_graphs
 from .errors import CksKitError, ParseError
 from .graphs import Graph, face_complex, graph_from_dsl, graph_from_json
-from .ht import ChoiceFunction, FGH, HTComplex
 
 SCHEMA = 1
-PERIODIZE_MAX_EDGES = 4
 PERIODIZE_MAX_LEVEL = 2
 
 
@@ -45,12 +43,6 @@ def load_graph(args):
             raise ParseError(f"--order must be a permutation of 0..{g.n_edges - 1}")
         g = Graph(g.vertices, g.head, g.tail, [g.order[i] for i in perm])
     return g
-
-
-def make_choice(cc, preset):
-    if preset == "theta":
-        return ChoiceFunction.theta_preset(cc)
-    return ChoiceFunction.minimal(cc)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +187,10 @@ def cmd_cks(args):
     cks_mod.assert_euler_matches(table, coh)
     hh = cks_mod.h_hat(ctx.cks)
     spec_poly = cks_mod.tutte_loop_specialization(g)
-    recurrence = {edge_str(e): cks_mod.euler_recurrence_holds(g, e)
-                  for e in ctx.admissible_edges()}
+    recurrence = {}
+    for e in ctx.admissible_edges():
+        dc = cks_mod.DelConCKS(ctx.delcon(e))
+        recurrence[edge_str(e)] = cks_mod.euler_recurrence_holds(dc)
     payload = {
         "schema": SCHEMA,
         "ranks_by_tridegree": {f"{k[0]},{k[1]},{k[2]}": free
@@ -219,19 +213,20 @@ def cmd_periodize(args):
     n = args.level
     if n < 0:
         raise ParseError("--level must be >= 0")
-    if n > PERIODIZE_MAX_LEVEL or g.n_edges > PERIODIZE_MAX_EDGES:
+    max_edges = checks_mod.PERIODIZE_EDGE_LIMIT
+    if n > PERIODIZE_MAX_LEVEL or g.n_edges > max_edges:
         raise ParseError(
             f"periodization is capped at level {PERIODIZE_MAX_LEVEL} "
-            f"and {PERIODIZE_MAX_EDGES} base edges")
-    cc = coherent_cotree(g)
+            f"and {max_edges} base edges")
+    ctx = checks_mod.GraphContext(g)
+    cc = ctx.cc
     pg, pcc = periodize_mod.periodized_cotree(cc, n)
     ok_in, _ = periodize_mod.check_in_lemma(cc, n)
     ok_basis, _ = periodize_mod.check_basis_formula(cc, n)
     native = periodize_mod.native_face_check(cc, n)
-    ctx = checks_mod.GraphContext(g)
     delcon = {}
     for e in ctx.admissible_edges():
-        rep = periodize_mod.delcon_r_periodized(g, e, n)
+        rep = periodize_mod.delcon_r_periodized(ctx.delcon(e), n)
         delcon[edge_str(e)] = {
             "dimension_identity": rep["dimension_identity"],
             "dims": rep["dims"],

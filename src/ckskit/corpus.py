@@ -8,7 +8,7 @@ tests.
 
 import itertools
 
-from .graphs import build_graph, wedge
+from .graphs import build_graph, union_find, wedge
 
 
 def theta_graph():
@@ -64,23 +64,6 @@ def _canonical_form(n_verts, pairs):
     return best
 
 
-def _is_connected(n_verts, pairs):
-    if n_verts == 0:
-        return False
-    adj = {v: set() for v in range(n_verts)}
-    for a, b in pairs:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v] - seen:
-            seen.add(w)
-            stack.append(w)
-    return len(seen) == n_verts
-
-
 def enumerate_connected_multigraphs(max_edges):
     """One Graph per isomorphism class of connected multigraphs with
     1..max_edges edges, in (edge count, canonical form) order."""
@@ -94,8 +77,9 @@ def enumerate_connected_multigraphs(max_edges):
                 used = {x for p in multi for x in p}
                 if used != set(range(v)):
                     continue
-                if not _is_connected(v, multi):
-                    continue
+                _, merged = union_find(range(v), multi)
+                if len(merged) != v - 1:
+                    continue  # disconnected
                 form = _canonical_form(v, multi)
                 if form not in seen:
                     seen.add(form)
@@ -112,15 +96,12 @@ def corpus_graphs(bound=5, include_named=True):
         raise ValueError("corpus bound must be at least 1")
     graphs = [("enum", g) for g in enumerate_connected_multigraphs(bound)]
     if include_named:
-        seen = set()
-        for _, g in graphs:
-            pairs = [(g.head[e], g.tail[e]) for e in g.order]
-            seen.add(_canonical_form(g.n_vertices, [
-                (min(a, b), max(a, b)) for a, b in pairs]))
+        def form_of(g):
+            return _canonical_form(g.n_vertices, g.ends(g.order))
+
+        seen = {form_of(g) for _, g in graphs}
         for name, g in named_graphs().items():
-            pairs = [(min(g.head[e], g.tail[e]), max(g.head[e], g.tail[e]))
-                     for e in g.order]
-            form = _canonical_form(g.n_vertices, pairs)
+            form = form_of(g)
             if form not in seen:
                 seen.add(form)
                 graphs.append((name, g))

@@ -43,7 +43,7 @@ class Graph:
         for e in self.order:
             if self.head[e] not in vset or self.tail[e] not in vset:
                 raise ValueError(f"edge {e!r} references a missing vertex")
-        if not _connected(self.vertices, [(self.head[e], self.tail[e]) for e in self.order]):
+        if not _connected(self.vertices, self.ends(self.order)):
             raise DisconnectedGraph("graph must be connected")
 
     # -- basic queries ----------------------------------------------------
@@ -67,6 +67,10 @@ class Graph:
 
     def is_loop(self, e):
         return self.head[e] == self.tail[e]
+
+    def ends(self, edges):
+        """(head, tail) pairs of the given edges, in the given order."""
+        return [(self.head[e], self.tail[e]) for e in edges]
 
     def __repr__(self):
         return f"Graph(|V|={self.n_vertices}, |E|={self.n_edges}, genus={self.genus()})"
@@ -101,27 +105,13 @@ class Graph:
         if not edges <= self.eids:
             raise ValueError("not a subset of the edge set")
         keep = [e for e in self.order if e not in edges]
-        parent = {v: v for v in self.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for e in edges:
-            a, b = find(self.head[e]), find(self.tail[e])
-            if a != b:
-                parent[a] = b
+        find, _ = union_find(self.vertices, self.ends(edges))
         classes = {}
         for v in self.vertices:
-            classes.setdefault(find(v), set()).add(_flatten_vertex(v))
-        vmap = {}
-        for root, members in classes.items():
-            merged = frozenset().union(*members)
-            for v in self.vertices:
-                if find(v) == root:
-                    vmap[v] = merged
+            classes.setdefault(find(v), []).append(_flatten_vertex(v))
+        merged = {root: frozenset().union(*members)
+                  for root, members in classes.items()}
+        vmap = {v: merged[find(v)] for v in self.vertices}
         verts = sorted(set(vmap.values()), key=lambda s: sorted(map(str, s)))
         heads = {e: vmap[self.head[e]] for e in keep}
         tails = {e: vmap[self.tail[e]] for e in keep}
@@ -143,33 +133,15 @@ def _build_unchecked(vertices, head, tail, keep):
         return None
 
 
-def _connected(vertices, incidences):
-    verts = list(vertices)
-    if not verts:
-        return False
-    adj = {v: [] for v in verts}
-    for a, b in incidences:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(verts)
+def union_find(vertices, pairs):
+    """Merge the classes of the endpoints of each (a, b) pair in turn.
 
-
-def connected_components(edge_list):
-    """Split a raw (head, tail) edge list into connected components.
-
-    Convenience splitter for inputs that are not connected; returns a list
-    of edge lists (indices into the original list are not preserved).
+    Returns (find, merged): find(v) names the class of vertex v, and
+    merged lists the positions of the pairs that joined two classes, so
+    they form a spanning forest and len(vertices) - len(merged) counts
+    the classes.
     """
-    verts = {v for h, t in edge_list for v in (h, t)}
-    parent = {v: v for v in verts}
+    parent = {v: v for v in vertices}
 
     def find(v):
         while parent[v] != v:
@@ -177,14 +149,19 @@ def connected_components(edge_list):
             v = parent[v]
         return v
 
-    for h, t in edge_list:
-        a, b = find(h), find(t)
-        if a != b:
-            parent[a] = b
-    groups = {}
-    for h, t in edge_list:
-        groups.setdefault(find(h), []).append((h, t))
-    return list(groups.values())
+    merged = []
+    for i, (a, b) in enumerate(pairs):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            merged.append(i)
+    return find, merged
+
+
+def _connected(vertices, incidences):
+    verts = list(vertices)
+    _, merged = union_find(verts, incidences)
+    return bool(verts) and len(merged) == len(verts) - 1
 
 
 def build_graph(edge_list, edge_order=None):
@@ -311,25 +288,9 @@ def _guard(graph, what):
 
 def is_independent(graph, edges):
     """No cycle inside `edges` (forest test)."""
-    edges = list(edges)
-    verts = set()
-    for e in edges:
-        verts.add(graph.head[e])
-        verts.add(graph.tail[e])
-    parent = {v: v for v in verts}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in edges:
-        a, b = find(graph.head[e]), find(graph.tail[e])
-        if a == b:
-            return False
-        parent[a] = b
-    return True
+    pairs = graph.ends(edges)
+    _, merged = union_find({v for pair in pairs for v in pair}, pairs)
+    return len(merged) == len(pairs)
 
 
 def enumerate_cycles(graph):
@@ -353,7 +314,7 @@ def _is_circuit(graph, edges):
         deg[graph.tail[e]] = deg.get(graph.tail[e], 0) + 1
     if any(d != 2 for d in deg.values()):
         return False
-    return _connected(deg.keys(), [(graph.head[e], graph.tail[e]) for e in edges])
+    return _connected(deg.keys(), graph.ends(edges))
 
 
 def enumerate_bonds(graph):
@@ -370,7 +331,7 @@ def enumerate_bonds(graph):
 
 
 def _disconnects(graph, edges):
-    keep = [(graph.head[e], graph.tail[e]) for e in graph.order if e not in edges]
+    keep = graph.ends(e for e in graph.order if e not in edges)
     return not _connected(graph.vertices, keep)
 
 
@@ -428,11 +389,9 @@ def face_complex(graph):
 
 
 def is_spanning_tree(graph, edges):
+    # a forest with |V| - 1 edges has exactly one component
     edges = frozenset(edges)
-    return (len(edges) == graph.n_vertices - 1
-            and is_independent(graph, edges)
-            and _connected(graph.vertices,
-                           [(graph.head[e], graph.tail[e]) for e in edges]))
+    return len(edges) == graph.n_vertices - 1 and is_independent(graph, edges)
 
 
 def is_spanning_cotree(graph, edges):
@@ -527,14 +486,6 @@ class CycleBasis:
     def coordinates(self, cycle):
         """H1-coordinates of a sparse cycle vector: read off cotree entries."""
         return {x: cycle.get(x, 0) for x in self.cotree if cycle.get(x, 0)}
-
-
-def h1_basis(graph, cotree):
-    return CycleBasis(graph, cotree)
-
-
-def pairing(cycle_basis, edges):
-    return cycle_basis.pairing(edges)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,13 @@ from .errors import (
     MismatchedGraph,
     SupportContainsBond,
 )
-from .graphs import Graph, contains_bond, face_complex, fundamental_cycle
+from .graphs import (
+    FaceComplex,
+    Graph,
+    contains_bond,
+    fundamental_cycle,
+    union_find,
+)
 from .intlinalg import zeros
 
 
@@ -175,23 +181,9 @@ def reduce_monomial(ht, sigma):
 
 def _spanning_tree_avoiding(graph, e):
     """Spanning tree not using edge e (exists when e is not a bridge)."""
-    parent = {v: v for v in graph.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree = set()
-    for x in graph.order:
-        if x == e:
-            continue
-        a, b = find(graph.head[x]), find(graph.tail[x])
-        if a != b:
-            parent[a] = b
-            tree.add(x)
-    return frozenset(tree)
+    rest = [x for x in graph.order if x != e]
+    _, merged = union_find(graph.vertices, graph.ends(rest))
+    return frozenset(rest[i] for i in merged)
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +364,6 @@ class FGH:
         return m
 
 
-def maps_fgh(ht, choice=None):
-    return FGH(ht, choice)
-
-
 # ---------------------------------------------------------------------------
 # the ring R
 
@@ -410,20 +398,19 @@ class RRing:
         return table
 
 
-def r_ring(ht, choice=None):
-    return RRing(ht, choice)
-
-
 # ---------------------------------------------------------------------------
 # deletion-contraction on the basis B
 
 class DelConR:
-    """Deletion-contraction split of the monomial basis at an edge e.
+    """Deletion-contraction setup at an edge e, and the split of the
+    monomial basis it makes literal.
 
     Built from a coherent cotree whose edge order puts e last, so that e
     avoids the cotree C(∅) and the induced tables on the deleted and
     contracted graphs make the basis split literal: B(Γ) is the disjoint
-    union of {S ∪ e : S ∈ B(Γ∖e)} and B(Γ/e).
+    union of {S ∪ e : S ∈ B(Γ∖e)} and B(Γ/e).  The same setup (graph,
+    cc, deleted, contracted, cc_del, cc_con) carries the CKS sequence
+    (cks.DelConCKS) and its periodization (periodize.DelConPeriodized).
     """
 
     def __init__(self, graph, e):
@@ -469,21 +456,22 @@ class DelConR:
         return None if self.edge in s else s
 
 
-def induced_deletion_cotree(cc, e, deleted=None):
-    """Coherent cotree on Γ∖e with C'(S) = C(S ∪ e)."""
-    g = deleted if deleted is not None else cc.graph.delete({e})
-    faces = face_complex(g)
+def induced_deletion_cotree(cc, e, deleted):
+    """Coherent cotree on deleted = Γ∖e with C'(S) = C(S ∪ e).
+
+    Its faces are the S with S ∪ e a face of Γ; with e ordered last they
+    keep the lexicographic order of Γ's faces, so no enumeration is needed.
+    """
+    faces = FaceComplex(deleted, [[s - {e} for s in level if e in s]
+                                  for level in cc.faces.levels[1:]])
     table = {s: cc.C(s | {e}) for s in faces.faces()}
-    return CoherentCotree(g, faces, table)
+    return CoherentCotree(deleted, faces, table)
 
 
-def induced_contraction_cotree(cc, e, contracted=None):
-    """Coherent cotree on Γ/e with C'(S) = C(S); needs e outside C(∅)."""
-    g = contracted if contracted is not None else cc.graph.contract({e})
-    faces = face_complex(g)
+def induced_contraction_cotree(cc, e, contracted):
+    """Coherent cotree on contracted = Γ/e with C'(S) = C(S); needs e
+    outside C(∅).  Its faces are the faces of Γ that avoid e."""
+    faces = FaceComplex(contracted, [[s for s in level if e not in s]
+                                     for level in cc.faces.levels])
     table = {s: cc.C(s) for s in faces.faces()}
-    return CoherentCotree(g, faces, table)
-
-
-def delcon_r(graph, e):
-    return DelConR(graph, e)
+    return CoherentCotree(contracted, faces, table)

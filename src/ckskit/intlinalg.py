@@ -370,15 +370,14 @@ class CochainComplex:
            (shape |C^{n+1}| x |C^n|; omitted when either side is zero)
     """
 
-    def __init__(self, bases, diffs, check=True):
+    def __init__(self, bases, diffs):
         self.bases = {n: list(labels) for n, labels in bases.items() if labels}
         self.diffs = {}
         for n, m in diffs.items():
             if m and m[0] and not is_zero_matrix(m):
                 self.diffs[n] = m
-        if check:
-            self._check_shapes()
-            self._check_d2()
+        self._check_shapes()
+        self._check_d2()
 
     def dim(self, n):
         return len(self.bases.get(n, ()))

@@ -12,8 +12,7 @@ segment: C(S_I) = {(x, 0) : x in C(S)}.
 import itertools
 
 from .activity import CoherentCotree
-from .errors import EdgeIsBondOrLoop
-from .graphs import FaceComplex, Graph, contains_bond, face_complex
+from .graphs import FaceComplex, Graph, face_complex
 
 
 class PeriodizedGraph:
@@ -46,10 +45,6 @@ class PeriodizedGraph:
         for combo in itertools.product(range(-self.n, self.n + 1),
                                        repeat=len(members)):
             yield dict(zip(members, combo))
-
-
-def periodize_graph(base, n):
-    return PeriodizedGraph(base, n)
 
 
 def periodized_faces(pg, base_faces):
@@ -130,26 +125,21 @@ def check_contraction_compatibility(cc, n):
 class DelConPeriodized:
     """Level-n deletion-contraction report for a non-loop non-bridge edge.
 
-    Builds compatible coherent cotrees (edge ordered last, induced tables
-    on the deleted/contracted sides), periodizes all three, and exposes
-    the dimension identity and the set-theoretic basis partition.
+    Takes the deletion-contraction setup of that edge (an ht.DelConR:
+    edge ordered last, induced tables on the deleted/contracted sides),
+    periodizes all three graphs, and exposes the dimension identity and
+    the set-theoretic basis partition.
     """
 
-    def __init__(self, graph, e, n):
-        from .ht import induced_contraction_cotree, induced_deletion_cotree
-        from .activity import coherent_cotree
-        if graph.is_loop(e) or contains_bond(graph, {e}):
-            raise EdgeIsBondOrLoop(f"edge {e!r} is a loop or a bridge")
-        self.edge = e
+    def __init__(self, setup, n):
+        self.edge = setup.edge
         self.n = n
-        order = [x for x in graph.order if x != e] + [e]
-        self.graph = Graph(graph.vertices, graph.head, graph.tail, order)
-        self.cc = coherent_cotree(self.graph)
-        self.cc_del = induced_deletion_cotree(self.cc, e)
-        self.cc_con = induced_contraction_cotree(self.cc, e)
-        self.pg_mid = PeriodizedGraph(self.graph, n)
-        self.pg_del = PeriodizedGraph(self.cc_del.graph, n)
-        self.pg_con = PeriodizedGraph(self.cc_con.graph, n)
+        self.cc = setup.cc
+        self.cc_del = setup.cc_del
+        self.cc_con = setup.cc_con
+        self.pg_mid = PeriodizedGraph(setup.graph, n)
+        self.pg_del = PeriodizedGraph(setup.deleted, n)
+        self.pg_con = PeriodizedGraph(setup.contracted, n)
 
     def graded_counts(self, cc, pg):
         d = cc.faces.genus
@@ -190,9 +180,10 @@ class DelConPeriodized:
         return ok, (len(from_del), len(from_con), len(mid))
 
 
-def delcon_r_periodized(graph, e, n):
-    """Dimension report for the level-n deletion-contraction sequence."""
-    dc = DelConPeriodized(graph, e, n)
+def delcon_r_periodized(setup, n):
+    """Dimension report for the level-n deletion-contraction sequence of
+    a deletion-contraction setup (an ht.DelConR)."""
+    dc = DelConPeriodized(setup, n)
     ok_dim, dims = dc.dimension_identity()
     ok_part, sizes = dc.basis_partition()
     return {

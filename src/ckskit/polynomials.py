@@ -120,7 +120,7 @@ class Poly2:
             out = out + term
         return out
 
-    def eval_y(self, q_poly_var="q"):
+    def eval_y(self):
         """Specialize x <- 1, returning a Poly1 in the remaining variable."""
         out = {}
         for (i, j), c in self.coeffs.items():

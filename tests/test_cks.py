@@ -3,19 +3,21 @@
 import pytest
 
 from ckskit import corpus
+from ckskit.activity import coherent_cotree
 from ckskit.cks import (
+    CKSComplex,
     DelConCKS,
     LOOP_VALUE,
     build_cks,
     cks_cohomology,
-    delcon_cks,
     euler_recurrence_holds,
     euler_table,
     h_hat,
     tutte_loop_specialization,
     tutte_specialization_literal,
 )
-from ckskit.errors import EdgeIsBondOrLoop
+from ckskit.errors import MismatchedGraph
+from ckskit.ht import DelConR
 from ckskit.polynomials import Poly2
 
 THETA = corpus.theta_graph()
@@ -89,20 +91,19 @@ def test_k4_specialization():
 
 
 def test_delcon_exactness_theta():
-    dc = delcon_cks(THETA, 0)
+    dc = DelConCKS(DelConR(THETA, 0))
     for p in range(3):
         for q in range(3 - p):
             for r in range(3 - p):
                 assert dc.check_exact(p, q, r), (p, q, r)
                 assert dc.check_chain_maps(p, q, r), (p, q, r)
-    assert euler_recurrence_holds(THETA, 0)
+    assert euler_recurrence_holds(dc)
 
 
-def test_delcon_rejects_loops_and_bridges():
-    with pytest.raises(EdgeIsBondOrLoop):
-        DelConCKS(corpus.loop_graph(), 0)
-    with pytest.raises(EdgeIsBondOrLoop):
-        DelConCKS(corpus.bridge_graph(), 0)
+def test_cks_complex_rejects_cotree_of_another_graph():
+    other = coherent_cotree(corpus.k4_graph())
+    with pytest.raises(MismatchedGraph):
+        CKSComplex(THETA, other)
 
 
 def test_kunneth_wedge_of_loops():

@@ -1,8 +1,11 @@
 """Graph core: parsing, matroid queries, cycle bases, genericity."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckskit import corpus
+from ckskit.activity import _component_count, _fundamental_cut
 from ckskit.errors import (
     BondDeletion,
     DisconnectedGraph,
@@ -12,6 +15,8 @@ from ckskit.errors import (
 )
 from ckskit.graphs import (
     CycleBasis,
+    Graph,
+    _connected,
     boundary_matrix,
     build_graph,
     contains_bond,
@@ -23,12 +28,16 @@ from ckskit.graphs import (
     graph_from_json,
     graph_to_json,
     is_generic_character,
+    is_independent,
     is_spanning_cotree,
     is_spanning_tree,
     spanning_cotrees,
     spanning_tree_count,
+    union_find,
     wedge,
 )
+from ckskit.ht import _spanning_tree_avoiding
+from ckskit.intlinalg import rank
 
 THETA = corpus.theta_graph()
 X, Y, Z = 0, 1, 2
@@ -150,3 +159,63 @@ def test_generic_character_theta():
     assert ok and not violations
     # genus zero: every character is generic
     assert is_generic_character(corpus.bridge_graph(), [5]) == (True, [])
+
+
+# ---------------------------------------------------------------------------
+# the connectivity helper against rank over Q of the boundary matrix
+
+@st.composite
+def small_multigraphs(draw):
+    """n vertices and up to 8 random (head, tail) pairs, loops and
+    parallel pairs allowed, not necessarily connected."""
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+
+
+def _columns(mat, js):
+    return [[row[j] for j in js] for row in mat]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_multigraphs())
+def test_connectivity_helper_matches_boundary_rank(case):
+    # |V| - rank(boundary) counts components; edges form a forest iff
+    # their boundary columns are independent
+    n, pairs = case
+    m = len(pairs)
+    # the random pairs are edges 0..m-1; a path through all vertices,
+    # ordered after them, makes the graph connected
+    ends = pairs + [(v, v + 1) for v in range(n - 1)]
+    g = Graph(range(n), {i: a for i, (a, _) in enumerate(ends)},
+              {i: b for i, (_, b) in enumerate(ends)}, range(len(ends)))
+    bd = boundary_matrix(g)
+    r = rank(_columns(bd, range(m)))
+
+    find, merged = union_find(range(n), pairs)
+    assert len({find(v) for v in range(n)}) == n - r
+    assert len(merged) == r and rank(_columns(bd, merged)) == r
+    assert all(find(a) == find(b) for a, b in pairs)
+    assert _connected(range(n), pairs) == (n - r == 1)
+    assert _component_count(g, range(m)) == n - r
+    assert is_independent(g, range(m)) == (r == m)
+    assert is_spanning_tree(g, range(m)) == (r == m == n - 1)
+    assert g.contract(range(m)).n_vertices == n - r
+
+    # a spanning tree avoiding the first non-bridge edge, and the
+    # fundamental cut of each of its edges: x crosses the cut of t iff
+    # (tree - t) + x has full rank again
+    edges = list(g.order)
+    nonbridge = [e for e in edges
+                 if rank(_columns(bd, [x for x in edges if x != e])) == n - 1]
+    if not nonbridge:
+        return
+    e = nonbridge[0]
+    tree = _spanning_tree_avoiding(g, e)
+    assert e not in tree and len(tree) == n - 1
+    assert rank(_columns(bd, sorted(tree))) == n - 1
+    for t in tree:
+        cut = _fundamental_cut(g, tree, t)
+        for x in edges:
+            reconnects = rank(_columns(bd, sorted((tree - {t}) | {x}))) == n - 1
+            assert (x in cut) == reconnects, (t, x)

@@ -1,11 +1,14 @@
 """The face-stratified wedge complex: differential, reduction, f/g/h, ring."""
 
+import sys
+
 import pytest
 
-from ckskit import corpus
+from ckskit import activity, corpus
 from ckskit.activity import coherent_cotree
-from ckskit.checks import GraphContext
+from ckskit.checks import GraphContext, run_checks
 from ckskit.errors import ChoiceOutsideIn, EdgeIsBondOrLoop
+from ckskit.graphs import face_complex
 from ckskit.ht import (
     ChoiceFunction,
     DelConR,
@@ -138,7 +141,40 @@ def test_delcon_basis_split():
 
 
 def test_delcon_rejects_loops_and_bridges():
+    # the one deletion-contraction setup; DelConCKS and DelConPeriodized
+    # are built from it and have no guard of their own
     with pytest.raises(EdgeIsBondOrLoop):
         DelConR(corpus.loop_graph(), 0)
     with pytest.raises(EdgeIsBondOrLoop):
         DelConR(corpus.bridge_graph(), 0)
+
+
+def test_setup_faces_match_enumeration():
+    # the setup derives the faces of the deletion and the contraction
+    # from those of the middle graph; face_complex is the reference
+    for _, g in corpus.corpus_graphs(bound=4):
+        ctx = GraphContext(g)
+        for e in ctx.admissible_edges():
+            dc = ctx.delcon(e)
+            assert dc.cc_del.faces.levels == face_complex(dc.deleted).levels
+            assert dc.cc_con.faces.levels == face_complex(dc.contracted).levels
+
+
+def test_checks_share_one_delcon_setup_per_edge(monkeypatch):
+    # one coherent cotree for the graph and one per admissible edge,
+    # however many deletion-contraction checks use the edge
+    original = activity.coherent_cotree
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "ckskit" or name.startswith("ckskit.")) \
+                and getattr(module, "coherent_cotree", None) is original:
+            monkeypatch.setattr(module, "coherent_cotree", counting)
+    report = run_checks(THETA, ["delcon_r", "delcon_cks", "periodize"])
+    assert all(r["passed"] for r in report.values()), report
+    assert len(GraphContext(THETA).admissible_edges()) == 3
+    assert len(calls) == 1 + 3

@@ -4,9 +4,8 @@ import pytest
 
 from ckskit import corpus
 from ckskit.activity import coherent_cotree
-from ckskit.errors import EdgeIsBondOrLoop
+from ckskit.ht import DelConR
 from ckskit.periodize import (
-    DelConPeriodized,
     PeriodizedGraph,
     basis_by_formula,
     check_basis_formula,
@@ -81,17 +80,10 @@ def test_contraction_compatibility():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_delcon_dimension_identity_theta(n):
-    rep = delcon_r_periodized(corpus.theta_graph(), 0, n)
+    rep = delcon_r_periodized(DelConR(corpus.theta_graph(), 0), n)
     assert rep["dimension_identity"], rep
     assert rep["basis_partition"], rep
     mid = rep["dims"]["middle"]
     assert sum(mid) == len(basis_by_formula(
         coherent_cotree(corpus.theta_graph()),
         PeriodizedGraph(corpus.theta_graph(), n)))
-
-
-def test_delcon_rejects_loops_and_bridges():
-    with pytest.raises(EdgeIsBondOrLoop):
-        DelConPeriodized(corpus.loop_graph(), 0, 1)
-    with pytest.raises(EdgeIsBondOrLoop):
-        DelConPeriodized(corpus.bridge_graph(), 0, 1)
