@@ -14,6 +14,7 @@ Run:  python3 demos/03_trigraded_cohomology.py
 from ckskit import (
     DelConCKS,
     DelConR,
+    assert_euler_matches,
     build_graph,
     cks_cohomology,
     euler_recurrence_holds,
@@ -36,8 +37,10 @@ def main():
 
     theta = build_graph([(0, 1), (0, 1), (0, 1)])
     print("\nthree parallel edges:")
-    print("  Euler table e(k, l):")
-    for (k, l), e in sorted(euler_table(theta, cross_check=True).items()):
+    print("  Euler table e(k, l), checked against the cohomology ranks:")
+    table = euler_table(theta)
+    assert_euler_matches(table, cks_cohomology(theta))
+    for (k, l), e in sorted(table.items()):
         print(f"    e({k},{l}) = {e}")
 
     hh = h_hat(theta)

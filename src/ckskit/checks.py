@@ -9,22 +9,29 @@ test-suite; everything is exact integer arithmetic.
 import itertools
 
 from . import activity, cks, graphs, ht, periodize
+from .errors import NotAComplex, OutsideBasis
 from .intlinalg import (
     _rank_and_torsion,
+    identity,
     is_zero_matrix,
+    map_matrix,
     matmul,
     rank,
     verify_direct_sum,
-    zeros,
 )
 UNIMODULAR_EDGE_LIMIT = 6
 PERIODIZE_EDGE_LIMIT = 4
 
 
 class GraphContext:
-    """Caches the derived structures of one graph across checks."""
+    """Caches the derived structures of one graph across checks.
+
+    Each HT and CKS stripe is built once; only its cohomology is kept.
+    """
 
     def __init__(self, graph, choice="min"):
+        if choice == "theta":
+            ht.theta_edges(graph)  # reject a preset that does not fit up front
         self.graph = graph
         self.choice_preset = choice
         self._cache = {}
@@ -63,6 +70,30 @@ class GraphContext:
         return self._get("cks", lambda: cks.CKSComplex(self.graph, self.cc))
 
     @property
+    def ht_stripes(self):
+        """k -> cohomology of the HT stripe p + q = k (see _stripe_cohomology)."""
+        return self._get("ht_stripes", lambda: {
+            k: _stripe_cohomology(self.ht.stripe, k)
+            for k in range(self.ht.genus + 1)})
+
+    @property
+    def cks_stripes(self):
+        """(k, ℓ) -> cohomology of the CKS stripe (see _stripe_cohomology)."""
+        return self._get("cks_stripes", lambda: {
+            key: _stripe_cohomology(self.cks.stripe, *key)
+            for key in self.cks.stripe_keys()})
+
+    @property
+    def tutte(self):
+        return self._get("tutte", lambda: activity.tutte(self.graph))
+
+    def tutte_delcon(self, e):
+        """(T(Γ∖e), T(Γ/e)) at an admissible edge."""
+        return self._get(("tutte", e), lambda: (
+            activity.tutte(self.graph.delete({e})),
+            activity.tutte(self.graph.contract({e}))))
+
+    @property
     def cycles(self):
         return self._get("cycles", lambda: graphs.enumerate_cycles(self.graph))
 
@@ -81,6 +112,27 @@ class GraphContext:
         """The deletion-contraction setup (an ht.DelConR) at an admissible
         edge, built once and shared by every check that needs it."""
         return self._get(("delcon", e), lambda: ht.DelConR(self.graph, e))
+
+
+def _stripe_cohomology(stripe, *key):
+    """{p: (free, torsion)} of one stripe, or the NotAComplex or
+    OutsideBasis error that stopped its build, kept for the checks to
+    report as a witness."""
+    try:
+        return stripe(*key).cohomology()
+    except (NotAComplex, OutsideBasis) as exc:
+        return exc
+
+
+def _stripe_failure(stripes):
+    """(stripe key, position p, reason) of the first stripe whose build
+    failed, or None."""
+    for key, coh in stripes.items():
+        if isinstance(coh, NotAComplex):
+            return key, coh.degree, "d^2 != 0"
+        if isinstance(coh, OutsideBasis):
+            return key, len(coh.source[0]), "d leaves the stripe"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +306,7 @@ def check_activity(ctx):
     via_cotrees = {ct - cc.in_set(ct) for ct in ctx.faces.levels[d]}
     if via_in != via_cotrees:
         return False, {"reason": "the two descriptions of the basis differ"}
-    hp = activity.h_polynomial(g)
+    hp = ctx.tutte.eval_y()
     sizes = [len(level) for level in cc.basis_by_degree()]
     expected = [hp.coeff(d - k) for k in range(d + 1)]
     if sizes != expected:
@@ -270,7 +322,7 @@ def check_tutte(ctx):
     """Rank-nullity Tutte equals the activity Tutte under several edge
     orders; deletion-contraction recurrence; T(1,1) counts spanning trees."""
     g = ctx.graph
-    t = activity.tutte(g)
+    t = ctx.tutte
     base = list(g.order)
     orders = [base, base[::-1], base[1:] + base[:1]]
     seen = set()
@@ -283,12 +335,13 @@ def check_tutte(ctx):
         if activity.tutte_by_activity(g2) != t:
             return False, {"order": [str(e) for e in order]}
     for e in ctx.admissible_edges():
-        if activity.tutte(g.delete({e})) + activity.tutte(g.contract({e})) != t:
+        t_del, t_con = ctx.tutte_delcon(e)
+        if t_del + t_con != t:
             return False, {"edge": str(e), "reason": "deletion-contraction failed"}
     trees = graphs.spanning_tree_count(g)
     if t(1, 1) != trees:
         return False, {"tutte_11": t(1, 1), "kirchhoff": trees}
-    hp = activity.h_polynomial(g)
+    hp = t.eval_y()
     if hp(1) != trees:
         return False, {"h_at_1": hp(1), "kirchhoff": trees}
     return True, {"tutte": str(t), "trees": trees}
@@ -297,104 +350,72 @@ def check_tutte(ctx):
 # ---------------------------------------------------------------------------
 # ht checks
 
-def _stripe_dims(ctx, k):
-    return [ctx.ht.dim(p, k - p) for p in range(k + 1)]
-
-
 def check_ht_identities(ctx):
     """d² = 0, fg = id, fd = 0 and id − gf = hd + dh in every graded piece."""
-    g = ctx.graph
-    d = g.genus()
+    failure = _stripe_failure(ctx.ht_stripes)
+    if failure:
+        k, p, reason = failure
+        return False, {"piece": (p, k - p), "reason": reason}
     htc = ctx.ht
     fgh = ctx.fgh
-    for p in range(d + 1):
-        for q in range(d - p + 1):
-            m1 = htc.d_matrix(p, q)
-            m2 = htc.d_matrix(p + 1, q - 1)
-            prod = matmul(m2, m1)
-            if prod and not is_zero_matrix(prod):
-                return False, {"piece": (p, q), "reason": "d^2 != 0"}
-    for k in range(d + 1):
+    for k in range(htc.genus + 1):
         fmat, bk = fgh.f_matrix(k)
         gmat, _ = fgh.g_matrix(k)
-        nfk = htc.dim(k, 0)
-        nbk = len(bk)
-        fg = matmul(fmat, gmat)
-        if fg != [[1 if i == j else 0 for j in range(nbk)] for i in range(nbk)]:
+        if matmul(fmat, gmat) != identity(len(bk)):
             return False, {"grade": k, "reason": "fg != id"}
-        if k >= 1:
-            fd = matmul(fmat, htc.d_matrix(k - 1, 1))
-            if fd and not is_zero_matrix(fd):
-                return False, {"grade": k, "reason": "fd != 0"}
-        # homotopy identities along the stripe p + q = k
+        ds = [htc.d_matrix(p, k - p) for p in range(k)]
+        if k >= 1 and not is_zero_matrix(matmul(fmat, ds[k - 1])):
+            return False, {"grade": k, "reason": "fd != 0"}
+        # homotopy identities along the stripe p + q = k, as
+        # hd + dh (+ gf at p = k) = id; matmul gives [] for an empty product
         for p in range(k + 1):
             q = k - p
             n = htc.dim(p, q)
-            dh = matmul(fgh.h_matrix(p + 1, q - 1), htc.d_matrix(p, q)) \
-                if p < k else zeros(n, n)
-            hd = matmul(htc.d_matrix(p - 1, q + 1), fgh.h_matrix(p, q)) \
-                if p > 0 else zeros(n, n)
-            dh = dh if dh else zeros(n, n)
-            hd = hd if hd else zeros(n, n)
-            lhs = [[dh[i][j] + hd[i][j] for j in range(n)] for i in range(n)]
+            terms = []
+            if p < k:
+                terms.append(matmul(fgh.h_matrix(p + 1, q - 1), ds[p]))
+            if p > 0:
+                terms.append(matmul(ds[p - 1], fgh.h_matrix(p, q)))
             if p == k:
-                gf = matmul(gmat, fmat) if n else []
-                target = [[(1 if i == j else 0) - (gf[i][j] if gf else 0)
-                           for j in range(n)] for i in range(n)]
-            else:
-                target = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            if lhs != target:
+                terms.append(matmul(gmat, fmat))
+            total = [[sum(t[i][j] for t in terms if t) for j in range(n)]
+                     for i in range(n)]
+            if total != identity(n):
                 return False, {"piece": (p, q), "reason": "homotopy identity failed"}
     return True, None
 
 
 def check_ht_exactness(ctx):
-    """The stripe 0 → gr^k_0 → ... → gr^k_k → R^{2k} → 0 is exact: ranks
-    telescope and every differential image is a direct summand."""
-    d = ctx.graph.genus()
-    htc = ctx.ht
+    """The stripe 0 → gr^k_0 → ... → gr^k_k → R^{2k} → 0 is exact: the
+    cohomology of gr^k is 0 below the top and free of rank |B_k| at it,
+    with no torsion, so every differential image is a direct summand."""
+    failure = _stripe_failure(ctx.ht_stripes)
+    if failure:
+        k, p, reason = failure
+        return False, {"stripe": k, "position": p, "reason": reason}
     bk_sizes = [len(level) for level in ctx.cc.basis_by_degree()]
-    for k in range(d + 1):
-        dims = _stripe_dims(ctx, k)
-        ranks = []
-        for p in range(k):
-            r, torsion = _rank_and_torsion(htc.d_matrix(p, k - p))
-            ranks.append(r)
-            if torsion:
-                return False, {"stripe": k, "position": p,
-                               "reason": "image is not a direct summand"}
+    for k, coh in ctx.ht_stripes.items():
         for p in range(k + 1):
-            incoming = ranks[p - 1] if p > 0 else 0
-            if p < k:
-                if dims[p] != incoming + ranks[p]:
-                    return False, {"stripe": k, "position": p,
-                                   "reason": "rank bookkeeping failed"}
-            elif dims[k] != incoming + bk_sizes[k]:
+            free, torsion = coh.get(p, (0, []))
+            if torsion:
+                return False, {"stripe": k, "position": p - 1,
+                               "reason": "image is not a direct summand"}
+            if free != (bk_sizes[k] if p == k else 0):
                 return False, {"stripe": k, "position": p,
-                               "reason": "tail rank bookkeeping failed"}
+                               "reason": "rank bookkeeping failed"}
     return True, None
 
 
 def check_ht_cohomology(ctx):
     """Stripe cohomology is free of rank |B_k|, concentrated at the top
     position; torsion is reported but does not fail the check."""
-    from .intlinalg import CochainComplex
-    d = ctx.graph.genus()
-    htc = ctx.ht
+    failure = _stripe_failure(ctx.ht_stripes)
+    if failure:
+        k, p, reason = failure
+        return False, {"stripe": k, "position": p, "reason": reason}
     bk_sizes = [len(level) for level in ctx.cc.basis_by_degree()]
     torsion_seen = []
-    for k in range(d + 1):
-        bases = {}
-        diffs = {}
-        for p in range(k + 1):
-            b = htc.basis(p, k - p)
-            if b:
-                bases[p] = b
-        for p in range(k):
-            m = htc.d_matrix(p, k - p)
-            if m and m[0]:
-                diffs[p] = m
-        coh = CochainComplex(bases, diffs).cohomology()
+    for k, coh in ctx.ht_stripes.items():
         for p, (free, torsion) in coh.items():
             expected = bk_sizes[k] if p == k else 0
             if free != expected:
@@ -407,22 +428,11 @@ def check_ht_cohomology(ctx):
 
 def check_splitting(ctx):
     """Z^{F_k} = im d ⊕ Z^{B_k} in every grade, certified by SNF."""
-    d = ctx.graph.genus()
     htc = ctx.ht
-    for k in range(d + 1):
-        faces_k = ctx.faces.levels[k]
-        findex = {s: i for i, s in enumerate(faces_k)}
-        n = len(faces_k)
-        im_cols = []
-        if k >= 1:
-            m = htc.d_matrix(k - 1, 1)
-            for j in range(len(m[0]) if m and m[0] else 0):
-                im_cols.append([m[i][j] for i in range(n)])
-        bcols = [[1 if findex[b] == i else 0 for i in range(n)]
-                 for b in ctx.cc.basis_by_degree()[k]]
-        im_mat = [list(col) for col in zip(*im_cols)] if im_cols else [[] for _ in range(n)]
-        b_mat = [list(col) for col in zip(*bcols)] if bcols else [[] for _ in range(n)]
-        if not verify_direct_sum(n, im_mat, b_mat):
+    for k in range(htc.genus + 1):
+        # for k = 0 the source basis of d is empty: a matrix with no columns
+        im = htc.d_matrix(k - 1, 1)
+        if not verify_direct_sum(htc.dim(k, 0), im, ctx.fgh.g_matrix(k)[0]):
             return False, {"grade": k}
     return True, None
 
@@ -432,26 +442,16 @@ def check_j_basis(ctx):
     |F_k ∖ B_k| per grade and have exactly that rank."""
     htc = ctx.ht
     fgh = ctx.fgh
-    d = ctx.graph.genus()
     bset = fgh.bset
-    for k in range(1, d + 1):
+    for k in range(1, htc.genus + 1):
+        src = [(s, (x,)) for s in ctx.faces.levels[k - 1] for x in ctx.cc.C(s)
+               if (s | {x}) not in bset and fgh.choice[s | {x}] == x]
         faces_k = ctx.faces.levels[k]
-        findex = {s: i for i, s in enumerate(faces_k)}
-        vecs = []
-        for s in ctx.faces.levels[k - 1]:
-            for x in ctx.cc.C(s):
-                u = s | {x}
-                if u in bset or fgh.choice[u] != x:
-                    continue
-                col = [0] * len(faces_k)
-                for (tgt, _w), c in htc.d_element(s, (x,)).items():
-                    col[findex[tgt]] = c
-                vecs.append(col)
         expected = len(faces_k) - len([s for s in faces_k if s in bset])
-        if len(vecs) != expected:
-            return False, {"grade": k, "count": len(vecs), "expected": expected}
-        mat = [list(row) for row in zip(*vecs)] if vecs else []
-        if (rank(mat) if vecs else 0) != expected:
+        if len(src) != expected:
+            return False, {"grade": k, "count": len(src), "expected": expected}
+        mat = map_matrix(src, htc.index(k, 0), lambda b: htc.d_element(*b))
+        if rank(mat) != expected:
             return False, {"grade": k, "reason": "rank deficient"}
     return True, None
 
@@ -540,7 +540,7 @@ def check_delcon_r(ctx):
     """Basis partition and graded dimension identity for every edge that
     is neither a loop nor a bridge."""
     results = {}
-    hp = activity.h_polynomial(ctx.graph)
+    hp = ctx.tutte.eval_y()
     for e in ctx.admissible_edges():
         dc = ctx.delcon(e)
         if not dc.check_partition():
@@ -555,8 +555,8 @@ def check_delcon_r(ctx):
             if get(mid, k) != get(dl, k - 1) + get(cn, k):
                 return False, {"edge": str(e), "grade": k,
                                "reason": "dimension identity failed"}
-        if hp != activity.h_polynomial(dc.deleted) \
-                + activity.h_polynomial(dc.contracted):
+        t_del, t_con = ctx.tutte_delcon(e)
+        if hp != t_del.eval_y() + t_con.eval_y():
             return False, {"edge": str(e), "reason": "h-polynomial additivity failed"}
         results[str(e)] = {"middle": mid, "deleted": dl, "contracted": cn}
     return True, results or {"skipped": "no admissible edge"}
@@ -566,38 +566,24 @@ def check_delcon_r(ctx):
 # cks checks
 
 def check_cks_d2(ctx):
-    """d² = 0 in every tridegree and d preserves the (k, ℓ) stripes."""
-    d = ctx.graph.genus()
-    c = ctx.cks
-    for p in range(d + 1):
-        for q in range(d - p + 1):
-            for r in range(d - p + 1):
-                m1 = c.d_matrix(p, q, r)
-                m2 = c.d_matrix(p + 1, q - 1, r)
-                prod = matmul(m2, m1)
-                if prod and not is_zero_matrix(prod):
-                    return False, {"piece": (2 * p, q, r)}
-                # stripe preservation: images stay inside (p+1, q-1, r),
-                # which holds by construction; verify the basis partition
-    total = sum(c.dim(p, q, r)
-                for p in range(d + 1)
-                for q in range(d - p + 1)
-                for r in range(d - p + 1))
-    by_stripes = 0
-    for k in range(2 * d + 1):
-        for ell in range(d + 1):
-            for p in range(min(k, d) + 1):
-                by_stripes += c.dim(p, k - p, ell)
-    if total != by_stripes:
-        return False, {"reason": "stripe decomposition is not a partition"}
+    """d² = 0 in every stripe, and d maps (p, q, r) only into (p+1, q−1, r):
+    map_matrix rejects any image outside that target basis."""
+    failure = _stripe_failure(ctx.cks_stripes)
+    if failure:
+        (k, ell), p, reason = failure
+        return False, {"piece": (2 * p, k - p, ell), "reason": reason}
     return True, None
 
 
 def check_euler(ctx):
     """Euler table from dimensions agrees with the one from cohomology
     ranks, and the signed total equals ± the spanning-tree count."""
-    table = cks.euler_table(ctx.cks, cross_check=True)
-    d = ctx.graph.genus()
+    failure = _stripe_failure(ctx.cks_stripes)
+    if failure:
+        key, p, reason = failure
+        return False, {"stripe": key, "position": p, "reason": reason}
+    table = cks.euler_table(ctx.cks)
+    cks.assert_euler_matches(table, cks.by_tridegree(ctx.cks_stripes))
     hh = cks.h_hat(ctx.cks)
     trees = graphs.spanning_tree_count(ctx.graph)
     if hh(-1, -1) != trees:

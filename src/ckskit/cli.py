@@ -181,8 +181,11 @@ def cmd_ht(args):
 
 def cmd_cks(args):
     g = load_graph(args)
-    ctx = checks_mod.GraphContext(g, choice=args.choice)
-    coh = cks_mod.cks_cohomology(ctx.cks)
+    ctx = checks_mod.GraphContext(g)
+    for coh in ctx.cks_stripes.values():
+        if isinstance(coh, CksKitError):
+            raise coh  # a stripe that is not a complex
+    coh = cks_mod.by_tridegree(ctx.cks_stripes)
     table = cks_mod.euler_table(ctx.cks)
     cks_mod.assert_euler_matches(table, coh)
     hh = cks_mod.h_hat(ctx.cks)
@@ -359,7 +362,7 @@ def build_parser():
         ("analyze", cmd_analyze, ()),
         ("activity", cmd_activity, ()),
         ("ht", cmd_ht, ("choice", "matrices")),
-        ("cks", cmd_cks, ("choice",)),
+        ("cks", cmd_cks, ()),
         ("periodize", cmd_periodize, ("level",)),
         ("verify", cmd_verify, ("choice", "checks")),
     ):

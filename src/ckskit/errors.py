@@ -46,7 +46,21 @@ class EdgeIsBondOrLoop(CksKitError):
 
 
 class NotAComplex(CksKitError):
-    """Differentials do not square to zero."""
+    """Differentials do not square to zero: d_{degree+1} ∘ d_degree != 0."""
+
+    def __init__(self, degree):
+        super().__init__(f"d^2 != 0 at degree {degree}")
+        self.degree = degree
+
+
+class OutsideBasis(CksKitError):
+    """A map sent the basis element `source` to `label`, which is not in
+    its target basis."""
+
+    def __init__(self, source, label):
+        super().__init__(f"the image of {source!r} has {label!r} outside "
+                         "the target basis")
+        self.source = source
 
 
 class ParseError(CksKitError):

@@ -475,17 +475,9 @@ class CycleBasis:
         cols = self.graph.order
         return [[self.rows[x].get(e, 0) for e in cols] for x in self.cotree]
 
-    def pair(self, x, e):
-        """Coefficient of edge e in the cycle attached to cotree edge x."""
-        return self.rows[x].get(e, 0)
-
     def pairing(self, edges):
         cols = self.graph.sort_edges(edges)
         return [[self.rows[x].get(e, 0) for e in cols] for x in self.cotree]
-
-    def coordinates(self, cycle):
-        """H1-coordinates of a sparse cycle vector: read off cotree entries."""
-        return {x: cycle.get(x, 0) for x in self.cotree if cycle.get(x, 0)}
 
 
 # ---------------------------------------------------------------------------

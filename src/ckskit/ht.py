@@ -20,6 +20,7 @@ from .errors import (
     ChoiceOutsideIn,
     EdgeIsBondOrLoop,
     MismatchedGraph,
+    ParseError,
     SupportContainsBond,
 )
 from .graphs import (
@@ -29,11 +30,15 @@ from .graphs import (
     fundamental_cycle,
     union_find,
 )
-from .intlinalg import zeros
+from .intlinalg import CochainComplex, map_matrix
 
 
 class HTComplex:
-    """Lazily materialized bigraded complex attached to a coherent cotree."""
+    """Lazily materialized bigraded complex attached to a coherent cotree.
+
+    Its bases, index maps and stripes also serve the trigraded subclass
+    cks.CKSComplex, whose pieces carry a third grading r.
+    """
 
     def __init__(self, graph, cc):
         if cc.graph is not graph and not (
@@ -49,26 +54,29 @@ class HTComplex:
 
     # -- bases ------------------------------------------------------------
 
-    def basis(self, p, q):
-        """Basis of the (2p, q) piece: (face of size p, q-wedge in its cotree)."""
-        key = (p, q)
+    def basis(self, p, q, *r):
+        """Basis of the (2p, q) piece: (face S of size p, q-wedge in its
+        cotree C(S)); of the (2p, q, r) piece, the triples that add an
+        r-wedge in C(S)."""
+        key = (p, q, *r)
         if key not in self._basis:
             out = []
-            if 0 <= p <= self.genus and q >= 0:
+            # C(S) has genus - p edges for every face S of size p
+            if 0 <= p <= self.genus and all(0 <= n <= self.genus - p for n in key[1:]):
                 for s in self.faces.levels[p]:
                     cot = self.graph.sort_edges(self.cc.C(s))
-                    for w in itertools.combinations(cot, q):
-                        out.append((s, w))
+                    out.extend(itertools.product(
+                        (s,), *(itertools.combinations(cot, n) for n in key[1:])))
             self._basis[key] = out
             self._index[key] = {b: i for i, b in enumerate(out)}
         return self._basis[key]
 
-    def index(self, p, q):
-        self.basis(p, q)
-        return self._index[(p, q)]
+    def index(self, *key):
+        self.basis(*key)
+        return self._index[key]
 
-    def dim(self, p, q):
-        return len(self.basis(p, q))
+    def dim(self, *key):
+        return len(self.basis(*key))
 
     # -- differential -----------------------------------------------------
 
@@ -107,14 +115,17 @@ class HTComplex:
         return {k: v for k, v in out.items() if v}
 
     def d_matrix(self, p, q):
-        """Matrix of d: (2p, q) -> (2p+2, q-1)."""
-        src = self.basis(p, q)
-        tgt_index = self.index(p + 1, q - 1)
-        m = zeros(len(tgt_index), len(src))
-        for j, (s, w) in enumerate(src):
-            for key, c in self.d_element(s, w).items():
-                m[tgt_index[key]][j] = c
-        return m
+        """Matrix of d: (2p, q) -> (2p+2, q-1).  Raises OutsideBasis
+        when d leaves the stripe of (p, q)."""
+        return map_matrix(self.basis(p, q), self.index(p + 1, q - 1),
+                          lambda b: self.d_element(*b))
+
+    def stripe(self, k, *r):
+        """The graded stripe p + q = k (at weight r for the CKS complex)
+        as a CochainComplex indexed by p."""
+        bases = {p: self.basis(p, k - p, *r) for p in range(min(k, self.genus) + 1)}
+        return CochainComplex(bases, {p: self.d_matrix(p, k - p, *r)
+                                      for p, b in bases.items() if b})
 
 
 def build_ht(graph, cc=None):
@@ -218,10 +229,7 @@ class ChoiceFunction:
     def theta_preset(cls, cc):
         """The published reference choices for the theta graph (three
         parallel edges x < y < z): [{x}]=x, [{y}]=y, [{x,y}]=x, [{x,z}]=x."""
-        g = cc.graph
-        if g.n_edges != 3 or g.genus() != 2:
-            raise ValueError("theta preset only applies to the theta graph")
-        x, y, z = g.order
+        x, y, z = theta_edges(cc.graph)
         mapping = {
             frozenset({x}): x,
             frozenset({y}): y,
@@ -235,6 +243,16 @@ class ChoiceFunction:
 
     def __contains__(self, s):
         return frozenset(s) in self.mapping
+
+
+def theta_edges(graph):
+    """The edges x < y < z of the theta graph, the one graph the theta
+    preset fits: two vertices joined by three edges."""
+    if (graph.n_vertices != 2 or graph.n_edges != 3
+            or any(map(graph.is_loop, graph.order))):
+        raise ParseError("the theta choice preset needs two vertices "
+                         "joined by three edges")
+    return graph.order
 
 
 class FGH:
@@ -338,30 +356,18 @@ class FGH:
         faces = self.ht.faces.levels[k]
         bk = [s for s in faces if s in self.bset]
         bindex = {b: i for i, b in enumerate(bk)}
-        m = zeros(len(bk), len(faces))
-        for j, s in enumerate(faces):
-            for b, c in self.f_face(s).items():
-                m[bindex[b]][j] = c
-        return m, bk
+        return map_matrix(faces, bindex, self.f_face), bk
 
     def g_matrix(self, k):
         faces = self.ht.faces.levels[k]
         bk = [s for s in faces if s in self.bset]
         findex = {s: i for i, s in enumerate(faces)}
-        m = zeros(len(faces), len(bk))
-        for j, b in enumerate(bk):
-            m[findex[b]][j] = 1
-        return m, bk
+        return map_matrix(bk, findex, lambda b: {b: 1}), bk
 
     def h_matrix(self, p, q):
         """h: (2p, q) -> (2p-2, q+1)."""
-        src = self.ht.basis(p, q)
-        tgt_index = self.ht.index(p - 1, q + 1)
-        m = zeros(len(tgt_index), len(src))
-        for j, (s, w) in enumerate(src):
-            for key, c in self.h_element(s, w).items():
-                m[tgt_index[key]][j] = c
-        return m
+        return map_matrix(self.ht.basis(p, q), self.ht.index(p - 1, q + 1),
+                          lambda b: self.h_element(*b))
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +394,6 @@ class RRing:
             sigma[e] = sigma.get(e, 0) + 1
         vec = reduce_monomial(self.ht, sigma)
         return self.fgh.f_vector(vec)
-
-    def multiplication_table(self):
-        table = {}
-        flat = [s for level in self.basis_by_degree for s in level]
-        for sa in flat:
-            for sb in flat:
-                table[(sa, sb)] = self.multiply(sa, sb)
-        return table
 
 
 # ---------------------------------------------------------------------------

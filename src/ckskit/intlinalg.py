@@ -1,18 +1,20 @@
 """Exact integer linear algebra.
 
-Dense matrices are plain lists of lists of Python ints.  Everything here is
-exact: Smith normal form with unimodular transforms, ranks over Q via
-fraction-free elimination, cochain-complex cohomology (free rank + torsion
-invariant factors), and direct-sum splitting certificates for sublattices
-of Z^n.  Cohomology and the certificates factor each matrix once with a
-sparse unit-pivot elimination that hands only its residual core to the
-dense Smith normal form.
+Dense matrices are plain lists of lists of Python ints; map_matrix is the
+one place the complexes and their maps turn sparse images on labelled
+bases into them.  Everything here is exact: Smith normal form with
+unimodular transforms, ranks over Q via fraction-free elimination,
+cochain-complex cohomology (free rank + torsion invariant factors), and
+direct-sum splitting certificates for sublattices of Z^n.  Cohomology
+and the certificates factor each matrix once with a sparse unit-pivot
+elimination that hands only its residual core to the dense Smith normal
+form.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotAComplex
+from .errors import NotAComplex, OutsideBasis
 
 
 # ---------------------------------------------------------------------------
@@ -20,6 +22,23 @@ from .errors import NotAComplex
 
 def zeros(rows, cols):
     return [[0] * cols for _ in range(rows)]
+
+
+def map_matrix(src, tgt_index, image):
+    """Matrix of a linear map between labelled bases.
+
+    Column j holds image(src[j]), a dict label -> coefficient, with each
+    label placed in the row tgt_index[label].  Raises OutsideBasis when
+    an image label is not in the target basis.
+    """
+    m = zeros(len(tgt_index), len(src))
+    for j, label in enumerate(src):
+        for key, c in image(label).items():
+            i = tgt_index.get(key)
+            if i is None:
+                raise OutsideBasis(label, key)
+            m[i][j] = c
+    return m
 
 
 def identity(n):
@@ -41,12 +60,6 @@ def matmul(a, b):
                 for j in range(m):
                     oi[j] += x * bt[j]
     return out
-
-
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
 
 
 def is_zero_matrix(a):
@@ -385,12 +398,6 @@ class CochainComplex:
     def degrees(self):
         return sorted(self.bases)
 
-    def diff(self, n):
-        m = self.diffs.get(n)
-        if m is not None:
-            return m
-        return zeros(self.dim(n + 1), self.dim(n))
-
     def _check_shapes(self):
         for n, m in self.diffs.items():
             if len(m) != self.dim(n + 1) or (m and len(m[0]) != self.dim(n)):
@@ -400,7 +407,7 @@ class CochainComplex:
         for n in self.diffs:
             if (n + 1) in self.diffs:
                 if not is_zero_matrix(matmul(self.diffs[n + 1], self.diffs[n])):
-                    raise NotAComplex(f"d^2 != 0 at degree {n}")
+                    raise NotAComplex(n)
 
     def cohomology(self):
         """Per-degree (free rank, torsion invariant factors > 1).
@@ -421,23 +428,16 @@ class CochainComplex:
 def verify_direct_sum(ambient_rank, image_generators, complement_basis):
     """Certify Z^ambient = (column span of image_generators) + complement.
 
-    Both arguments are matrices whose columns live in Z^ambient.  True iff
-    the concatenated columns span Z^ambient, all invariant factors are 1,
-    and the two ranks add up to the ambient rank (trivial intersection,
-    index one).
+    Both arguments are matrices with ambient_rank rows (a row may be
+    empty when there are no columns).  True iff the concatenated columns
+    span Z^ambient, all invariant factors are 1, and the two ranks add up
+    to the ambient rank (trivial intersection, index one).
     """
-    cols_a = len(image_generators[0]) if image_generators and image_generators[0] else 0
-    cols_b = len(complement_basis[0]) if complement_basis and complement_basis[0] else 0
-    if ambient_rank == 0:
-        return cols_a == 0 or is_zero_matrix(image_generators)
-    stacked = [
-        (image_generators[i] if cols_a else []) + (complement_basis[i] if cols_b else [])
-        for i in range(ambient_rank)
-    ]
-    if cols_a + cols_b == 0:
-        return False
+    if len(image_generators) != ambient_rank or len(complement_basis) != ambient_rank:
+        raise ValueError("both matrices need one row per ambient coordinate")
+    stacked = [a + b for a, b in zip(image_generators, complement_basis)]
     if _rank_and_torsion(stacked) != (ambient_rank, []):
         return False
-    ra = _rank_and_torsion(image_generators)[0] if cols_a else 0
-    rb = _rank_and_torsion(complement_basis)[0] if cols_b else 0
+    ra = _rank_and_torsion(image_generators)[0]
+    rb = _rank_and_torsion(complement_basis)[0]
     return ra + rb == ambient_rank

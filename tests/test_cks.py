@@ -8,6 +8,7 @@ from ckskit.cks import (
     CKSComplex,
     DelConCKS,
     LOOP_VALUE,
+    assert_euler_matches,
     build_cks,
     cks_cohomology,
     euler_recurrence_holds,
@@ -16,6 +17,7 @@ from ckskit.cks import (
     tutte_loop_specialization,
     tutte_specialization_literal,
 )
+from ckskit.checks import GraphContext, check_cks_d2, run_checks
 from ckskit.errors import MismatchedGraph
 from ckskit.ht import DelConR
 from ckskit.polynomials import Poly2
@@ -74,7 +76,8 @@ def test_theta_literal_slot_order():
 
 
 def test_euler_table_theta_cross_check():
-    table = euler_table(THETA, cross_check=True)
+    table = euler_table(THETA)
+    assert_euler_matches(table, cks_cohomology(THETA))
     assert table[(0, 0)] == 1
     # evaluating the generating polynomial at x = y = -1 counts spanning trees
     assert h_hat(THETA)(-1, -1) == 3
@@ -98,6 +101,51 @@ def test_delcon_exactness_theta():
                 assert dc.check_exact(p, q, r), (p, q, r)
                 assert dc.check_chain_maps(p, q, r), (p, q, r)
     assert euler_recurrence_holds(dc)
+
+
+def test_cks_d2_reports_an_image_outside_the_stripe():
+    ctx = GraphContext(THETA)
+    c = ctx.cks
+    original = c.d_element
+
+    def leaky(s, w, a):
+        # also send (∅, w, a) to a (1, q, r) label, one step off the stripe
+        out = original(s, w, a)
+        if not s and w:
+            out[(frozenset({w[0]}), w, a)] = 1
+        return out
+
+    c.d_element = leaky
+    ok, witness = check_cks_d2(ctx)
+    assert not ok
+    assert witness == {"piece": (0, 1, 0), "reason": "d leaves the stripe"}
+
+
+def test_cks_d2_reports_the_piece_where_d_squared_is_not_zero():
+    ctx = GraphContext(THETA)
+    c = ctx.cks
+    # d sends each basis element to the sum of its target basis
+    c.d_element = lambda s, w, a: {
+        b: 1 for b in c.basis(len(s) + 1, len(w) - 1, len(a))}
+    ok, witness = check_cks_d2(ctx)
+    assert not ok
+    assert witness == {"piece": (0, 2, 0), "reason": "d^2 != 0"}
+
+
+def test_d2_and_euler_build_each_differential_once(monkeypatch):
+    g = corpus.k4_graph()
+    assert g.genus() == 3
+    built = []
+    original = CKSComplex.d_matrix
+
+    def counting(self, p, q, r):
+        built.append((p, q, r))
+        return original(self, p, q, r)
+
+    monkeypatch.setattr(CKSComplex, "d_matrix", counting)
+    report = run_checks(g, ["cks_d2", "euler"])
+    assert all(r["passed"] for r in report.values()), report
+    assert built and len(built) == len(set(built))
 
 
 def test_cks_complex_rejects_cotree_of_another_graph():

@@ -36,17 +36,39 @@ def test_cks_loop_ranks(tmp_path, capsys):
 
 
 def test_cks_computes_cohomology_once(monkeypatch, capsys):
+    # each stripe is built and factored once, with no second pass
+    # through cks_cohomology
     from ckskit import cks
-    calls = []
-    original = cks.cks_cohomology
+    built = []
+    original = cks.CKSComplex.stripe
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(self, k, ell):
+        built.append((k, ell))
+        return original(self, k, ell)
 
-    monkeypatch.setattr(cks, "cks_cohomology", counting)
+    monkeypatch.setattr(cks.CKSComplex, "stripe", counting)
+    monkeypatch.setattr(cks, "cks_cohomology", None)
     code, _, _ = run_cli(["cks", "--inline", THETA_INLINE], capsys)
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and built and len(built) == len(set(built))
+
+
+@pytest.mark.parametrize("args", [
+    ["ht", "--inline", "v0-v0"],
+    ["verify", "--inline", "v0-v0"],
+    ["verify", "--inline", "v0-v0", "--checks", "tutte"],
+    ["ht", "--inline", "v0-v1 v0-v1 v1-v1"],
+    ["ht", "--inline", "v0-v0 v0-v0 v0-v1"],
+])
+def test_theta_choice_on_another_graph_exits_2(args, capsys):
+    code, _, err = run_cli(args + ["--choice", "theta"], capsys)
+    assert code == 2 and err.startswith("error: the theta choice preset")
+
+
+def test_cks_takes_no_choice(capsys):
+    # the CKS complex depends only on the coherent cotree
+    with pytest.raises(SystemExit) as exc:
+        main(["cks", "--inline", THETA_INLINE, "--choice", "min"])
+    assert exc.value.code == 2
 
 
 def test_verify_theta_passes(capsys):

@@ -6,9 +6,15 @@ import pytest
 
 from ckskit import activity, corpus
 from ckskit.activity import coherent_cotree
-from ckskit.checks import GraphContext, run_checks
-from ckskit.errors import ChoiceOutsideIn, EdgeIsBondOrLoop
-from ckskit.graphs import face_complex
+from ckskit.checks import (
+    GraphContext,
+    check_ht_cohomology,
+    check_ht_exactness,
+    check_ht_identities,
+    run_checks,
+)
+from ckskit.errors import ChoiceOutsideIn, EdgeIsBondOrLoop, ParseError
+from ckskit.graphs import build_graph, face_complex
 from ckskit.ht import (
     ChoiceFunction,
     DelConR,
@@ -82,8 +88,14 @@ def test_choice_function_validation():
         ChoiceFunction(cc, {fs(X): Y})
     minimal = ChoiceFunction.minimal(cc)
     assert minimal[fs(X, Y)] == X and minimal[fs(X, Z)] == X
-    with pytest.raises(ValueError):
-        ChoiceFunction.theta_preset(coherent_cotree(corpus.loop_graph()))
+    # the theta preset fits only two vertices joined by three edges: not
+    # a loop, nor the genus-2 graphs with three edges that have loops
+    for g in (corpus.loop_graph(), build_graph([(0, 1), (0, 1), (1, 1)]),
+              build_graph([(0, 0), (0, 0), (0, 1)])):
+        with pytest.raises(ParseError):
+            ChoiceFunction.theta_preset(coherent_cotree(g))
+        with pytest.raises(ParseError):
+            GraphContext(g, choice="theta")
 
 
 def test_f_collapses_degree_one_faces(theta):
@@ -178,3 +190,40 @@ def test_checks_share_one_delcon_setup_per_edge(monkeypatch):
     assert all(r["passed"] for r in report.values()), report
     assert len(GraphContext(THETA).admissible_edges()) == 3
     assert len(calls) == 1 + 3
+
+
+def test_ht_checks_report_an_image_outside_the_stripe():
+    ctx = GraphContext(THETA)
+    original = ctx.ht.d_element
+
+    def leaky(s, w):
+        # also send (∅, w) to a (1, q) label, one step off the stripe
+        out = original(s, w)
+        if not s and w:
+            out[(fs(w[0]), w)] = 1
+        return out
+
+    ctx.ht.d_element = leaky
+    reason = "d leaves the stripe"
+    assert check_ht_identities(ctx) == (False, {"piece": (0, 1), "reason": reason})
+    for check in (check_ht_exactness, check_ht_cohomology):
+        assert check(ctx) == (False, {"stripe": 1, "position": 0, "reason": reason})
+
+
+def test_checks_compute_each_tutte_polynomial_once(monkeypatch):
+    # T(Γ) and (T(Γ∖e), T(Γ/e)) per admissible edge come from the graph
+    # context; hhat_tutte computes its own T(Γ) for the specialization
+    original = activity.tutte
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "ckskit" or name.startswith("ckskit.")) \
+                and getattr(module, "tutte", None) is original:
+            monkeypatch.setattr(module, "tutte", counting)
+    report = run_checks(THETA)
+    assert all(r["passed"] for r in report.values()), report
+    assert len(calls) == 1 + 2 * 3 + 1

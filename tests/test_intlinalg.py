@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from ckskit.cks import build_cks
 from ckskit.corpus import corpus_graphs, k4_graph
-from ckskit.errors import NotAComplex
+from ckskit.errors import NotAComplex, OutsideBasis
 from ckskit.graphs import graph_from_dsl
 from ckskit.intlinalg import (
     CochainComplex,
     _rank_and_torsion,
     det,
     identity,
+    map_matrix,
     matmul,
     rank,
     smith_normal_form,
@@ -98,9 +99,10 @@ def test_cohomology_multiplication_by_two():
 
 
 def test_cohomology_rejects_non_complex():
-    with pytest.raises(NotAComplex):
+    with pytest.raises(NotAComplex) as exc:
         CochainComplex({0: ["a"], 1: ["b"], 2: ["c"]},
                        {0: [[1]], 1: [[1]]})
+    assert exc.value.degree == 0
 
 
 def test_cohomology_invariant_under_basis_permutation():
@@ -123,6 +125,18 @@ def test_direct_sum_edge_cases():
     assert verify_direct_sum(0, [], [])
     assert not verify_direct_sum(2, [[], []], [[], []])
     assert verify_direct_sum(2, [[], []], [[1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        verify_direct_sum(2, [[1]], [[0], [1]])
+
+
+def test_map_matrix_places_images_by_label():
+    images = {"a": {"y": 2}, "b": {"x": 1, "y": -1}, "c": {}}
+    assert map_matrix(["a", "b", "c"], {"x": 0, "y": 1}, images.get) == \
+        [[0, 1, 0], [2, -1, 0]]
+    assert map_matrix([], {"x": 0}, images.get) == [[]]
+    with pytest.raises(OutsideBasis) as exc:
+        map_matrix(["a"], {"x": 0}, images.get)
+    assert exc.value.source == "a"
 
 
 # ---------------------------------------------------------------------------
