@@ -546,15 +546,10 @@ def check_delcon_r(ctx):
         if not dc.check_partition():
             return False, {"edge": str(e), "reason": "basis partition failed"}
         mid, dl, cn = dc.dims()
-
-        def get(v, k):
-            return v[k] if 0 <= k < len(v) else 0
-
-        top = max(len(mid), len(dl) + 1, len(cn))
-        for k in range(top):
-            if get(mid, k) != get(dl, k - 1) + get(cn, k):
-                return False, {"edge": str(e), "grade": k,
-                               "reason": "dimension identity failed"}
+        k = ht.delcon_grade_mismatch(mid, dl, cn)
+        if k is not None:
+            return False, {"edge": str(e), "grade": k,
+                           "reason": "dimension identity failed"}
         t_del, t_con = ctx.tutte_delcon(e)
         if hp != t_del.eval_y() + t_con.eval_y():
             return False, {"edge": str(e), "reason": "h-polynomial additivity failed"}
@@ -603,7 +598,8 @@ def check_hhat_tutte(ctx):
 
 def check_delcon_cks(ctx):
     """Chain maps of the deletion-contraction sequence commute with d and
-    are degreewise short-exact; the Euler recurrence follows."""
+    are degreewise short-exact; the Euler recurrence follows.  A witness
+    `piece` names the middle complex's source piece, for both squares."""
     d = ctx.graph.genus()
     for e in ctx.admissible_edges():
         dc = cks.DelConCKS(ctx.delcon(e))

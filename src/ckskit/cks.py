@@ -244,28 +244,37 @@ class DelConCKS:
             return is_zero_matrix(matmul(prj, inc))
         return True
 
+    def split(self, p, q, r):
+        """Positions in the middle basis (2p, q, r) of the triples with e ∉ S
+        and e ∈ S; None unless they are the contracted (2p, q, r) and deleted
+        (2p−2, q, r) bases in order, the latter moved by S ↦ S ∪ e."""
+        mid = self.mid.basis(p, q, r)
+        con = [i for i, b in enumerate(mid) if self.edge not in b[0]]
+        dl = [i for i, b in enumerate(mid) if self.edge in b[0]]
+        if ([mid[i] for i in con] != self.quo.basis(p, q, r)
+                or [(mid[i][0] - {self.edge}, *mid[i][1:]) for i in dl]
+                != self.sub.basis(p - 1, q, r)):
+            return None
+        return con, dl
+
     def check_chain_maps(self, p, q, r):
-        """Both squares with the differentials commute at (2p, q, r)."""
+        """Both squares with the differentials commute at the middle
+        source piece (2p, q, r): in the split of the middle bases,
+        d_mid = [[d_quo, 0], [*, d_sub]]."""
+        src, tgt = self.split(p, q, r), self.split(p + 1, q - 1, r)
+        if src is None or tgt is None:
+            return False
+        if not self.mid.dim(p, q, r):
+            return True
+        d = self.mid.d_matrix(p, q, r)
 
-        def same(a, b):
-            # matmul gives [] for a product through a zero-dimensional piece
-            return a == b or (is_zero_matrix(a) and is_zero_matrix(b))
+        def block(rows, cols):
+            return [[d[i][j] for j in cols] for i in rows]
 
-        # inclusion square: d_mid ∘ inc = inc ∘ d_sub
-        if self.sub.dim(p, q, r):
-            left = matmul(self.mid.d_matrix(p + 1, q, r), self.include_matrix(p, q, r))
-            right = matmul(self.include_matrix(p + 1, q - 1, r),
-                           self.sub.d_matrix(p, q, r))
-            if not same(left, right):
-                return False
-        # projection square: d_quo ∘ prj = prj ∘ d_mid
-        if self.mid.dim(p, q, r):
-            left = matmul(self.quo.d_matrix(p, q, r), self.project_matrix(p, q, r))
-            right = matmul(self.project_matrix(p + 1, q - 1, r),
-                           self.mid.d_matrix(p, q, r))
-            if not same(left, right):
-                return False
-        return True
+        return ((not src[0] or block(tgt[0], src[0]) == self.quo.d_matrix(p, q, r))
+                and (not src[1] or block(tgt[1], src[1])
+                     == self.sub.d_matrix(p - 1, q, r))
+                and is_zero_matrix(block(tgt[0], src[1])))
 
 
 def euler_recurrence_holds(dc):

@@ -296,6 +296,8 @@ def _corpus_worker(item):
 
 
 def cmd_corpus(args):
+    if args.jobs < 1:
+        raise ParseError(f"--jobs must be at least 1, not {args.jobs}")
     try:
         graphs = corpus_graphs(bound=args.bound)
     except ValueError as exc:
@@ -303,8 +305,9 @@ def cmd_corpus(args):
     names = _parse_checks(args.checks)
     items = [(f"{label}#{i}" if label == "enum" else label, g, names, "min")
              for i, (label, g) in enumerate(graphs)]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, len(items))
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_corpus_worker, items))
     else:
         results = [_corpus_worker(item) for item in items]

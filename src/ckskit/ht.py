@@ -454,6 +454,17 @@ class DelConR:
         return None if self.edge in s else s
 
 
+def delcon_grade_mismatch(mid, dl, cn, c=1):
+    """First grade k of graded dimension lists with mid[k] ≠ c·dl[k−1] +
+    cn[k] (c copies of the deleted side, shifted up one grade), or None."""
+
+    def get(v, k):
+        return v[k] if 0 <= k < len(v) else 0
+
+    return next((k for k in range(max(len(mid), len(dl) + 1, len(cn)))
+                 if get(mid, k) != c * get(dl, k - 1) + get(cn, k)), None)
+
+
 def induced_deletion_cotree(cc, e, deleted):
     """Coherent cotree on deleted = Γ∖e with C'(S) = C(S ∪ e).
 

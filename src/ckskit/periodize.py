@@ -13,6 +13,7 @@ import itertools
 
 from .activity import CoherentCotree
 from .graphs import FaceComplex, Graph, face_complex
+from .ht import delcon_grade_mismatch
 
 
 class PeriodizedGraph:
@@ -118,8 +119,7 @@ def check_contraction_compatibility(cc, n):
     b0 = set(basis_by_formula(cc, pg0))
     inner = [s for s in b1
              if all(abs(i) <= n for (_, i) in s)]
-    image = {frozenset(seg for seg in s) for s in inner}
-    return image == b0, (len(inner), len(b0))
+    return set(inner) == b0, (len(inner), len(b0))
 
 
 class DelConPeriodized:
@@ -134,48 +134,28 @@ class DelConPeriodized:
     def __init__(self, setup, n):
         self.edge = setup.edge
         self.n = n
-        self.cc = setup.cc
-        self.cc_del = setup.cc_del
-        self.cc_con = setup.cc_con
-        self.pg_mid = PeriodizedGraph(setup.graph, n)
-        self.pg_del = PeriodizedGraph(setup.deleted, n)
-        self.pg_con = PeriodizedGraph(setup.contracted, n)
-
-    def graded_counts(self, cc, pg):
-        d = cc.faces.genus
-        counts = [0] * (d + 1)
-        for s in basis_by_formula(cc, pg):
-            counts[len(s)] += 1
-        return counts
+        # (cotree, periodized basis) of the middle, deleted, contracted graphs
+        self.sides = [(cc, basis_by_formula(cc, PeriodizedGraph(cc.graph, n)))
+                      for cc in (setup.cc, setup.cc_del, setup.cc_con)]
 
     def dimension_identity(self):
         """dim R^{2k}(mid_n) = (2n+1) dim R^{2k-2}(del_n) + dim R^{2k}(con_n)."""
-        mid = self.graded_counts(self.cc, self.pg_mid)
-        dl = self.graded_counts(self.cc_del, self.pg_del)
-        cn = self.graded_counts(self.cc_con, self.pg_con)
-        top = max(len(mid), len(dl) + 1, len(cn))
-
-        def get(v, k):
-            return v[k] if 0 <= k < len(v) else 0
-
-        ok = all(
-            get(mid, k) == (2 * self.n + 1) * get(dl, k - 1) + get(cn, k)
-            for k in range(top)
-        )
+        mid, dl, cn = ([sum(1 for s in basis if len(s) == k)
+                        for k in range(cc.faces.genus + 1)]
+                       for cc, basis in self.sides)
+        ok = delcon_grade_mismatch(mid, dl, cn, 2 * self.n + 1) is None
         return ok, {"middle": mid, "deleted": dl, "contracted": cn}
 
     def basis_partition(self):
         """B(mid_n) = {S_I ∪ (e,i)} over B(del_n) and all i, ⊔ B(con_n)."""
-        mid = set(basis_by_formula(self.cc, self.pg_mid))
-        dl = basis_by_formula(self.cc_del, self.pg_del)
-        cn = basis_by_formula(self.cc_con, self.pg_con)
+        (_, mid), (_, dl), (_, cn) = self.sides
         from_del = {
             s | {(self.edge, i)}
             for s in dl for i in range(-self.n, self.n + 1)
         }
         from_con = set(cn)
         ok = (from_del.isdisjoint(from_con)
-              and from_del | from_con == mid
+              and from_del | from_con == set(mid)
               and len(from_del) + len(from_con) == len(mid))
         return ok, (len(from_del), len(from_con), len(mid))
 

@@ -19,10 +19,14 @@ from ckskit.cks import (
 )
 from ckskit.checks import GraphContext, check_cks_d2, run_checks
 from ckskit.errors import MismatchedGraph
+from ckskit.graphs import build_graph
 from ckskit.ht import DelConR
+from ckskit.intlinalg import is_zero_matrix, matmul
 from ckskit.polynomials import Poly2
 
 THETA = corpus.theta_graph()
+# the wheel with hub 0 and rim 1-2-3-4, genus 4
+W4 = build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])
 
 
 def ranks(graph):
@@ -146,6 +150,111 @@ def test_d2_and_euler_build_each_differential_once(monkeypatch):
     report = run_checks(g, ["cks_d2", "euler"])
     assert all(r["passed"] for r in report.values()), report
     assert built and len(built) == len(set(built))
+
+
+def chain_maps_by_matmul(dc, p, q, r):
+    """Slow oracle for DelConCKS.check_chain_maps: both squares as
+    products with the inclusion and projection matrices, at the middle
+    source piece (2p, q, r)."""
+
+    def same(a, b):
+        # matmul gives [] for a product through a zero-dimensional piece
+        return a == b or (is_zero_matrix(a) and is_zero_matrix(b))
+
+    # inclusion square: d_mid ∘ inc = inc ∘ d_sub
+    if dc.sub.dim(p - 1, q, r):
+        left = matmul(dc.mid.d_matrix(p, q, r), dc.include_matrix(p - 1, q, r))
+        right = matmul(dc.include_matrix(p, q - 1, r),
+                       dc.sub.d_matrix(p - 1, q, r))
+        if not same(left, right):
+            return False
+    # projection square: d_quo ∘ prj = prj ∘ d_mid
+    if dc.mid.dim(p, q, r):
+        left = matmul(dc.quo.d_matrix(p, q, r), dc.project_matrix(p, q, r))
+        right = matmul(dc.project_matrix(p + 1, q - 1, r),
+                       dc.mid.d_matrix(p, q, r))
+        if not same(left, right):
+            return False
+    return True
+
+
+def pieces(dc):
+    d = dc.mid.genus
+    return [(p, q, r) for p in range(d + 1)
+            for q in range(d - p + 1) for r in range(d - p + 1)]
+
+
+def delcon_sequences(bound):
+    for _, g in corpus.corpus_graphs(bound=bound):
+        ctx = GraphContext(g)
+        for e in ctx.admissible_edges():
+            yield DelConCKS(ctx.delcon(e))
+
+
+def test_chain_maps_agree_with_the_matmul_oracle_on_the_corpus():
+    edges = 0
+    for dc in delcon_sequences(4):
+        edges += 1
+        for key in pieces(dc):
+            assert dc.check_chain_maps(*key), (dc.edge, key)
+            assert chain_maps_by_matmul(dc, *key), (dc.edge, key)
+    assert edges == 62
+
+
+def test_chain_maps_and_the_oracle_detect_the_same_perturbations():
+    # add a target basis element to d of a source basis element, first or
+    # last in each, of one piece of one complex; the block (e ∈ T, e ∉ S)
+    # of d_mid is free, so some perturbations of the middle go unseen
+    cases = detected = 0
+    for dc in delcon_sequences(4):
+        if dc.mid.genus > 2:
+            continue
+        for c, key, (i, j) in [(c, key, ij) for c in (dc.mid, dc.sub, dc.quo)
+                               for key in pieces(dc)
+                               for ij in ((0, 0), (0, -1), (-1, 0))]:
+            p, q, r = key
+            src, tgt = c.basis(*key), c.basis(p + 1, q - 1, r)
+            if not src or not tgt:
+                continue
+            original = c.d_element
+
+            def perturbed(*b, original=original, src=src[i], tgt=tgt[j]):
+                out = dict(original(*b))
+                if b == src:
+                    out[tgt] = out.get(tgt, 0) + 1
+                return out
+
+            c.d_element = perturbed
+            new = [dc.check_chain_maps(*k) for k in pieces(dc)]
+            old = [chain_maps_by_matmul(dc, *k) for k in pieces(dc)]
+            del c.d_element
+            assert new == old, (dc.edge, key)
+            cases += 1
+            detected += not all(new)
+    assert cases and 0 < detected < cases
+
+
+def test_chain_maps_reject_a_broken_basis_split():
+    dc = DelConCKS(DelConR(THETA, 0))
+    assert dc.check_chain_maps(1, 1, 0)
+    dc.quo.basis(1, 1, 0).reverse()
+    assert not dc.check_chain_maps(1, 1, 0)
+
+
+def test_delcon_cks_builds_each_differential_once(monkeypatch):
+    built = []
+    original = CKSComplex.d_matrix
+
+    def counting(self, p, q, r):
+        # keep the complex itself so that its id is not reused
+        built.append((self, p, q, r))
+        return original(self, p, q, r)
+
+    monkeypatch.setattr(CKSComplex, "d_matrix", counting)
+    report = run_checks(W4, ["delcon_cks"])
+    assert report["delcon_cks"]["passed"], report
+    keys = [(id(c), p, q, r) for c, p, q, r in built]
+    assert built and len(keys) == len(set(keys))
 
 
 def test_cks_complex_rejects_cotree_of_another_graph():

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from ckskit import cli
 from ckskit.cli import main
 
 THETA_INLINE = "v0-v1 v0-v1 v0-v1"
@@ -197,6 +198,42 @@ def test_corpus_small_bound(capsys):
 def test_corpus_rejects_empty_bound(capsys):
     code, _, _ = run_cli(["corpus", "--bound", "0"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_corpus_rejects_jobs_below_one(jobs, capsys):
+    code, out, err = run_cli(["corpus", "--bound", "2", "--jobs", jobs], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --jobs must be at least 1, not {jobs}\n"
+
+
+def test_corpus_pool_is_no_larger_than_the_corpus(monkeypatch, capsys):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    argv = ["corpus", "--bound", "2", "--checks", "tutte"]
+    code, serial, _ = run_cli(argv, capsys)
+    assert code == 0 and sizes == []
+    graphs = json.loads(serial)["graphs"]
+    code, out, _ = run_cli(argv + ["--jobs", "1000"], capsys)
+    assert code == 0 and out == serial
+    code, out, _ = run_cli(argv + ["--jobs", "2"], capsys)
+    assert code == 0 and out == serial
+    assert sizes == [graphs, 2]
 
 
 def test_csv_euler_table(capsys):
