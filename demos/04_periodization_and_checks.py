@@ -10,12 +10,7 @@ The second half runs the named consistency checks that back the
 Run:  python3 demos/04_periodization_and_checks.py
 """
 
-from ckskit import (
-    PeriodizedGraph,
-    build_graph,
-    coherent_cotree,
-    run_checks,
-)
+from ckskit import build_graph, coherent_cotree, run_checks
 from ckskit.periodize import (
     basis_by_formula,
     check_basis_formula,
@@ -26,18 +21,18 @@ from ckskit.periodize import (
 
 def main():
     theta = build_graph([(0, 1), (0, 1), (0, 1)])
-    pg = PeriodizedGraph(theta, 1)
+    cc = coherent_cotree(theta)
+    # (periodized graph, its coherent cotree), built once per level
+    levels = {n: periodized_cotree(cc, n) for n in (1, 2)}
+    pg, pcc = levels[1]
     print("level-1 periodization of three parallel edges:")
     print("  edges:", pg.graph.n_edges, " genus:", pg.graph.genus())
-
-    cc = coherent_cotree(theta)
-    _, pcc = periodized_cotree(cc, 1)
     print("  periodized cotree assignment is coherent:", pcc.validate())
 
-    for n in (1, 2):
-        ok_in, _ = check_in_lemma(cc, n)
-        ok_b, _ = check_basis_formula(cc, n)
-        formula = basis_by_formula(cc, PeriodizedGraph(theta, n))
+    for n, (pg, pcc) in levels.items():
+        ok_in, _ = check_in_lemma(cc, pg, pcc)
+        ok_b, _ = check_basis_formula(cc, pg, pcc)
+        formula = basis_by_formula(cc, pg)
         print(f"  level {n}: In-formula {ok_in}, basis formula {ok_b},"
               f" |B| = {len(formula)}")
 

@@ -10,9 +10,10 @@ computed by two independent routes.
 
 import itertools
 
-from .errors import FaceNotInComplex, NotASpanningTree
+from .errors import FaceNotInComplex, IncoherentCotree, NotASpanningTree
 from .graphs import (
     CycleBasis,
+    _guard,
     face_complex,
     fundamental_cycle,
     is_spanning_tree,
@@ -92,6 +93,7 @@ class CoherentCotree:
         self.shelling = shelling
         self._cycles = {}
         self._in = {}
+        self._lost = {}
         self._basis = None
 
     def C(self, s):
@@ -117,6 +119,43 @@ class CoherentCotree:
         """Coefficient of edge e in the cycle of cotree edge x, inside the
         graph with S deleted."""
         return self.cycles(s).rows[x].get(e, 0)
+
+    def lost(self, s, e):
+        """The cotree edge x0 that S loses when e joins it, C(S) ∖ C(S ∪ e).
+        Raises IncoherentCotree unless C(S ∪ e) = C(S) ∖ {x0}, the coherence
+        that validate (run by checks.check_coherence) checks everywhere."""
+        key = (frozenset(s), e)
+        if key not in self._lost:
+            c, c2 = self.C(key[0]), self.C(key[0] | {e})
+            if len(c2) + 1 != len(c) or not c2 <= c:
+                raise IncoherentCotree(f"C(S ∪ {{{e}}}) is not C(S) less one edge "
+                                       f"at S = {sorted(map(str, key[0]))}")
+            (self._lost[key],) = c - c2
+        return self._lost[key]
+
+    def restrict(self, s, e, a):
+        """Restriction H¹(Λ_S) -> H¹(Λ_{S∪e}), Λ_S = H_1(Γ∖S), on the
+        increasing wedge a of cocycle classes [x], x ∈ C(S), as a sparse
+        dict over increasing wedges from C(S ∪ e).
+
+        [x] stays [x] for x ∈ C(S ∪ e); the lost edge x0 goes to Σ_y c_y [y]
+        with c_y the coefficient of x0 in the cycle of y in Γ∖(S ∪ e).  So
+        a ↦ a when x0 ∉ a; otherwise x0 is replaced by each y ∉ a, with
+        sign (−1)^(i+j) for x0 at position i of a and y at position j of
+        the result."""
+        x0 = self.lost(s, e)
+        if x0 not in a:
+            return {a: 1}
+        i = a.index(x0)
+        rest = a[:i] + a[i + 1:]
+        pos = self.graph.pos
+        out = {}
+        for y, cycle in self.cycles(frozenset(s) | {e}).rows.items():
+            c = cycle.get(x0, 0)
+            if c and y not in rest:
+                j = sum(1 for z in rest if pos(z) < pos(y))
+                out[rest[:j] + (y,) + rest[j:]] = -c if (i + j) % 2 else c
+        return out
 
     def in_set(self, s):
         """In(S) = edges e of S that land in the cotree chosen for S - e."""
@@ -226,6 +265,7 @@ def _component_count(graph, edges):
 
 def tutte(graph):
     """Rank-nullity (corank-nullity) sum over all edge subsets."""
+    _guard(graph, "the Tutte polynomial")
     edges = list(graph.order)
     n = graph.n_vertices
     out = {}

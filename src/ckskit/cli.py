@@ -1,7 +1,7 @@
 """Command-line driver: parse graphs, run computations and verification
 checks, emit deterministic JSON (schema 1), CSV for flat tables, or plain
 text tables.  Exit code 0 iff every enabled check passed; 2 on input
-errors."""
+errors; 3 when a resource guard refuses an exhaustive enumeration."""
 
 import argparse
 import concurrent.futures
@@ -13,7 +13,7 @@ from . import cks as cks_mod
 from . import periodize as periodize_mod
 from .activity import coherent_cotree, h_polynomial, tutte
 from .corpus import corpus_graphs
-from .errors import CksKitError, ParseError
+from .errors import CksKitError, ParseError, ResourceGuard
 from .graphs import Graph, face_complex, graph_from_dsl, graph_from_json
 
 SCHEMA = 1
@@ -224,8 +224,8 @@ def cmd_periodize(args):
     ctx = checks_mod.GraphContext(g)
     cc = ctx.cc
     pg, pcc = periodize_mod.periodized_cotree(cc, n)
-    ok_in, _ = periodize_mod.check_in_lemma(cc, n)
-    ok_basis, _ = periodize_mod.check_basis_formula(cc, n)
+    ok_in, _ = periodize_mod.check_in_lemma(cc, pg, pcc)
+    ok_basis, _ = periodize_mod.check_basis_formula(cc, pg, pcc)
     native = periodize_mod.native_face_check(cc, n)
     delcon = {}
     for e in ctx.admissible_edges():
@@ -403,6 +403,9 @@ def main(argv=None):
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ResourceGuard as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except CksKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,6 +33,10 @@ class MismatchedGraph(CksKitError):
     """A derived structure was paired with a graph it was not built from."""
 
 
+class IncoherentCotree(CksKitError):
+    """A cotree table breaks C(S ∪ e) = C(S) less one edge."""
+
+
 class SupportContainsBond(CksKitError):
     pass
 

@@ -5,7 +5,9 @@ with a strictly increasing q-tuple w from the chosen cotree C(S), encoding
 a wedge of fundamental cycles of the graph with S deleted.  The
 differential inserts one edge into S at a time via the interior product,
 re-expressed in C(S ∪ e)-coordinates by the coordinate projection that
-kills the unique cotree edge lost when e is added.
+kills the one cotree edge x0 lost when e is added (CoherentCotree.lost).
+The trigraded subclass (cks.CKSComplex) shares this differential and
+tensors it with the restriction of its cocycle wedge, also through x0.
 
 Also here: the square-free reduction of monomials, the chain maps f and g
 between the complex and its cohomology ring R, the contracting homotopy h,
@@ -80,44 +82,44 @@ class HTComplex:
 
     # -- differential -----------------------------------------------------
 
-    def iota(self, s, e, wedge_vec):
-        """Interior product by edge e on a wedge vector over C(S), landing
-        in wedges over C(S ∪ e).
+    def iota(self, s, e, w):
+        """Interior product by edge e on the increasing wedge w over C(S),
+        as a sparse dict over increasing wedges from C(S ∪ e).
 
-        wedge_vec: dict increasing-tuple -> coefficient.  The coordinate
-        projection drops the unique element of C(S) ∖ C(S ∪ e), so basis
-        wedges map to subsequences and stay increasing.
+        Removing x = w[i] gives (−1)^i ⟨γ_x, e⟩ times the rest of w, in the
+        coordinates of C(S ∪ e) = C(S) ∖ {x0} (x0 from CoherentCotree.lost):
+        the coordinate projection kills every rest that keeps x0, so when
+        x0 ∈ w only the term that removes x0 survives.
         """
-        target_cot = self.cc.C(s | {e})
+        x0 = self.cc.lost(s, e)
         out = {}
-        for w, coeff in wedge_vec.items():
-            for i, x in enumerate(w):
-                c = self.cc.pair(s, x, e)
-                if not c:
-                    continue
-                rest = w[:i] + w[i + 1:]
-                if any(y not in target_cot for y in rest):
-                    continue
-                sign = -1 if i % 2 else 1
-                key = rest
-                out[key] = out.get(key, 0) + sign * c * coeff
-        return {k: v for k, v in out.items() if v}
+        for i in [w.index(x0)] if x0 in w else range(len(w)):
+            c = self.cc.pair(s, w[i], e)
+            if c:
+                out[w[:i] + w[i + 1:]] = -c if i % 2 else c
+        return out
 
-    def d_element(self, s, w):
-        """Differential of a single basis element, as a sparse vector."""
+    def d_element(self, s, w, *a):
+        """Differential of a basis element (S, w), or (S, w, a) in the CKS
+        complex, as a sparse vector: the sum over the edges e with S ∪ e a
+        face of the interior product by e on w, tensored with the
+        restriction of the cocycle wedge a to C(S ∪ e)."""
         out = {}
         for e in self.graph.sort_edges(self.graph.eids - s):
-            if (s | {e}) not in self.faces:
+            t = s | {e}
+            if t not in self.faces:
                 continue
-            for w2, c in self.iota(s, e, {w: 1}).items():
-                key = (s | {e}, w2)
-                out[key] = out.get(key, 0) + c
-        return {k: v for k, v in out.items() if v}
+            terms = {(t,): 1}
+            for part in (self.iota(s, e, w), *(self.cc.restrict(s, e, x) for x in a)):
+                terms = {k + (k2,): c * c2 for k, c in terms.items()
+                         for k2, c2 in part.items()}
+            out.update(terms)
+        return out
 
-    def d_matrix(self, p, q):
-        """Matrix of d: (2p, q) -> (2p+2, q-1).  Raises OutsideBasis
-        when d leaves the stripe of (p, q)."""
-        return map_matrix(self.basis(p, q), self.index(p + 1, q - 1),
+    def d_matrix(self, p, q, *r):
+        """Matrix of d: (2p, q) -> (2p+2, q-1), or (2p, q, r) ->
+        (2p+2, q-1, r).  Raises OutsideBasis when d leaves the stripe."""
+        return map_matrix(self.basis(p, q, *r), self.index(p + 1, q - 1, *r),
                           lambda b: self.d_element(*b))
 
     def stripe(self, k, *r):
@@ -341,10 +343,9 @@ class FGH:
         for t in self.cc.graph.sort_edges(self.cc.tree(s0)):
             if (s0 | {t}) not in self.ht.faces:
                 continue
-            inner = self.ht.iota(s0, t, {w_ext: sign})
-            for w2, c in inner.items():
+            for w2, c in self.ht.iota(s0, t, w_ext).items():
                 for key2, c2 in self.h_element(s0 | {t}, w2).items():
-                    out[key2] = out.get(key2, 0) - c * c2
+                    out[key2] = out.get(key2, 0) - sign * c * c2
         out = {k: v for k, v in out.items() if v}
         self._h[key] = out
         return out

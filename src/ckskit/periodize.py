@@ -89,10 +89,10 @@ def basis_by_formula(cc, pg):
     return out
 
 
-def check_in_lemma(cc, n):
+def check_in_lemma(cc, pg, pcc):
     """Compare the formula for In on the periodization against the direct
-    definition on the periodized coherent cotree.  Returns (ok, witness)."""
-    pg, pcc = periodized_cotree(cc, n)
+    definition on the periodized coherent cotree (pg, pcc), as returned by
+    periodized_cotree.  Returns (ok, witness)."""
     for s in cc.faces.faces():
         for index in pg.face_indices(s):
             lifted = pg.lift_face(s, index)
@@ -103,8 +103,9 @@ def check_in_lemma(cc, n):
     return True, None
 
 
-def check_basis_formula(cc, n):
-    pg, pcc = periodized_cotree(cc, n)
+def check_basis_formula(cc, pg, pcc):
+    """Compare the basis formula against the basis of the periodized
+    coherent cotree (pg, pcc), as returned by periodized_cotree."""
     direct = set(pcc.basis())
     predicted = set(basis_by_formula(cc, pg))
     return direct == predicted, (direct, predicted)

@@ -1,9 +1,11 @@
 """Trigraded complex: cohomology, Euler tables, Tutte specialization."""
 
+import itertools
+
 import pytest
 
 from ckskit import corpus
-from ckskit.activity import coherent_cotree
+from ckskit.activity import CoherentCotree, coherent_cotree
 from ckskit.cks import (
     CKSComplex,
     DelConCKS,
@@ -18,15 +20,24 @@ from ckskit.cks import (
     tutte_specialization_literal,
 )
 from ckskit.checks import GraphContext, check_cks_d2, run_checks
-from ckskit.errors import MismatchedGraph
-from ckskit.graphs import build_graph
+from ckskit.errors import IncoherentCotree, MismatchedGraph
+from ckskit.graphs import Graph, build_graph
 from ckskit.ht import DelConR
-from ckskit.intlinalg import is_zero_matrix, matmul
+from ckskit.intlinalg import (
+    _rank_and_torsion,
+    det,
+    is_zero_matrix,
+    matmul,
+    solve_exact,
+)
 from ckskit.polynomials import Poly2
 
 THETA = corpus.theta_graph()
 # the wheel with hub 0 and rim 1-2-3-4, genus 4
 W4 = build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])
+THETA6 = build_graph([(0, 1)] * 6)
+# K4 with the edges 0-1 and 2-3 doubled, genus 5
+K4PP = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1), (2, 3)])
 
 
 def ranks(graph):
@@ -255,6 +266,101 @@ def test_delcon_cks_builds_each_differential_once(monkeypatch):
     assert report["delcon_cks"]["passed"], report
     keys = [(id(c), p, q, r) for c, p, q, r in built]
     assert built and len(keys) == len(set(keys))
+
+
+# ---------------------------------------------------------------------------
+# the cocycle restriction H¹(Λ_S) -> H¹(Λ_{S∪e})
+
+def restriction_cases():
+    """(cotree, S, e) for every face S and edge e with S ∪ e a face, over
+    the bound-4 corpus, theta6, W4 and K4PP in their own edge order and
+    its reverse."""
+    graphs = [g for _, g in corpus.corpus_graphs(bound=4)] + [THETA6, W4, K4PP]
+    for g in graphs:
+        for order in (g.order, g.order[::-1]):
+            cc = coherent_cotree(Graph(g.vertices, g.head, g.tail, list(order)))
+            for s in cc.faces.faces():
+                for e in cc.graph.sort_edges(cc.graph.eids - s):
+                    if s | {e} in cc.faces:
+                        yield cc, s, e
+
+
+def restrict_by_minors(cc, s, e, a):
+    """Slow oracle for CoherentCotree.restrict: the r-th wedge power of the
+    restriction matrix, whose column x ∈ C(S) is Σ_y ⟨γ_y, x⟩ [y] over the
+    cycles γ_y of Γ∖(S ∪ e), taken as its r×r minors on the columns a."""
+    rows = cc.cycles(s | {e}).rows
+    out = {}
+    for ys in itertools.combinations(cc.graph.sort_edges(rows), len(a)):
+        d = det([[rows[y].get(x, 0) for x in a] for y in ys])
+        if d:
+            out[ys] = d
+    return out
+
+
+def cycles_in_cycle_basis(cc, s, e):
+    """Each cycle γ'_y of Γ∖(S ∪ e), y ∈ C(S ∪ e), solved exactly from edge
+    vectors in the basis γ_x, x ∈ C(S), of H_1(Γ∖S): {y: {x: coefficient}}.
+    Asserts that the combination reproduces γ'_y and is integral."""
+    g = cc.graph
+    edges = g.sort_edges(g.eids - s)
+    xs = g.sort_edges(cc.C(s))
+    vec = {x: [cc.cycles(s).rows[x].get(t, 0) for t in edges] for x in xs}
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    gram = [[dot(vec[x1], vec[x2]) for x2 in xs] for x1 in xs]
+    out = {}
+    for y, cycle in cc.cycles(s | {e}).rows.items():
+        target = [cycle.get(t, 0) for t in edges]
+        coeffs = solve_exact(gram, [dot(vec[x], target) for x in xs])
+        assert [sum(c * vec[x][k] for c, x in zip(coeffs, xs))
+                for k in range(len(edges))] == target
+        assert all(c.denominator == 1 for c in coeffs)
+        out[y] = {x: int(c) for x, c in zip(xs, coeffs)}
+    return out
+
+
+def test_restriction_agrees_with_the_determinant_minors():
+    wedges = 0
+    for cc, s, e in restriction_cases():
+        cot = cc.graph.sort_edges(cc.C(s))
+        for r in range(len(cot) + 1):
+            for a in itertools.combinations(cot, r):
+                assert cc.restrict(s, e, a) == restrict_by_minors(cc, s, e, a), \
+                    (cc.graph.order, s, e, a)
+                wedges += 1
+    assert wedges > 10_000
+
+
+def test_restriction_is_the_transpose_of_the_cycle_lattice_inclusion():
+    # Λ_{S∪e} = H_1(Γ∖S∖e) sits in Λ_S = H_1(Γ∖S); restricting cocycle
+    # classes is the transpose of that inclusion, and it is onto because
+    # Λ_{S∪e} is saturated in Λ_S
+    for cc, s, e in restriction_cases():
+        incl = cycles_in_cycle_basis(cc, s, e)
+        xs = cc.graph.sort_edges(cc.C(s))
+        for x in xs:
+            assert cc.restrict(s, e, (x,)) == {
+                (y,): col[x] for y, col in incl.items() if col[x]}
+        assert _rank_and_torsion([[col[x] for x in xs] for col in incl.values()]) \
+            == (len(incl), [])
+
+
+def test_lost_rejects_an_incoherent_table():
+    cc = coherent_cotree(THETA)
+    assert [cc.lost(frozenset(), e) for e in THETA.order] == [0, 1, 1]
+    # C({0}) = {2} is a cotree of Γ∖0, but not inside C(∅) = {0, 1}
+    table = dict(cc.table)
+    table[frozenset({0})] = frozenset({2})
+    bad = CoherentCotree(THETA, cc.faces, table)
+    assert not bad.validate()
+    assert bad.lost(frozenset(), 1) == 1
+    with pytest.raises(IncoherentCotree):
+        bad.lost(frozenset(), 0)
+    with pytest.raises(IncoherentCotree):
+        bad.restrict(frozenset(), 0, (1,))
 
 
 def test_cks_complex_rejects_cotree_of_another_graph():

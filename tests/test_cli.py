@@ -134,6 +134,14 @@ def test_malformed_enum_limit_exits_2():
     assert "Traceback" not in proc.stderr
 
 
+def test_resource_guard_exits_3(monkeypatch, capsys):
+    # the Tutte polynomial walks all 2^|E| edge subsets, so it is guarded
+    monkeypatch.setenv("CKS_KIT_MAX_ENUM_EDGES", "2")
+    code, out, err = run_cli(["tutte", "--inline", THETA_INLINE], capsys)
+    assert code == 3 and not out
+    assert err.startswith("error: the Tutte polynomial enumerates subsets of 3 edges")
+
+
 def test_order_override(capsys):
     code, out, _ = run_cli(
         ["tutte", "--inline", THETA_INLINE, "--order", "2,1,0"], capsys)

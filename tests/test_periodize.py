@@ -2,8 +2,9 @@
 
 import pytest
 
-from ckskit import corpus
+from ckskit import corpus, periodize
 from ckskit.activity import coherent_cotree
+from ckskit.checks import run_checks
 from ckskit.ht import DelConR
 from ckskit.periodize import (
     PeriodizedGraph,
@@ -58,10 +59,25 @@ def test_periodized_cotree_is_coherent():
 def test_in_formula_loop_and_theta(n):
     for g in (corpus.loop_graph(), corpus.theta_graph()):
         cc = coherent_cotree(g)
-        ok, witness = check_in_lemma(cc, n)
+        pg, pcc = periodized_cotree(cc, n)
+        ok, witness = check_in_lemma(cc, pg, pcc)
         assert ok, witness
-        ok, _ = check_basis_formula(cc, n)
+        ok, _ = check_basis_formula(cc, pg, pcc)
         assert ok
+
+
+def test_check_periodize_builds_one_periodized_cotree_per_level(monkeypatch):
+    built = []
+    original = periodize.periodized_cotree
+
+    def counting(cc, n):
+        built.append(n)
+        return original(cc, n)
+
+    monkeypatch.setattr(periodize, "periodized_cotree", counting)
+    report = run_checks(corpus.theta_graph(), ["periodize"])
+    assert report["periodize"]["passed"], report
+    assert built == [1, 2]
 
 
 def test_native_face_enumeration_agrees():
