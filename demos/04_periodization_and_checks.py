@@ -31,8 +31,8 @@ def main():
 
     for n, (pg, pcc) in levels.items():
         ok_in, _ = check_in_lemma(cc, pg, pcc)
-        ok_b, _ = check_basis_formula(cc, pg, pcc)
         formula = basis_by_formula(cc, pg)
+        ok_b, _ = check_basis_formula(pcc, formula)
         print(f"  level {n}: In-formula {ok_in}, basis formula {ok_b},"
               f" |B| = {len(formula)}")
 

@@ -629,11 +629,13 @@ def check_periodize(ctx, levels=(1, 2)):
         return True, {"skipped": f"|E| > {PERIODIZE_EDGE_LIMIT}"}
     cc = ctx.cc
     payload = {}
+    outer = {}  # basis_by_formula at level n + 1, reused at that level
     for n in levels:
         pg, pcc = periodize.periodized_cotree(cc, n)
+        basis = outer.pop(n) if n in outer else periodize.basis_by_formula(cc, pg)
         # the basis first: it caches In keyed by the face complex's own
         # sets, so the In lemma's lifted copies of them add no cache entries
-        ok_basis = periodize.check_basis_formula(cc, pg, pcc)[0]
+        ok_basis = periodize.check_basis_formula(pcc, basis)[0]
         if not periodize.check_in_lemma(cc, pg, pcc)[0]:
             return False, {"level": n, "reason": "In formula mismatch"}
         if not ok_basis:
@@ -644,7 +646,8 @@ def check_periodize(ctx, levels=(1, 2)):
             return False, {"level": n, "reason": "face product description wrong"}
         if pg.graph.genus() != g.genus():
             return False, {"level": n, "reason": "genus changed"}
-        ok, _ = periodize.check_contraction_compatibility(cc, n)
+        outer[n + 1] = periodize.basis_by_formula(cc, periodize.PeriodizedGraph(g, n + 1))
+        ok, _ = periodize.check_contraction_compatibility(outer[n + 1], basis, n)
         if not ok:
             return False, {"level": n, "reason": "contraction compatibility failed"}
         for e in ctx.admissible_edges():

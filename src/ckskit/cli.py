@@ -48,12 +48,8 @@ def load_graph(args):
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-def edge_str(e):
-    return str(e)
-
-
 def face_str(graph, s):
-    return ",".join(edge_str(e) for e in graph.sort_edges(s))
+    return ",".join(str(e) for e in graph.sort_edges(s))
 
 
 def emit(args, payload, table_lines=None, csv_lines=None):
@@ -193,7 +189,7 @@ def cmd_cks(args):
     recurrence = {}
     for e in ctx.admissible_edges():
         dc = cks_mod.DelConCKS(ctx.delcon(e))
-        recurrence[edge_str(e)] = cks_mod.euler_recurrence_holds(dc)
+        recurrence[str(e)] = cks_mod.euler_recurrence_holds(dc)
     payload = {
         "schema": SCHEMA,
         "ranks_by_tridegree": {f"{k[0]},{k[1]},{k[2]}": free
@@ -225,12 +221,12 @@ def cmd_periodize(args):
     cc = ctx.cc
     pg, pcc = periodize_mod.periodized_cotree(cc, n)
     ok_in, _ = periodize_mod.check_in_lemma(cc, pg, pcc)
-    ok_basis, _ = periodize_mod.check_basis_formula(cc, pg, pcc)
+    ok_basis, _ = periodize_mod.check_basis_formula(pcc, periodize_mod.basis_by_formula(cc, pg))
     native = periodize_mod.native_face_check(cc, n)
     delcon = {}
     for e in ctx.admissible_edges():
         rep = periodize_mod.delcon_r_periodized(ctx.delcon(e), n)
-        delcon[edge_str(e)] = {
+        delcon[str(e)] = {
             "dimension_identity": rep["dimension_identity"],
             "dims": rep["dims"],
             "basis_partition": rep["basis_partition"],

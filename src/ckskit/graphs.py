@@ -254,17 +254,12 @@ def graph_to_json(graph):
     """Canonical byte-stable serialization (inverse of graph_from_json for
     graphs built by build_graph)."""
     vmap = {v: i for i, v in enumerate(graph.vertices)}
+    eids = sorted(graph.eids, key=str)
     payload = {
         "vertices": graph.n_vertices,
-        "edges": [[vmap[graph.head[e]], vmap[graph.tail[e]]]
-                  for e in sorted(graph.eids, key=str)],
-        "order": [graph.pos(e) for e in sorted(graph.eids, key=str)],
+        "edges": [[vmap[graph.head[e]], vmap[graph.tail[e]]] for e in eids],
+        "order": [graph.pos(e) for e in eids],
     }
-    # edge ids from build_graph are 0..m-1; keep that common case literal
-    eids = sorted(graph.eids, key=str)
-    if eids == list(range(graph.n_edges)):
-        payload["edges"] = [[vmap[graph.head[e]], vmap[graph.tail[e]]] for e in range(graph.n_edges)]
-        payload["order"] = [graph.pos(e) for e in range(graph.n_edges)]
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

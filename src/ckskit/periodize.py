@@ -103,24 +103,20 @@ def check_in_lemma(cc, pg, pcc):
     return True, None
 
 
-def check_basis_formula(cc, pg, pcc):
-    """Compare the basis formula against the basis of the periodized
-    coherent cotree (pg, pcc), as returned by periodized_cotree."""
+def check_basis_formula(pcc, predicted):
+    """Compare a basis predicted by basis_by_formula against the basis of
+    the periodized coherent cotree pcc, as returned by periodized_cotree."""
     direct = set(pcc.basis())
-    predicted = set(basis_by_formula(cc, pg))
+    predicted = set(predicted)
     return direct == predicted, (direct, predicted)
 
 
-def check_contraction_compatibility(cc, n):
+def check_contraction_compatibility(outer, inner, n):
     """The collapse from level n+1 to level n (contracting the outermost
-    segments) restricts to a bijection of basis faces with inner support."""
-    pg1 = PeriodizedGraph(cc.graph, n + 1)
-    pg0 = PeriodizedGraph(cc.graph, n)
-    b1 = basis_by_formula(cc, pg1)
-    b0 = set(basis_by_formula(cc, pg0))
-    inner = [s for s in b1
-             if all(abs(i) <= n for (_, i) in s)]
-    return set(inner) == b0, (len(inner), len(b0))
+    segments) restricts to a bijection of basis faces with inner support.
+    outer and inner are the basis_by_formula bases at levels n+1 and n."""
+    kept = {s for s in outer if all(abs(i) <= n for (_, i) in s)}
+    return kept == set(inner), (len(kept), len(inner))
 
 
 class DelConPeriodized:

@@ -97,7 +97,7 @@ def test_tutte_theta():
 def test_tutte_small_cases():
     assert tutte(corpus.loop_graph()) == Poly2({(0, 1): 1})
     assert tutte(corpus.bridge_graph()) == Poly2({(1, 0): 1})
-    assert tutte(corpus.two_loops_graph()) == Poly2({(0, 2): 1})
+    assert tutte(corpus.loop_wedge_loop()) == Poly2({(0, 2): 1})
 
 
 def test_tutte_k4():

@@ -1,0 +1,145 @@
+"""Corpus enumeration: the grown classes against the multiset oracle, and
+the colour-refined key against the all-permutation canonical form."""
+
+import hashlib
+import itertools
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ckskit import corpus
+from ckskit.corpus import _canonical_form, _refined_key
+from ckskit.graphs import build_graph, union_find
+
+# sha256 of the JSON list of (head, tail) edge lists of
+# enumerate_connected_multigraphs(5), as the multiset enumerator gave it
+BOUND5_SHA256 = "74228718504fc2cd6e21d628356fe63310cf1cc6bf54f996db068d82b0411066"
+CLASSES_PER_EDGE_COUNT = [2, 4, 11, 30, 95, 328]
+
+
+def connected_multisets(m):
+    """(vertex count, edge multiset) of every connected multigraph with m
+    edges whose vertices 0..v-1 all carry an edge."""
+    for v in range(1, m + 2):
+        slots = [(a, b) for a in range(v) for b in range(a, v)]
+        for multi in itertools.combinations_with_replacement(slots, m):
+            if {x for p in multi for x in p} != set(range(v)):
+                continue
+            if len(union_find(range(v), multi)[1]) == v - 1:
+                yield v, multi
+
+
+def enumerate_by_multisets(max_edges):
+    """The oracle: every connected edge multiset, one Graph per distinct
+    _canonical_form, in (edge count, form) order."""
+    out = []
+    for m in range(1, max_edges + 1):
+        forms = {_canonical_form(v, multi) for v, multi in connected_multisets(m)}
+        out.extend(build_graph(list(form)) for form in sorted(forms))
+    return out
+
+
+def edge_lists(graphs):
+    return [g.ends(g.order) for g in graphs]
+
+
+@pytest.fixture(scope="module")
+def six_edge_classes():
+    return corpus.enumerate_connected_multigraphs(6)
+
+
+def test_matches_the_multiset_oracle_up_to_four_edges():
+    new = corpus.enumerate_connected_multigraphs(4)
+    old = enumerate_by_multisets(4)
+    assert edge_lists(new) == edge_lists(old)
+    assert [g.n_vertices for g in new] == [g.n_vertices for g in old]
+
+
+def test_class_counts_per_edge_count(six_edge_classes):
+    counts = [sum(1 for g in six_edge_classes if g.n_edges == m)
+              for m in range(1, 7)]
+    assert counts == CLASSES_PER_EDGE_COUNT
+
+
+def test_representatives_have_distinct_canonical_forms(six_edge_classes):
+    reps = [g for g in six_edge_classes if g.n_edges <= 5]
+    assert len(reps) == 142
+    forms = {_canonical_form(g.n_vertices, g.ends(g.order)) for g in reps}
+    assert len(forms) == len(reps)
+
+
+def test_bound_five_edge_lists_are_pinned(six_edge_classes):
+    five = corpus.enumerate_connected_multigraphs(5)
+    text = json.dumps(edge_lists(five))
+    assert hashlib.sha256(text.encode()).hexdigest() == BOUND5_SHA256
+    assert edge_lists(five) == edge_lists(six_edge_classes[:142])
+
+
+def test_canonical_form_runs_once_per_class(monkeypatch):
+    calls = []
+    original = corpus._canonical_form
+
+    def counting(n_verts, pairs):
+        calls.append(n_verts)
+        return original(n_verts, pairs)
+
+    monkeypatch.setattr(corpus, "_canonical_form", counting)
+    graphs = corpus.corpus_graphs(5)
+    assert [name for name, _ in graphs if name != "enum"] == ["k4"]
+    assert len(calls) == 142
+
+
+def test_refined_key_partitions_like_the_canonical_form():
+    # every connected edge multiset with at most four edges: two of them
+    # share a key exactly when they share a canonical form
+    for m in range(1, 5):
+        by_form = {}
+        for v, multi in connected_multisets(m):
+            by_form.setdefault(_canonical_form(v, multi), set()).add(
+                _refined_key(v, multi))
+        keys = [next(iter(ks)) for ks in by_form.values()]
+        assert all(len(ks) == 1 for ks in by_form.values())
+        assert len(set(keys)) == len(keys)
+
+
+@st.composite
+def multigraphs(draw):
+    """(vertex count, edge list) on at most five vertices; loops, parallel
+    edges and isolated vertices allowed."""
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=7))
+    return n, pairs
+
+
+def relabeled(data, n, pairs):
+    """The same multigraph under a random vertex relabeling, with each
+    edge's ends in random order and the edges shuffled."""
+    perm = data.draw(st.permutations(range(n)))
+    moved = [(perm[b], perm[a]) if data.draw(st.booleans()) else (perm[a], perm[b])
+             for a, b in pairs]
+    return data.draw(st.permutations(moved))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(multigraphs(), st.data())
+def test_refined_key_ignores_labels_and_edge_order(graph, data):
+    n, pairs = graph
+    assert _refined_key(n, relabeled(data, n, pairs)) == _refined_key(n, pairs)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(multigraphs(), st.data())
+def test_refined_keys_agree_exactly_when_canonical_forms_do(graph, data):
+    # the second graph is a relabeled copy, often with one edge moved, so
+    # that both equal and near-miss pairs occur
+    n, pairs = graph
+    other = relabeled(data, n, pairs)
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(other) - 1))
+        vertex = st.integers(0, n - 1)
+        other[i] = (data.draw(vertex), data.draw(vertex))
+    same_key = _refined_key(n, pairs) == _refined_key(n, other)
+    assert same_key == (_canonical_form(n, pairs) == _canonical_form(n, other))

@@ -62,7 +62,7 @@ def test_in_formula_loop_and_theta(n):
         pg, pcc = periodized_cotree(cc, n)
         ok, witness = check_in_lemma(cc, pg, pcc)
         assert ok, witness
-        ok, _ = check_basis_formula(cc, pg, pcc)
+        ok, _ = check_basis_formula(pcc, basis_by_formula(cc, pg))
         assert ok
 
 
@@ -80,6 +80,25 @@ def test_check_periodize_builds_one_periodized_cotree_per_level(monkeypatch):
     assert built == [1, 2]
 
 
+def test_check_periodize_computes_each_basis_once(monkeypatch):
+    # the basis check at level n and the contraction check at levels n and
+    # n + 1 share one basis_by_formula per (cotree, level)
+    calls = []
+    original = periodize.basis_by_formula
+
+    def recording(cc, pg):
+        calls.append((cc, pg.n))  # holds cc, so its id is not reused
+        return original(cc, pg)
+
+    monkeypatch.setattr(periodize, "basis_by_formula", recording)
+    report = run_checks(corpus.theta_graph(), ["periodize"])
+    assert report["periodize"]["passed"], report
+    keys = [(id(cc), n) for cc, n in calls]
+    assert len(set(keys)) == len(keys)
+    # levels 1, 2, 3 of Γ; levels 1, 2 of the three sides of each of 3 edges
+    assert len(calls) == 3 + 3 * 2 * 3
+
+
 def test_native_face_enumeration_agrees():
     cc = coherent_cotree(corpus.theta_graph())
     assert native_face_check(cc, 1) is True
@@ -90,7 +109,9 @@ def test_native_face_enumeration_agrees():
 def test_contraction_compatibility():
     for g in (corpus.loop_graph(), corpus.theta_graph()):
         cc = coherent_cotree(g)
-        ok, _ = check_contraction_compatibility(cc, 1)
+        outer, inner = (basis_by_formula(cc, PeriodizedGraph(g, n))
+                        for n in (2, 1))
+        ok, _ = check_contraction_compatibility(outer, inner, 1)
         assert ok
 
 

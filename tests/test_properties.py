@@ -1,0 +1,55 @@
+"""Properties on random small connected multigraphs in random edge orders:
+the Tutte routes agree, h_hat is the loop specialization, and the Euler
+table does not depend on the edge order."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ckskit.activity import tutte, tutte_by_activity
+from ckskit.checks import GraphContext
+from ckskit.cks import euler_table, h_hat, tutte_loop_specialization
+from ckskit.graphs import build_graph
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+@st.composite
+def edge_lists(draw, max_vertices=4, max_edges=5):
+    """A connected edge list: a random spanning tree plus random loops and
+    parallel or extra edges, shuffled."""
+    n = draw(st.integers(1, max_vertices))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(vertex, vertex), min_size=1 if n == 1 else 0,
+                          max_size=max_edges - len(tree)))
+    return draw(st.permutations(tree + extra))
+
+
+def ordered(edges, data):
+    """The graph of an edge list under a random total order on its edges."""
+    return build_graph(edges, edge_order=data.draw(st.permutations(range(len(edges)))))
+
+
+@SETTINGS
+@given(edge_lists(), st.data())
+def test_tutte_routes_agree(edges, data):
+    g = ordered(edges, data)
+    t = tutte(g)
+    assert tutte_by_activity(g) == t
+    ctx = GraphContext(g)
+    for e in ctx.admissible_edges():
+        deleted, contracted = ctx.tutte_delcon(e)
+        assert deleted + contracted == t
+
+
+@SETTINGS
+@given(edge_lists(), st.data())
+def test_h_hat_is_the_loop_specialization(edges, data):
+    g = ordered(edges, data)
+    assert h_hat(g) == tutte_loop_specialization(g)
+
+
+@SETTINGS
+@given(edge_lists(), st.data())
+def test_euler_table_ignores_the_edge_order(edges, data):
+    assert euler_table(ordered(edges, data)) == euler_table(ordered(edges, data))
