@@ -29,9 +29,9 @@ def main():
     print("  edges:", pg.graph.n_edges, " genus:", pg.graph.genus())
     print("  periodized cotree assignment is coherent:", pcc.validate())
 
-    for n, (pg, pcc) in levels.items():
-        ok_in, _ = check_in_lemma(cc, pg, pcc)
-        formula = basis_by_formula(cc, pg)
+    for n, (_, pcc) in levels.items():
+        ok_in, _ = check_in_lemma(cc, pcc)
+        formula = basis_by_formula(cc, n)
         ok_b, _ = check_basis_formula(pcc, formula)
         print(f"  level {n}: In-formula {ok_in}, basis formula {ok_b},"
               f" |B| = {len(formula)}")

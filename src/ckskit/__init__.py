@@ -58,7 +58,6 @@ from .intlinalg import (
     verify_direct_sum,
 )
 from .periodize import (
-    DelConPeriodized,
     PeriodizedGraph,
     delcon_r_periodized,
     periodized_cotree,
@@ -76,7 +75,6 @@ __all__ = [
     "CoherentCotree",
     "CycleBasis",
     "DelConCKS",
-    "DelConPeriodized",
     "DelConR",
     "FGH",
     "FaceComplex",

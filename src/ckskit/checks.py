@@ -21,6 +21,7 @@ from .intlinalg import (
 )
 UNIMODULAR_EDGE_LIMIT = 6
 PERIODIZE_EDGE_LIMIT = 4
+PERIODIZE_LEVELS = (1, 2)
 
 
 class GraphContext:
@@ -620,40 +621,36 @@ def check_delcon_cks(ctx):
 # ---------------------------------------------------------------------------
 # periodization checks
 
-def check_periodize(ctx, levels=(1, 2)):
-    """Periodization suite: formula-vs-direct In computation, basis
-    formula, native face cross-check, contraction compatibility, and the
-    level-n deletion-contraction dimension identity."""
+def check_periodize(ctx):
+    """Periodization suite at PERIODIZE_LEVELS: periodize.level_checks (In
+    formula, basis formula, face product, level-n deletion-contraction
+    reports), the genus of the periodized graph, and contraction
+    compatibility.  Each level's basis is carried to the next, so no
+    (cotree, level) basis is computed twice."""
     g = ctx.graph
     if g.n_edges > PERIODIZE_EDGE_LIMIT:
         return True, {"skipped": f"|E| > {PERIODIZE_EDGE_LIMIT}"}
     cc = ctx.cc
+    setups = [ctx.delcon(e) for e in ctx.admissible_edges()]
+    basis = periodize.basis_by_formula(cc, PERIODIZE_LEVELS[0])
     payload = {}
-    outer = {}  # basis_by_formula at level n + 1, reused at that level
-    for n in levels:
-        pg, pcc = periodize.periodized_cotree(cc, n)
-        basis = outer.pop(n) if n in outer else periodize.basis_by_formula(cc, pg)
-        # the basis first: it caches In keyed by the face complex's own
-        # sets, so the In lemma's lifted copies of them add no cache entries
-        ok_basis = periodize.check_basis_formula(pcc, basis)[0]
-        if not periodize.check_in_lemma(cc, pg, pcc)[0]:
-            return False, {"level": n, "reason": "In formula mismatch"}
-        if not ok_basis:
-            return False, {"level": n, "reason": "basis formula mismatch"}
-        del pcc  # keeps it out of the peak memory of the checks below
-        native = periodize.native_face_check(cc, n)
-        if native is False:
-            return False, {"level": n, "reason": "face product description wrong"}
-        if pg.graph.genus() != g.genus():
-            return False, {"level": n, "reason": "genus changed"}
-        outer[n + 1] = periodize.basis_by_formula(cc, periodize.PeriodizedGraph(g, n + 1))
-        ok, _ = periodize.check_contraction_compatibility(outer[n + 1], basis, n)
-        if not ok:
+    for n in PERIODIZE_LEVELS:
+        # keeping only the report frees the periodized cotree before the
+        # next level's basis is built, which keeps the peak memory down
+        report = periodize.level_checks(cc, n, basis, setups)[1]
+        for ok, reason in ((report["in_formula"], "In formula mismatch"),
+                           (report["basis_formula"], "basis formula mismatch"),
+                           (report["faces_product"], "face product description wrong"),
+                           (report["genus"] == g.genus(), "genus changed")):
+            if not ok:
+                return False, {"level": n, "reason": reason}
+        outer = periodize.basis_by_formula(cc, n + 1)
+        if not periodize.check_contraction_compatibility(outer, basis, n)[0]:
             return False, {"level": n, "reason": "contraction compatibility failed"}
-        for e in ctx.admissible_edges():
-            rep = periodize.delcon_r_periodized(ctx.delcon(e), n)
+        for rep in report["delcon"]:
             if not rep["dimension_identity"] or not rep["basis_partition"]:
-                return False, {"level": n, "edge": str(e), "report": rep}
+                return False, {"level": n, "edge": str(rep["edge"]), "report": rep}
+        basis = outer
         payload[f"level_{n}"] = "ok"
     return True, payload
 

@@ -219,40 +219,30 @@ def cmd_periodize(args):
             f"and {max_edges} base edges")
     ctx = checks_mod.GraphContext(g)
     cc = ctx.cc
-    pg, pcc = periodize_mod.periodized_cotree(cc, n)
-    ok_in, _ = periodize_mod.check_in_lemma(cc, pg, pcc)
-    ok_basis, _ = periodize_mod.check_basis_formula(pcc, periodize_mod.basis_by_formula(cc, pg))
-    native = periodize_mod.native_face_check(cc, n)
-    delcon = {}
-    for e in ctx.admissible_edges():
-        rep = periodize_mod.delcon_r_periodized(ctx.delcon(e), n)
-        delcon[str(e)] = {
-            "dimension_identity": rep["dimension_identity"],
-            "dims": rep["dims"],
-            "basis_partition": rep["basis_partition"],
-        }
+    pcc, report = periodize_mod.level_checks(
+        cc, n, periodize_mod.basis_by_formula(cc, n),
+        [ctx.delcon(e) for e in ctx.admissible_edges()])
+    pgraph = pcc.graph
+    checks = {key: report[key] for key in ("in_formula", "basis_formula", "faces_product")}
+    ok = all(checks.values()) and all(rep["dimension_identity"] and rep["basis_partition"]
+                                      for rep in report["delcon"])
+    checks["delcon"] = {str(rep["edge"]): {key: rep[key] for key in
+                                           ("dimension_identity", "dims", "basis_partition")}
+                        for rep in report["delcon"]}
     payload = {
         "schema": SCHEMA,
         "level": n,
-        "edges": pg.graph.n_edges,
-        "genus": pg.graph.genus(),
-        "coherent_cotree": {face_str(pg.graph, s): face_str(pg.graph, c)
+        "edges": pgraph.n_edges,
+        "genus": report["genus"],
+        "coherent_cotree": {face_str(pgraph, s): face_str(pgraph, c)
                             for s, c in pcc.table.items()},
-        "In_table": {face_str(pg.graph, s): face_str(pg.graph, pcc.in_set(s))
+        "In_table": {face_str(pgraph, s): face_str(pgraph, pcc.in_set(s))
                      for s in pcc.faces.faces()},
-        "basis_B": [face_str(pg.graph, s) for s in pcc.basis()],
+        "basis_B": [face_str(pgraph, s) for s in pcc.basis()],
         "basis_dims": [len(level) for level in pcc.basis_by_degree()],
-        "checks": {
-            "in_formula": bool(ok_in),
-            "basis_formula": bool(ok_basis),
-            "faces_product": True if native is None else bool(native),
-            "delcon": delcon,
-        },
+        "checks": checks,
     }
     emit(args, payload)
-    ok = (ok_in and ok_basis and native is not False
-          and all(v["dimension_identity"] and v["basis_partition"]
-                  for v in delcon.values()))
     return 0 if ok else 1
 
 

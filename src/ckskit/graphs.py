@@ -211,6 +211,10 @@ def graph_from_json(text):
         used = {v for e in edges for v in e}
         if used and (min(used) < 0 or max(used) >= n):
             raise ParseError("edge endpoint outside declared vertex range")
+        if used and len(used) < n:
+            isolated = next(v for v in range(n) if v not in used)
+            raise ParseError(f"declared vertex {isolated} is on no edge, "
+                             "so the graph is not connected")
     order = data.get("order")
     if order is not None and not (
             isinstance(order, list) and all(map(_is_int, order))):

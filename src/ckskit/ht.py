@@ -409,7 +409,7 @@ class DelConR:
     contracted graphs make the basis split literal: B(Γ) is the disjoint
     union of {S ∪ e : S ∈ B(Γ∖e)} and B(Γ/e).  The same setup (graph,
     cc, deleted, contracted, cc_del, cc_con) carries the CKS sequence
-    (cks.DelConCKS) and its periodization (periodize.DelConPeriodized).
+    (cks.DelConCKS) and its periodization (periodize.delcon_r_periodized).
     """
 
     def __init__(self, graph, e):

@@ -7,6 +7,9 @@ one base edge form a bond, so the faces of the periodized graph are
 exactly the S_I: one segment (e, I(e)) per base edge e of a base face S.
 The periodized coherent cotree puts every chosen cotree edge in its middle
 segment: C(S_I) = {(x, 0) : x in C(S)}.
+
+Only periodized_cotree builds the periodized graph; the formulas read the
+base cotree and the lifted faces alone.
 """
 
 import itertools
@@ -15,15 +18,16 @@ from .activity import CoherentCotree
 from .graphs import FaceComplex, Graph, face_complex
 from .ht import delcon_grade_mismatch
 
+# native_face_check enumerates the faces of periodized graphs this small
+NATIVE_MAX_EDGES = 12
+
 
 class PeriodizedGraph:
-    """The level-n periodization together with its labeling maps."""
+    """The level-n periodization of a base graph."""
 
     def __init__(self, base, n):
         if n < 0:
             raise ValueError("level must be >= 0")
-        self.base = base
-        self.n = n
         verts = list(base.vertices) + [
             (i, e) for e in base.order for i in range(-n, n)
         ]
@@ -36,70 +40,56 @@ class PeriodizedGraph:
                 order.append(seg)
         self.graph = Graph(verts, heads, tails, order)
 
-    def lift_face(self, s, index):
-        """S_I for a base face s and an index map e -> i."""
-        return frozenset((e, index[e]) for e in s)
 
-    def face_indices(self, s):
-        """All index maps for a base face, in lexicographic order."""
-        members = self.base.sort_edges(s)
-        for combo in itertools.product(range(-self.n, self.n + 1),
-                                       repeat=len(members)):
-            yield dict(zip(members, combo))
-
-
-def periodized_faces(pg, base_faces):
-    """Face complex of the periodized graph by the product description."""
-    faces = []
-    for s in base_faces.faces():
-        for index in pg.face_indices(s):
-            faces.append(pg.lift_face(s, index))
-    return FaceComplex.from_faces(pg.graph, faces, genus=base_faces.genus)
+def lifts(graph, s, n):
+    """The level-n lifts S_I of a base face s of graph, one per index map
+    I: s -> [-n, n], in lexicographic order of I along the edge order."""
+    members = graph.sort_edges(s)
+    for index in itertools.product(range(-n, n + 1), repeat=len(members)):
+        yield frozenset(zip(members, index))
 
 
 def periodized_cotree(cc, n):
-    """Coherent cotree on the level-n periodization: C(S_I) = C(S) placed
-    on the middle segments."""
+    """(periodized graph, coherent cotree) at level n: C(S_I) = C(S) placed
+    on the middle segments.  The table is keyed by the face complex's own
+    sets, so each periodized face is held once."""
     pg = PeriodizedGraph(cc.graph, n)
-    faces = periodized_faces(pg, cc.faces)
     table = {}
     for s in cc.faces.faces():
         cot = frozenset((x, 0) for x in cc.C(s))
-        for index in pg.face_indices(s):
-            table[pg.lift_face(s, index)] = cot
+        for lifted in lifts(cc.graph, s, n):
+            table[lifted] = cot
+    faces = FaceComplex.from_faces(pg.graph, table, genus=cc.faces.genus)
     return pg, CoherentCotree(pg.graph, faces, table)
 
 
-def in_by_formula(cc, pg, s, index):
-    """In(S_I) predicted from base data: middle segments of base edges
-    that are in In(S) and carry index 0."""
-    base_in = cc.in_set(s)
-    return frozenset((e, 0) for e in base_in if index[e] == 0)
+def in_by_formula(cc, lifted):
+    """In(S_I) predicted from base data: the middle segments (e, 0) of the
+    lifted face S_I whose base edge e is in In(S)."""
+    base_in = cc.in_set(frozenset(e for e, _ in lifted))
+    return frozenset((e, i) for e, i in lifted if i == 0 and e in base_in)
 
 
-def basis_by_formula(cc, pg):
-    """B of the periodized graph predicted from base data: S_I is a basis
-    face iff In(S) is contained in the support of I."""
+def basis_by_formula(cc, n):
+    """B of the level-n periodization predicted from base data: S_I is a
+    basis face iff In(S) is contained in the support of I."""
     out = []
     for s in cc.faces.faces():
         base_in = cc.in_set(s)
-        for index in pg.face_indices(s):
-            if all(index[e] != 0 for e in base_in):
-                out.append(pg.lift_face(s, index))
+        out.extend(lifted for lifted in lifts(cc.graph, s, n)
+                   if all((e, 0) not in lifted for e in base_in))
     return out
 
 
-def check_in_lemma(cc, pg, pcc):
+def check_in_lemma(cc, pcc):
     """Compare the formula for In on the periodization against the direct
-    definition on the periodized coherent cotree (pg, pcc), as returned by
+    definition on the periodized coherent cotree pcc, as returned by
     periodized_cotree.  Returns (ok, witness)."""
-    for s in cc.faces.faces():
-        for index in pg.face_indices(s):
-            lifted = pg.lift_face(s, index)
-            direct = pcc.in_set(lifted)
-            predicted = in_by_formula(cc, pg, s, index)
-            if direct != predicted:
-                return False, (s, dict(index), direct, predicted)
+    for lifted in pcc.faces.faces():
+        direct = pcc.in_set(lifted)
+        predicted = in_by_formula(cc, lifted)
+        if direct != predicted:
+            return False, (lifted, direct, predicted)
     return True, None
 
 
@@ -119,66 +109,60 @@ def check_contraction_compatibility(outer, inner, n):
     return kept == set(inner), (len(kept), len(inner))
 
 
-class DelConPeriodized:
-    """Level-n deletion-contraction report for a non-loop non-bridge edge.
-
-    Takes the deletion-contraction setup of that edge (an ht.DelConR:
-    edge ordered last, induced tables on the deleted/contracted sides),
-    periodizes all three graphs, and exposes the dimension identity and
-    the set-theoretic basis partition.
-    """
-
-    def __init__(self, setup, n):
-        self.edge = setup.edge
-        self.n = n
-        # (cotree, periodized basis) of the middle, deleted, contracted graphs
-        self.sides = [(cc, basis_by_formula(cc, PeriodizedGraph(cc.graph, n)))
-                      for cc in (setup.cc, setup.cc_del, setup.cc_con)]
-
-    def dimension_identity(self):
-        """dim R^{2k}(mid_n) = (2n+1) dim R^{2k-2}(del_n) + dim R^{2k}(con_n)."""
-        mid, dl, cn = ([sum(1 for s in basis if len(s) == k)
-                        for k in range(cc.faces.genus + 1)]
-                       for cc, basis in self.sides)
-        ok = delcon_grade_mismatch(mid, dl, cn, 2 * self.n + 1) is None
-        return ok, {"middle": mid, "deleted": dl, "contracted": cn}
-
-    def basis_partition(self):
-        """B(mid_n) = {S_I ∪ (e,i)} over B(del_n) and all i, ⊔ B(con_n)."""
-        (_, mid), (_, dl), (_, cn) = self.sides
-        from_del = {
-            s | {(self.edge, i)}
-            for s in dl for i in range(-self.n, self.n + 1)
-        }
-        from_con = set(cn)
-        ok = (from_del.isdisjoint(from_con)
-              and from_del | from_con == set(mid)
-              and len(from_del) + len(from_con) == len(mid))
-        return ok, (len(from_del), len(from_con), len(mid))
-
-
 def delcon_r_periodized(setup, n):
-    """Dimension report for the level-n deletion-contraction sequence of
-    a deletion-contraction setup (an ht.DelConR)."""
-    dc = DelConPeriodized(setup, n)
-    ok_dim, dims = dc.dimension_identity()
-    ok_part, sizes = dc.basis_partition()
+    """Level-n deletion-contraction report for the non-loop non-bridge edge
+    of a deletion-contraction setup (an ht.DelConR: edge ordered last,
+    induced tables on the deleted and contracted sides).
+
+    The dimension identity is dim R^{2k}(mid_n) = (2n+1) dim R^{2k-2}(del_n)
+    + dim R^{2k}(con_n); the basis partition is B(mid_n) = {S_I ∪ (e, i)}
+    over S_I in B(del_n) and all i, disjoint union B(con_n).
+    """
+    e = setup.edge
+    sides = [(cc, basis_by_formula(cc, n))
+             for cc in (setup.cc, setup.cc_del, setup.cc_con)]
+    mid, dl, cn = ([sum(1 for s in basis if len(s) == k)
+                    for k in range(cc.faces.genus + 1)]
+                   for cc, basis in sides)
+    (_, b_mid), (_, b_del), (_, b_con) = sides
+    from_del = {s | {(e, i)} for s in b_del for i in range(-n, n + 1)}
+    from_con = set(b_con)
     return {
-        "edge": dc.edge,
+        "edge": e,
         "level": n,
-        "dimension_identity": ok_dim,
-        "dims": dims,
-        "basis_partition": ok_part,
-        "partition_sizes": sizes,
+        "dimension_identity": delcon_grade_mismatch(mid, dl, cn, 2 * n + 1) is None,
+        "dims": {"middle": mid, "deleted": dl, "contracted": cn},
+        "basis_partition": (from_del.isdisjoint(from_con)
+                            and from_del | from_con == set(b_mid)
+                            and len(from_del) + len(from_con) == len(b_mid)),
+        "partition_sizes": (len(from_del), len(from_con), len(b_mid)),
     }
 
 
-def native_face_check(cc, n, max_edges=12):
-    """Cross-check the product description of the periodized faces against
-    exhaustive enumeration, when the periodized graph is small enough."""
-    pg = PeriodizedGraph(cc.graph, n)
-    if pg.graph.n_edges > max_edges:
+def native_face_check(pcc):
+    """Cross-check the product description of the periodized faces of pcc,
+    as returned by periodized_cotree, against exhaustive enumeration; None
+    when the periodized graph has more than NATIVE_MAX_EDGES edges."""
+    if pcc.graph.n_edges > NATIVE_MAX_EDGES:
         return None
-    direct = {frozenset(s) for s in face_complex(pg.graph).faces()}
-    predicted = {frozenset(s) for s in periodized_faces(pg, cc.faces).faces()}
-    return direct == predicted
+    return set(face_complex(pcc.graph).faces()) == set(pcc.faces.faces())
+
+
+def level_checks(cc, n, basis, setups):
+    """The level-n periodization checks of a coherent cotree cc, given its
+    level-n basis_by_formula and the deletion-contraction setups (ht.DelConR)
+    of its admissible edges.
+
+    Returns (pcc, report): the periodized coherent cotree, and the In
+    formula, basis formula and face product verdicts, the periodized genus,
+    and one delcon_r_periodized report per setup.
+    """
+    delcon = [delcon_r_periodized(setup, n) for setup in setups]
+    _, pcc = periodized_cotree(cc, n)
+    return pcc, {
+        "in_formula": check_in_lemma(cc, pcc)[0],
+        "basis_formula": check_basis_formula(pcc, basis)[0],
+        "faces_product": native_face_check(pcc) is not False,
+        "genus": pcc.graph.genus(),
+        "delcon": delcon,
+    }

@@ -124,6 +124,15 @@ def test_malformed_json_exits_2(text, tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_isolated_declared_vertex_exits_2(tmp_path, capsys):
+    # vertex 2 is declared but on no edge, so the graph is disconnected
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices": 3, "edges": [[0, 1], [0, 1]]}')
+    code, out, err = run_cli(["analyze", "--graph", str(path)], capsys)
+    assert code == 2 and not out
+    assert err.startswith("error: declared vertex 2 is on no edge")
+
+
 def test_malformed_enum_limit_exits_2():
     env = dict(os.environ, CKS_KIT_MAX_ENUM_EDGES="abc")
     proc = subprocess.run(

@@ -153,7 +153,7 @@ def test_delcon_basis_split():
 
 
 def test_delcon_rejects_loops_and_bridges():
-    # the one deletion-contraction setup; DelConCKS and DelConPeriodized
+    # the one deletion-contraction setup; DelConCKS and delcon_r_periodized
     # are built from it and have no guard of their own
     with pytest.raises(EdgeIsBondOrLoop):
         DelConR(corpus.loop_graph(), 0)

@@ -1,8 +1,10 @@
 """Finite-level periodization: faces, cotrees, formulas, dimension identity."""
 
+import hashlib
+
 import pytest
 
-from ckskit import corpus, periodize
+from ckskit import cli, corpus, periodize
 from ckskit.activity import coherent_cotree
 from ckskit.checks import run_checks
 from ckskit.ht import DelConR
@@ -40,13 +42,22 @@ def test_level_zero_is_identity_on_faces():
 def test_loop_level_one_basis():
     g = corpus.loop_graph()
     cc = coherent_cotree(g)
-    pg, pcc = periodized_cotree(cc, 1)
+    _, pcc = periodized_cotree(cc, 1)
     # the middle segment stays in the cotree, so only off-center singletons
     # have empty In
     assert set(pcc.basis()) == {frozenset(),
                                 frozenset({(0, -1)}),
                                 frozenset({(0, 1)})}
-    assert set(basis_by_formula(cc, pg)) == set(pcc.basis())
+    assert set(basis_by_formula(cc, 1)) == set(pcc.basis())
+
+
+def test_periodized_cotree_keys_its_table_by_its_own_faces():
+    cc = coherent_cotree(corpus.theta_graph())
+    for n in (0, 1, 2):
+        _, pcc = periodized_cotree(cc, n)
+        held = {id(s): s for level in pcc.faces.levels for s in level}
+        assert len(held) == len(pcc.table)
+        assert all(held.get(id(s)) is s for s in pcc.table)
 
 
 def test_periodized_cotree_is_coherent():
@@ -59,10 +70,10 @@ def test_periodized_cotree_is_coherent():
 def test_in_formula_loop_and_theta(n):
     for g in (corpus.loop_graph(), corpus.theta_graph()):
         cc = coherent_cotree(g)
-        pg, pcc = periodized_cotree(cc, n)
-        ok, witness = check_in_lemma(cc, pg, pcc)
+        _, pcc = periodized_cotree(cc, n)
+        ok, witness = check_in_lemma(cc, pcc)
         assert ok, witness
-        ok, _ = check_basis_formula(pcc, basis_by_formula(cc, pg))
+        ok, _ = check_basis_formula(pcc, basis_by_formula(cc, n))
         assert ok
 
 
@@ -80,15 +91,31 @@ def test_check_periodize_builds_one_periodized_cotree_per_level(monkeypatch):
     assert built == [1, 2]
 
 
+def test_check_periodize_builds_one_periodized_graph_per_level(monkeypatch):
+    # the formulas and the deletion-contraction sides read no periodized
+    # graph; only the periodized cotree of each level builds one
+    built = []
+    original = PeriodizedGraph.__init__
+
+    def counting(self, base, n):
+        built.append(n)
+        original(self, base, n)
+
+    monkeypatch.setattr(PeriodizedGraph, "__init__", counting)
+    report = run_checks(corpus.theta_graph(), ["periodize"])
+    assert report["periodize"]["passed"], report
+    assert built == [1, 2]
+
+
 def test_check_periodize_computes_each_basis_once(monkeypatch):
     # the basis check at level n and the contraction check at levels n and
     # n + 1 share one basis_by_formula per (cotree, level)
     calls = []
     original = periodize.basis_by_formula
 
-    def recording(cc, pg):
-        calls.append((cc, pg.n))  # holds cc, so its id is not reused
-        return original(cc, pg)
+    def recording(cc, n):
+        calls.append((cc, n))  # holds cc, so its id is not reused
+        return original(cc, n)
 
     monkeypatch.setattr(periodize, "basis_by_formula", recording)
     report = run_checks(corpus.theta_graph(), ["periodize"])
@@ -101,16 +128,15 @@ def test_check_periodize_computes_each_basis_once(monkeypatch):
 
 def test_native_face_enumeration_agrees():
     cc = coherent_cotree(corpus.theta_graph())
-    assert native_face_check(cc, 1) is True
+    assert native_face_check(periodized_cotree(cc, 1)[1]) is True
     # too large to enumerate natively: skipped, not failed
-    assert native_face_check(cc, 2) is None
+    assert native_face_check(periodized_cotree(cc, 2)[1]) is None
 
 
 def test_contraction_compatibility():
     for g in (corpus.loop_graph(), corpus.theta_graph()):
         cc = coherent_cotree(g)
-        outer, inner = (basis_by_formula(cc, PeriodizedGraph(g, n))
-                        for n in (2, 1))
+        outer, inner = (basis_by_formula(cc, n) for n in (2, 1))
         ok, _ = check_contraction_compatibility(outer, inner, 1)
         assert ok
 
@@ -122,5 +148,22 @@ def test_delcon_dimension_identity_theta(n):
     assert rep["basis_partition"], rep
     mid = rep["dims"]["middle"]
     assert sum(mid) == len(basis_by_formula(
-        coherent_cotree(corpus.theta_graph()),
-        PeriodizedGraph(corpus.theta_graph(), n)))
+        coherent_cotree(corpus.theta_graph()), n))
+
+
+# sha256 of the `periodize` JSON stdout at levels 0, 1 and 2, concatenated,
+# as the implementation that lifted faces through index maps printed it
+PERIODIZE_SHA256 = {
+    "a:0-0": "7a0c05061578d2a477d24228b0fecdecb3274cbb230743ff1d0df1f65e311f47",
+    "v0-v1 v0-v1 v0-v1": "cd3801e2713c034a505287c4a74899cea5df7260a908a4b2dc9e5eba7bfa1300",
+    "v0-v1 v1-v2 v2-v0 v0-v0": "ce4842b3a88894f314811a518f1c8b12509eac88e5e105e941e38fb1a4003c82",
+}
+
+
+@pytest.mark.parametrize("inline", list(PERIODIZE_SHA256), ids=["loop", "theta", "triangle+loop"])
+def test_periodize_output_is_pinned(inline, capsys):
+    out = ""
+    for n in (0, 1, 2):
+        assert cli.main(["periodize", "--inline", inline, "--level", str(n)]) == 0
+        out += capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PERIODIZE_SHA256[inline]

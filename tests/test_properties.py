@@ -1,12 +1,13 @@
 """Properties on random small connected multigraphs in random edge orders:
-the Tutte routes agree, h_hat is the loop specialization, and the Euler
-table does not depend on the edge order."""
+the Tutte routes agree, h_hat is the loop specialization, the Euler
+table does not depend on the edge order, and the periodization checks
+pass."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckskit.activity import tutte, tutte_by_activity
-from ckskit.checks import GraphContext
+from ckskit.checks import GraphContext, run_checks
 from ckskit.cks import euler_table, h_hat, tutte_loop_specialization
 from ckskit.graphs import build_graph
 
@@ -53,3 +54,10 @@ def test_h_hat_is_the_loop_specialization(edges, data):
 @given(edge_lists(), st.data())
 def test_euler_table_ignores_the_edge_order(edges, data):
     assert euler_table(ordered(edges, data)) == euler_table(ordered(edges, data))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(edge_lists(max_edges=4), st.data())
+def test_periodization_checks_pass(edges, data):
+    report = run_checks(ordered(edges, data), ["periodize"])["periodize"]
+    assert report["passed"], report
