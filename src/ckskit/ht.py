@@ -53,6 +53,8 @@ class HTComplex:
         self.genus = cc.faces.genus
         self._basis = {}
         self._index = {}
+        self._face = None
+        self._images = []
 
     # -- bases ------------------------------------------------------------
 
@@ -103,14 +105,29 @@ class HTComplex:
         """Differential of a basis element (S, w), or (S, w, a) in the CKS
         complex, as a sparse vector: the sum over the edges e with S ∪ e a
         face of the interior product by e on w, tensored with the
-        restriction of the cocycle wedge a to C(S ∪ e)."""
+        restriction of the cocycle wedge a to C(S ∪ e).
+
+        A one-face memo keeps, for the current face S and each of its edges
+        e, the images iota(S, e, w) and restrict(S, e, a) computed so far;
+        a call on another face replaces it.  d_matrix walks its basis face
+        by face, so each image is computed once per face."""
+        if s != self._face:
+            self._face = s
+            self._images = [(s | {e}, e, {}, {})
+                            for e in self.graph.sort_edges(self.graph.eids - s)
+                            if s | {e} in self.faces]
         out = {}
-        for e in self.graph.sort_edges(self.graph.eids - s):
-            t = s | {e}
-            if t not in self.faces:
+        for t, e, iotas, restrictions in self._images:
+            part = iotas.get(w)
+            if part is None:
+                part = iotas[w] = self.iota(s, e, w)
+            if not part:
                 continue
-            terms = {(t,): 1}
-            for part in (self.iota(s, e, w), *(self.cc.restrict(s, e, x) for x in a)):
+            terms = {(t, k): c for k, c in part.items()}
+            for x in a:
+                part = restrictions.get(x)
+                if part is None:
+                    part = restrictions[x] = self.cc.restrict(s, e, x)
                 terms = {k + (k2,): c * c2 for k, c in terms.items()
                          for k2, c2 in part.items()}
             out.update(terms)

@@ -3,12 +3,11 @@
 Dense matrices are plain lists of lists of Python ints; map_matrix is the
 one place the complexes and their maps turn sparse images on labelled
 bases into them.  Everything here is exact: Smith normal form with
-unimodular transforms, ranks over Q via fraction-free elimination,
-cochain-complex cohomology (free rank + torsion invariant factors), and
-direct-sum splitting certificates for sublattices of Z^n.  Cohomology
-and the certificates factor each matrix once with a sparse unit-pivot
-elimination that hands only its residual core to the dense Smith normal
-form.
+unimodular transforms, ranks over Q, cochain-complex cohomology (free
+rank + torsion invariant factors), and direct-sum splitting certificates
+for sublattices of Z^n.  Ranks, cohomology and the certificates factor
+each matrix once with a sparse unit-pivot elimination that hands only
+its residual core to the dense Smith normal form.
 """
 
 from dataclasses import dataclass
@@ -92,31 +91,8 @@ def det(a):
 
 
 def rank(a):
-    """Rank over Q, by Gaussian elimination on Fractions."""
-    if not a or not a[0]:
-        return 0
-    m = [[Fraction(x) for x in row] for row in a]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        for i in range(r + 1, rows):
-            if m[i][c] != 0:
-                f = m[i][c] / inv
-                for j in range(c, cols):
-                    m[i][j] -= f * m[r][j]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Rank over Q of an integer matrix: the rank its Smith form has."""
+    return _rank_and_torsion(a)[0]
 
 
 def solve_exact(a, b):

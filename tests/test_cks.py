@@ -1,6 +1,7 @@
 """Trigraded complex: cohomology, Euler tables, Tutte specialization."""
 
 import itertools
+import random
 
 import pytest
 
@@ -22,7 +23,7 @@ from ckskit.cks import (
 from ckskit.checks import GraphContext, check_cks_d2, run_checks
 from ckskit.errors import IncoherentCotree, MismatchedGraph
 from ckskit.graphs import Graph, build_graph
-from ckskit.ht import DelConR
+from ckskit.ht import DelConR, HTComplex
 from ckskit.intlinalg import (
     _rank_and_torsion,
     det,
@@ -266,6 +267,115 @@ def test_delcon_cks_builds_each_differential_once(monkeypatch):
     assert report["delcon_cks"]["passed"], report
     keys = [(id(c), p, q, r) for c, p, q, r in built]
     assert built and len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("graphs", [
+    [g for _, g in corpus.corpus_graphs(bound=4)], [THETA6], [W4],
+], ids=["corpus4", "theta6", "w4"])
+def test_d_element_memo_agrees_with_a_fresh_complex(graphs):
+    # every HT and CKS basis element of each graph, grouped by (complex,
+    # face) into runs of one to three elements; the runs are shuffled, so
+    # the memo is both reused within a face and replaced between faces
+    # and complexes, and faces come back after others
+    runs = []
+    for g in graphs:
+        cks = build_cks(g)
+        d = cks.genus
+        ht = HTComplex(g, cks.cc)
+        keys = [(ht, (p, q)) for p in range(d + 1) for q in range(d - p + 1)]
+        keys += [(cks, (p, q, r)) for p in range(d + 1)
+                 for q in range(d - p + 1) for r in range(d - p + 1)]
+        by_face = {}
+        for c, key in keys:
+            for b in c.basis(*key):
+                by_face.setdefault((c, b[0]), []).append((c, b))
+        rng = random.Random(len(by_face))
+        for group in by_face.values():
+            rng.shuffle(group)
+            while group:
+                n = rng.randint(1, 3)
+                runs.append(group[:n])
+                group = group[n:]
+    random.Random(len(runs)).shuffle(runs)
+    calls = 0
+    for run in runs:
+        for c, b in run:
+            assert c.d_element(*b) == type(c)(c.graph, c.cc).d_element(*b), b
+            calls += 1
+    assert calls > len(runs) > 0
+
+
+def test_delcon_cks_restricts_once_per_face_run(monkeypatch):
+    # a face's run is a stretch of consecutive d_element calls on one
+    # (complex, face); within it no cocycle restriction is computed twice
+    log = []
+    original_d = HTComplex.d_element
+    original_restrict = CoherentCotree.restrict
+
+    def d_element(self, s, w, *a):
+        log.append(("d", self.cc, s))
+        return original_d(self, s, w, *a)
+
+    def restrict(self, s, e, a):
+        log.append(("restrict", self, s, e, a))
+        return original_restrict(self, s, e, a)
+
+    monkeypatch.setattr(CKSComplex, "d_element", d_element)
+    monkeypatch.setattr(CoherentCotree, "restrict", restrict)
+    report = run_checks(W4, ["delcon_cks"])
+    assert report["delcon_cks"]["passed"], report
+    run, seen, restricts = None, set(), 0
+    for entry in log:
+        if entry[0] == "d":
+            if entry[1:] != run:
+                run, seen = entry[1:], set()
+            continue
+        key = entry[1:]
+        assert key[:2] == run and key not in seen, key
+        seen.add(key)
+        restricts += 1
+    assert restricts
+
+
+def exact_piece(dc):
+    """A piece (p, q, r) whose sequence has two deleted triples and a
+    contracted one."""
+    return next((p, q, r) for p, q, r in pieces(dc)
+                if dc.sub.dim(p - 1, q, r) >= 2 and dc.quo.dim(p, q, r))
+
+
+def test_check_exact_rejects_a_non_injective_inclusion():
+    dc = DelConCKS(DelConR(W4, W4.order[0]))
+    p, q, r = key = exact_piece(dc)
+    assert dc.check_exact(*key)
+    inc = dc.include_matrix(p - 1, q, r)
+    # the second deleted triple goes where the first one does
+    for row in inc:
+        row[1] = row[0]
+    dc.include_matrix = lambda *_: inc
+    assert not dc.check_exact(*key)
+
+
+def test_check_exact_rejects_a_projection_that_is_not_onto():
+    dc = DelConCKS(DelConR(W4, W4.order[0]))
+    key = exact_piece(dc)
+    prj = dc.project_matrix(*key)
+    # nothing projects onto the first contracted triple
+    prj[0] = [0] * len(prj[0])
+    dc.project_matrix = lambda *_: prj
+    assert not dc.check_exact(*key)
+
+
+def test_check_exact_rejects_a_nonzero_composite():
+    dc = DelConCKS(DelConR(W4, W4.order[0]))
+    p, q, r = key = exact_piece(dc)
+    prj = dc.project_matrix(*key)
+    # the image of the first deleted triple also projects onto the first
+    # contracted triple; both maps keep their full rank
+    j = next(i for i, row in enumerate(dc.include_matrix(p - 1, q, r)) if row[0])
+    prj[0][j] = 1
+    dc.project_matrix = lambda *_: prj
+    assert not dc.check_exact(*key)
 
 
 # ---------------------------------------------------------------------------

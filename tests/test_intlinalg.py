@@ -1,12 +1,15 @@
 """Exact linear algebra: Smith normal form, cohomology, splitting certificates."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ckskit.cks import build_cks
+from ckskit.checks import GraphContext
+from ckskit.cks import DelConCKS, build_cks
 from ckskit.corpus import corpus_graphs, k4_graph
 from ckskit.errors import NotAComplex, OutsideBasis
 from ckskit.graphs import graph_from_dsl
@@ -210,6 +213,80 @@ def test_engine_matches_snf_on_small_matrices(a):
     got = _rank_and_torsion(a)
     assert got == snf_rank_and_torsion(a)
     assert_rank_mod_p_identity(a, *got)
+
+
+# ---------------------------------------------------------------------------
+# rank over Q against dense Fraction elimination
+
+def rank_by_fractions(a):
+    """Rank over Q by dense Gaussian elimination on Fractions: the oracle
+    for rank, which reads it off the sparse unit-pivot engine."""
+    if not a or not a[0]:
+        return 0
+    m = [[Fraction(x) for x in row] for row in a]
+    rows, cols = len(m), len(m[0])
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if m[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        for i in range(r + 1, rows):
+            if m[i][c] != 0:
+                f = m[i][c] / inv
+                for j in range(c, cols):
+                    m[i][j] -= f * m[r][j]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def assert_rank_agrees(a):
+    got = rank(a)
+    assert got == rank_by_fractions(a)
+    # reducing mod p can only lose rank
+    for p in (2, 2**31 - 1):
+        assert rank_mod_p(a, p) <= got
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_matrices())
+@example([])
+@example([[], [], []])
+@example([[2, 3], [3, 2]])
+@example([[2, 3, 1], [3, 2, 1], [1, 1, 2]])
+@example([[2, 3, 1], [4, 6, 2], [3, 2, 0]])
+@example([[2, 3], [4, 6]])
+@example([[3, 1, 2], [2, 1, 1], [1, 0, 1]])
+def test_rank_matches_fraction_elimination(a):
+    assert_rank_agrees(a)
+
+
+def test_rank_on_the_delcon_inclusions_and_projections():
+    seen = 0
+    for _, g in corpus_graphs(bound=4):
+        ctx = GraphContext(g)
+        for e in ctx.admissible_edges():
+            dc = DelConCKS(ctx.delcon(e))
+            d = dc.mid.genus
+            for p, q, r in itertools.product(range(d + 1), repeat=3):
+                if dc.sub.dim(p - 1, q, r):
+                    inc = dc.include_matrix(p - 1, q, r)
+                    assert_rank_agrees(inc)
+                    assert rank(inc) == dc.sub.dim(p - 1, q, r)
+                    seen += 1
+                if dc.mid.dim(p, q, r) and dc.quo.dim(p, q, r):
+                    prj = dc.project_matrix(p, q, r)
+                    assert_rank_agrees(prj)
+                    assert rank(prj) == dc.quo.dim(p, q, r)
+                    seen += 1
+    assert seen
 
 
 def test_engine_torsion_examples():
