@@ -13,6 +13,8 @@ characteristic fills the e(k, ℓ) table.  The generating polynomial of
 that table is a Tutte specialization, verified against exact cohomology.
 """
 
+from operator import itemgetter
+
 from .activity import CoherentCotree, coherent_cotree, tutte
 from .ht import HTComplex
 from .intlinalg import is_zero_matrix, map_matrix, matmul, rank
@@ -181,16 +183,21 @@ class DelConCKS:
     def check_chain_maps(self, p, q, r):
         """Both squares with the differentials commute at the middle
         source piece (2p, q, r): in the split of the middle bases,
-        d_mid = [[d_quo, 0], [*, d_sub]]."""
+        d_mid = [[d_quo, 0], [*, d_sub]].  Where the middle source or
+        target is empty, all three differentials are empty and none is
+        built."""
         src, tgt = self.split(p, q, r), self.split(p + 1, q - 1, r)
         if src is None or tgt is None:
             return False
-        if not self.mid.dim(p, q, r):
+        if not self.mid.dim(p, q, r) or not self.mid.dim(p + 1, q - 1, r):
             return True
         d = self.mid.d_matrix(p, q, r)
 
         def block(rows, cols):
-            return [[d[i][j] for j in cols] for i in rows]
+            # itemgetter needs a column and returns a bare entry for one
+            get = (itemgetter(*cols) if len(cols) > 1
+                   else lambda row: [row[j] for j in cols])
+            return [list(get(d[i])) for i in rows]
 
         return ((not src[0] or block(tgt[0], src[0]) == self.quo.d_matrix(p, q, r))
                 and (not src[1] or block(tgt[1], src[1])

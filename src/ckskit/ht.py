@@ -8,6 +8,9 @@ re-expressed in C(S ∪ e)-coordinates by the coordinate projection that
 kills the one cotree edge x0 lost when e is added (CoherentCotree.lost).
 The trigraded subclass (cks.CKSComplex) shares this differential and
 tensors it with the restriction of its cocycle wedge, also through x0.
+Its matrix is assembled from one small interior-product operator and one
+restriction operator per face S and edge e, built once per level and
+placed as their Kronecker product (HTComplex.d_matrix).
 
 Also here: the square-free reduction of monomials, the chain maps f and g
 between the complex and its cohomology ring R, the contracting homotopy h,
@@ -22,6 +25,7 @@ from .errors import (
     ChoiceOutsideIn,
     EdgeIsBondOrLoop,
     MismatchedGraph,
+    OutsideBasis,
     ParseError,
     SupportContainsBond,
 )
@@ -32,7 +36,7 @@ from .graphs import (
     fundamental_cycle,
     union_find,
 )
-from .intlinalg import CochainComplex, map_matrix
+from .intlinalg import CochainComplex, map_matrix, zeros
 
 
 class HTComplex:
@@ -53,8 +57,10 @@ class HTComplex:
         self.genus = cc.faces.genus
         self._basis = {}
         self._index = {}
-        self._face = None
-        self._images = []
+        # the level d_matrix was last called at, and the iota and restrict
+        # operators it keeps for that level
+        self._level = None
+        self._ops = {}
 
     # -- bases ------------------------------------------------------------
 
@@ -68,9 +74,8 @@ class HTComplex:
             # C(S) has genus - p edges for every face S of size p
             if 0 <= p <= self.genus and all(0 <= n <= self.genus - p for n in key[1:]):
                 for s in self.faces.levels[p]:
-                    cot = self.graph.sort_edges(self.cc.C(s))
                     out.extend(itertools.product(
-                        (s,), *(itertools.combinations(cot, n) for n in key[1:])))
+                        (s,), *(self._wedges(s, n) for n in key[1:])))
             self._basis[key] = out
             self._index[key] = {b: i for i, b in enumerate(out)}
         return self._basis[key]
@@ -81,6 +86,10 @@ class HTComplex:
 
     def dim(self, *key):
         return len(self.basis(*key))
+
+    def _wedges(self, s, n):
+        """The increasing n-wedges of C(S), in basis order."""
+        return itertools.combinations(self.graph.sort_edges(self.cc.C(s)), n)
 
     # -- differential -----------------------------------------------------
 
@@ -105,29 +114,16 @@ class HTComplex:
         """Differential of a basis element (S, w), or (S, w, a) in the CKS
         complex, as a sparse vector: the sum over the edges e with S ∪ e a
         face of the interior product by e on w, tensored with the
-        restriction of the cocycle wedge a to C(S ∪ e).
-
-        A one-face memo keeps, for the current face S and each of its edges
-        e, the images iota(S, e, w) and restrict(S, e, a) computed so far;
-        a call on another face replaces it.  d_matrix walks its basis face
-        by face, so each image is computed once per face."""
-        if s != self._face:
-            self._face = s
-            self._images = [(s | {e}, e, {}, {})
-                            for e in self.graph.sort_edges(self.graph.eids - s)
-                            if s | {e} in self.faces]
+        restriction of the cocycle wedge a to C(S ∪ e).  Computed element
+        by element, it is the reference for d_matrix."""
         out = {}
-        for t, e, iotas, restrictions in self._images:
-            part = iotas.get(w)
-            if part is None:
-                part = iotas[w] = self.iota(s, e, w)
-            if not part:
+        for e in self.graph.sort_edges(self.graph.eids - s):
+            t = s | {e}
+            if t not in self.faces:
                 continue
-            terms = {(t, k): c for k, c in part.items()}
+            terms = {(t, k): c for k, c in self.iota(s, e, w).items()}
             for x in a:
-                part = restrictions.get(x)
-                if part is None:
-                    part = restrictions[x] = self.cc.restrict(s, e, x)
+                part = self.cc.restrict(s, e, x)
                 terms = {k + (k2,): c * c2 for k, c in terms.items()
                          for k2, c2 in part.items()}
             out.update(terms)
@@ -135,9 +131,68 @@ class HTComplex:
 
     def d_matrix(self, p, q, *r):
         """Matrix of d: (2p, q) -> (2p+2, q-1), or (2p, q, r) ->
-        (2p+2, q-1, r).  Raises OutsideBasis when d leaves the stripe."""
-        return map_matrix(self.basis(p, q, *r), self.index(p + 1, q - 1, *r),
-                          lambda b: self.d_element(*b))
+        (2p+2, q-1, r), as dense rows.  Raises OutsideBasis when d leaves
+        the stripe.
+
+        Filled one face block at a time: the block from the elements on S
+        to those on S ∪ e is the Kronecker product of iota(S, e, ·) on the
+        q-wedges of C(S) with restrict(S, e, ·) on its r-wedges (see
+        _operator).  The operators are kept while d_matrix stays at level
+        p, so every q and r of a level shares them; a call at another level
+        drops them.  Each face's first row and column are read off the two
+        bases.  d_element gives the same columns element by element."""
+        src, tgt = self.basis(p, q, *r), self.basis(p + 1, q - 1, *r)
+        m = zeros(len(tgt), len(src))
+        if not tgt:
+            return m
+        if p != self._level:
+            self._level, self._ops = p, {}
+        # HT has no third grading: its second factor is the 1×1 identity
+        identity = [[(0, 1)]], 1
+        rows = _block_starts(tgt)
+        for s, j in _block_starts(src).items():
+            for e in self.graph.sort_edges(self.graph.eids - s):
+                t = s | {e}
+                if t not in self.faces:
+                    continue
+                iop, _ = self._operator(s, e, q, q - 1)
+                aop, size = self._operator(s, e, r[0], r[0]) if r else identity
+                i = rows.get(t)
+                if i is None:
+                    # C(T) has fewer than r edges: every restriction is zero
+                    continue
+                na = len(aop)
+                for iw, irow in enumerate(iop):
+                    col = j + iw * na
+                    for x, c in irow:
+                        base = i + x * size
+                        for ja, arow in enumerate(aop, col):
+                            for y, c2 in arow:
+                                m[base + y][ja] = c * c2
+        return m
+
+    def _operator(self, s, e, n, n_t):
+        """iota(S, e, ·) (for n_t = n − 1) or restrict(S, e, ·) (for
+        n_t = n) on the n-wedges of C(S): one row of (position among the
+        n_t-wedges of C(S ∪ e), coefficient) pairs per wedge, and the
+        number of those n_t-wedges.  Raises OutsideBasis, naming the face
+        and wedge on each side, for an image wedge that is not an
+        n_t-wedge of C(S ∪ e)."""
+        key = (s, e, n, n_t)
+        if key not in self._ops:
+            t = s | {e}
+            image = self.iota if n_t < n else self.cc.restrict
+            index = {x: i for i, x in enumerate(self._wedges(t, n_t))}
+            rows = []
+            for w in self._wedges(s, n):
+                row = []
+                for x, c in image(s, e, w).items():
+                    if x not in index:
+                        raise OutsideBasis((s, w), (t, x))
+                    row.append((index[x], c))
+                rows.append(row)
+            self._ops[key] = rows, len(index)
+        return self._ops[key]
 
     def stripe(self, k, *r):
         """The graded stripe p + q = k (at weight r for the CKS complex)
@@ -145,6 +200,14 @@ class HTComplex:
         bases = {p: self.basis(p, k - p, *r) for p in range(min(k, self.genus) + 1)}
         return CochainComplex(bases, {p: self.d_matrix(p, k - p, *r)
                                       for p, b in bases.items() if b})
+
+
+def _block_starts(basis):
+    """The position of each face's first element in a face-major basis."""
+    starts = {}
+    for i, b in enumerate(basis):
+        starts.setdefault(b[0], i)
+    return starts
 
 
 def build_ht(graph, cc=None):

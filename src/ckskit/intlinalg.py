@@ -1,17 +1,20 @@
 """Exact integer linear algebra.
 
-Dense matrices are plain lists of lists of Python ints; map_matrix is the
-one place the complexes and their maps turn sparse images on labelled
-bases into them.  Everything here is exact: Smith normal form with
-unimodular transforms, ranks over Q, cochain-complex cohomology (free
-rank + torsion invariant factors), and direct-sum splitting certificates
-for sublattices of Z^n.  Ranks, cohomology and the certificates factor
-each matrix once with a sparse unit-pivot elimination that hands only
-its residual core to the dense Smith normal form.
+Dense matrices are plain lists of lists of Python ints.  map_matrix
+turns sparse images on labelled bases into them for the maps between
+complexes (f, g, h, inclusions, projections); ht.HTComplex.d_matrix
+fills the HT and CKS differentials face block by face block instead.
+Everything here is exact: Smith normal form with unimodular transforms,
+ranks over Q, cochain-complex cohomology (free rank + torsion invariant
+factors), and direct-sum splitting certificates for sublattices of Z^n.
+Ranks, cohomology and the certificates factor each matrix once with a
+sparse unit-pivot elimination that hands only its residual core to the
+dense Smith normal form.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 
 from .errors import NotAComplex, OutsideBasis
 
@@ -45,24 +48,21 @@ def identity(n):
 
 
 def matmul(a, b):
+    """a·b, or [] when either factor has no rows."""
     if not a or not b:
         return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            x = ai[t]
-            if x:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += x * bt[j]
+    m = len(b[0])
+    out = []
+    for ai in a:
+        oi = [0] * m
+        for x, bt in compress(zip(ai, b), ai):
+            oi = [o + x * y for o, y in zip(oi, bt)]
+        out.append(oi)
     return out
 
 
 def is_zero_matrix(a):
-    return all(all(x == 0 for x in row) for row in a)
+    return not any(map(any, a))
 
 
 def det(a):
@@ -293,7 +293,7 @@ def _rank_and_torsion(a):
     rows = {}
     cols = {}
     for i, row in enumerate(a):
-        sparse = {j: x for j, x in enumerate(row) if x}
+        sparse = dict(zip(compress(count(), row), filter(None, row)))
         if sparse:
             rows[i] = sparse
             for j in sparse:

@@ -1,7 +1,6 @@
 """Trigraded complex: cohomology, Euler tables, Tutte specialization."""
 
 import itertools
-import random
 
 import pytest
 
@@ -28,6 +27,7 @@ from ckskit.intlinalg import (
     _rank_and_torsion,
     det,
     is_zero_matrix,
+    map_matrix,
     matmul,
     solve_exact,
 )
@@ -122,16 +122,17 @@ def test_delcon_exactness_theta():
 def test_cks_d2_reports_an_image_outside_the_stripe():
     ctx = GraphContext(THETA)
     c = ctx.cks
-    original = c.d_element
+    original = c.iota
 
-    def leaky(s, w, a):
-        # also send (∅, w, a) to a (1, q, r) label, one step off the stripe
-        out = original(s, w, a)
+    def leaky(s, e, w):
+        # also send (∅, w) to the q-wedge w over C({e}), where d needs
+        # (q − 1)-wedges: a (1, q, r) label, one step off the stripe
+        out = original(s, e, w)
         if not s and w:
-            out[(frozenset({w[0]}), w, a)] = 1
+            out[w] = 1
         return out
 
-    c.d_element = leaky
+    c.iota = leaky
     ok, witness = check_cks_d2(ctx)
     assert not ok
     assert witness == {"piece": (0, 1, 0), "reason": "d leaves the stripe"}
@@ -141,8 +142,8 @@ def test_cks_d2_reports_the_piece_where_d_squared_is_not_zero():
     ctx = GraphContext(THETA)
     c = ctx.cks
     # d sends each basis element to the sum of its target basis
-    c.d_element = lambda s, w, a: {
-        b: 1 for b in c.basis(len(s) + 1, len(w) - 1, len(a))}
+    c.d_matrix = lambda p, q, r: [[1] * c.dim(p, q, r)
+                                  for _ in c.basis(p + 1, q - 1, r)]
     ok, witness = check_cks_d2(ctx)
     assert not ok
     assert witness == {"piece": (0, 2, 0), "reason": "d^2 != 0"}
@@ -214,9 +215,10 @@ def test_chain_maps_agree_with_the_matmul_oracle_on_the_corpus():
 
 
 def test_chain_maps_and_the_oracle_detect_the_same_perturbations():
-    # add a target basis element to d of a source basis element, first or
-    # last in each, of one piece of one complex; the block (e ∈ T, e ∉ S)
-    # of d_mid is free, so some perturbations of the middle go unseen
+    # add one to the entry of d at a target and a source basis element,
+    # first or last in each, of one piece of one complex; the block
+    # (e ∈ T, e ∉ S) of d_mid is free, so some perturbations of the middle
+    # go unseen
     cases = detected = 0
     for dc in delcon_sequences(4):
         if dc.mid.genus > 2:
@@ -228,18 +230,18 @@ def test_chain_maps_and_the_oracle_detect_the_same_perturbations():
             src, tgt = c.basis(*key), c.basis(p + 1, q - 1, r)
             if not src or not tgt:
                 continue
-            original = c.d_element
+            original = c.d_matrix
 
-            def perturbed(*b, original=original, src=src[i], tgt=tgt[j]):
-                out = dict(original(*b))
-                if b == src:
-                    out[tgt] = out.get(tgt, 0) + 1
-                return out
+            def perturbed(*k, original=original, key=key, i=i, j=j):
+                m = original(*k)
+                if k == key:
+                    m[j][i] += 1
+                return m
 
-            c.d_element = perturbed
+            c.d_matrix = perturbed
             new = [dc.check_chain_maps(*k) for k in pieces(dc)]
             old = [chain_maps_by_matmul(dc, *k) for k in pieces(dc)]
-            del c.d_element
+            del c.d_matrix
             assert new == old, (dc.edge, key)
             cases += 1
             detected += not all(new)
@@ -251,6 +253,16 @@ def test_chain_maps_reject_a_broken_basis_split():
     assert dc.check_chain_maps(1, 1, 0)
     dc.quo.basis(1, 1, 0).reverse()
     assert not dc.check_chain_maps(1, 1, 0)
+
+
+def test_chain_maps_reject_a_broken_basis_split_where_d_has_no_target():
+    # at q = 0 the target (p + 1, −1, r) is empty and no d is built, but
+    # the split is still checked
+    dc = DelConCKS(DelConR(THETA, 0))
+    assert dc.quo.dim(0, 0, 1) == 2 and not dc.mid.dim(1, -1, 1)
+    assert dc.check_chain_maps(0, 0, 1)
+    dc.quo.basis(0, 0, 1).reverse()
+    assert not dc.check_chain_maps(0, 0, 1)
 
 
 def test_delcon_cks_builds_each_differential_once(monkeypatch):
@@ -269,72 +281,73 @@ def test_delcon_cks_builds_each_differential_once(monkeypatch):
     assert built and len(keys) == len(set(keys))
 
 
+def d_pieces(c):
+    """Every (p, q) piece of an HT complex, or (p, q, r) piece of a CKS
+    complex, with p from −1, the empty source of check_splitting."""
+    d = c.genus
+    if isinstance(c, CKSComplex):
+        return [(p, q, r) for p in range(-1, d + 1)
+                for q in range(d - p + 2) for r in range(d - p + 1)]
+    return [(p, q) for p in range(-1, d + 1) for q in range(d - p + 2)]
+
+
+def d_by_elements(c, p, q, *r):
+    """The element-wise oracle for d_matrix."""
+    return map_matrix(c.basis(p, q, *r), c.index(p + 1, q - 1, *r),
+                      lambda b: c.d_element(*b))
+
+
 @pytest.mark.parametrize("graphs", [
     [g for _, g in corpus.corpus_graphs(bound=4)], [THETA6], [W4],
 ], ids=["corpus4", "theta6", "w4"])
-def test_d_element_memo_agrees_with_a_fresh_complex(graphs):
-    # every HT and CKS basis element of each graph, grouped by (complex,
-    # face) into runs of one to three elements; the runs are shuffled, so
-    # the memo is both reused within a face and replaced between faces
-    # and complexes, and faces come back after others
-    runs = []
+def test_d_matrix_agrees_with_the_element_wise_oracle(graphs):
+    # both complexes of each graph, every piece in the order check_delcon_cks
+    # walks them (level outermost), so operators kept for a level are reused
+    pieces_seen = 0
     for g in graphs:
         cks = build_cks(g)
-        d = cks.genus
-        ht = HTComplex(g, cks.cc)
-        keys = [(ht, (p, q)) for p in range(d + 1) for q in range(d - p + 1)]
-        keys += [(cks, (p, q, r)) for p in range(d + 1)
-                 for q in range(d - p + 1) for r in range(d - p + 1)]
-        by_face = {}
-        for c, key in keys:
-            for b in c.basis(*key):
-                by_face.setdefault((c, b[0]), []).append((c, b))
-        rng = random.Random(len(by_face))
-        for group in by_face.values():
-            rng.shuffle(group)
-            while group:
-                n = rng.randint(1, 3)
-                runs.append(group[:n])
-                group = group[n:]
-    random.Random(len(runs)).shuffle(runs)
-    calls = 0
-    for run in runs:
-        for c, b in run:
-            assert c.d_element(*b) == type(c)(c.graph, c.cc).d_element(*b), b
-            calls += 1
-    assert calls > len(runs) > 0
+        for c in (HTComplex(g, cks.cc), cks):
+            for key in d_pieces(c):
+                assert c.d_matrix(*key) == d_by_elements(c, *key), (g, key)
+                pieces_seen += 1
+    assert pieces_seen
 
 
-def test_delcon_cks_restricts_once_per_face_run(monkeypatch):
-    # a face's run is a stretch of consecutive d_element calls on one
-    # (complex, face); within it no cocycle restriction is computed twice
-    log = []
-    original_d = HTComplex.d_element
+def test_delcon_cks_computes_each_operator_once_per_level(monkeypatch):
+    # within one (complex, level) of d_matrix calls, no (S, e, w) interior
+    # product and no (S, e, a) restriction is computed twice; a complex is
+    # named by its cotree, which DelConCKS gives each complex its own of
+    level = {}
+    seen = set()
+    calls = {"iota": 0, "restrict": 0}
+    original_d = CKSComplex.d_matrix
+    original_iota = HTComplex.iota
     original_restrict = CoherentCotree.restrict
 
-    def d_element(self, s, w, *a):
-        log.append(("d", self.cc, s))
-        return original_d(self, s, w, *a)
+    def once(kind, cc, *key):
+        key = (kind, cc, level[cc], *key)
+        assert key not in seen, key
+        seen.add(key)
+        calls[kind] += 1
+
+    def d_matrix(self, p, q, *r):
+        level[self.cc] = p
+        return original_d(self, p, q, *r)
+
+    def iota(self, s, e, w):
+        once("iota", self.cc, s, e, w)
+        return original_iota(self, s, e, w)
 
     def restrict(self, s, e, a):
-        log.append(("restrict", self, s, e, a))
+        once("restrict", self, s, e, a)
         return original_restrict(self, s, e, a)
 
-    monkeypatch.setattr(CKSComplex, "d_element", d_element)
+    monkeypatch.setattr(CKSComplex, "d_matrix", d_matrix)
+    monkeypatch.setattr(HTComplex, "iota", iota)
     monkeypatch.setattr(CoherentCotree, "restrict", restrict)
     report = run_checks(W4, ["delcon_cks"])
     assert report["delcon_cks"]["passed"], report
-    run, seen, restricts = None, set(), 0
-    for entry in log:
-        if entry[0] == "d":
-            if entry[1:] != run:
-                run, seen = entry[1:], set()
-            continue
-        key = entry[1:]
-        assert key[:2] == run and key not in seen, key
-        seen.add(key)
-        restricts += 1
-    assert restricts
+    assert calls["iota"] and calls["restrict"]
 
 
 def exact_piece(dc):

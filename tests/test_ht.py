@@ -194,16 +194,17 @@ def test_checks_share_one_delcon_setup_per_edge(monkeypatch):
 
 def test_ht_checks_report_an_image_outside_the_stripe():
     ctx = GraphContext(THETA)
-    original = ctx.ht.d_element
+    original = ctx.ht.iota
 
-    def leaky(s, w):
-        # also send (∅, w) to a (1, q) label, one step off the stripe
-        out = original(s, w)
+    def leaky(s, e, w):
+        # also send (∅, w) to the q-wedge w over C({e}), where d needs
+        # (q − 1)-wedges: a (1, q) label, one step off the stripe
+        out = original(s, e, w)
         if not s and w:
-            out[(fs(w[0]), w)] = 1
+            out[w] = 1
         return out
 
-    ctx.ht.d_element = leaky
+    ctx.ht.iota = leaky
     reason = "d leaves the stripe"
     assert check_ht_identities(ctx) == (False, {"piece": (0, 1), "reason": reason})
     for check in (check_ht_exactness, check_ht_cohomology):

@@ -18,6 +18,7 @@ from ckskit.intlinalg import (
     _rank_and_torsion,
     det,
     identity,
+    is_zero_matrix,
     map_matrix,
     matmul,
     rank,
@@ -213,6 +214,44 @@ def test_engine_matches_snf_on_small_matrices(a):
     got = _rank_and_torsion(a)
     assert got == snf_rank_and_torsion(a)
     assert_rank_mod_p_identity(a, *got)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """An n×k and a k×m integer matrix, any of n, k and m possibly 0, and m."""
+    n, k, m = (draw(st.integers(0, 6)) for _ in range(3))
+    entry = st.one_of(st.just(0), st.integers(-5, 5))
+    a = [[draw(entry) for _ in range(k)] for _ in range(n)]
+    b = [[draw(entry) for _ in range(m)] for _ in range(k)]
+    return a, b, m
+
+
+def matmul_by_loops(a, b, m):
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(m)]
+            for i in range(len(a))]
+
+
+def is_zero_by_loops(a):
+    for row in a:
+        for x in row:
+            if x != 0:
+                return False
+    return True
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(matrix_pairs())
+@example(([], [[1, 2]], 2))
+@example(([[], []], [], 3))
+@example(([[1, 2]], [[], []], 0))
+@example(([[0, 3], [0, 0]], [[5, 5], [0, -1]], 2))
+def test_matmul_and_is_zero_matrix_match_plain_loops(pair):
+    a, b, m = pair
+    product = matmul(a, b)
+    # matmul gives [] for a product with a factor of no rows
+    assert product == (matmul_by_loops(a, b, m) if a and b else [])
+    for x in (a, b, product):
+        assert is_zero_matrix(x) == is_zero_by_loops(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Properties on random small connected multigraphs in random edge orders:
 the Tutte routes agree, h_hat is the loop specialization, the Euler
-table does not depend on the edge order, and the periodization checks
-pass."""
+table does not depend on the edge order, the periodization checks pass,
+and d_matrix is the element-wise differential."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckskit.activity import tutte, tutte_by_activity
 from ckskit.checks import GraphContext, run_checks
-from ckskit.cks import euler_table, h_hat, tutte_loop_specialization
+from ckskit.cks import build_cks, euler_table, h_hat, tutte_loop_specialization
 from ckskit.graphs import build_graph
+from ckskit.ht import HTComplex
+from ckskit.intlinalg import map_matrix
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -61,3 +63,17 @@ def test_euler_table_ignores_the_edge_order(edges, data):
 def test_periodization_checks_pass(edges, data):
     report = run_checks(ordered(edges, data), ["periodize"])["periodize"]
     assert report["passed"], report
+
+
+@settings(SETTINGS, max_examples=100)
+@given(edge_lists(), st.data())
+def test_d_matrix_is_the_element_wise_differential(edges, data):
+    cks = build_cks(ordered(edges, data))
+    d = cks.genus
+    pieces = [(p, q) for p in range(d + 1) for q in range(d - p + 1)]
+    for c, keys in ((HTComplex(cks.graph, cks.cc), pieces),
+                    (cks, [(p, q, r) for p, q in pieces for r in range(d - p + 1)])):
+        for p, q, *r in keys:
+            assert c.d_matrix(p, q, *r) == map_matrix(
+                c.basis(p, q, *r), c.index(p + 1, q - 1, *r),
+                lambda b: c.d_element(*b)), (p, q, *r)
