@@ -265,7 +265,7 @@ def _component_count(graph, edges):
 
 def tutte(graph):
     """Rank-nullity (corank-nullity) sum over all edge subsets."""
-    _guard(graph, "the Tutte polynomial")
+    _guard(graph.n_edges, "the Tutte polynomial")
     edges = list(graph.order)
     n = graph.n_vertices
     out = {}

@@ -14,7 +14,7 @@ from . import periodize as periodize_mod
 from .activity import coherent_cotree, h_polynomial, tutte
 from .corpus import corpus_graphs
 from .errors import CksKitError, ParseError, ResourceGuard
-from .graphs import Graph, face_complex, graph_from_dsl, graph_from_json
+from .graphs import Graph, _guard, face_complex, graph_from_dsl, graph_from_json
 
 SCHEMA = 1
 PERIODIZE_MAX_LEVEL = 2
@@ -284,11 +284,12 @@ def _corpus_worker(item):
 def cmd_corpus(args):
     if args.jobs < 1:
         raise ParseError(f"--jobs must be at least 1, not {args.jobs}")
+    names = _parse_checks(args.checks)
+    _guard(args.bound, f"corpus --bound {args.bound}")
     try:
         graphs = corpus_graphs(bound=args.bound)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    names = _parse_checks(args.checks)
     items = [(f"{label}#{i}" if label == "enum" else label, g, names, "min")
              for i, (label, g) in enumerate(graphs)]
     jobs = min(args.jobs, len(items))

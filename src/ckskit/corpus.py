@@ -6,8 +6,6 @@ isomorphism class, plus a handful of named graphs used by the golden
 tests.  enumerate_connected_multigraphs says how the classes are found.
 """
 
-import itertools
-
 from .graphs import build_graph, wedge
 
 
@@ -48,58 +46,59 @@ def named_graphs():
 # ---------------------------------------------------------------------------
 # exhaustive enumeration up to isomorphism
 
-def _least_relabeling(pairs, perms):
-    """Least sorted edge multiset over the vertex relabelings v -> p[v]."""
-    return min(tuple(sorted((min(p[a], p[b]), max(p[a], p[b])) for a, b in pairs))
-               for p in perms)
+def _least_form(n_verts, pairs):
+    """The canonical form of a multigraph: its least sorted edge multiset,
+    each edge read (low, high), over all relabelings of 0..n_verts-1.
 
-
-def _canonical_form(n_verts, pairs):
-    """Minimal edge multiset over all vertex relabelings (orientation and
-    edge labels are immaterial for isomorphism of multigraphs)."""
-    return _least_relabeling(pairs, itertools.permutations(range(n_verts)))
-
-
-def _refined_key(n_verts, pairs):
-    """Colour-refined canonical key (McKay–Piperno 2014): colour each vertex
-    by (degree, loops), refine twice by its neighbours' sorted colours, and
-    permute only within a colour.  Colours are invariants, so two graphs'
-    keys (sorted colours, least edge multiset) agree iff they are isomorphic."""
+    Branch and bound: the labels 0, 1, ... are given one vertex at a time,
+    and a vertex without a label reads as k, the next label.  Each edge
+    then reads at most its final pair, so the sorted reading bounds every
+    completion from below, and a branch whose bound is not below the best
+    complete form is dropped.  Twins, two vertices with the same loops and
+    the same edges to every other vertex, are swapped by an automorphism,
+    so one vertex of each twin class is tried per label."""
     verts = range(n_verts)
-    nbrs = [[a + b - v for a, b in pairs if v in (a, b) and a != b] for v in verts]
-    colour = [(sum((a == v) + (b == v) for a, b in pairs),
-               sum(a == b == v for a, b in pairs)) for v in verts]
-    for _ in range(2):
-        sig = [(colour[v], sorted(colour[u] for u in nbrs[v])) for v in verts]
-        colour = [sorted(sig).index(x) for x in sig]
-    ranked = sorted(colour)
-    order = sorted(verts, key=colour.__getitem__)  # ranked[i] is colour[order[i]]
-    classes = [range(ranked.index(c), ranked.index(c) + ranked.count(c))
-               for c in sorted(set(ranked))]
-    perms = (dict(zip(order, sum(choice, ())))
-             for choice in itertools.product(*map(itertools.permutations, classes)))
-    return tuple(ranked), _least_relabeling(pairs, perms)
+    adj = [[0] * n_verts for _ in verts]
+    for a, b in pairs:
+        adj[a][b] += 1
+        adj[b][a] += a != b
+    twin = [next(u for u in verts if adj[u][u] == adj[v][v] and all(
+        adj[u][x] == adj[v][x] for x in verts if x not in (u, v))) for v in verts]
+
+    def search(at, k, best):  # at[v] is v's label, or k while v has none
+        up = [x + (x == k) for x in at]
+        children = {}
+        for v in verts:
+            if at[v] == k and twin[v] not in children:
+                r = up[:v] + [k] + up[v + 1:]
+                children[twin[v]] = tuple(sorted(
+                    (r[a], r[b]) if r[a] <= r[b] else (r[b], r[a]) for a, b in pairs)), r
+        for bound, child in sorted(children.values()):
+            if bound < best:
+                best = search(child, k + 1, best) if k + 1 < n_verts else bound
+        return best
+
+    return search([0] * n_verts, 0, ((n_verts, n_verts),))  # above every form
 
 
 def enumerate_connected_multigraphs(max_edges):
     """One Graph per isomorphism class of connected multigraphs with
-    1..max_edges edges, in (edge count, canonical form) order.
+    1..max_edges edges, in (edge count, least form) order.
 
-    The classes grow by one edge (McKay 1998) from the loop and the bridge:
-    each (m-1)-edge class gains a loop, an edge, or a pendant edge to a new
-    vertex, deduplicated by _refined_key.  Every connected graph arises so:
-    delete a loop, a non-bridge edge, or a tree's leaf.  _canonical_form,
-    once per class, fixes order and representatives: `corpus` names each
-    class enum#i by its place and checks the graph built from the form."""
-    level = {_refined_key(1, [(0, 0)]), _refined_key(2, [(0, 1)])}
-    out = []
-    for m in range(1, max_edges + 1):
-        if m > 1:
-            level = {_refined_key(n + (b == n), edges + ((a, b),))
-                     for n, edges in ((len(c), edges) for c, edges in level)
-                     for a in range(n) for b in range(a, n + 1)}
-        forms = sorted(_canonical_form(len(c), edges) for c, edges in level)
-        out.extend(build_graph(list(form)) for form in forms)
+    The classes grow by one edge (McKay 1998) from the one-vertex graph:
+    each class on m-1 edges, kept as its _least_form on the vertices
+    0..n-1 (n is one more than its largest label), gains a loop, an edge,
+    or a pendant edge to the new vertex n, and the children are
+    deduplicated by their _least_form.  Every connected graph arises so:
+    delete a loop, a non-bridge edge, or a tree's leaf.  `corpus` names
+    each class enum#i by its place in this order and checks the graph its
+    form spells out."""
+    level, out = {()}, []
+    for _ in range(max_edges):
+        level = {_least_form(n + (b == n), form + ((a, b),))
+                 for form in level for n in [1 + max((b for _, b in form), default=0)]
+                 for a in range(n) for b in range(a, n + 1)}
+        out.extend(build_graph(list(form)) for form in sorted(level))
     return out
 
 
@@ -109,10 +108,10 @@ def corpus_graphs(bound=5):
     if bound < 1:
         raise ValueError("corpus bound must be at least 1")
     graphs = [("enum", g) for g in enumerate_connected_multigraphs(bound)]
-    seen = {_refined_key(g.n_vertices, g.ends(g.order)) for _, g in graphs}
+    seen = {_least_form(g.n_vertices, g.ends(g.order)) for _, g in graphs}
     for name, g in named_graphs().items():
-        key = _refined_key(g.n_vertices, g.ends(g.order))
-        if key not in seen:
-            seen.add(key)
+        form = _least_form(g.n_vertices, g.ends(g.order))
+        if form not in seen:
+            seen.add(form)
             graphs.append((name, g))
     return graphs

@@ -270,7 +270,7 @@ def graph_to_json(graph):
 # ---------------------------------------------------------------------------
 # matroid queries
 
-def _guard(graph, what):
+def _guard(n_edges, what):
     """Refuse exhaustive subset enumerations beyond CKS_KIT_MAX_ENUM_EDGES
     edges (default 14), read at each call."""
     raw = os.environ.get("CKS_KIT_MAX_ENUM_EDGES", "14")
@@ -279,9 +279,9 @@ def _guard(graph, what):
     except ValueError:
         raise ParseError(
             f"CKS_KIT_MAX_ENUM_EDGES must be an integer, got {raw!r}") from None
-    if graph.n_edges > limit:
+    if n_edges > limit:
         raise ResourceGuard(
-            f"{what} enumerates subsets of {graph.n_edges} edges "
+            f"{what} enumerates subsets of {n_edges} edges "
             f"(limit {limit}; set CKS_KIT_MAX_ENUM_EDGES to raise)")
 
 
@@ -294,7 +294,7 @@ def is_independent(graph, edges):
 
 def enumerate_cycles(graph):
     """All circuits: connected subgraphs in which every vertex has degree 2."""
-    _guard(graph, "cycle enumeration")
+    _guard(graph.n_edges, "cycle enumeration")
     out = []
     edges = graph.sort_edges(graph.eids)
     for r in range(1, len(edges) + 1):
@@ -318,7 +318,7 @@ def _is_circuit(graph, edges):
 
 def enumerate_bonds(graph):
     """All minimal edge cuts."""
-    _guard(graph, "bond enumeration")
+    _guard(graph.n_edges, "bond enumeration")
     edges = graph.sort_edges(graph.eids)
     cuts = []
     for r in range(1, len(edges) + 1):
@@ -376,7 +376,7 @@ class FaceComplex:
 
 def face_complex(graph):
     """All edge sets containing no bond (so deletion keeps connectivity)."""
-    _guard(graph, "face enumeration")
+    _guard(graph.n_edges, "face enumeration")
     d = graph.genus()
     edges = graph.sort_edges(graph.eids)
     levels = []
@@ -401,7 +401,7 @@ def is_spanning_cotree(graph, edges):
 
 def spanning_cotrees(graph):
     """Spanning cotrees in lexicographic order of the edge order."""
-    _guard(graph, "cotree enumeration")
+    _guard(graph.n_edges, "cotree enumeration")
     d = graph.genus()
     edges = graph.sort_edges(graph.eids)
     return [frozenset(c) for c in itertools.combinations(edges, d)

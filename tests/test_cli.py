@@ -225,6 +225,25 @@ def test_corpus_rejects_jobs_below_one(jobs, capsys):
     assert err == f"error: --jobs must be at least 1, not {jobs}\n"
 
 
+def test_corpus_bound_above_the_edge_cap_exits_3_before_enumerating(monkeypatch, capsys):
+    bounds = []
+    monkeypatch.setattr(cli, "corpus_graphs", lambda bound: bounds.append(bound) or [])
+    monkeypatch.setenv("CKS_KIT_MAX_ENUM_EDGES", "4")
+    code, out, err = run_cli(["corpus", "--bound", "5"], capsys)
+    assert (code, out, bounds) == (3, "", [])
+    assert err == ("error: corpus --bound 5 enumerates subsets of 5 edges "
+                   "(limit 4; set CKS_KIT_MAX_ENUM_EDGES to raise)\n")
+    code, _, _ = run_cli(["corpus", "--bound", "4"], capsys)
+    assert (code, bounds) == (0, [4])
+
+
+def test_corpus_rejects_an_unknown_check_before_enumerating(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "corpus_graphs", lambda bound: pytest.fail("enumerated"))
+    code, out, err = run_cli(["corpus", "--bound", "7", "--checks", "nosuch"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown check 'nosuch'")
+
+
 def test_corpus_pool_is_no_larger_than_the_corpus(monkeypatch, capsys):
     sizes = []
 

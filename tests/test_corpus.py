@@ -1,5 +1,6 @@
 """Corpus enumeration: the grown classes against the multiset oracle, and
-the colour-refined key against the all-permutation canonical form."""
+the branch-and-bound least form against the all-permutation canonical
+form."""
 
 import hashlib
 import itertools
@@ -10,13 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckskit import corpus
-from ckskit.corpus import _canonical_form, _refined_key
+from ckskit.corpus import _least_form
 from ckskit.graphs import build_graph, union_find
 
 # sha256 of the JSON list of (head, tail) edge lists of
-# enumerate_connected_multigraphs(5), as the multiset enumerator gave it
+# enumerate_connected_multigraphs(5), as the multiset enumerator gave it,
+# and of enumerate_connected_multigraphs(7), as the all-permutation
+# canonical form ordered it
 BOUND5_SHA256 = "74228718504fc2cd6e21d628356fe63310cf1cc6bf54f996db068d82b0411066"
-CLASSES_PER_EDGE_COUNT = [2, 4, 11, 30, 95, 328]
+BOUND7_SHA256 = "c0feeb62386d5a73e711d41b705ec3e94e23f7884ce08aeb3bf127d5cce7d5a3"
+CLASSES_PER_EDGE_COUNT = [2, 4, 11, 30, 95, 328, 1211]
+
+
+def canonical_form(n_verts, pairs):
+    """The oracle: the least sorted edge multiset over all n_verts!
+    vertex relabelings v -> p[v]."""
+    return min(tuple(sorted((min(p[a], p[b]), max(p[a], p[b])) for a, b in pairs))
+               for p in itertools.permutations(range(n_verts)))
 
 
 def connected_multisets(m):
@@ -33,10 +44,10 @@ def connected_multisets(m):
 
 def enumerate_by_multisets(max_edges):
     """The oracle: every connected edge multiset, one Graph per distinct
-    _canonical_form, in (edge count, form) order."""
+    canonical_form, in (edge count, form) order."""
     out = []
     for m in range(1, max_edges + 1):
-        forms = {_canonical_form(v, multi) for v, multi in connected_multisets(m)}
+        forms = {canonical_form(v, multi) for v, multi in connected_multisets(m)}
         out.extend(build_graph(list(form)) for form in sorted(forms))
     return out
 
@@ -46,8 +57,8 @@ def edge_lists(graphs):
 
 
 @pytest.fixture(scope="module")
-def six_edge_classes():
-    return corpus.enumerate_connected_multigraphs(6)
+def seven_edge_classes():
+    return corpus.enumerate_connected_multigraphs(7)
 
 
 def test_matches_the_multiset_oracle_up_to_four_edges():
@@ -57,51 +68,44 @@ def test_matches_the_multiset_oracle_up_to_four_edges():
     assert [g.n_vertices for g in new] == [g.n_vertices for g in old]
 
 
-def test_class_counts_per_edge_count(six_edge_classes):
-    counts = [sum(1 for g in six_edge_classes if g.n_edges == m)
-              for m in range(1, 7)]
+def test_class_counts_per_edge_count(seven_edge_classes):
+    counts = [sum(1 for g in seven_edge_classes if g.n_edges == m)
+              for m in range(1, 8)]
     assert counts == CLASSES_PER_EDGE_COUNT
 
 
-def test_representatives_have_distinct_canonical_forms(six_edge_classes):
-    reps = [g for g in six_edge_classes if g.n_edges <= 5]
+def test_representatives_have_distinct_canonical_forms(seven_edge_classes):
+    reps = [g for g in seven_edge_classes if g.n_edges <= 5]
     assert len(reps) == 142
-    forms = {_canonical_form(g.n_vertices, g.ends(g.order)) for g in reps}
+    forms = {canonical_form(g.n_vertices, g.ends(g.order)) for g in reps}
     assert len(forms) == len(reps)
 
 
-def test_bound_five_edge_lists_are_pinned(six_edge_classes):
+def test_bound_five_edge_lists_are_pinned(seven_edge_classes):
     five = corpus.enumerate_connected_multigraphs(5)
     text = json.dumps(edge_lists(five))
     assert hashlib.sha256(text.encode()).hexdigest() == BOUND5_SHA256
-    assert edge_lists(five) == edge_lists(six_edge_classes[:142])
+    assert edge_lists(five) == edge_lists(seven_edge_classes[:142])
 
 
-def test_canonical_form_runs_once_per_class(monkeypatch):
-    calls = []
-    original = corpus._canonical_form
-
-    def counting(n_verts, pairs):
-        calls.append(n_verts)
-        return original(n_verts, pairs)
-
-    monkeypatch.setattr(corpus, "_canonical_form", counting)
-    graphs = corpus.corpus_graphs(5)
-    assert [name for name, _ in graphs if name != "enum"] == ["k4"]
-    assert len(calls) == 142
+def test_bound_seven_edge_lists_are_pinned(seven_edge_classes):
+    text = json.dumps(edge_lists(seven_edge_classes))
+    assert hashlib.sha256(text.encode()).hexdigest() == BOUND7_SHA256
 
 
-def test_refined_key_partitions_like_the_canonical_form():
-    # every connected edge multiset with at most four edges: two of them
-    # share a key exactly when they share a canonical form
+def test_corpus_adds_the_named_graphs_of_classes_not_enumerated():
+    # loop, bridge and loop-wedge-loop have at most two edges, theta three
+    # and k4 six; none of them is listed twice
+    for bound, named in ((2, ["theta", "k4"]), (5, ["k4"]), (6, [])):
+        graphs = corpus.corpus_graphs(bound)
+        assert [name for name, _ in graphs if name != "enum"] == named
+
+
+def test_least_form_is_the_canonical_form_up_to_four_edges():
+    # every connected edge multiset with at most four edges
     for m in range(1, 5):
-        by_form = {}
         for v, multi in connected_multisets(m):
-            by_form.setdefault(_canonical_form(v, multi), set()).add(
-                _refined_key(v, multi))
-        keys = [next(iter(ks)) for ks in by_form.values()]
-        assert all(len(ks) == 1 for ks in by_form.values())
-        assert len(set(keys)) == len(keys)
+            assert _least_form(v, multi) == canonical_form(v, multi)
 
 
 @st.composite
@@ -125,14 +129,14 @@ def relabeled(data, n, pairs):
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(multigraphs(), st.data())
-def test_refined_key_ignores_labels_and_edge_order(graph, data):
+def test_least_form_ignores_labels_and_edge_order(graph, data):
     n, pairs = graph
-    assert _refined_key(n, relabeled(data, n, pairs)) == _refined_key(n, pairs)
+    assert _least_form(n, relabeled(data, n, pairs)) == _least_form(n, pairs)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(multigraphs(), st.data())
-def test_refined_keys_agree_exactly_when_canonical_forms_do(graph, data):
+def test_least_form_is_the_canonical_form(graph, data):
     # the second graph is a relabeled copy, often with one edge moved, so
     # that both equal and near-miss pairs occur
     n, pairs = graph
@@ -141,5 +145,5 @@ def test_refined_keys_agree_exactly_when_canonical_forms_do(graph, data):
         i = data.draw(st.integers(0, len(other) - 1))
         vertex = st.integers(0, n - 1)
         other[i] = (data.draw(vertex), data.draw(vertex))
-    same_key = _refined_key(n, pairs) == _refined_key(n, other)
-    assert same_key == (_canonical_form(n, pairs) == _canonical_form(n, other))
+    assert _least_form(n, pairs) == canonical_form(n, pairs)
+    assert _least_form(n, other) == canonical_form(n, other)
