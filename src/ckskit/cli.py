@@ -290,6 +290,9 @@ def cmd_corpus(args):
         graphs = corpus_graphs(bound=args.bound)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    # the named graphs can have more edges than the bound
+    _guard(max((g.n_edges for _, g in graphs), default=0),
+           f"corpus --bound {args.bound} with its named graphs")
     items = [(f"{label}#{i}" if label == "enum" else label, g, names, "min")
              for i, (label, g) in enumerate(graphs)]
     jobs = min(args.jobs, len(items))

@@ -3,7 +3,7 @@
 The corpus enumerates all connected multigraphs (loops and parallel edges
 allowed) with at most a given number of edges, one representative per
 isomorphism class, plus a handful of named graphs used by the golden
-tests.  enumerate_connected_multigraphs says how the classes are found.
+tests.  _least_forms says how the classes are found.
 """
 
 from .graphs import build_graph, wedge
@@ -81,25 +81,29 @@ def _least_form(n_verts, pairs):
     return search([0] * n_verts, 0, ((n_verts, n_verts),))  # above every form
 
 
-def enumerate_connected_multigraphs(max_edges):
-    """One Graph per isomorphism class of connected multigraphs with
-    1..max_edges edges, in (edge count, least form) order.
+def _least_forms(max_edges):
+    """The _least_form of every isomorphism class of connected multigraphs
+    with 1..max_edges edges, in (edge count, least form) order.
 
     The classes grow by one edge (McKay 1998) from the one-vertex graph:
     each class on m-1 edges, kept as its _least_form on the vertices
     0..n-1 (n is one more than its largest label), gains a loop, an edge,
     or a pendant edge to the new vertex n, and the children are
     deduplicated by their _least_form.  Every connected graph arises so:
-    delete a loop, a non-bridge edge, or a tree's leaf.  `corpus` names
-    each class enum#i by its place in this order and checks the graph its
-    form spells out."""
+    delete a loop, a non-bridge edge, or a tree's leaf."""
     level, out = {()}, []
     for _ in range(max_edges):
         level = {_least_form(n + (b == n), form + ((a, b),))
                  for form in level for n in [1 + max((b for _, b in form), default=0)]
                  for a in range(n) for b in range(a, n + 1)}
-        out.extend(build_graph(list(form)) for form in sorted(level))
+        out.extend(sorted(level))
     return out
+
+
+def enumerate_connected_multigraphs(max_edges):
+    """The graph each of _least_forms spells out, in that order; `corpus`
+    names each class enum#i by its place in it."""
+    return [build_graph(list(form)) for form in _least_forms(max_edges)]
 
 
 def corpus_graphs(bound=5):
@@ -107,8 +111,9 @@ def corpus_graphs(bound=5):
     named graphs of the classes not among them."""
     if bound < 1:
         raise ValueError("corpus bound must be at least 1")
-    graphs = [("enum", g) for g in enumerate_connected_multigraphs(bound)]
-    seen = {_least_form(g.n_vertices, g.ends(g.order)) for _, g in graphs}
+    forms = _least_forms(bound)
+    graphs = [("enum", build_graph(list(form))) for form in forms]
+    seen = set(forms)
     for name, g in named_graphs().items():
         form = _least_form(g.n_vertices, g.ends(g.order))
         if form not in seen:

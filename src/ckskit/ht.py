@@ -19,6 +19,8 @@ that basis.
 """
 
 import itertools
+import math
+from collections import Counter
 
 from .activity import CoherentCotree, coherent_cotree
 from .errors import (
@@ -57,6 +59,8 @@ class HTComplex:
         self.genus = cc.faces.genus
         self._basis = {}
         self._index = {}
+        # level p -> how many faces S of size p have |C(S)| = c, for dim
+        self._sizes = {}
         # the level d_matrix was last called at, and the iota and restrict
         # operators it keeps for that level
         self._level = None
@@ -84,8 +88,20 @@ class HTComplex:
         self.basis(*key)
         return self._index[key]
 
-    def dim(self, *key):
-        return len(self.basis(*key))
+    def dim(self, p, *ns):
+        """len(basis(p, *ns)), counted without building the basis: the sum
+        over the faces S of size p of the product of C(|C(S)|, n) over the
+        wedge sizes n, from one histogram of |C(S)| per level.  A cached
+        basis gives its length."""
+        key = (p, *ns)
+        if key in self._basis:
+            return len(self._basis[key])
+        if not (0 <= p <= self.genus and all(0 <= n <= self.genus - p for n in ns)):
+            return 0
+        if p not in self._sizes:
+            self._sizes[p] = Counter(len(self.cc.C(s)) for s in self.faces.levels[p])
+        return sum(count * math.prod(math.comb(c, n) for n in ns)
+                   for c, count in self._sizes[p].items())
 
     def _wedges(self, s, n):
         """The increasing n-wedges of C(S), in basis order."""

@@ -14,6 +14,7 @@ dense Smith normal form.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import compress, count
 
 from .errors import NotAComplex, OutsideBasis
@@ -276,45 +277,55 @@ def smith_normal_form(a):
 # ---------------------------------------------------------------------------
 # sparse unit-pivot elimination
 
-def _rank_and_torsion(a):
-    """(rank, invariant factors > 1) of an integer matrix.
+def _columns(a):
+    """{j: {i: a[i][j]}} over the nonzero entries of dense rows a."""
+    cols = {}
+    for i, row in compress(enumerate(a), map(any, a)):
+        for j in compress(count(), row):
+            cols.setdefault(j, {})[i] = row[j]
+    return cols
 
-    Eliminates unit pivots first, after Dumas, Saunders and Villard, "On
-    efficient sparse integer matrix Smith normal form computations" (J.
-    Symb. Comp. 2001).  The matrix is held as a dict of sparse rows plus
-    a column -> row-set index.  Each step picks a ±1 entry of least
-    Markowitz cost (row nnz − 1)·(col nnz − 1), clears its column by row
-    operations and drops its row and column: the unit column operations
-    that would clear the row touch nothing else, so the pivot contributes
-    one invariant factor 1 and leaves the Smith form of the rest
-    unchanged.  Only a residual core without unit entries goes to
-    smith_normal_form; CKS and HT differentials leave none.
+
+def _rank_and_torsion(a):
+    """(rank, invariant factors > 1) of dense rows a, by _factor."""
+    return _factor(_columns(a))
+
+
+def _factor(columns):
+    """(rank, invariant factors > 1) of the matrix with these _columns,
+    which it leaves unchanged.
+
+    Eliminates unit pivots first (Dumas, Saunders and Villard, J. Symb.
+    Comp. 2001) on sparse rows with a column -> row-set index.  A heap
+    queues the columns by entry count; each step pops the shortest and
+    pivots on a ±1 in the shortest of its rows, or skips a column without
+    one.  The pivot clears its column by row operations and drops its row
+    and column, giving an invariant factor 1 (the column operations that
+    would clear its row touch nothing else).  The pivot row's columns
+    changed and are queued again, so the loop ends when every remaining
+    column was examined after its last change and had no unit entry.
+    Only that residual core goes to smith_normal_form; CKS and HT
+    differentials leave none.
     """
     rows = {}
-    cols = {}
-    for i, row in enumerate(a):
-        sparse = dict(zip(compress(count(), row), filter(None, row)))
-        if sparse:
-            rows[i] = sparse
-            for j in sparse:
-                cols.setdefault(j, set()).add(i)
+    for j, col in columns.items():
+        for i, x in col.items():
+            rows.setdefault(i, {})[j] = x
+    cols = {j: set(col) for j, col in columns.items()}
+    queue = sorted((len(col), j) for j, col in cols.items())  # a heap
     pivots = 0
-    while True:
-        best = None
-        for j, col in cols.items():
-            other = len(col) - 1
-            for i in col:
-                row = rows[i]
-                if row[j] in (1, -1):
-                    cost = (len(row) - 1) * other
-                    if best is None or cost < best:
-                        best, pi, pj = cost, i, j
-                        if not cost:
-                            break
-            if best == 0:
-                break
-        if best is None:
-            break
+    while queue:
+        n, pj = heappop(queue)
+        col = cols.get(pj)
+        if col is None or len(col) != n:
+            continue  # pivoted away, or queued again since this entry
+        pi = None
+        for i in col:
+            row = rows[i]
+            if row[pj] in (1, -1) and (pi is None or len(row) < len(rows[pi])):
+                pi = i
+        if pi is None:
+            continue
         pivots += 1
         prow = rows.pop(pi)
         unit = prow.pop(pj)
@@ -338,7 +349,9 @@ def _rank_and_torsion(a):
             if not row:
                 del rows[i]
         for j in prow:
-            if not cols[j]:
+            if cols[j]:
+                heappush(queue, (len(cols[j]), j))
+            else:
                 del cols[j]
     if not rows:
         return pivots, []
@@ -355,16 +368,15 @@ class CochainComplex:
     """Finitely many free Z-modules with integer differentials.
 
     bases: dict degree -> list of hashable basis labels
-    diffs: dict degree n -> matrix of d_n: C^n -> C^{n+1}
-           (shape |C^{n+1}| x |C^n|; omitted when either side is zero)
+    diffs: dict degree n -> matrix of d_n: C^n -> C^{n+1}, as dense rows
+           (shape |C^{n+1}| x |C^n|; omitted when either side is zero),
+           turned into sparse columns once for the d² check and cohomology
     """
 
     def __init__(self, bases, diffs):
         self.bases = {n: list(labels) for n, labels in bases.items() if labels}
-        self.diffs = {}
-        for n, m in diffs.items():
-            if m and m[0] and not is_zero_matrix(m):
-                self.diffs[n] = m
+        self._columns = {n: cols for n, m in diffs.items() if (cols := _columns(m))}
+        self.diffs = {n: diffs[n] for n in self._columns}
         self._check_shapes()
         self._check_d2()
 
@@ -380,9 +392,16 @@ class CochainComplex:
                 raise ValueError(f"differential at degree {n} has wrong shape")
 
     def _check_d2(self):
-        for n in self.diffs:
-            if (n + 1) in self.diffs:
-                if not is_zero_matrix(matmul(self.diffs[n + 1], self.diffs[n])):
+        """NotAComplex(n) at the first n with d_{n+1}·d_n ≠ 0.  Column j of
+        the product is Σ_k d_n[k][j] · (column k of d_{n+1})."""
+        for n, a in self._columns.items():
+            b = self._columns.get(n + 1, {})
+            for col in a.values():
+                out = {}
+                for k, x in col.items():
+                    for i, y in b.get(k, {}).items():
+                        out[i] = out.get(i, 0) + x * y
+                if any(out.values()):
                     raise NotAComplex(n)
 
     def cohomology(self):
@@ -392,7 +411,7 @@ class CochainComplex:
         on both sides and its invariant factors give the torsion of the
         degree it maps into.
         """
-        facts = {n: _rank_and_torsion(m) for n, m in self.diffs.items()}
+        facts = {n: _factor(cols) for n, cols in self._columns.items()}
         out = {}
         for n in self.degrees():
             rank_out = facts.get(n, (0, []))[0]

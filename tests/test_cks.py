@@ -313,6 +313,33 @@ def test_d_matrix_agrees_with_the_element_wise_oracle(graphs):
     assert pieces_seen
 
 
+@pytest.mark.parametrize("graphs", [
+    [g for _, g in corpus.corpus_graphs(bound=4)], [THETA6], [W4],
+], ids=["corpus4", "theta6", "w4"])
+def test_dim_counts_each_basis_without_building_it(graphs):
+    # every HT and CKS piece, with p from −1 and q, r up to genus + 1, of
+    # each graph and of the three complexes of each of its DelConCKS
+    pieces_seen = 0
+    for g in graphs:
+        cks = build_cks(g)
+        ctx = GraphContext(g)
+        complexes = [HTComplex(g, cks.cc), cks]
+        for e in ctx.admissible_edges():
+            dc = DelConCKS(ctx.delcon(e))
+            complexes += [dc.mid, dc.sub, dc.quo]
+        for c in complexes:
+            ns = range(c.genus + 2)
+            keys = [(p, *rest) for p in range(-1, c.genus + 2) for rest in
+                    itertools.product(ns, repeat=2 if isinstance(c, CKSComplex) else 1)]
+            dims = [c.dim(*key) for key in keys]
+            assert not c._basis
+            assert dims == [len(c.basis(*key)) for key in keys], g
+            # now from the cached bases
+            assert dims == [c.dim(*key) for key in keys]
+            pieces_seen += len(keys)
+    assert pieces_seen
+
+
 def test_delcon_cks_computes_each_operator_once_per_level(monkeypatch):
     # within one (complex, level) of d_matrix calls, no (S, e, w) interior
     # product and no (S, e, a) restriction is computed twice; a complex is

@@ -1,5 +1,6 @@
 """Command-line driver: goldens, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -51,6 +52,40 @@ def test_cks_computes_cohomology_once(monkeypatch, capsys):
     monkeypatch.setattr(cks, "cks_cohomology", None)
     code, _, _ = run_cli(["cks", "--inline", THETA_INLINE], capsys)
     assert code == 0 and built and len(built) == len(set(built))
+
+
+def test_cks_builds_no_basis_of_the_delcon_complexes(monkeypatch, capsys):
+    # the recurrence checks need only dimensions, which dim counts
+    from ckskit import cks
+    made = []
+    original = cks.DelConCKS.__init__
+
+    def recording(self, setup):
+        original(self, setup)
+        made.append(self)
+
+    monkeypatch.setattr(cks.DelConCKS, "__init__", recording)
+    code, _, _ = run_cli(["cks", "--inline", " ".join(["v0-v1"] * 6)], capsys)
+    assert code == 0 and len(made) == 6
+    assert not any(c._basis for dc in made for c in (dc.mid, dc.sub, dc.quo))
+
+
+# inline graph and sha256 of `cks` stdout, computed with the Markowitz-scan
+# elimination and the dense d² check
+CKS_STDOUT_SHA256 = {
+    "theta7": ("v0-v1 v0-v1 v0-v1 v0-v1 v0-v1 v0-v1 v0-v1",
+               "a1918d125566b0f2a916cc9aafa3a99b7e83f07e6b51c045234f349bcbc5fe59"),
+    "w5": ("v0-v1 v0-v2 v0-v3 v0-v4 v0-v5 v1-v2 v2-v3 v3-v4 v4-v5 v5-v1",
+           "d1e391f09c1c722d437aad8ee466654ba4791974fbb6a196b41fe0fb76959eef"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CKS_STDOUT_SHA256))
+def test_cks_stdout_is_pinned(name, capsys):
+    inline, digest = CKS_STDOUT_SHA256[name]
+    code, out, err = run_cli(["cks", "--inline", inline], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("args", [
@@ -235,6 +270,17 @@ def test_corpus_bound_above_the_edge_cap_exits_3_before_enumerating(monkeypatch,
                    "(limit 4; set CKS_KIT_MAX_ENUM_EDGES to raise)\n")
     code, _, _ = run_cli(["corpus", "--bound", "4"], capsys)
     assert (code, bounds) == (0, [4])
+
+
+def test_corpus_guards_its_named_graphs_before_any_check(monkeypatch, capsys):
+    # K4, six edges, joins a bound-4 corpus that passes the bound guard
+    monkeypatch.setattr(cli.checks_mod, "run_checks",
+                        lambda *args, **kwargs: pytest.fail("checked"))
+    monkeypatch.setenv("CKS_KIT_MAX_ENUM_EDGES", "4")
+    code, out, err = run_cli(["corpus", "--bound", "4", "--checks", "tutte"], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("error: corpus --bound 4 with its named graphs enumerates "
+                   "subsets of 6 edges (limit 4; set CKS_KIT_MAX_ENUM_EDGES to raise)\n")
 
 
 def test_corpus_rejects_an_unknown_check_before_enumerating(monkeypatch, capsys):

@@ -101,6 +101,19 @@ def test_corpus_adds_the_named_graphs_of_classes_not_enumerated():
         assert [name for name, _ in graphs if name != "enum"] == named
 
 
+def test_corpus_keys_the_enumerated_classes_once(monkeypatch):
+    # the enumeration's forms tell which named graphs are new; only the
+    # five named graphs are keyed again
+    calls = []
+    original = corpus._least_form
+    monkeypatch.setattr(corpus, "_least_form",
+                        lambda *args: calls.append(args) or original(*args))
+    corpus.enumerate_connected_multigraphs(5)
+    enumerated = len(calls)
+    corpus.corpus_graphs(5)
+    assert enumerated and len(calls) - enumerated <= enumerated + 5
+
+
 def test_least_form_is_the_canonical_form_up_to_four_edges():
     # every connected edge multiset with at most four edges
     for m in range(1, 5):

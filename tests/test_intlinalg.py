@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ckskit import intlinalg
 from ckskit.checks import GraphContext
 from ckskit.cks import DelConCKS, build_cks
 from ckskit.corpus import corpus_graphs, k4_graph
@@ -107,6 +108,36 @@ def test_cohomology_rejects_non_complex():
         CochainComplex({0: ["a"], 1: ["b"], 2: ["c"]},
                        {0: [[1]], 1: [[1]]})
     assert exc.value.degree == 0
+
+
+@st.composite
+def differential_chains(draw):
+    """Dimensions of four degrees and three differentials between them,
+    sparse enough that some consecutive products vanish."""
+    dims = [draw(st.integers(1, 4)) for _ in range(4)]
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
+    diffs = [[[draw(entry) for _ in range(dims[n])] for _ in range(dims[n + 1])]
+             for n in range(3)]
+    return dims, diffs
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(differential_chains())
+@example(([1, 1, 1, 1], [[[1]], [[0]], [[1]]]))
+@example(([2, 1, 2, 1], [[[1, 1]], [[1], [-1]], [[1, 1]]]))
+@example(([1, 2, 1, 1], [[[1], [1]], [[1, -1]], [[3]]]))
+def test_check_d2_fails_exactly_where_the_dense_product_is_nonzero(chain):
+    # the dense matmul is the oracle for the sparse column product
+    dims, diffs = chain
+    expected = next((n for n in range(2)
+                     if not is_zero_matrix(matmul(diffs[n + 1], diffs[n]))), None)
+    bases = {n: list(range(k)) for n, k in enumerate(dims)}
+    try:
+        CochainComplex(bases, dict(enumerate(diffs)))
+    except NotAComplex as exc:
+        assert exc.degree == expected
+    else:
+        assert expected is None
 
 
 def test_cohomology_invariant_under_basis_permutation():
@@ -326,6 +357,14 @@ def test_rank_on_the_delcon_inclusions_and_projections():
                     assert rank(prj) == dc.quo.dim(p, q, r)
                     seen += 1
     assert seen
+
+
+def test_engine_requeues_a_column_whose_unit_appears_later(monkeypatch):
+    # column 0 has no unit entry until the pivot in column 1 turns its 3
+    # or its 2 into ±1, so no residual core is left for the Smith form
+    monkeypatch.setattr(intlinalg, "smith_normal_form",
+                        lambda a: pytest.fail("residual core"))
+    assert _rank_and_torsion([[2, 1], [3, 1]]) == (2, [])
 
 
 def test_engine_torsion_examples():
