@@ -27,13 +27,13 @@ def main():
     print("\nbond-free edge sets by size:",
           [len(level) for level in fc.levels])
 
-    sh = lex_shelling(g)
+    sh = lex_shelling(fc)
     print("\nlexicographic shelling of the top faces (cotrees)")
     for cotree in sh.cotrees:
         print(f"  cotree {face(cotree):8}"
               f"  restriction set {face(sh.restriction[cotree])}")
 
-    cc = coherent_cotree(g)
+    cc = coherent_cotree(g, fc)
     print("\nper-face data: assigned cotree C(S) and the subset In(S)")
     for s in fc.faces():
         print(f"  S = {face(s):8}  C(S) = {face(cc.table[s]):8}"

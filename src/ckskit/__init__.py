@@ -17,9 +17,9 @@ from .checks import CHECKS, GraphContext, run_checks
 from .cks import (
     CKSComplex,
     DelConCKS,
-    assert_euler_matches,
     build_cks,
     cks_cohomology,
+    euler_mismatch,
     euler_recurrence_holds,
     euler_table,
     h_hat,
@@ -87,7 +87,6 @@ __all__ = [
     "RRing",
     "Shelling",
     "SmithForm",
-    "assert_euler_matches",
     "build_cks",
     "build_graph",
     "build_ht",
@@ -96,6 +95,7 @@ __all__ = [
     "corpus_graphs",
     "delcon_r_periodized",
     "enumerate_connected_multigraphs",
+    "euler_mismatch",
     "euler_recurrence_holds",
     "euler_table",
     "external_activity",

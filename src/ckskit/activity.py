@@ -57,10 +57,12 @@ class Shelling:
         return out
 
 
-def lex_shelling(graph):
+def lex_shelling(faces):
     """Order the spanning cotrees lexicographically (in the edge order) and
-    compute each facet's minimal new face."""
-    cotrees = spanning_cotrees(graph)
+    compute each facet's minimal new face.  The facets are the top level of
+    the face complex `faces`, already in that order."""
+    graph = faces.graph
+    cotrees = faces.levels[faces.genus]
     covered = set()
     restriction = {}
     for ct in cotrees:
@@ -206,7 +208,7 @@ def coherent_cotree(graph, faces=None):
     appears in a unique shelling step k, and C(S) = T*_k - S there."""
     if faces is None:
         faces = face_complex(graph)
-    shelling = lex_shelling(graph)
+    shelling = lex_shelling(faces)
     step = {}
     for k, ct in enumerate(shelling.cotrees, 1):
         for s in shelling.new_faces(k):

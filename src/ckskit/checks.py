@@ -112,7 +112,7 @@ class GraphContext:
     def delcon(self, e):
         """The deletion-contraction setup (an ht.DelConR) at an admissible
         edge, built once and shared by every check that needs it."""
-        return self._get(("delcon", e), lambda: ht.DelConR(self.graph, e))
+        return self._get(("delcon", e), lambda: ht.DelConR(self.faces, e))
 
 
 def _stripe_cohomology(stripe, *key):
@@ -539,22 +539,24 @@ def check_ring(ctx):
 
 def check_delcon_r(ctx):
     """Basis partition and graded dimension identity for every edge that
-    is neither a loop nor a bridge."""
+    is neither a loop nor a bridge, read from the level-0 periodization
+    of its setup (Γ itself), and additivity of the h-polynomial."""
     results = {}
     hp = ctx.tutte.eval_y()
     for e in ctx.admissible_edges():
-        dc = ctx.delcon(e)
-        if not dc.check_partition():
+        rep = periodize.delcon_r_periodized(ctx.delcon(e), 0)
+        if not rep["basis_partition"]:
             return False, {"edge": str(e), "reason": "basis partition failed"}
-        mid, dl, cn = dc.dims()
-        k = ht.delcon_grade_mismatch(mid, dl, cn)
+        dims = rep["dims"]
+        k = periodize.delcon_grade_mismatch(dims["middle"], dims["deleted"],
+                                            dims["contracted"])
         if k is not None:
             return False, {"edge": str(e), "grade": k,
                            "reason": "dimension identity failed"}
         t_del, t_con = ctx.tutte_delcon(e)
         if hp != t_del.eval_y() + t_con.eval_y():
             return False, {"edge": str(e), "reason": "h-polynomial additivity failed"}
-        results[str(e)] = {"middle": mid, "deleted": dl, "contracted": cn}
+        results[str(e)] = dims
     return True, results or {"skipped": "no admissible edge"}
 
 
@@ -579,7 +581,9 @@ def check_euler(ctx):
         key, p, reason = failure
         return False, {"stripe": key, "position": p, "reason": reason}
     table = cks.euler_table(ctx.cks)
-    cks.assert_euler_matches(table, cks.by_tridegree(ctx.cks_stripes))
+    key = cks.euler_mismatch(table, cks.by_tridegree(ctx.cks_stripes))
+    if key is not None:
+        return False, {"stripe": key, "reason": "Euler characteristic mismatch"}
     hh = cks.h_hat(ctx.cks)
     trees = graphs.spanning_tree_count(ctx.graph)
     if hh(-1, -1) != trees:

@@ -78,16 +78,16 @@ def euler_table(graph, cc=None):
     return table
 
 
-def assert_euler_matches(table, coh):
-    """Assert that an Euler table equals the alternating sum over p of
-    the free ranks in `coh`, a cks_cohomology result (χ is invariant)."""
+def euler_mismatch(table, coh):
+    """The first (k, ℓ), in sorted order, at which an Euler table differs
+    from the alternating sum over p of the free ranks in `coh`, a
+    cks_cohomology result (χ is invariant); None when they agree."""
     alt = {}
     for (two_p, q, r), (free, _) in coh.items():
         key = (two_p // 2 + q, r)
         alt[key] = alt.get(key, 0) + (-1) ** (two_p // 2) * free
-    for key in set(table) | set(alt):
-        assert table.get(key, 0) == alt.get(key, 0), \
-            f"Euler characteristic mismatch at {key}"
+    return next((key for key in sorted(set(table) | set(alt))
+                 if table.get(key, 0) != alt.get(key, 0)), None)
 
 
 def h_hat(graph, cc=None):

@@ -1,11 +1,13 @@
 """Command-line driver: parse graphs, run computations and verification
 checks, emit deterministic JSON (schema 1), CSV for flat tables, or plain
-text tables.  Exit code 0 iff every enabled check passed; 2 on input
-errors; 3 when a resource guard refuses an exhaustive enumeration."""
+text tables.  Exit code 0 iff every enabled check passed; 1 also when the
+reader closes stdout early; 2 on input errors; 3 when a resource guard
+refuses an exhaustive enumeration."""
 
 import argparse
 import concurrent.futures
 import json
+import os
 import sys
 
 from . import checks as checks_mod
@@ -183,7 +185,9 @@ def cmd_cks(args):
             raise coh  # a stripe that is not a complex
     coh = cks_mod.by_tridegree(ctx.cks_stripes)
     table = cks_mod.euler_table(ctx.cks)
-    cks_mod.assert_euler_matches(table, coh)
+    key = cks_mod.euler_mismatch(table, coh)
+    if key is not None:
+        raise CksKitError(f"Euler characteristic mismatch at stripe {key}")
     hh = cks_mod.h_hat(ctx.cks)
     spec_poly = cks_mod.tutte_loop_specialization(g)
     recurrence = {}
@@ -389,7 +393,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so that the
+        # flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,8 +14,8 @@ placed as their Kronecker product (HTComplex.d_matrix).
 
 Also here: the square-free reduction of monomials, the chain maps f and g
 between the complex and its cohomology ring R, the contracting homotopy h,
-the ring R with its monomial basis, and the deletion-contraction split of
-that basis.
+the ring R with its monomial basis, and the deletion-contraction setup
+that splits that basis.
 """
 
 import itertools
@@ -497,69 +497,33 @@ class RRing:
 # deletion-contraction on the basis B
 
 class DelConR:
-    """Deletion-contraction setup at an edge e, and the split of the
-    monomial basis it makes literal.
+    """Deletion-contraction setup at an edge e, built from the face
+    complex Γ already has.
 
-    Built from a coherent cotree whose edge order puts e last, so that e
+    Γ's faces are re-sorted into an edge order that puts e last, so that e
     avoids the cotree C(∅) and the induced tables on the deleted and
     contracted graphs make the basis split literal: B(Γ) is the disjoint
     union of {S ∪ e : S ∈ B(Γ∖e)} and B(Γ/e).  The same setup (graph,
-    cc, deleted, contracted, cc_del, cc_con) carries the CKS sequence
-    (cks.DelConCKS) and its periodization (periodize.delcon_r_periodized).
+    cc, deleted, contracted, cc_del, cc_con) carries that split at every
+    periodization level (periodize.delcon_r_periodized; level 0 is Γ) and
+    the CKS sequence (cks.DelConCKS).
     """
 
-    def __init__(self, graph, e):
+    def __init__(self, faces, e):
+        graph = faces.graph
         if graph.is_loop(e) or contains_bond(graph, {e}):
             raise EdgeIsBondOrLoop(f"edge {e!r} is a loop or a bridge")
         self.edge = e
         order = [x for x in graph.order if x != e] + [e]
         self.graph = Graph(graph.vertices, graph.head, graph.tail, order)
-        self.cc = coherent_cotree(self.graph)
+        self.cc = coherent_cotree(self.graph, FaceComplex.from_faces(
+            self.graph, faces.faces(), faces.genus))
         assert e not in self.cc.C(frozenset()), \
             "an edge ordered last cannot enter the lex-minimal cotree"
         self.deleted = self.graph.delete({e})
         self.contracted = self.graph.contract({e})
         self.cc_del = induced_deletion_cotree(self.cc, e, self.deleted)
         self.cc_con = induced_contraction_cotree(self.cc, e, self.contracted)
-
-    def basis_partition(self):
-        b_mid = set(self.cc.basis())
-        b_del = [s | {self.edge} for s in self.cc_del.basis()]
-        b_con = list(self.cc_con.basis())
-        return b_mid, b_del, b_con
-
-    def check_partition(self):
-        b_mid, b_del, b_con = self.basis_partition()
-        return (len(b_del) + len(b_con) == len(b_mid)
-                and set(b_del).isdisjoint(b_con)
-                and set(b_del) | set(b_con) == b_mid)
-
-    def dims(self):
-        """(middle, deletion-side shifted, contraction-side) dimensions."""
-        mid = self.cc.basis_by_degree()
-        dl = self.cc_del.basis_by_degree()
-        cn = self.cc_con.basis_by_degree()
-        return ([len(x) for x in mid], [len(x) for x in dl], [len(x) for x in cn])
-
-    def include(self, s):
-        """Inclusion R(Γ∖e) -> R(Γ) of degree +2 in B-coordinates."""
-        return frozenset(s) | {self.edge}
-
-    def project(self, s):
-        """Projection R(Γ) -> R(Γ/e): kill basis monomials containing e."""
-        s = frozenset(s)
-        return None if self.edge in s else s
-
-
-def delcon_grade_mismatch(mid, dl, cn, c=1):
-    """First grade k of graded dimension lists with mid[k] ≠ c·dl[k−1] +
-    cn[k] (c copies of the deleted side, shifted up one grade), or None."""
-
-    def get(v, k):
-        return v[k] if 0 <= k < len(v) else 0
-
-    return next((k for k in range(max(len(mid), len(dl) + 1, len(cn)))
-                 if get(mid, k) != c * get(dl, k - 1) + get(cn, k)), None)
 
 
 def induced_deletion_cotree(cc, e, deleted):

@@ -16,7 +16,6 @@ import itertools
 
 from .activity import CoherentCotree
 from .graphs import FaceComplex, Graph, face_complex
-from .ht import delcon_grade_mismatch
 
 # native_face_check enumerates the faces of periodized graphs this small
 NATIVE_MAX_EDGES = 12
@@ -109,6 +108,17 @@ def check_contraction_compatibility(outer, inner, n):
     return kept == set(inner), (len(kept), len(inner))
 
 
+def delcon_grade_mismatch(mid, dl, cn, c=1):
+    """First grade k of graded dimension lists with mid[k] ≠ c·dl[k−1] +
+    cn[k] (c copies of the deleted side, shifted up one grade), or None."""
+
+    def get(v, k):
+        return v[k] if 0 <= k < len(v) else 0
+
+    return next((k for k in range(max(len(mid), len(dl) + 1, len(cn)))
+                 if get(mid, k) != c * get(dl, k - 1) + get(cn, k)), None)
+
+
 def delcon_r_periodized(setup, n):
     """Level-n deletion-contraction report for the non-loop non-bridge edge
     of a deletion-contraction setup (an ht.DelConR: edge ordered last,
@@ -116,7 +126,8 @@ def delcon_r_periodized(setup, n):
 
     The dimension identity is dim R^{2k}(mid_n) = (2n+1) dim R^{2k-2}(del_n)
     + dim R^{2k}(con_n); the basis partition is B(mid_n) = {S_I ∪ (e, i)}
-    over S_I in B(del_n) and all i, disjoint union B(con_n).
+    over S_I in B(del_n) and all i, disjoint union B(con_n).  Level 0 is
+    the split of R for Γ itself, each edge x relabeled (x, 0).
     """
     e = setup.edge
     sides = [(cc, basis_by_formula(cc, n))

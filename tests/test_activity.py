@@ -13,7 +13,7 @@ from ckskit.activity import (
     tutte_by_activity,
 )
 from ckskit.errors import FaceNotInComplex
-from ckskit.graphs import Graph, spanning_tree_count
+from ckskit.graphs import Graph, face_complex, spanning_tree_count
 from ckskit.polynomials import Poly1, Poly2
 
 THETA = corpus.theta_graph()
@@ -30,7 +30,7 @@ def theta_cc():
 
 
 def test_shelling_order_and_restrictions():
-    sh = lex_shelling(THETA)
+    sh = lex_shelling(face_complex(THETA))
     assert sh.cotrees == [fs(X, Y), fs(X, Z), fs(Y, Z)]
     assert sh.restriction == {fs(X, Y): fs(), fs(X, Z): fs(Z), fs(Y, Z): fs(Y, Z)}
     assert sh.new_faces(2) == {fs(Z), fs(X, Z)}

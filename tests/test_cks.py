@@ -4,24 +4,24 @@ import itertools
 
 import pytest
 
-from ckskit import corpus
+from ckskit import checks, cli, corpus
 from ckskit.activity import CoherentCotree, coherent_cotree
 from ckskit.cks import (
     CKSComplex,
     DelConCKS,
     LOOP_VALUE,
-    assert_euler_matches,
     build_cks,
     cks_cohomology,
+    euler_mismatch,
     euler_recurrence_holds,
     euler_table,
     h_hat,
     tutte_loop_specialization,
     tutte_specialization_literal,
 )
-from ckskit.checks import GraphContext, check_cks_d2, run_checks
+from ckskit.checks import GraphContext, check_cks_d2, check_euler, run_checks
 from ckskit.errors import IncoherentCotree, MismatchedGraph
-from ckskit.graphs import Graph, build_graph
+from ckskit.graphs import Graph, build_graph, face_complex
 from ckskit.ht import DelConR, HTComplex
 from ckskit.intlinalg import (
     _rank_and_torsion,
@@ -93,10 +93,34 @@ def test_theta_literal_slot_order():
 
 def test_euler_table_theta_cross_check():
     table = euler_table(THETA)
-    assert_euler_matches(table, cks_cohomology(THETA))
+    assert euler_mismatch(table, cks_cohomology(THETA)) is None
     assert table[(0, 0)] == 1
     # evaluating the generating polynomial at x = y = -1 counts spanning trees
     assert h_hat(THETA)(-1, -1) == 3
+
+
+def test_euler_check_reports_a_corrupted_rank(monkeypatch, capsys):
+    # one free rank off by one in the (0, 0) stripe: the check fails with
+    # the stripe as witness, and `cks` exits 1 with a message
+    ctx = GraphContext(THETA)
+    free, torsion = ctx.cks_stripes[(0, 0)][0]
+    ctx.cks_stripes[(0, 0)][0] = (free + 1, torsion)
+    assert check_euler(ctx) == (False, {"stripe": (0, 0),
+                                        "reason": "Euler characteristic mismatch"})
+    original = checks._stripe_cohomology
+
+    def corrupted(stripe, *key):
+        coh = original(stripe, *key)
+        if key == (0, 0):
+            free, torsion = coh[0]
+            coh[0] = (free + 1, torsion)
+        return coh
+
+    monkeypatch.setattr(checks, "_stripe_cohomology", corrupted)
+    assert cli.main(["cks", "--inline", "v0-v1 v0-v1 v0-v1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: Euler characteristic mismatch at stripe (0, 0)\n"
 
 
 def test_h_hat_counts_spanning_trees_at_minus_one():
@@ -110,7 +134,7 @@ def test_k4_specialization():
 
 
 def test_delcon_exactness_theta():
-    dc = DelConCKS(DelConR(THETA, 0))
+    dc = DelConCKS(DelConR(face_complex(THETA), 0))
     for p in range(3):
         for q in range(3 - p):
             for r in range(3 - p):
@@ -249,7 +273,7 @@ def test_chain_maps_and_the_oracle_detect_the_same_perturbations():
 
 
 def test_chain_maps_reject_a_broken_basis_split():
-    dc = DelConCKS(DelConR(THETA, 0))
+    dc = DelConCKS(DelConR(face_complex(THETA), 0))
     assert dc.check_chain_maps(1, 1, 0)
     dc.quo.basis(1, 1, 0).reverse()
     assert not dc.check_chain_maps(1, 1, 0)
@@ -258,7 +282,7 @@ def test_chain_maps_reject_a_broken_basis_split():
 def test_chain_maps_reject_a_broken_basis_split_where_d_has_no_target():
     # at q = 0 the target (p + 1, −1, r) is empty and no d is built, but
     # the split is still checked
-    dc = DelConCKS(DelConR(THETA, 0))
+    dc = DelConCKS(DelConR(face_complex(THETA), 0))
     assert dc.quo.dim(0, 0, 1) == 2 and not dc.mid.dim(1, -1, 1)
     assert dc.check_chain_maps(0, 0, 1)
     dc.quo.basis(0, 0, 1).reverse()
@@ -385,7 +409,7 @@ def exact_piece(dc):
 
 
 def test_check_exact_rejects_a_non_injective_inclusion():
-    dc = DelConCKS(DelConR(W4, W4.order[0]))
+    dc = DelConCKS(DelConR(face_complex(W4), W4.order[0]))
     p, q, r = key = exact_piece(dc)
     assert dc.check_exact(*key)
     inc = dc.include_matrix(p - 1, q, r)
@@ -397,7 +421,7 @@ def test_check_exact_rejects_a_non_injective_inclusion():
 
 
 def test_check_exact_rejects_a_projection_that_is_not_onto():
-    dc = DelConCKS(DelConR(W4, W4.order[0]))
+    dc = DelConCKS(DelConR(face_complex(W4), W4.order[0]))
     key = exact_piece(dc)
     prj = dc.project_matrix(*key)
     # nothing projects onto the first contracted triple
@@ -407,7 +431,7 @@ def test_check_exact_rejects_a_projection_that_is_not_onto():
 
 
 def test_check_exact_rejects_a_nonzero_composite():
-    dc = DelConCKS(DelConR(W4, W4.order[0]))
+    dc = DelConCKS(DelConR(face_complex(W4), W4.order[0]))
     p, q, r = key = exact_piece(dc)
     prj = dc.project_matrix(*key)
     # the image of the first deleted triple also projects onto the first

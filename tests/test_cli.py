@@ -178,6 +178,26 @@ def test_malformed_enum_limit_exits_2():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("head", [0, 100])
+def test_closed_stdout_exits_quietly(head):
+    # `corpus ... | head -c N`: the reader takes N bytes and closes the
+    # pipe.  Unbuffered, the report goes out in more than one write, so a
+    # later write usually meets the closed pipe; with N = 0 the first does.
+    # Either way the program stops without a traceback, exiting 1 unless
+    # the whole report was written before the pipe closed.
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ckskit.cli", "corpus", "--bound", "4", "--checks", "tutte"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    got = proc.stdout.read(head)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait()
+    assert len(got) == head and err == b""
+    assert code == 1 if head == 0 else code in (0, 1)
+
+
 def test_resource_guard_exits_3(monkeypatch, capsys):
     # the Tutte polynomial walks all 2^|E| edge subsets, so it is guarded
     monkeypatch.setenv("CKS_KIT_MAX_ENUM_EDGES", "2")

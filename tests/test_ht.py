@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ckskit import activity, corpus
+from ckskit import corpus
 from ckskit.activity import coherent_cotree
 from ckskit.checks import (
     GraphContext,
@@ -14,7 +14,7 @@ from ckskit.checks import (
     run_checks,
 )
 from ckskit.errors import ChoiceOutsideIn, EdgeIsBondOrLoop, ParseError
-from ckskit.graphs import build_graph, face_complex
+from ckskit.graphs import build_graph, face_complex, spanning_cotrees
 from ckskit.ht import (
     ChoiceFunction,
     DelConR,
@@ -25,8 +25,11 @@ from ckskit.ht import (
     reduce_monomial,
 )
 from ckskit.intlinalg import is_zero_matrix, matmul
+from ckskit.periodize import delcon_r_periodized
 
 THETA = corpus.theta_graph()
+# the wheel with hub 0 and rim 1-2-3-4, genus 4
+W4 = build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])
 X, Y, Z = 0, 1, 2
 
 
@@ -144,52 +147,74 @@ def test_ring_multiplication_theta(theta):
 
 
 def test_delcon_basis_split():
-    dc = DelConR(THETA, X)
-    mid, dl, cn = dc.dims()
-    assert dc.check_partition()
-    assert mid == [1, 1, 1] and dl == [1, 1] and cn == [1, 0, 0]
-    assert dc.include(fs()) == fs(X)
-    assert dc.project(fs(X)) is None
+    # level 0 of the periodized split is the split of R for Γ itself
+    rep = delcon_r_periodized(DelConR(face_complex(THETA), X), 0)
+    assert rep["basis_partition"] and rep["dimension_identity"]
+    assert rep["partition_sizes"] == (2, 1, 3)
+    dims = rep["dims"]
+    assert dims["middle"] == [1, 1, 1]
+    assert dims["deleted"] == [1, 1]
+    assert dims["contracted"] == [1, 0, 0]
 
 
 def test_delcon_rejects_loops_and_bridges():
     # the one deletion-contraction setup; DelConCKS and delcon_r_periodized
     # are built from it and have no guard of their own
     with pytest.raises(EdgeIsBondOrLoop):
-        DelConR(corpus.loop_graph(), 0)
+        DelConR(face_complex(corpus.loop_graph()), 0)
     with pytest.raises(EdgeIsBondOrLoop):
-        DelConR(corpus.bridge_graph(), 0)
+        DelConR(face_complex(corpus.bridge_graph()), 0)
 
 
 def test_setup_faces_match_enumeration():
-    # the setup derives the faces of the deletion and the contraction
-    # from those of the middle graph; face_complex is the reference
+    # the setup re-sorts the faces of Γ into its own edge order and derives
+    # those of the deletion and the contraction from them; face_complex and
+    # spanning_cotrees are the references
     for _, g in corpus.corpus_graphs(bound=4):
         ctx = GraphContext(g)
         for e in ctx.admissible_edges():
             dc = ctx.delcon(e)
+            assert dc.cc.faces.levels == face_complex(dc.graph).levels
+            assert dc.cc.shelling.cotrees == spanning_cotrees(dc.graph)
             assert dc.cc_del.faces.levels == face_complex(dc.deleted).levels
             assert dc.cc_con.faces.levels == face_complex(dc.contracted).levels
 
 
-def test_checks_share_one_delcon_setup_per_edge(monkeypatch):
-    # one coherent cotree for the graph and one per admissible edge,
-    # however many deletion-contraction checks use the edge
-    original = activity.coherent_cotree
+def counting_calls(monkeypatch, module_name, name):
+    """Replace module_name.name, and every ckskit binding of the same
+    function, by a wrapper; returns the list of the first arguments."""
+    original = getattr(sys.modules[module_name], name)
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if (name == "ckskit" or name.startswith("ckskit.")) \
-                and getattr(module, "coherent_cotree", None) is original:
-            monkeypatch.setattr(module, "coherent_cotree", counting)
+    for mod_name, module in list(sys.modules.items()):
+        if (mod_name == "ckskit" or mod_name.startswith("ckskit.")) \
+                and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_checks_share_one_delcon_setup_per_edge(monkeypatch):
+    # one coherent cotree for the graph and one per admissible edge,
+    # however many deletion-contraction checks use the edge
+    calls = counting_calls(monkeypatch, "ckskit.activity", "coherent_cotree")
     report = run_checks(THETA, ["delcon_r", "delcon_cks", "periodize"])
     assert all(r["passed"] for r in report.values()), report
     assert len(GraphContext(THETA).admissible_edges()) == 3
     assert len(calls) == 1 + 3
+
+
+def test_delcon_setups_enumerate_nothing(monkeypatch):
+    # the setups re-sort the faces of the graph; only the graph's own face
+    # complex is enumerated, and its top level serves as the cotrees
+    faces = counting_calls(monkeypatch, "ckskit.graphs", "face_complex")
+    cotrees = counting_calls(monkeypatch, "ckskit.graphs", "spanning_cotrees")
+    report = run_checks(W4, ["delcon_r", "delcon_cks"])
+    assert all(r["passed"] for r in report.values()), report
+    assert len(faces) == 1 and cotrees == []
 
 
 def test_ht_checks_report_an_image_outside_the_stripe():
@@ -214,17 +239,7 @@ def test_ht_checks_report_an_image_outside_the_stripe():
 def test_checks_compute_each_tutte_polynomial_once(monkeypatch):
     # T(Γ) and (T(Γ∖e), T(Γ/e)) per admissible edge come from the graph
     # context; hhat_tutte computes its own T(Γ) for the specialization
-    original = activity.tutte
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if (name == "ckskit" or name.startswith("ckskit.")) \
-                and getattr(module, "tutte", None) is original:
-            monkeypatch.setattr(module, "tutte", counting)
+    calls = counting_calls(monkeypatch, "ckskit.activity", "tutte")
     report = run_checks(THETA)
     assert all(r["passed"] for r in report.values()), report
     assert len(calls) == 1 + 2 * 3 + 1

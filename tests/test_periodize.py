@@ -7,6 +7,7 @@ import pytest
 from ckskit import cli, corpus, periodize
 from ckskit.activity import coherent_cotree
 from ckskit.checks import run_checks
+from ckskit.graphs import face_complex
 from ckskit.ht import DelConR
 from ckskit.periodize import (
     PeriodizedGraph,
@@ -143,7 +144,7 @@ def test_contraction_compatibility():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_delcon_dimension_identity_theta(n):
-    rep = delcon_r_periodized(DelConR(corpus.theta_graph(), 0), n)
+    rep = delcon_r_periodized(DelConR(face_complex(corpus.theta_graph()), 0), n)
     assert rep["dimension_identity"], rep
     assert rep["basis_partition"], rep
     mid = rep["dims"]["middle"]
