@@ -72,17 +72,16 @@ class GraphContext:
 
     @property
     def ht_stripes(self):
-        """k -> cohomology of the HT stripe p + q = k (see _stripe_cohomology)."""
+        """k -> cohomology of the HT stripe p + q = k, or the error that
+        stopped its build (HTComplex.stripe_cohomology)."""
         return self._get("ht_stripes", lambda: {
-            k: _stripe_cohomology(self.ht.stripe, k)
-            for k in range(self.ht.genus + 1)})
+            k: coh for (k,), coh in self.ht.stripe_cohomology().items()})
 
     @property
     def cks_stripes(self):
-        """(k, ℓ) -> cohomology of the CKS stripe (see _stripe_cohomology)."""
-        return self._get("cks_stripes", lambda: {
-            key: _stripe_cohomology(self.cks.stripe, *key)
-            for key in self.cks.stripe_keys()})
+        """(k, ℓ) -> cohomology of the CKS stripe, or the error that
+        stopped its build (HTComplex.stripe_cohomology)."""
+        return self._get("cks_stripes", self.cks.stripe_cohomology)
 
     @property
     def tutte(self):
@@ -113,16 +112,6 @@ class GraphContext:
         """The deletion-contraction setup (an ht.DelConR) at an admissible
         edge, built once and shared by every check that needs it."""
         return self._get(("delcon", e), lambda: ht.DelConR(self.faces, e))
-
-
-def _stripe_cohomology(stripe, *key):
-    """{p: (free, torsion)} of one stripe, or the NotAComplex or
-    OutsideBasis error that stopped its build, kept for the checks to
-    report as a witness."""
-    try:
-        return stripe(*key).cohomology()
-    except (NotAComplex, OutsideBasis) as exc:
-        return exc
 
 
 def _stripe_failure(stripes):
@@ -187,7 +176,7 @@ def check_cycle_space(ctx):
     g = ctx.graph
     d = g.genus()
     bd = graphs.boundary_matrix(g)
-    for ct in graphs.spanning_cotrees(g):
+    for ct in ctx.faces.levels[d]:
         cb = graphs.CycleBasis(g, ct)
         cm = cb.cycle_matrix()
         prod = matmul(bd, [list(col) for col in zip(*cm)]) if cm else []
@@ -617,7 +606,7 @@ def check_delcon_cks(ctx):
                     if not dc.check_chain_maps(p, q, r):
                         return False, {"edge": str(e), "piece": (2 * p, q, r),
                                        "reason": "chain maps do not commute"}
-        if not cks.euler_recurrence_holds(dc):
+        if not cks.euler_recurrence_holds(ctx.faces, e):
             return False, {"edge": str(e), "reason": "Euler recurrence failed"}
     return True, None
 

@@ -9,13 +9,20 @@ H¹(Λ_S) -> H¹(Λ_{S∪e}) on the cocycle factor, both in closed form through
 the cotree edge x0 that C(S) loses to C(S ∪ e) (CoherentCotree.lost and
 CoherentCotree.restrict).  It preserves the stripes
 (k, ℓ) = (p + q, r), and each stripe is an honest subcomplex whose Euler
-characteristic fills the e(k, ℓ) table.  The generating polynomial of
-that table is a Tutte specialization, verified against exact cohomology.
+characteristic fills the e(k, ℓ) table; the stripes' cohomology comes
+from one level-major walk (HTComplex.stripe_cohomology).  Since C(S) has
+genus − |S| edges on every face, the table reads only the face counts,
+and so does its deletion-contraction recurrence.  The generating
+polynomial of that table is a Tutte specialization, verified against
+exact cohomology.
 """
 
+from math import comb
 from operator import itemgetter
 
 from .activity import CoherentCotree, coherent_cotree, tutte
+from .errors import CksKitError
+from .graphs import face_complex
 from .ht import HTComplex
 from .intlinalg import is_zero_matrix, map_matrix, matmul, rank
 from .polynomials import Poly2
@@ -54,27 +61,44 @@ def build_cks(graph, cc=None):
 def cks_cohomology(graph, cc=None):
     """Free rank and torsion per tridegree (2p, q, r), as a dict."""
     cks = graph if isinstance(graph, CKSComplex) else build_cks(graph, cc)
-    return by_tridegree({key: cks.stripe(*key).cohomology()
-                         for key in cks.stripe_keys()})
+    return by_tridegree(cks.stripe_cohomology())
 
 
 def by_tridegree(stripes):
     """Flatten per-stripe cohomology {(k, ℓ): {p: (free, torsion)}} into
-    {(2p, q, r): (free, torsion)}, leaving out the zero groups."""
+    {(2p, q, r): (free, torsion)}, leaving out the zero groups.  Raises
+    the error of the first stripe that is not a complex."""
+    for coh in stripes.values():
+        if isinstance(coh, CksKitError):
+            raise coh
     return {(2 * p, k - p, ell): (free, torsion)
             for (k, ell), coh in stripes.items()
             for p, (free, torsion) in coh.items() if free or torsion}
 
 
 def euler_table(graph, cc=None):
-    """e(k, ℓ) = alternating sum over p of the stripe dimensions."""
-    cks = graph if isinstance(graph, CKSComplex) else build_cks(graph, cc)
-    d = cks.genus
+    """e(k, ℓ) = alternating sum over p of the stripe dimensions, read
+    from the face counts of a graph, of its coherent cotree cc or of a
+    complex (see _counts_table)."""
+    if isinstance(graph, HTComplex):
+        faces = graph.faces
+    else:
+        faces = cc.faces if cc is not None else face_complex(graph)
+    return _counts_table([len(level) for level in faces.levels], faces.genus)
+
+
+def _counts_table(counts, genus):
+    """The Euler table of a CKS complex whose faces of size p number
+    counts[p]: C(S) has genus − p edges on every such face S, so the
+    (2p, q, r) piece has dimension counts[p]·C(genus − p, q)·C(genus − p, r).
+    A stripe with no nonzero piece has no entry."""
     table = {}
-    for k, ell in cks.stripe_keys():
-        dims = [cks.dim(p, k - p, ell) for p in range(min(k, d) + 1)]
-        if any(dims):
-            table[(k, ell)] = sum((-1) ** p * n for p, n in enumerate(dims))
+    for k in range(2 * genus + 1):
+        for ell in range(genus + 1):
+            dims = [f * comb(genus - p, k - p) * comb(genus - p, ell)
+                    for p, f in enumerate(counts[:min(k, genus) + 1])]
+            if any(dims):
+                table[(k, ell)] = sum((-1) ** p * n for p, n in enumerate(dims))
     return table
 
 
@@ -205,12 +229,17 @@ class DelConCKS:
                 and is_zero_matrix(block(tgt[0], src[1])))
 
 
-def euler_recurrence_holds(dc):
-    """e_Γ(k,ℓ) = e_{Γ/e}(k,ℓ) − e_{Γ∖e}(k−1,ℓ) on the complexes of a
-    DelConCKS at a non-loop non-bridge edge e."""
-    mid = euler_table(dc.mid)
-    sub = euler_table(dc.sub)
-    quo = euler_table(dc.quo)
+def euler_recurrence_holds(faces, e):
+    """e_Γ(k,ℓ) = e_{Γ/e}(k,ℓ) − e_{Γ∖e}(k−1,ℓ) at a non-loop non-bridge
+    edge e, from the face counts of the three sides.  They split Γ's face
+    levels at e: the faces of Γ∖e are those of Γ that contain e, minus e,
+    at genus g − 1; those of Γ/e are the faces of Γ that avoid e, at
+    genus g (the faces of induced_deletion_cotree and
+    induced_contraction_cotree)."""
+    g = faces.genus
+    mid = _counts_table([len(level) for level in faces.levels], g)
+    sub = _counts_table([sum(e in s for s in level) for level in faces.levels[1:]], g - 1)
+    quo = _counts_table([sum(e not in s for s in level) for level in faces.levels], g)
     keys = set(mid) | set(quo) | {(k + 1, l) for (k, l) in sub}
     return all(
         mid.get((k, l), 0) == quo.get((k, l), 0) - sub.get((k - 1, l), 0)

@@ -180,9 +180,6 @@ def cmd_ht(args):
 def cmd_cks(args):
     g = load_graph(args)
     ctx = checks_mod.GraphContext(g)
-    for coh in ctx.cks_stripes.values():
-        if isinstance(coh, CksKitError):
-            raise coh  # a stripe that is not a complex
     coh = cks_mod.by_tridegree(ctx.cks_stripes)
     table = cks_mod.euler_table(ctx.cks)
     key = cks_mod.euler_mismatch(table, coh)
@@ -190,10 +187,8 @@ def cmd_cks(args):
         raise CksKitError(f"Euler characteristic mismatch at stripe {key}")
     hh = cks_mod.h_hat(ctx.cks)
     spec_poly = cks_mod.tutte_loop_specialization(g)
-    recurrence = {}
-    for e in ctx.admissible_edges():
-        dc = cks_mod.DelConCKS(ctx.delcon(e))
-        recurrence[str(e)] = cks_mod.euler_recurrence_holds(dc)
+    recurrence = {str(e): cks_mod.euler_recurrence_holds(ctx.faces, e)
+                  for e in ctx.admissible_edges()}
     payload = {
         "schema": SCHEMA,
         "ranks_by_tridegree": {f"{k[0]},{k[1]},{k[2]}": free

@@ -10,7 +10,9 @@ The trigraded subclass (cks.CKSComplex) shares this differential and
 tensors it with the restriction of its cocycle wedge, also through x0.
 Its matrix is assembled from one small interior-product operator and one
 restriction operator per face S and edge e, built once per level and
-placed as their Kronecker product (HTComplex.d_matrix).
+placed as their Kronecker product (HTComplex.d_matrix).  The cohomology
+of every stripe comes from one walk with the level outermost
+(HTComplex.stripe_cohomology), so each operator is built once.
 
 Also here: the square-free reduction of monomials, the chain maps f and g
 between the complex and its cohomology ring R, the contracting homotopy h,
@@ -27,6 +29,7 @@ from .errors import (
     ChoiceOutsideIn,
     EdgeIsBondOrLoop,
     MismatchedGraph,
+    NotAComplex,
     OutsideBasis,
     ParseError,
     SupportContainsBond,
@@ -38,7 +41,7 @@ from .graphs import (
     fundamental_cycle,
     union_find,
 )
-from .intlinalg import CochainComplex, map_matrix, zeros
+from .intlinalg import CochainComplex, _columns, map_matrix, zeros
 
 
 class HTComplex:
@@ -210,12 +213,43 @@ class HTComplex:
             self._ops[key] = rows, len(index)
         return self._ops[key]
 
-    def stripe(self, k, *r):
-        """The graded stripe p + q = k (at weight r for the CKS complex)
-        as a CochainComplex indexed by p."""
-        bases = {p: self.basis(p, k - p, *r) for p in range(min(k, self.genus) + 1)}
-        return CochainComplex(bases, {p: self.d_matrix(p, k - p, *r)
-                                      for p, b in bases.items() if b})
+    def stripe_keys(self):
+        """The key (k,) of every stripe p + q = k that can be nonzero."""
+        return [(k,) for k in range(self.genus + 1)]
+
+    def stripe_cohomology(self):
+        """{p: (free, torsion)} of every stripe p + q = k (at weight r for
+        the CKS complex), keyed as in stripe_keys, or the OutsideBasis or
+        NotAComplex error that stopped its build, kept as a witness.
+
+        The level p is the outer loop, so the d_matrix(p, k − p, *r) of all
+        stripes share that level's operators; each matrix is scanned into
+        sparse columns at once.  A stripe whose d leaves the basis stops
+        there; one whose last level min(k, genus) is done becomes a
+        CochainComplex (the d² check) and is factored."""
+        out = {}
+        # key -> (bases, sparse columns of d) by p, for the unfinished stripes
+        live = {key: ({}, {}) for key in self.stripe_keys()}
+        for p in range(self.genus + 1):
+            for key in list(live):
+                k, *r = key
+                bases, columns = live[key]
+                bases[p] = self.basis(p, k - p, *r)
+                if bases[p]:
+                    try:
+                        m = self.d_matrix(p, k - p, *r)
+                    except OutsideBasis as exc:
+                        out[key] = exc
+                        del live[key]
+                        continue
+                    columns[p] = _columns(m)
+                if p == min(k, self.genus):
+                    del live[key]
+                    try:
+                        out[key] = CochainComplex(bases, columns).cohomology()
+                    except NotAComplex as exc:
+                        out[key] = exc
+        return {key: out[key] for key in self.stripe_keys()}
 
 
 def _block_starts(basis):

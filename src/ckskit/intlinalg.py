@@ -367,16 +367,16 @@ def _factor(columns):
 class CochainComplex:
     """Finitely many free Z-modules with integer differentials.
 
-    bases: dict degree -> list of hashable basis labels
-    diffs: dict degree n -> matrix of d_n: C^n -> C^{n+1}, as dense rows
-           (shape |C^{n+1}| x |C^n|; omitted when either side is zero),
-           turned into sparse columns once for the d² check and cohomology
+    bases:   dict degree -> list of hashable basis labels
+    columns: dict degree n -> d_n: C^n -> C^{n+1} as sparse columns
+             {j: {i: entry}} (see _columns), j < |C^n| and i < |C^{n+1}|;
+             a zero differential may be omitted.  The d² check and
+             cohomology read them as they are.
     """
 
-    def __init__(self, bases, diffs):
+    def __init__(self, bases, columns):
         self.bases = {n: list(labels) for n, labels in bases.items() if labels}
-        self._columns = {n: cols for n, m in diffs.items() if (cols := _columns(m))}
-        self.diffs = {n: diffs[n] for n in self._columns}
+        self._columns = {n: cols for n, cols in columns.items() if cols}
         self._check_shapes()
         self._check_d2()
 
@@ -387,8 +387,10 @@ class CochainComplex:
         return sorted(self.bases)
 
     def _check_shapes(self):
-        for n, m in self.diffs.items():
-            if len(m) != self.dim(n + 1) or (m and len(m[0]) != self.dim(n)):
+        for n, cols in self._columns.items():
+            if (max(cols) >= self.dim(n)
+                    or max((i for col in cols.values() for i in col), default=-1)
+                    >= self.dim(n + 1)):
                 raise ValueError(f"differential at degree {n} has wrong shape")
 
     def _check_d2(self):

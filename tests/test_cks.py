@@ -1,10 +1,12 @@
 """Trigraded complex: cohomology, Euler tables, Tutte specialization."""
 
 import itertools
+import json
 
 import pytest
 
 from ckskit import checks, cli, corpus
+from ckskit import cks as cks_mod
 from ckskit.activity import CoherentCotree, coherent_cotree
 from ckskit.cks import (
     CKSComplex,
@@ -20,10 +22,12 @@ from ckskit.cks import (
     tutte_specialization_literal,
 )
 from ckskit.checks import GraphContext, check_cks_d2, check_euler, run_checks
-from ckskit.errors import IncoherentCotree, MismatchedGraph
-from ckskit.graphs import Graph, build_graph, face_complex
+from ckskit.errors import IncoherentCotree, MismatchedGraph, NotAComplex, OutsideBasis
+from ckskit.graphs import Graph, build_graph, face_complex, graph_from_dsl
 from ckskit.ht import DelConR, HTComplex
 from ckskit.intlinalg import (
+    CochainComplex,
+    _columns,
     _rank_and_torsion,
     det,
     is_zero_matrix,
@@ -107,16 +111,15 @@ def test_euler_check_reports_a_corrupted_rank(monkeypatch, capsys):
     ctx.cks_stripes[(0, 0)][0] = (free + 1, torsion)
     assert check_euler(ctx) == (False, {"stripe": (0, 0),
                                         "reason": "Euler characteristic mismatch"})
-    original = checks._stripe_cohomology
+    original = CKSComplex.stripe_cohomology
 
-    def corrupted(stripe, *key):
-        coh = original(stripe, *key)
-        if key == (0, 0):
-            free, torsion = coh[0]
-            coh[0] = (free + 1, torsion)
-        return coh
+    def corrupted(self):
+        stripes = original(self)
+        free, torsion = stripes[(0, 0)][0]
+        stripes[(0, 0)][0] = (free + 1, torsion)
+        return stripes
 
-    monkeypatch.setattr(checks, "_stripe_cohomology", corrupted)
+    monkeypatch.setattr(CKSComplex, "stripe_cohomology", corrupted)
     assert cli.main(["cks", "--inline", "v0-v1 v0-v1 v0-v1"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
@@ -140,7 +143,8 @@ def test_delcon_exactness_theta():
             for r in range(3 - p):
                 assert dc.check_exact(p, q, r), (p, q, r)
                 assert dc.check_chain_maps(p, q, r), (p, q, r)
-    assert euler_recurrence_holds(dc)
+    assert euler_recurrence_holds(face_complex(THETA), 0)
+    assert recurrence_by_delcon_complexes(dc)
 
 
 def test_cks_d2_reports_an_image_outside_the_stripe():
@@ -187,6 +191,67 @@ def test_d2_and_euler_build_each_differential_once(monkeypatch):
     report = run_checks(g, ["cks_d2", "euler"])
     assert all(r["passed"] for r in report.values()), report
     assert built and len(built) == len(set(built))
+
+
+def stripes_one_by_one(c):
+    """Per-stripe reference for HTComplex.stripe_cohomology: each stripe
+    built on its own, its bases first and then d at every p with a source,
+    checked and factored.  A stripe that fails gives (position, reason,
+    message)."""
+    out = {}
+    for key in c.stripe_keys():
+        k, *r = key
+        bases = {p: c.basis(p, k - p, *r) for p in range(min(k, c.genus) + 1)}
+        try:
+            out[key] = CochainComplex(bases, {
+                p: _columns(c.d_matrix(p, k - p, *r))
+                for p, b in bases.items() if b}).cohomology()
+        except OutsideBasis as exc:
+            out[key] = (len(exc.source[0]), "d leaves the stripe", str(exc))
+        except NotAComplex as exc:
+            out[key] = (exc.degree, "d^2 != 0", str(exc))
+    return out
+
+
+def as_reference(stripes):
+    """A stripe_cohomology result with its errors written as in
+    stripes_one_by_one."""
+    return {key: (checks._stripe_failure({key: coh})[1:] + (str(coh),)
+                  if isinstance(coh, Exception) else coh)
+            for key, coh in stripes.items()}
+
+
+def test_stripe_walk_reports_the_stripe_the_reference_reports(monkeypatch, capsys):
+    # the restriction on 1-wedges at level 0 doubles across the last edge,
+    # so d² ≠ 0 in every stripe (k, 1), k ≥ 2, which the walk sees when the
+    # stripe ends; on 2-wedges at level 1 it keeps the lost edge x0, so
+    # every stripe (k, 2), k ≥ 2, leaves its basis at p = 1.  The walk meets
+    # (2, 2) first, at p = 1, but (2, 1) comes first in stripe order
+    inline = "v0-v1 v0-v2 v0-v3 v0-v4 v1-v2 v2-v3 v3-v4 v4-v1"
+    original = CoherentCotree.restrict
+
+    def broken(self, s, e, a):
+        out = original(self, s, e, a)
+        if not s and len(a) == 1 and e == self.graph.order[-1]:
+            return {k: 2 * c for k, c in out.items()}
+        if len(s) == 1 and len(a) == 2:
+            return {a: 1}
+        return out
+
+    monkeypatch.setattr(CoherentCotree, "restrict", broken)
+    g = graph_from_dsl(inline)
+    reference = stripes_one_by_one(build_cks(g))
+    failed = [key for key, coh in reference.items() if isinstance(coh, tuple)]
+    assert failed[:2] == [(2, 1), (2, 2)] and len(failed) == 6
+    ctx = GraphContext(g)
+    assert as_reference(ctx.cks_stripes) == reference
+    p, reason, message = reference[(2, 1)]
+    assert (p, reason) == (0, "d^2 != 0")
+    assert check_cks_d2(ctx) == (False, {"piece": (2 * p, 2 - p, 1), "reason": reason})
+    assert check_euler(ctx) == (False, {"stripe": (2, 1), "position": p,
+                                        "reason": reason})
+    assert cli.main(["cks", "--inline", inline]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def chain_maps_by_matmul(dc, p, q, r):
@@ -399,6 +464,108 @@ def test_delcon_cks_computes_each_operator_once_per_level(monkeypatch):
     report = run_checks(W4, ["delcon_cks"])
     assert report["delcon_cks"]["passed"], report
     assert calls["iota"] and calls["restrict"]
+
+
+@pytest.mark.parametrize("stripes", ["cks_stripes", "ht_stripes"])
+def test_stripe_walk_computes_each_operator_once(monkeypatch, stripes):
+    # no (S, e, w) interior product and no (S, e, a) restriction of one
+    # complex is computed twice (|S| is the level)
+    seen = set()
+    calls = {"iota": 0, "restrict": 0}
+    original_iota = HTComplex.iota
+    original_restrict = CoherentCotree.restrict
+
+    def once(kind, owner, *key):
+        key = (kind, owner, *key)
+        assert key not in seen, key
+        seen.add(key)
+        calls[kind] += 1
+
+    def iota(self, s, e, w):
+        once("iota", self, s, e, w)
+        return original_iota(self, s, e, w)
+
+    def restrict(self, s, e, a):
+        once("restrict", self, s, e, a)
+        return original_restrict(self, s, e, a)
+
+    monkeypatch.setattr(HTComplex, "iota", iota)
+    monkeypatch.setattr(CoherentCotree, "restrict", restrict)
+    for g in (THETA6, W4):
+        coh = getattr(GraphContext(g), stripes)
+        assert not any(isinstance(c, Exception) for c in coh.values())
+    assert calls == {"iota": 2426, "restrict": 2426 if stripes == "cks_stripes" else 0}
+
+
+def dims_euler_table(c):
+    """Euler table of a CKS complex from its dims, the face-count table's
+    oracle."""
+    table = {}
+    for k, ell in c.stripe_keys():
+        dims = [c.dim(p, k - p, ell) for p in range(min(k, c.genus) + 1)]
+        if any(dims):
+            table[(k, ell)] = sum((-1) ** p * n for p, n in enumerate(dims))
+    return table
+
+
+def recurrence_by_delcon_complexes(dc):
+    """Oracle for euler_recurrence_holds: e_Γ(k,ℓ) = e_{Γ/e}(k,ℓ) −
+    e_{Γ∖e}(k−1,ℓ) on the dims of the three complexes of a DelConCKS."""
+    mid, sub, quo = map(dims_euler_table, (dc.mid, dc.sub, dc.quo))
+    keys = set(mid) | set(quo) | {(k + 1, l) for (k, l) in sub}
+    return all(mid.get((k, l), 0) == quo.get((k, l), 0) - sub.get((k - 1, l), 0)
+               for (k, l) in keys)
+
+
+@pytest.mark.parametrize("graphs", [
+    [g for _, g in corpus.corpus_graphs(bound=4)], [THETA6], [W4],
+], ids=["corpus4", "theta6", "w4"])
+def test_face_count_recurrence_agrees_with_the_delcon_oracle(graphs):
+    edges = 0
+    for g in graphs:
+        ctx = GraphContext(g)
+        assert euler_table(g) == dims_euler_table(ctx.cks)
+        for e in ctx.admissible_edges():
+            dc = DelConCKS(ctx.delcon(e))
+            # each side's table from its face counts equals the one from dims
+            for c in (dc.mid, dc.sub, dc.quo):
+                assert euler_table(c) == dims_euler_table(c), (g, e)
+            assert euler_recurrence_holds(ctx.faces, e) \
+                == recurrence_by_delcon_complexes(dc) is True, (g, e)
+            edges += 1
+    assert edges
+
+
+@pytest.mark.parametrize("side", [0, 1, 2], ids=["middle", "deleted", "contracted"])
+def test_a_corrupted_face_count_fails_the_recurrence(monkeypatch, side):
+    # one more empty face on one of the three sides, in the order
+    # euler_recurrence_holds counts them
+    faces = face_complex(W4)
+    e = W4.order[0]
+    assert euler_recurrence_holds(faces, e)
+    original = cks_mod._counts_table
+    calls = []
+
+    def corrupted(counts, genus):
+        if len(calls) == side:
+            counts = [counts[0] + 1] + counts[1:]
+        calls.append(genus)
+        return original(counts, genus)
+
+    monkeypatch.setattr(cks_mod, "_counts_table", corrupted)
+    assert not euler_recurrence_holds(faces, e)
+    assert calls == [4, 3, 4]
+
+
+def test_cks_reports_a_corrupted_deletion_count(monkeypatch, capsys):
+    # the deleted side is the one table at genus g − 1
+    original = cks_mod._counts_table
+    monkeypatch.setattr(cks_mod, "_counts_table", lambda counts, genus: original(
+        [counts[0] + (genus == 3)] + counts[1:], genus))
+    assert cli.main(["cks", "--inline", "v0-v1 v0-v2 v0-v3 v0-v4 v1-v2 v2-v3 v3-v4 v4-v1"]) == 1
+    assert set(json.loads(capsys.readouterr().out)["recurrence_checks"].values()) == {False}
+    assert run_checks(W4, ["delcon_cks"])["delcon_cks"]["payload"] == {
+        "edge": "0", "reason": "Euler recurrence failed"}
 
 
 def exact_piece(dc):

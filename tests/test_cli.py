@@ -38,41 +38,63 @@ def test_cks_loop_ranks(tmp_path, capsys):
 
 
 def test_cks_computes_cohomology_once(monkeypatch, capsys):
-    # each stripe is built and factored once, with no second pass
+    # one walk builds and factors each stripe once, with no second pass
     # through cks_cohomology
-    from ckskit import cks
-    built = []
-    original = cks.CKSComplex.stripe
+    from ckskit import cks, ht
+    walks = []
+    factored = []
+    original = cks.CKSComplex.stripe_cohomology
 
-    def counting(self, k, ell):
-        built.append((k, ell))
-        return original(self, k, ell)
+    def counting(self):
+        stripes = original(self)
+        walks.append(stripes)
+        return stripes
 
-    monkeypatch.setattr(cks.CKSComplex, "stripe", counting)
+    class Counting(ht.CochainComplex):
+        def cohomology(self):
+            factored.append(self)
+            return super().cohomology()
+
+    monkeypatch.setattr(cks.CKSComplex, "stripe_cohomology", counting)
+    monkeypatch.setattr(ht, "CochainComplex", Counting)
     monkeypatch.setattr(cks, "cks_cohomology", None)
     code, _, _ = run_cli(["cks", "--inline", THETA_INLINE], capsys)
+    built = [key for stripes in walks for key in stripes]
     assert code == 0 and built and len(built) == len(set(built))
+    assert len(factored) == len(built)
 
 
-def test_cks_builds_no_basis_of_the_delcon_complexes(monkeypatch, capsys):
-    # the recurrence checks need only dimensions, which dim counts
-    from ckskit import cks
+def test_cks_builds_no_delcon_setup_and_one_coherent_cotree(monkeypatch, capsys):
+    # the recurrence checks read the face counts of the three sides, so
+    # `cks` needs the graph's own coherent cotree and nothing per edge
+    from ckskit import activity, cks, ht
     made = []
-    original = cks.DelConCKS.__init__
+    for cls in (ht.DelConR, cks.DelConCKS):
+        monkeypatch.setattr(cls, "__init__",
+                            lambda self, *args: made.append(type(self)))
+    cotrees = []
+    original = activity.coherent_cotree
 
-    def recording(self, setup):
-        original(self, setup)
-        made.append(self)
+    def counting(*args, **kwargs):
+        cotrees.append(args[0])
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(cks.DelConCKS, "__init__", recording)
-    code, _, _ = run_cli(["cks", "--inline", " ".join(["v0-v1"] * 6)], capsys)
-    assert code == 0 and len(made) == 6
-    assert not any(c._basis for dc in made for c in (dc.mid, dc.sub, dc.quo))
+    for module in (activity, ht, cks, cli):
+        monkeypatch.setattr(module, "coherent_cotree", counting)
+    code, out, _ = run_cli(["cks", "--inline", " ".join(["v0-v1"] * 6)], capsys)
+    assert code == 0 and not made and len(cotrees) == 1
+    assert json.loads(out)["recurrence_checks"] == {str(e): True for e in range(6)}
 
 
-# inline graph and sha256 of `cks` stdout, computed with the Markowitz-scan
-# elimination and the dense d² check
+# inline graph and sha256 of `cks` stdout: theta7 and W5 computed with the
+# Markowitz-scan elimination and the dense d² check, the 6-loop bouquet and
+# K4 with two parallel edges with stripes built one at a time and the Euler
+# recurrences read from each edge's deletion-contraction complexes
 CKS_STDOUT_SHA256 = {
+    "bouquet6": ("a:0-0 b:0-0 c:0-0 d:0-0 e:0-0 f:0-0",
+                 "a561f7db46cbd905c4bedaa5dc6b5a42e953ce2ed465a571136be6b402374f37"),
+    "k4pp": ("v0-v1 v0-v2 v0-v3 v1-v2 v1-v3 v2-v3 v0-v1 v2-v3",
+             "efc5f89431c43237713cdcdcea94bd2dd1a87d773af1948fad43a2d012fbb204"),
     "theta7": ("v0-v1 v0-v1 v0-v1 v0-v1 v0-v1 v0-v1 v0-v1",
                "a1918d125566b0f2a916cc9aafa3a99b7e83f07e6b51c045234f349bcbc5fe59"),
     "w5": ("v0-v1 v0-v2 v0-v3 v0-v4 v0-v5 v1-v2 v2-v3 v3-v4 v4-v5 v5-v1",

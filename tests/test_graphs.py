@@ -141,6 +141,19 @@ def test_cycle_basis_identity_block():
         CycleBasis(THETA, fs(X))
 
 
+def test_cycle_space_reads_the_cotrees_of_the_face_complex(monkeypatch):
+    # the top level of the face complex is the spanning cotrees, in the
+    # same order, so check_cycle_space enumerates none
+    from ckskit import checks, graphs
+    cases = [g for _, g in corpus.corpus_graphs(bound=4)]
+    for g in cases:
+        assert face_complex(g).levels[g.genus()] == spanning_cotrees(g)
+    monkeypatch.setattr(graphs, "spanning_cotrees",
+                        lambda g: pytest.fail("enumerated the cotrees again"))
+    for g in cases:
+        assert checks.check_cycle_space(checks.GraphContext(g)) == (True, None)
+
+
 def test_spanning_tree_count():
     assert spanning_tree_count(THETA) == 3
     assert spanning_tree_count(corpus.k4_graph()) == 16

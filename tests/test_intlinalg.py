@@ -16,6 +16,7 @@ from ckskit.errors import NotAComplex, OutsideBasis
 from ckskit.graphs import graph_from_dsl
 from ckskit.intlinalg import (
     CochainComplex,
+    _columns,
     _rank_and_torsion,
     det,
     identity,
@@ -99,15 +100,22 @@ def test_cohomology_zero_differentials():
 
 
 def test_cohomology_multiplication_by_two():
-    cx = CochainComplex({0: ["a"], 1: ["b"]}, {0: [[2]]})
+    cx = CochainComplex({0: ["a"], 1: ["b"]}, {0: _columns([[2]])})
     assert cx.cohomology() == {0: (0, []), 1: (0, [2])}
 
 
 def test_cohomology_rejects_non_complex():
     with pytest.raises(NotAComplex) as exc:
         CochainComplex({0: ["a"], 1: ["b"], 2: ["c"]},
-                       {0: [[1]], 1: [[1]]})
+                       {0: _columns([[1]]), 1: _columns([[1]])})
     assert exc.value.degree == 0
+
+
+def test_cochain_complex_rejects_columns_outside_the_bases():
+    with pytest.raises(ValueError):
+        CochainComplex({0: ["a"], 1: ["b"]}, {0: {1: {0: 1}}})
+    with pytest.raises(ValueError):
+        CochainComplex({0: ["a"], 1: ["b"]}, {0: {0: {1: 1}}})
 
 
 @st.composite
@@ -133,7 +141,7 @@ def test_check_d2_fails_exactly_where_the_dense_product_is_nonzero(chain):
                      if not is_zero_matrix(matmul(diffs[n + 1], diffs[n]))), None)
     bases = {n: list(range(k)) for n, k in enumerate(dims)}
     try:
-        CochainComplex(bases, dict(enumerate(diffs)))
+        CochainComplex(bases, {n: _columns(m) for n, m in enumerate(diffs)})
     except NotAComplex as exc:
         assert exc.degree == expected
     else:
@@ -142,9 +150,9 @@ def test_check_d2_fails_exactly_where_the_dense_product_is_nonzero(chain):
 
 def test_cohomology_invariant_under_basis_permutation():
     d = [[1, 0, 1], [0, 2, 0]]
-    cx = CochainComplex({0: list("abc"), 1: list("de")}, {0: d})
+    cx = CochainComplex({0: list("abc"), 1: list("de")}, {0: _columns(d)})
     perm_d = [[row[j] for j in (2, 0, 1)] for row in d][::-1]
-    cx2 = CochainComplex({0: list("cab"), 1: list("ed")}, {0: perm_d})
+    cx2 = CochainComplex({0: list("cab"), 1: list("ed")}, {0: _columns(perm_d)})
     assert cx.cohomology() == cx2.cohomology()
 
 
@@ -206,10 +214,14 @@ def assert_rank_mod_p_identity(a, rank_, torsion):
 
 
 def stripe_differentials(graph):
+    """Every nonzero differential of every stripe, from d_matrix."""
     cks = build_cks(graph)
-    for k in range(2 * cks.genus + 1):
-        for ell in range(cks.genus + 1):
-            yield from cks.stripe(k, ell).diffs.values()
+    for k, ell in cks.stripe_keys():
+        for p in range(min(k, cks.genus) + 1):
+            if cks.dim(p, k - p, ell):
+                m = cks.d_matrix(p, k - p, ell)
+                if not is_zero_matrix(m):
+                    yield m
 
 
 @pytest.mark.parametrize("graphs", [
