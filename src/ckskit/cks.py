@@ -9,21 +9,20 @@ H¹(Λ_S) -> H¹(Λ_{S∪e}) on the cocycle factor, both in closed form through
 the cotree edge x0 that C(S) loses to C(S ∪ e) (CoherentCotree.lost and
 CoherentCotree.restrict).  It preserves the stripes
 (k, ℓ) = (p + q, r), and each stripe is an honest subcomplex whose Euler
-characteristic fills the e(k, ℓ) table; the stripes' cohomology comes
-from one level-major walk (HTComplex.stripe_cohomology).  Since C(S) has
-genus − |S| edges on every face, the table reads only the face counts,
-and so does its deletion-contraction recurrence.  The generating
-polynomial of that table is a Tutte specialization, verified against
-exact cohomology.
+characteristic fills the e(k, ℓ) table; the stripes' cohomology is
+computed one stripe at a time (HTComplex.stripe_cohomology).  Since C(S)
+has genus − |S| edges on every face, the piece sizes and the table read
+only the face counts, and so does its deletion-contraction recurrence.
+The generating polynomial of that table is a Tutte specialization,
+verified against exact cohomology.
 """
 
-from math import comb
 from operator import itemgetter
 
 from .activity import CoherentCotree, coherent_cotree, tutte
 from .errors import CksKitError
 from .graphs import face_complex
-from .ht import HTComplex
+from .ht import HTComplex, piece_size
 from .intlinalg import is_zero_matrix, map_matrix, matmul, rank
 from .polynomials import Poly2
 
@@ -90,12 +89,13 @@ def euler_table(graph, cc=None):
 def _counts_table(counts, genus):
     """The Euler table of a CKS complex whose faces of size p number
     counts[p]: C(S) has genus − p edges on every such face S, so the
-    (2p, q, r) piece has dimension counts[p]·C(genus − p, q)·C(genus − p, r).
-    A stripe with no nonzero piece has no entry."""
+    (2p, q, r) piece has dimension counts[p]·C(genus − p, q)·C(genus − p, r)
+    (ht.piece_size, as in HTComplex.dim).  A stripe with no nonzero piece
+    has no entry."""
     table = {}
     for k in range(2 * genus + 1):
         for ell in range(genus + 1):
-            dims = [f * comb(genus - p, k - p) * comb(genus - p, ell)
+            dims = [piece_size(f, genus - p, (k - p, ell))
                     for p, f in enumerate(counts[:min(k, genus) + 1])]
             if any(dims):
                 table[(k, ell)] = sum((-1) ** p * n for p, n in enumerate(dims))
@@ -235,7 +235,13 @@ def euler_recurrence_holds(faces, e):
     levels at e: the faces of Γ∖e are those of Γ that contain e, minus e,
     at genus g − 1; those of Γ/e are the faces of Γ that avoid e, at
     genus g (the faces of induced_deletion_cotree and
-    induced_contraction_cotree)."""
+    induced_contraction_cotree).
+
+    This is an identity of the face split, so it holds for any face lists
+    and cannot fail: each level's count is the sum of its two split
+    counts, and a face of size p that contains e leaves a face of size
+    p − 1 at genus g − 1, whose cotrees have g − p edges as in Γ.  `cks`
+    still reports it under "recurrence_checks", and `delcon_cks` runs it."""
     g = faces.genus
     mid = _counts_table([len(level) for level in faces.levels], g)
     sub = _counts_table([sum(e in s for s in level) for level in faces.levels[1:]], g - 1)

@@ -249,10 +249,12 @@ def _parse_checks(spec_str):
     if not spec_str or spec_str == "all":
         return None
     names = [x.strip() for x in spec_str.split(",") if x.strip()]
+    known = "known: " + ", ".join(sorted(checks_mod.CHECKS))
+    if not names:
+        raise ParseError(f"--checks {spec_str!r} names no check; {known}")
     for name in names:
         if name not in checks_mod.CHECKS:
-            raise ParseError(f"unknown check {name!r}; known: "
-                             + ", ".join(sorted(checks_mod.CHECKS)))
+            raise ParseError(f"unknown check {name!r}; {known}")
     return names
 
 

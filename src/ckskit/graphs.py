@@ -344,23 +344,24 @@ class FaceComplex:
 
     levels[k] lists the k-element faces in lexicographic order of the edge
     order; the top level (k = genus) is exactly the spanning cotrees.
+    position[S] is the place of face S in its level.
     """
 
     def __init__(self, graph, levels):
         self.graph = graph
         self.levels = levels
         self.genus = len(levels) - 1
-        self._members = frozenset(s for level in levels for s in level)
+        self.position = {s: i for level in levels for i, s in enumerate(level)}
 
     def __contains__(self, edges):
-        return frozenset(edges) in self._members
+        return frozenset(edges) in self.position
 
     def faces(self):
         for level in self.levels:
             yield from level
 
     def __len__(self):
-        return len(self._members)
+        return len(self.position)
 
     @classmethod
     def from_faces(cls, graph, faces, genus=None):

@@ -8,11 +8,13 @@ re-expressed in C(S ∪ e)-coordinates by the coordinate projection that
 kills the one cotree edge x0 lost when e is added (CoherentCotree.lost).
 The trigraded subclass (cks.CKSComplex) shares this differential and
 tensors it with the restriction of its cocycle wedge, also through x0.
-Its matrix is assembled from one small interior-product operator and one
-restriction operator per face S and edge e, built once per level and
-placed as their Kronecker product (HTComplex.d_matrix).  The cohomology
-of every stripe comes from one walk with the level outermost
-(HTComplex.stripe_cohomology), so each operator is built once.
+C(S) has genus − p edges on every face S of size p, so each piece's
+size and the place of each face's block in it follow from the face counts
+(HTComplex.dim).  The matrix of d is assembled from one small
+interior-product operator and one restriction operator per face S and
+edge e, each built once per complex and placed as their Kronecker product
+(HTComplex.d_matrix).  The stripes' cohomology is computed one stripe at
+a time (HTComplex.stripe_cohomology).
 
 Also here: the square-free reduction of monomials, the chain maps f and g
 between the complex and its cohomology ring R, the contracting homotopy h,
@@ -22,7 +24,6 @@ that splits that basis.
 
 import itertools
 import math
-from collections import Counter
 
 from .activity import CoherentCotree, coherent_cotree
 from .errors import (
@@ -62,11 +63,7 @@ class HTComplex:
         self.genus = cc.faces.genus
         self._basis = {}
         self._index = {}
-        # level p -> how many faces S of size p have |C(S)| = c, for dim
-        self._sizes = {}
-        # the level d_matrix was last called at, and the iota and restrict
-        # operators it keeps for that level
-        self._level = None
+        # the iota and restrict operators d_matrix has built, for every level
         self._ops = {}
 
     # -- bases ------------------------------------------------------------
@@ -78,8 +75,7 @@ class HTComplex:
         key = (p, q, *r)
         if key not in self._basis:
             out = []
-            # C(S) has genus - p edges for every face S of size p
-            if 0 <= p <= self.genus and all(0 <= n <= self.genus - p for n in key[1:]):
+            if self.dim(*key):
                 for s in self.faces.levels[p]:
                     out.extend(itertools.product(
                         (s,), *(self._wedges(s, n) for n in key[1:])))
@@ -92,19 +88,12 @@ class HTComplex:
         return self._index[key]
 
     def dim(self, p, *ns):
-        """len(basis(p, *ns)), counted without building the basis: the sum
-        over the faces S of size p of the product of C(|C(S)|, n) over the
-        wedge sizes n, from one histogram of |C(S)| per level.  A cached
-        basis gives its length."""
-        key = (p, *ns)
-        if key in self._basis:
-            return len(self._basis[key])
+        """len(basis(p, *ns)), counted without building the basis: C(S)
+        has genus − p edges on every face S of size p, so the piece has
+        piece_size(f_p, genus − p, ns) elements, f_p = len(levels[p])."""
         if not (0 <= p <= self.genus and all(0 <= n <= self.genus - p for n in ns)):
             return 0
-        if p not in self._sizes:
-            self._sizes[p] = Counter(len(self.cc.C(s)) for s in self.faces.levels[p])
-        return sum(count * math.prod(math.comb(c, n) for n in ns)
-                   for c, count in self._sizes[p].items())
+        return piece_size(len(self.faces.levels[p]), self.genus - p, ns)
 
     def _wedges(self, s, n):
         """The increasing n-wedges of C(S), in basis order."""
@@ -150,36 +139,36 @@ class HTComplex:
 
     def d_matrix(self, p, q, *r):
         """Matrix of d: (2p, q) -> (2p+2, q-1), or (2p, q, r) ->
-        (2p+2, q-1, r), as dense rows.  Raises OutsideBasis when d leaves
-        the stripe.
+        (2p+2, q-1, r), as dense rows of shape dim(p + 1, q − 1, *r) ×
+        dim(p, q, *r).  Raises OutsideBasis when d leaves the stripe.
 
         Filled one face block at a time: the block from the elements on S
         to those on S ∪ e is the Kronecker product of iota(S, e, ·) on the
         q-wedges of C(S) with restrict(S, e, ·) on its r-wedges (see
-        _operator).  The operators are kept while d_matrix stays at level
-        p, so every q and r of a level shares them; a call at another level
-        drops them.  Each face's first row and column are read off the two
-        bases.  d_element gives the same columns element by element."""
-        src, tgt = self.basis(p, q, *r), self.basis(p + 1, q - 1, *r)
-        m = zeros(len(tgt), len(src))
-        if not tgt:
+        _operator).  The operators are kept for the complex's lifetime, so
+        each is built once.  Every face of a level has a block of the same
+        size, so face S's first column is position[S] · dim(p, q, *r)/f_p
+        and face T's first row is position[T] · dim(p + 1, q − 1, *r)/f_{p+1}.
+        d_element gives the same columns element by element."""
+        n_src, n_tgt = self.dim(p, q, *r), self.dim(p + 1, q - 1, *r)
+        m = zeros(n_tgt, n_src)
+        if not (n_src and n_tgt):
             return m
-        if p != self._level:
-            self._level, self._ops = p, {}
+        level = self.faces.levels[p]
+        width = n_src // len(level)
+        height = n_tgt // len(self.faces.levels[p + 1])
+        position = self.faces.position
         # HT has no third grading: its second factor is the 1×1 identity
         identity = [[(0, 1)]], 1
-        rows = _block_starts(tgt)
-        for s, j in _block_starts(src).items():
+        for s in level:
+            j = position[s] * width
             for e in self.graph.sort_edges(self.graph.eids - s):
                 t = s | {e}
-                if t not in self.faces:
+                if t not in position:
                     continue
                 iop, _ = self._operator(s, e, q, q - 1)
                 aop, size = self._operator(s, e, r[0], r[0]) if r else identity
-                i = rows.get(t)
-                if i is None:
-                    # C(T) has fewer than r edges: every restriction is zero
-                    continue
+                i = position[t] * height
                 na = len(aop)
                 for iw, irow in enumerate(iop):
                     col = j + iw * na
@@ -220,44 +209,35 @@ class HTComplex:
     def stripe_cohomology(self):
         """{p: (free, torsion)} of every stripe p + q = k (at weight r for
         the CKS complex), keyed as in stripe_keys, or the OutsideBasis or
-        NotAComplex error that stopped its build, kept as a witness.
+        NotAComplex error that stopped its build, kept as a witness.  The
+        stripes are built one at a time (_stripe); they share the
+        operators of d through the complex's cache."""
+        return {key: self._stripe(*key) for key in self.stripe_keys()}
 
-        The level p is the outer loop, so the d_matrix(p, k − p, *r) of all
-        stripes share that level's operators; each matrix is scanned into
-        sparse columns at once.  A stripe whose d leaves the basis stops
-        there; one whose last level min(k, genus) is done becomes a
-        CochainComplex (the d² check) and is factored."""
-        out = {}
-        # key -> (bases, sparse columns of d) by p, for the unfinished stripes
-        live = {key: ({}, {}) for key in self.stripe_keys()}
-        for p in range(self.genus + 1):
-            for key in list(live):
-                k, *r = key
-                bases, columns = live[key]
-                bases[p] = self.basis(p, k - p, *r)
-                if bases[p]:
-                    try:
-                        m = self.d_matrix(p, k - p, *r)
-                    except OutsideBasis as exc:
-                        out[key] = exc
-                        del live[key]
-                        continue
-                    columns[p] = _columns(m)
-                if p == min(k, self.genus):
-                    del live[key]
-                    try:
-                        out[key] = CochainComplex(bases, columns).cohomology()
-                    except NotAComplex as exc:
-                        out[key] = exc
-        return {key: out[key] for key in self.stripe_keys()}
+    def _stripe(self, k, *r):
+        """One stripe: d_matrix(p, k − p, *r) at every level p = 0..min(k,
+        genus) with a nonzero piece, each scanned into sparse columns at
+        once, then a CochainComplex over ranges of the piece sizes (the d²
+        check), factored.  Stops at the first d that leaves the basis."""
+        bases, columns = {}, {}
+        for p in range(min(k, self.genus) + 1):
+            bases[p] = range(self.dim(p, k - p, *r))
+            if bases[p]:
+                try:
+                    columns[p] = _columns(self.d_matrix(p, k - p, *r))
+                except OutsideBasis as exc:
+                    return exc
+        try:
+            return CochainComplex(bases, columns).cohomology()
+        except NotAComplex as exc:
+            return exc
 
 
-def _block_starts(basis):
-    """The position of each face's first element in a face-major basis."""
-    starts = {}
-    for i, b in enumerate(basis):
-        starts.setdefault(b[0], i)
-    return starts
+def piece_size(faces, edges, ns):
+    """The number of elements of a piece over `faces` faces whose cotrees
+    have `edges` edges each: one per face and choice of an n-wedge of
+    those edges for each wedge size n in ns."""
+    return faces * math.prod(math.comb(edges, n) for n in ns)
 
 
 def build_ht(graph, cc=None):

@@ -367,7 +367,8 @@ def _factor(columns):
 class CochainComplex:
     """Finitely many free Z-modules with integer differentials.
 
-    bases:   dict degree -> list of hashable basis labels
+    bases:   dict degree -> basis labels (any sized collection, such as a
+             range); only their number |C^n| is kept
     columns: dict degree n -> d_n: C^n -> C^{n+1} as sparse columns
              {j: {i: entry}} (see _columns), j < |C^n| and i < |C^{n+1}|;
              a zero differential may be omitted.  The d² check and
@@ -375,16 +376,16 @@ class CochainComplex:
     """
 
     def __init__(self, bases, columns):
-        self.bases = {n: list(labels) for n, labels in bases.items() if labels}
+        self._dims = {n: len(labels) for n, labels in bases.items() if labels}
         self._columns = {n: cols for n, cols in columns.items() if cols}
         self._check_shapes()
         self._check_d2()
 
     def dim(self, n):
-        return len(self.bases.get(n, ()))
+        return self._dims.get(n, 0)
 
     def degrees(self):
-        return sorted(self.bases)
+        return sorted(self._dims)
 
     def _check_shapes(self):
         for n, cols in self._columns.items():

@@ -4,8 +4,10 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ckskit import checks, cli, corpus
+from ckskit import checks, cli, corpus, ht
 from ckskit import cks as cks_mod
 from ckskit.activity import CoherentCotree, coherent_cotree
 from ckskit.cks import (
@@ -23,7 +25,7 @@ from ckskit.cks import (
 )
 from ckskit.checks import GraphContext, check_cks_d2, check_euler, run_checks
 from ckskit.errors import IncoherentCotree, MismatchedGraph, NotAComplex, OutsideBasis
-from ckskit.graphs import Graph, build_graph, face_complex, graph_from_dsl
+from ckskit.graphs import FaceComplex, Graph, build_graph, face_complex, graph_from_dsl
 from ckskit.ht import DelConR, HTComplex
 from ckskit.intlinalg import (
     CochainComplex,
@@ -423,7 +425,7 @@ def test_dim_counts_each_basis_without_building_it(graphs):
             dims = [c.dim(*key) for key in keys]
             assert not c._basis
             assert dims == [len(c.basis(*key)) for key in keys], g
-            # now from the cached bases
+            # again, with the bases built
             assert dims == [c.dim(*key) for key in keys]
             pieces_seen += len(keys)
     assert pieces_seen
@@ -497,6 +499,48 @@ def test_stripe_walk_computes_each_operator_once(monkeypatch, stripes):
     assert calls == {"iota": 2426, "restrict": 2426 if stripes == "cks_stripes" else 0}
 
 
+@pytest.mark.parametrize("g", [THETA6, W4], ids=["theta6", "w4"])
+def test_cks_stripes_build_no_basis(monkeypatch, g):
+    # the piece sizes and each face's block come from the face counts
+    monkeypatch.setattr(HTComplex, "basis", lambda *args: pytest.fail("built a basis"))
+    coh = GraphContext(g).cks_stripes
+    assert coh and not any(isinstance(c, Exception) for c in coh.values())
+
+
+@pytest.mark.parametrize("g", [THETA6, W4], ids=["theta6", "w4"])
+def test_each_stripe_is_complete_before_the_next_begins(monkeypatch, g):
+    # the stripes are built one at a time: every d_matrix call between two
+    # CochainComplex builds belongs to one stripe, and no stripe comes back
+    events = []
+    original = CKSComplex.d_matrix
+
+    def d_matrix(self, p, q, r):
+        events.append((p + q, r))
+        return original(self, p, q, r)
+
+    class Recording(CochainComplex):
+        def __init__(self, *args):
+            events.append(None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(CKSComplex, "d_matrix", d_matrix)
+    monkeypatch.setattr(ht, "CochainComplex", Recording)
+    c = build_cks(g)
+    c.stripe_cohomology()
+    segments, current = [], []
+    for event in events:
+        if event is None:
+            segments.append(current)
+            current = []
+        else:
+            current.append(event)
+    assert not current and len(segments) == len(c.stripe_keys())
+    segments = [segment for segment in segments if segment]
+    assert all(set(segment) == {segment[0]} for segment in segments), segments
+    stripes = [segment[0] for segment in segments]
+    assert stripes and len(stripes) == len(set(stripes))
+
+
 def dims_euler_table(c):
     """Euler table of a CKS complex from its dims, the face-count table's
     oracle."""
@@ -555,6 +599,28 @@ def test_a_corrupted_face_count_fails_the_recurrence(monkeypatch, side):
     monkeypatch.setattr(cks_mod, "_counts_table", corrupted)
     assert not euler_recurrence_holds(faces, e)
     assert calls == [4, 3, 4]
+
+
+@st.composite
+def face_splits(draw):
+    """A genus g and, per level p, how many faces avoid the edge e and
+    how many contain it (none at p = 0), as a stand-in face complex whose
+    faces are the empty set and {e}: the recurrence reads only the counts."""
+    g = draw(st.integers(0, 6))
+    counts = st.integers(0, 40)
+    avoid = draw(st.lists(counts, min_size=g + 1, max_size=g + 1))
+    contain = [0] + draw(st.lists(counts, min_size=g, max_size=g))
+    return FaceComplex(None, [[frozenset()] * a + [frozenset("e")] * c
+                              for a, c in zip(avoid, contain)])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(face_splits())
+def test_the_face_count_recurrence_is_an_identity_of_the_split(faces):
+    # each level's count is the sum of its two split counts, and the
+    # deleted side's C(g − 1 − (p − 1), ·) is the middle's C(g − p, ·), so
+    # the recurrence holds for any counts, not only those of a graph
+    assert euler_recurrence_holds(faces, "e")
 
 
 def test_cks_reports_a_corrupted_deletion_count(monkeypatch, capsys):

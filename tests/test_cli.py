@@ -157,6 +157,19 @@ def test_unknown_check_rejected(capsys):
     assert "unknown check" in err
 
 
+@pytest.mark.parametrize("spec", [",", " , ,"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--inline", THETA_INLINE], ["corpus", "--bound", "2"],
+], ids=["verify", "corpus"])
+def test_a_check_list_without_names_is_rejected(monkeypatch, capsys, command, spec):
+    # a list with no names would run nothing and report "all passed"
+    monkeypatch.setattr(cli.checks_mod, "run_checks",
+                        lambda *args, **kwargs: pytest.fail("checked"))
+    code, out, err = run_cli(command + ["--checks", spec], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --checks {spec!r} names no check; known: ")
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(["tutte", "--inline", "v0=v1"], capsys)
     assert code == 2 and "error" in err

@@ -112,6 +112,16 @@ def test_face_complex_theta():
     assert set(faces.levels[2]) == set(spanning_cotrees(THETA))
 
 
+def test_face_positions_follow_the_level_order():
+    # d_matrix places face S's block at position[S] times the block size
+    for _, g in corpus.corpus_graphs(bound=4):
+        faces = face_complex(g)
+        assert len(faces.position) == len(faces) == sum(map(len, faces.levels))
+        for level in faces.levels:
+            assert [faces.position[s] for s in level] == list(range(len(level)))
+            assert all(set(s) in faces for s in level)
+
+
 def test_loop_graph_faces():
     faces = face_complex(corpus.loop_graph())
     assert [len(level) for level in faces.levels] == [1, 1]
