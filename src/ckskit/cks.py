@@ -17,12 +17,13 @@ The generating polynomial of that table is a Tutte specialization,
 verified against exact cohomology.
 """
 
+import math
 from operator import itemgetter
 
 from .activity import CoherentCotree, coherent_cotree, tutte
 from .errors import CksKitError
 from .graphs import face_complex
-from .ht import HTComplex, piece_size
+from .ht import HTComplex
 from .intlinalg import is_zero_matrix, map_matrix, matmul, rank
 from .polynomials import Poly2
 
@@ -90,13 +91,15 @@ def _counts_table(counts, genus):
     """The Euler table of a CKS complex whose faces of size p number
     counts[p]: C(S) has genus − p edges on every such face S, so the
     (2p, q, r) piece has dimension counts[p]·C(genus − p, q)·C(genus − p, r)
-    (ht.piece_size, as in HTComplex.dim).  A stripe with no nonzero piece
-    has no entry."""
+    (ht.piece_size, as in HTComplex.dim).  Each level's binomials are
+    taken once.  A stripe with no nonzero piece has no entry."""
+    levels = [(f, [math.comb(genus - p, n) for n in range(2 * genus + 1)])
+              for p, f in enumerate(counts[:genus + 1])]
     table = {}
     for k in range(2 * genus + 1):
         for ell in range(genus + 1):
-            dims = [piece_size(f, genus - p, (k - p, ell))
-                    for p, f in enumerate(counts[:min(k, genus) + 1])]
+            dims = [f * binom[k - p] * binom[ell]
+                    for p, (f, binom) in enumerate(levels[:k + 1])]
             if any(dims):
                 table[(k, ell)] = sum((-1) ** p * n for p, n in enumerate(dims))
     return table
@@ -133,13 +136,6 @@ def tutte_loop_specialization(graph):
     return tutte(graph).substitute(Poly2.const(1), LOOP_VALUE)
 
 
-def tutte_specialization_literal(graph):
-    """The other argument order: x ← −(x+y+xy), y ← 1.  Kept only so the
-    two readings can be compared; it disagrees with h_hat already on the
-    theta graph (it lacks the x^d term that e(0,0)=1 forces)."""
-    return tutte(graph).substitute(LOOP_VALUE, Poly2.const(1))
-
-
 # ---------------------------------------------------------------------------
 # deletion-contraction
 
@@ -161,6 +157,8 @@ class DelConCKS:
         self.mid, self.sub, self.quo = (
             CKSComplex(cc.graph, CoherentCotree(cc.graph, cc.faces, cc.table))
             for cc in (setup.cc, setup.cc_del, setup.cc_con))
+        # (p, q, r) -> the positions split finds in the middle basis
+        self._positions = {}
 
     def include_matrix(self, p, q, r):
         """Inclusion (2p,q,r) of the deleted complex into (2p+2,q,r) of
@@ -194,10 +192,17 @@ class DelConCKS:
     def split(self, p, q, r):
         """Positions in the middle basis (2p, q, r) of the triples with e ∉ S
         and e ∈ S; None unless they are the contracted (2p, q, r) and deleted
-        (2p−2, q, r) bases in order, the latter moved by S ↦ S ∪ e."""
+        (2p−2, q, r) bases in order, the latter moved by S ↦ S ∪ e.  The
+        positions are found once per piece; the bases are compared on
+        every call."""
         mid = self.mid.basis(p, q, r)
-        con = [i for i, b in enumerate(mid) if self.edge not in b[0]]
-        dl = [i for i, b in enumerate(mid) if self.edge in b[0]]
+        key = (p, q, r)
+        if key not in self._positions:
+            sides = [], []
+            for i, b in enumerate(mid):
+                sides[self.edge in b[0]].append(i)
+            self._positions[key] = sides
+        con, dl = self._positions[key]
         if ([mid[i] for i in con] != self.quo.basis(p, q, r)
                 or [(mid[i][0] - {self.edge}, *mid[i][1:]) for i in dl]
                 != self.sub.basis(p - 1, q, r)):

@@ -246,7 +246,7 @@ def cmd_periodize(args):
 
 
 def _parse_checks(spec_str):
-    if not spec_str or spec_str == "all":
+    if spec_str == "all":
         return None
     names = [x.strip() for x in spec_str.split(",") if x.strip()]
     known = "known: " + ", ".join(sorted(checks_mod.CHECKS))

@@ -10,11 +10,17 @@ The trigraded subclass (cks.CKSComplex) shares this differential and
 tensors it with the restriction of its cocycle wedge, also through x0.
 C(S) has genus − p edges on every face S of size p, so each piece's
 size and the place of each face's block in it follow from the face counts
-(HTComplex.dim).  The matrix of d is assembled from one small
-interior-product operator and one restriction operator per face S and
-edge e, each built once per complex and placed as their Kronecker product
-(HTComplex.d_matrix).  The stripes' cohomology is computed one stripe at
-a time (HTComplex.stripe_cohomology).
+(HTComplex.dim).  The matrix of d is written as sparse columns, one face
+block at a time, as the Kronecker product of the interior product and
+the restriction on the wedges of C(S) (HTComplex.d_columns).  Both come
+from one record per face S and edge e, built once per complex: the place
+of x0, the interior products of the 1-wedges and the restriction of x0.
+Templates of wedge positions, shared by all complexes, extend these to
+n-wedges: the interior product is a derivation followed by the projection
+that kills x0, and the restriction is an exterior power.  HTComplex.iota
+and CoherentCotree.restrict give the same maps wedge by wedge, for
+d_element, the reference.  The stripes' cohomology is computed one stripe
+at a time from those columns (HTComplex.stripe_cohomology).
 
 Also here: the square-free reduction of monomials, the chain maps f and g
 between the complex and its cohomology ring R, the contracting homotopy h,
@@ -22,6 +28,7 @@ the ring R with its monomial basis, and the deletion-contraction setup
 that splits that basis.
 """
 
+import functools
 import itertools
 import math
 
@@ -42,7 +49,7 @@ from .graphs import (
     fundamental_cycle,
     union_find,
 )
-from .intlinalg import CochainComplex, _columns, map_matrix, zeros
+from .intlinalg import CochainComplex, map_matrix, zeros
 
 
 class HTComplex:
@@ -63,8 +70,8 @@ class HTComplex:
         self.genus = cc.faces.genus
         self._basis = {}
         self._index = {}
-        # the iota and restrict operators d_matrix has built, for every level
-        self._ops = {}
+        # face -> its edge records (_edges)
+        self._records = {}
 
     # -- bases ------------------------------------------------------------
 
@@ -137,70 +144,112 @@ class HTComplex:
             out.update(terms)
         return out
 
-    def d_matrix(self, p, q, *r):
+    def d_columns(self, p, q, *r):
         """Matrix of d: (2p, q) -> (2p+2, q-1), or (2p, q, r) ->
-        (2p+2, q-1, r), as dense rows of shape dim(p + 1, q − 1, *r) ×
-        dim(p, q, *r).  Raises OutsideBasis when d leaves the stripe.
+        (2p+2, q-1, r), as sparse columns {j: {i: entry}} over its nonzero
+        entries, j < dim(p, q, *r) and i < dim(p + 1, q − 1, *r): the
+        columns CochainComplex reads.  Raises OutsideBasis when d leaves
+        the stripe.
 
         Filled one face block at a time: the block from the elements on S
-        to those on S ∪ e is the Kronecker product of iota(S, e, ·) on the
-        q-wedges of C(S) with restrict(S, e, ·) on its r-wedges (see
-        _operator).  The operators are kept for the complex's lifetime, so
-        each is built once.  Every face of a level has a block of the same
-        size, so face S's first column is position[S] · dim(p, q, *r)/f_p
-        and face T's first row is position[T] · dim(p + 1, q − 1, *r)/f_{p+1}.
-        d_element gives the same columns element by element."""
+        to those on S ∪ e is the Kronecker product of the interior product
+        by e on the q-wedges of C(S) with the restriction to C(S ∪ e) on
+        its r-wedges.  Both operators are read off the edge record of
+        (S, e) (_edges) through templates of wedge positions
+        (_iota_template, _restrict_template), so no operator is kept.
+        Every face of a level has a block of the same size, so face S's
+        first column is position[S] · dim(p, q, *r)/f_p and face T's first
+        row is position[T] · dim(p + 1, q − 1, *r)/f_{p+1}.  d_element
+        gives the same columns element by element."""
         n_src, n_tgt = self.dim(p, q, *r), self.dim(p + 1, q - 1, *r)
-        m = zeros(n_tgt, n_src)
+        columns = {}
         if not (n_src and n_tgt):
-            return m
+            return columns
         level = self.faces.levels[p]
         width = n_src // len(level)
         height = n_tgt // len(self.faces.levels[p + 1])
         position = self.faces.position
-        # HT has no third grading: its second factor is the 1×1 identity
-        identity = [[(0, 1)]], 1
+        m = self.genus - p
+        n = r[0] if r else 0
+        # the restriction maps the na n-wedges of C(S) to the size n-wedges
+        # of C(S ∪ e); HT has no third grading, and at n = 0 the
+        # restriction is the 1×1 identity
+        na, size = math.comb(m, n), math.comb(m - 1, n)
+        identity = [(0, [(0, 1)])]
         for s in level:
             j = position[s] * width
+            for edge in self._edges(s):
+                aop = identity
+                if n:
+                    b = self._restriction(s, edge)
+                    aop = [(ja, arow) for ja, arow in enumerate(
+                        [(y, sign * b[k]) for y, sign, k in row if b[k]]
+                        for row in _restrict_template(m, edge.x0_pos, n)) if arow]
+                i = edge.t_pos * height
+                a = edge.iota
+                # one source q-wedge of C(S) per template row, na columns apart
+                for col, row in zip(range(j, j + width, na),
+                                    _iota_template(m, edge.x0_pos, q)):
+                    bases = [(i + x * size, sign * a[k]) for x, sign, k in row if a[k]]
+                    if bases:
+                        for ja, arow in aop:
+                            columns.setdefault(col + ja, {}).update(
+                                [(base + y, c * c2) for base, c in bases for y, c2 in arow])
+        return columns
+
+    def d_matrix(self, p, q, *r):
+        """d_columns(p, q, *r) as dense rows of shape dim(p + 1, q − 1, *r)
+        × dim(p, q, *r), for the maps and checks that read rows (the HT
+        identities, check_chain_maps, `ht --matrices`).  Raises
+        OutsideBasis when d leaves the stripe."""
+        m = zeros(self.dim(p + 1, q - 1, *r), self.dim(p, q, *r))
+        for j, col in self.d_columns(p, q, *r).items():
+            for i, x in col.items():
+                m[i][j] = x
+        return m
+
+    def _edges(self, s):
+        """The edge records of face S, one per edge e with S ∪ e a face, in
+        edge order, each built once per complex (see _Edge).  Raises
+        OutsideBasis when the interior product by e of a 1-wedge of C(S)
+        is not a multiple of the empty wedge of C(S ∪ e)."""
+        records = self._records.get(s)
+        if records is None:
+            records = []
+            position = self.faces.position
+            xs = self.graph.sort_edges(self.cc.C(s))
             for e in self.graph.sort_edges(self.graph.eids - s):
                 t = s | {e}
                 if t not in position:
                     continue
-                iop, _ = self._operator(s, e, q, q - 1)
-                aop, size = self._operator(s, e, r[0], r[0]) if r else identity
-                i = position[t] * height
-                na = len(aop)
-                for iw, irow in enumerate(iop):
-                    col = j + iw * na
-                    for x, c in irow:
-                        base = i + x * size
-                        for ja, arow in enumerate(aop, col):
-                            for y, c2 in arow:
-                                m[base + y][ja] = c * c2
-        return m
+                values = []
+                for x in xs:
+                    image = self.iota(s, e, (x,))
+                    for key in image:
+                        if key:
+                            raise OutsideBasis((s, (x,)), (t, key))
+                    values.append(image.get((), 0))
+                records.append(_Edge(e, position[t], xs.index(self.cc.lost(s, e)),
+                                     values))
+            self._records[s] = records
+        return records
 
-    def _operator(self, s, e, n, n_t):
-        """iota(S, e, ·) (for n_t = n − 1) or restrict(S, e, ·) (for
-        n_t = n) on the n-wedges of C(S): one row of (position among the
-        n_t-wedges of C(S ∪ e), coefficient) pairs per wedge, and the
-        number of those n_t-wedges.  Raises OutsideBasis, naming the face
-        and wedge on each side, for an image wedge that is not an
-        n_t-wedge of C(S ∪ e)."""
-        key = (s, e, n, n_t)
-        if key not in self._ops:
-            t = s | {e}
-            image = self.iota if n_t < n else self.cc.restrict
-            index = {x: i for i, x in enumerate(self._wedges(t, n_t))}
-            rows = []
-            for w in self._wedges(s, n):
-                row = []
-                for x, c in image(s, e, w).items():
-                    if x not in index:
-                        raise OutsideBasis((s, w), (t, x))
-                    row.append((index[x], c))
-                rows.append(row)
-            self._ops[key] = rows, len(index)
-        return self._ops[key]
+    def _restriction(self, s, edge):
+        """The restriction of x0 = cc.lost(S, e) to C(S ∪ e), as its
+        coefficients on the sorted C(S ∪ e) followed by a 1 (the values
+        _restrict_template reads), built once per record.  Raises
+        OutsideBasis when an image is not a 1-wedge of C(S ∪ e)."""
+        if edge.restrict is None:
+            t = s | {edge.e}
+            index = {y: i for i, y in enumerate(self.graph.sort_edges(self.cc.C(t)))}
+            x0 = self.cc.lost(s, edge.e)
+            values = [0] * len(index) + [1]
+            for key, c in self.cc.restrict(s, edge.e, (x0,)).items():
+                if len(key) != 1 or key[0] not in index:
+                    raise OutsideBasis((s, (x0,)), (t, key))
+                values[index[key[0]]] = c
+            edge.restrict = values
+        return edge.restrict
 
     def stripe_keys(self):
         """The key (k,) of every stripe p + q = k that can be nonzero."""
@@ -210,27 +259,99 @@ class HTComplex:
         """{p: (free, torsion)} of every stripe p + q = k (at weight r for
         the CKS complex), keyed as in stripe_keys, or the OutsideBasis or
         NotAComplex error that stopped its build, kept as a witness.  The
-        stripes are built one at a time (_stripe); they share the
-        operators of d through the complex's cache."""
+        stripes are built one at a time (_stripe); they share the edge
+        records of d (_edges)."""
         return {key: self._stripe(*key) for key in self.stripe_keys()}
 
     def _stripe(self, k, *r):
-        """One stripe: d_matrix(p, k − p, *r) at every level p = 0..min(k,
-        genus) with a nonzero piece, each scanned into sparse columns at
-        once, then a CochainComplex over ranges of the piece sizes (the d²
-        check), factored.  Stops at the first d that leaves the basis."""
+        """One stripe: d_columns(p, k − p, *r) at every level p = 0..min(k,
+        genus) with a nonzero piece, then a CochainComplex over ranges of
+        the piece sizes (the d² check), factored.  Stops at the first d
+        that leaves the basis."""
         bases, columns = {}, {}
         for p in range(min(k, self.genus) + 1):
             bases[p] = range(self.dim(p, k - p, *r))
             if bases[p]:
                 try:
-                    columns[p] = _columns(self.d_matrix(p, k - p, *r))
+                    columns[p] = self.d_columns(p, k - p, *r)
                 except OutsideBasis as exc:
                     return exc
         try:
             return CochainComplex(bases, columns).cohomology()
         except NotAComplex as exc:
             return exc
+
+
+class _Edge:
+    """What d needs of a face S and an edge e with S ∪ e a face: e, the
+    place of S ∪ e in its level (t_pos), the place of x0 = cc.lost(S, e)
+    in the sorted C(S) (x0_pos), the interior products ⟨γ_x, e⟩ by e of
+    the 1-wedges x of the sorted C(S) (iota), and the values of
+    HTComplex._restriction once the CKS differential has asked for them
+    (restrict).  The templates read iota and restrict by position."""
+
+    __slots__ = ("e", "t_pos", "x0_pos", "iota", "restrict")
+
+    def __init__(self, e, t_pos, x0_pos, iota):
+        self.e, self.t_pos, self.x0_pos, self.iota = e, t_pos, x0_pos, iota
+        self.restrict = None
+
+
+def _wedge_index(m, n):
+    """{w: place} over the increasing n-wedges of range(m), in basis order."""
+    return {w: i for i, w in enumerate(itertools.combinations(range(m), n))}
+
+
+def _drop(w, j):
+    """Positions in C(S) other than j, renumbered as positions in
+    C(S ∪ e) = C(S) ∖ {x0}, x0 at position j."""
+    return tuple(x - (x > j) for x in w)
+
+
+# The templates are cached for the process: there is one per (m, j, n)
+# with j < m ≤ genus, and each is a tuple of tuples that no caller changes.
+
+@functools.cache
+def _iota_template(m, j, n):
+    """The interior product by e on the n-wedges of a cotree C(S) of m
+    sorted edges that loses its j-th edge x0 to C(S ∪ e), by position: per
+    source wedge w, in basis order, a (target wedge, sign, value index)
+    triple for each term.  It is the derivation Σ_t (−1)^t ⟨γ_{w_t}, e⟩
+    w ∖ w_t, read from the 1-wedge products (value index w_t), followed by
+    the coordinate projection that kills every rest keeping x0: when
+    j ∈ w, only the term that removes it is left (see HTComplex.iota)."""
+    index = _wedge_index(m - 1, n - 1)
+    return tuple(
+        tuple((index[_drop(w[:t] + w[t + 1:], j)], -1 if t % 2 else 1, w[t])
+              for t in ([w.index(j)] if j in w else range(n)))
+        for w in itertools.combinations(range(m), n))
+
+
+@functools.cache
+def _restrict_template(m, j, n):
+    """The restriction to C(S ∪ e) on the n-wedges of a cotree C(S) of m
+    sorted edges that loses its j-th edge x0, by position: the n-th
+    exterior power of its map on 1-wedges, which keeps every other edge
+    and sends x0 to Σ_y b_y y over the m − 1 edges of C(S ∪ e).  Per
+    source wedge, in basis order, a (target wedge, sign, value index)
+    triple for each term: index y < m − 1 reads b_y, and m − 1 the 1 that
+    HTComplex._restriction appends (see CoherentCotree.restrict)."""
+    index = _wedge_index(m - 1, n)
+    out = []
+    for w in itertools.combinations(range(m), n):
+        if j not in w:
+            out.append(((index[_drop(w, j)], 1, m - 1),))
+            continue
+        t = w.index(j)
+        rest = _drop(w[:t] + w[t + 1:], j)
+        row = []
+        for y in range(m - 1):
+            if y not in rest:
+                u = sum(1 for z in rest if z < y)
+                row.append((index[rest[:u] + (y,) + rest[u:]],
+                            -1 if (t + u) % 2 else 1, y))
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def piece_size(faces, edges, ns):

@@ -2,8 +2,8 @@
 
 Dense matrices are plain lists of lists of Python ints.  map_matrix
 turns sparse images on labelled bases into them for the maps between
-complexes (f, g, h, inclusions, projections); ht.HTComplex.d_matrix
-fills the HT and CKS differentials face block by face block instead.
+complexes (f, g, h, inclusions, projections); ht.HTComplex.d_columns
+writes the HT and CKS differentials as sparse columns instead.
 Everything here is exact: Smith normal form with unimodular transforms,
 ranks over Q, cochain-complex cohomology (free rank + torsion invariant
 factors), and direct-sum splitting certificates for sublattices of Z^n.

@@ -23,12 +23,12 @@ from ckskit.cks import (
     cks_cohomology,
     h_hat,
     tutte_loop_specialization,
-    tutte_specialization_literal,
 )
 from ckskit.graphs import spanning_tree_count
 from ckskit.ht import ChoiceFunction, FGH, HTComplex
 from ckskit.intlinalg import smith_normal_form
 from ckskit.polynomials import Poly1, Poly2
+from test_cks import tutte_specialization_literal
 
 CORPUS = corpus.corpus_graphs(bound=5)
 IDS = [label if label != "enum" else f"enum{i}"

@@ -89,16 +89,23 @@ def test_cks_builds_no_delcon_setup_and_one_coherent_cotree(monkeypatch, capsys)
 # inline graph and sha256 of `cks` stdout: theta7 and W5 computed with the
 # Markowitz-scan elimination and the dense d² check, the 6-loop bouquet and
 # K4 with two parallel edges with stripes built one at a time and the Euler
-# recurrences read from each edge's deletion-contraction complexes
+# recurrences read from each edge's deletion-contraction complexes, theta8,
+# K5 and W6 with each differential scanned from dense rows
 CKS_STDOUT_SHA256 = {
     "bouquet6": ("a:0-0 b:0-0 c:0-0 d:0-0 e:0-0 f:0-0",
                  "a561f7db46cbd905c4bedaa5dc6b5a42e953ce2ed465a571136be6b402374f37"),
     "k4pp": ("v0-v1 v0-v2 v0-v3 v1-v2 v1-v3 v2-v3 v0-v1 v2-v3",
              "efc5f89431c43237713cdcdcea94bd2dd1a87d773af1948fad43a2d012fbb204"),
+    "k5": ("v0-v1 v0-v2 v0-v3 v0-v4 v1-v2 v1-v3 v1-v4 v2-v3 v2-v4 v3-v4",
+           "c6b7da1b8631395d9f63b8d916af5ebc8f2ecd91322c9deeea9aff591753618d"),
     "theta7": ("v0-v1 v0-v1 v0-v1 v0-v1 v0-v1 v0-v1 v0-v1",
                "a1918d125566b0f2a916cc9aafa3a99b7e83f07e6b51c045234f349bcbc5fe59"),
+    "theta8": ("v0-v1 v0-v1 v0-v1 v0-v1 v0-v1 v0-v1 v0-v1 v0-v1",
+               "7a67e3a44d34ba8ccb34287380f501c76cd0aa2ac68d91efe30f187e2e1eb550"),
     "w5": ("v0-v1 v0-v2 v0-v3 v0-v4 v0-v5 v1-v2 v2-v3 v3-v4 v4-v5 v5-v1",
            "d1e391f09c1c722d437aad8ee466654ba4791974fbb6a196b41fe0fb76959eef"),
+    "w6": ("v0-v1 v0-v2 v0-v3 v0-v4 v0-v5 v0-v6 v1-v2 v2-v3 v3-v4 v4-v5 v5-v6 v6-v1",
+           "d1ff91d9496bc70996fcc2ddd00a447405fa1b545ae0e90fc9097b9acc6ed8c9"),
 }
 
 
@@ -157,7 +164,7 @@ def test_unknown_check_rejected(capsys):
     assert "unknown check" in err
 
 
-@pytest.mark.parametrize("spec", [",", " , ,"])
+@pytest.mark.parametrize("spec", ["", ",", " , ,"])
 @pytest.mark.parametrize("command", [
     ["verify", "--inline", THETA_INLINE], ["corpus", "--bound", "2"],
 ], ids=["verify", "corpus"])
