@@ -110,11 +110,14 @@ class CoherentCotree:
         return self.graph.eids - s - self.C(s)
 
     def cycles(self, s):
-        """Fundamental-cycle basis of the deleted graph w.r.t. C(S)."""
+        """Fundamental-cycle basis of Γ∖S w.r.t. C(S), built once per face
+        in Γ itself from the tree T(S) = E ∖ S ∖ C(S), so no graph is built
+        for Γ∖S: CycleBasis(Γ, C(S), S) has the rows of CycleBasis(Γ∖S,
+        C(S)).  Raises NotACotree unless T(S) spans Γ, that is, unless C(S)
+        is a spanning cotree of Γ∖S."""
         s = frozenset(s)
         if s not in self._cycles:
-            sub = self.graph.delete(s) if s else self.graph
-            self._cycles[s] = CycleBasis(sub, self.C(s))
+            self._cycles[s] = CycleBasis(self.graph, self.C(s), s)
         return self._cycles[s]
 
     def pair(self, s, x, e):

@@ -24,7 +24,7 @@ from .activity import CoherentCotree, coherent_cotree, tutte
 from .errors import CksKitError
 from .graphs import face_complex
 from .ht import HTComplex
-from .intlinalg import is_zero_matrix, map_matrix, matmul, rank
+from .intlinalg import is_zero_matrix, is_zero_product, map_matrix, rank
 from .polynomials import Poly2
 
 # base value for the Tutte specialization: the loop graph's generating
@@ -173,7 +173,11 @@ class DelConCKS:
                           lambda b: {} if self.edge in b[0] else {b: 1})
 
     def check_exact(self, p, q, r):
-        """Degreewise exactness 0 → sub → mid → quo → 0 at (2p, q, r)."""
+        """Degreewise exactness 0 → sub → mid → quo → 0 at (2p, q, r): the
+        dimensions add up, the inclusion has full column rank and the
+        projection full row rank (intlinalg.rank), and the composite is
+        zero, tested exactly from the nonzero entries of both maps
+        (intlinalg.is_zero_product) without forming the dense product."""
         inc = self.include_matrix(p - 1, q, r)
         prj = self.project_matrix(p, q, r)
         dim_mid = self.mid.dim(p, q, r)
@@ -186,7 +190,7 @@ class DelConCKS:
         if r_inc != dim_sub or r_prj != dim_quo:
             return False
         if dim_sub and dim_quo:
-            return is_zero_matrix(matmul(prj, inc))
+            return is_zero_product(prj, inc)
         return True
 
     def split(self, p, q, r):
@@ -246,13 +250,30 @@ def euler_recurrence_holds(faces, e):
     and cannot fail: each level's count is the sum of its two split
     counts, and a face of size p that contains e leaves a face of size
     p − 1 at genus g − 1, whose cotrees have g − p edges as in Γ.  `cks`
-    still reports it under "recurrence_checks", and `delcon_cks` runs it."""
+    still reports it under "recurrence_checks" (euler_recurrences), and
+    `delcon_cks` runs it."""
+    return euler_recurrences(faces, [e])[e]
+
+
+def euler_recurrences(faces, edges):
+    """{e: euler_recurrence_holds(faces, e)} over `edges`, in their order.
+    One pass over Γ's face levels counts the faces of each size that
+    contain each edge, and Γ's own table is built once for all of them;
+    each edge then builds the tables of its two sides, deletion first."""
     g = faces.genus
+    containing = {e: [0] * len(faces.levels) for e in edges}
+    for p, level in enumerate(faces.levels):
+        for s in level:
+            for x in s:
+                counts = containing.get(x)
+                if counts is not None:
+                    counts[p] += 1
     mid = _counts_table([len(level) for level in faces.levels], g)
-    sub = _counts_table([sum(e in s for s in level) for level in faces.levels[1:]], g - 1)
-    quo = _counts_table([sum(e not in s for s in level) for level in faces.levels], g)
-    keys = set(mid) | set(quo) | {(k + 1, l) for (k, l) in sub}
-    return all(
-        mid.get((k, l), 0) == quo.get((k, l), 0) - sub.get((k - 1, l), 0)
-        for (k, l) in keys
-    )
+    out = {}
+    for e, with_e in containing.items():
+        sub = _counts_table(with_e[1:], g - 1)
+        quo = _counts_table([len(level) - n for level, n in zip(faces.levels, with_e)], g)
+        keys = set(mid) | set(quo) | {(k + 1, l) for (k, l) in sub}
+        out[e] = all(mid.get((k, l), 0) == quo.get((k, l), 0) - sub.get((k - 1, l), 0)
+                     for (k, l) in keys)
+    return out

@@ -187,8 +187,8 @@ def cmd_cks(args):
         raise CksKitError(f"Euler characteristic mismatch at stripe {key}")
     hh = cks_mod.h_hat(ctx.cks)
     spec_poly = cks_mod.tutte_loop_specialization(g)
-    recurrence = {str(e): cks_mod.euler_recurrence_holds(ctx.faces, e)
-                  for e in ctx.admissible_edges()}
+    recurrence = {str(e): ok for e, ok in cks_mod.euler_recurrences(
+        ctx.faces, ctx.admissible_edges()).items()}
     payload = {
         "schema": SCHEMA,
         "ranks_by_tridegree": {f"{k[0]},{k[1]},{k[2]}": free

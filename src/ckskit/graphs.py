@@ -456,23 +456,75 @@ def fundamental_cycle(graph, tree, x):
     return {e: c for e, c in cyc.items() if c}
 
 
+def fundamental_cycles(graph, tree, xs):
+    """{x: fundamental_cycle(graph, tree, x)} for the edges xs outside the
+    spanning tree `tree`, equal as dicts and in key order, from one
+    adjacency of the tree: it is rooted once, and the cycle of x joins the
+    tree paths from the two ends of x up to the vertex where they meet.
+    Raises NotASpanningTree unless `tree` spans the graph."""
+    adj = {v: [] for v in graph.vertices}
+    for e in tree:
+        adj[graph.head[e]].append((e, graph.tail[e], -1))
+        adj[graph.tail[e]].append((e, graph.head[e], +1))
+    # v -> (parent, edge, sign of the edge walked from the parent to v)
+    root = graph.vertices[0]
+    up, depth = {root: None}, {root: 0}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for e, w, sgn in adj[v]:
+            if w not in up:
+                up[w], depth[w] = (v, e, sgn), depth[v] + 1
+                stack.append(w)
+    if len(up) != graph.n_vertices or len(tree) != graph.n_vertices - 1:
+        raise NotASpanningTree("tree does not span the graph")
+    out = {}
+    for x in xs:
+        # the path from head(x) to tail(x): tail's side is walked down from
+        # the meeting vertex, head's side up to it (so its signs flip)
+        a, b = graph.head[x], graph.tail[x]
+        cyc, climb = {x: 1}, []
+        while a != b:
+            if depth[a] >= depth[b]:
+                a, e, sgn = up[a]
+                climb.append((e, -sgn))
+            else:
+                b, e, sgn = up[b]
+                cyc[e] = sgn
+        cyc.update(reversed(climb))
+        out[x] = cyc
+    return out
+
+
 class CycleBasis:
-    """Fundamental-cycle basis of graph homology for a spanning cotree.
+    """Fundamental-cycle basis of the homology of graph ∖ deleted for a
+    spanning cotree of it.
 
     rows[x] is the sparse coordinate vector of the cycle attached to the
-    cotree edge x; the submatrix on cotree columns is the identity.
+    cotree edge x; the submatrix on cotree columns is the identity.  The
+    cycles are built in `graph` itself from the tree T = E ∖ deleted ∖
+    cotree (fundamental_cycles), so no graph is built for the deletion:
+    the cotree is a spanning cotree of graph ∖ deleted exactly when T is a
+    spanning tree of graph, which has the same vertices, and the cycles
+    of T are then those of graph.delete(deleted).  Raises NotACotree
+    otherwise.
     """
 
-    def __init__(self, graph, cotree):
-        if not is_spanning_cotree(graph, cotree):
-            raise NotACotree(f"{sorted(map(str, cotree))} is not a spanning cotree")
+    def __init__(self, graph, cotree, deleted=frozenset()):
+        cotree, deleted = frozenset(cotree), frozenset(deleted)
+        kept = graph.eids - deleted
+        try:
+            if not cotree <= kept:
+                raise NotASpanningTree("the cotree leaves the graph")
+            self.cotree = tuple(graph.sort_edges(cotree))
+            self.rows = fundamental_cycles(graph, kept - cotree, self.cotree)
+        except NotASpanningTree:
+            raise NotACotree(f"{sorted(map(str, cotree))} is not a spanning cotree") from None
         self.graph = graph
-        self.cotree = tuple(graph.sort_edges(cotree))
-        tree = frozenset(graph.eids) - frozenset(cotree)
-        self.rows = {x: fundamental_cycle(graph, tree, x) for x in self.cotree}
+        self.deleted = deleted
 
     def cycle_matrix(self):
-        cols = self.graph.order
+        cols = [e for e in self.graph.order if e not in self.deleted]
         return [[self.rows[x].get(e, 0) for e in cols] for x in self.cotree]
 
     def pairing(self, edges):

@@ -70,6 +70,10 @@ class HTComplex:
         self.genus = cc.faces.genus
         self._basis = {}
         self._index = {}
+        # (p, *ns) -> dim(p, *ns), and face -> its sorted C(S) (_cotree):
+        # both are fixed per complex
+        self._dims = {}
+        self._cotrees = {}
         # face -> its edge records (_edges)
         self._records = {}
 
@@ -97,14 +101,27 @@ class HTComplex:
     def dim(self, p, *ns):
         """len(basis(p, *ns)), counted without building the basis: C(S)
         has genus − p edges on every face S of size p, so the piece has
-        piece_size(f_p, genus − p, ns) elements, f_p = len(levels[p])."""
-        if not (0 <= p <= self.genus and all(0 <= n <= self.genus - p for n in ns)):
-            return 0
-        return piece_size(len(self.faces.levels[p]), self.genus - p, ns)
+        piece_size(f_p, genus − p, ns) elements, f_p = len(levels[p]).
+        Counted once per piece."""
+        key = (p, *ns)
+        size = self._dims.get(key)
+        if size is None:
+            size = self._dims[key] = (
+                piece_size(len(self.faces.levels[p]), self.genus - p, ns)
+                if 0 <= p <= self.genus and all(0 <= n <= self.genus - p for n in ns)
+                else 0)
+        return size
+
+    def _cotree(self, s):
+        """C(S) in the edge order, sorted once per face."""
+        xs = self._cotrees.get(s)
+        if xs is None:
+            xs = self._cotrees[s] = tuple(self.graph.sort_edges(self.cc.C(s)))
+        return xs
 
     def _wedges(self, s, n):
         """The increasing n-wedges of C(S), in basis order."""
-        return itertools.combinations(self.graph.sort_edges(self.cc.C(s)), n)
+        return itertools.combinations(self._cotree(s), n)
 
     # -- differential -----------------------------------------------------
 
@@ -217,7 +234,7 @@ class HTComplex:
         if records is None:
             records = []
             position = self.faces.position
-            xs = self.graph.sort_edges(self.cc.C(s))
+            xs = self._cotree(s)
             for e in self.graph.sort_edges(self.graph.eids - s):
                 t = s | {e}
                 if t not in position:
@@ -241,7 +258,7 @@ class HTComplex:
         OutsideBasis when an image is not a 1-wedge of C(S ∪ e)."""
         if edge.restrict is None:
             t = s | {edge.e}
-            index = {y: i for i, y in enumerate(self.graph.sort_edges(self.cc.C(t)))}
+            index = {y: i for i, y in enumerate(self._cotree(t))}
             x0 = self.cc.lost(s, edge.e)
             values = [0] * len(index) + [1]
             for key, c in self.cc.restrict(s, edge.e, (x0,)).items():

@@ -66,6 +66,28 @@ def is_zero_matrix(a):
     return not any(map(any, a))
 
 
+def is_zero_product(a, b):
+    """a·b = 0, decided exactly without forming the dense product: each row
+    of a sums the nonzero entries of the rows of b its own nonzero entries
+    meet, a_ik b_kj over those k, so terms that cancel give zero.  Each row
+    of b is scanned once, when a first meets it; is_zero_matrix(matmul(a,
+    b)) is the dense oracle."""
+    nonzero = {}
+    for row in a:
+        acc = {}
+        for k in compress(range(len(row)), row):
+            entries = nonzero.get(k)
+            if entries is None:
+                bk = b[k]
+                entries = nonzero[k] = [(j, bk[j]) for j in compress(range(len(bk)), bk)]
+            x = row[k]
+            for j, y in entries:
+                acc[j] = acc.get(j, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
+
+
 def det(a):
     """Determinant of a square integer matrix (fraction-free Bareiss)."""
     n = len(a)

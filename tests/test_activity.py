@@ -12,12 +12,25 @@ from ckskit.activity import (
     tutte,
     tutte_by_activity,
 )
-from ckskit.errors import FaceNotInComplex
-from ckskit.graphs import Graph, face_complex, spanning_tree_count
+from ckskit.activity import CoherentCotree
+from ckskit.errors import FaceNotInComplex, NotACotree
+from ckskit.graphs import (
+    CycleBasis,
+    Graph,
+    build_graph,
+    face_complex,
+    fundamental_cycle,
+    spanning_tree_count,
+)
 from ckskit.polynomials import Poly1, Poly2
 
 THETA = corpus.theta_graph()
 X, Y, Z = 0, 1, 2
+THETA6 = build_graph([(0, 1)] * 6)
+# the wheel with hub 0 and rim 1-2-3-4, genus 4
+W4 = build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])
+# K4 with the edges 0-1 and 2-3 doubled, genus 5
+K4PP = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1), (2, 3)])
 
 
 def fs(*edges):
@@ -118,3 +131,55 @@ def test_tutte_independent_of_edge_order():
 def test_h_polynomial_theta():
     assert h_polynomial(THETA) == Poly1({0: 1, 1: 1, 2: 1})
     assert h_polynomial(THETA)(1) == spanning_tree_count(THETA) == 3
+
+
+# ---------------------------------------------------------------------------
+# the cycle bases of the coherent cotree
+
+def test_cycle_bases_are_those_of_the_deleted_graph():
+    # the oracle builds Γ∖S and walks its tree once per cotree edge; cc
+    # builds the cycles in Γ from the tree E ∖ S ∖ C(S), rooted once
+    faces = 0
+    graphs = [g for _, g in corpus.corpus_graphs(bound=5)] + [THETA6, W4, K4PP]
+    for g in graphs:
+        for order in (g.order, g.order[::-1]):
+            cc = coherent_cotree(Graph(g.vertices, g.head, g.tail, list(order)))
+            for s in cc.faces.faces():
+                sub = cc.graph.delete(s) if s else cc.graph
+                oracle = CycleBasis(sub, cc.C(s))
+                tree = sub.eids - cc.C(s)
+                walked = {x: fundamental_cycle(sub, tree, x) for x in oracle.cotree}
+                rows = cc.cycles(s).rows
+                assert rows == oracle.rows == walked, (cc.graph.order, s)
+                assert [list(c.items()) for c in rows.values()] \
+                    == [list(c.items()) for c in walked.values()]
+                faces += 1
+    assert faces > 3_000
+
+
+@pytest.mark.parametrize("cotree", [fs(4, 5, 7), fs(0, 4, 5), fs(4, 5)],
+                         ids=["isolates-a-vertex", "meets-the-face", "too-small"])
+def test_cycles_reject_a_cotree_that_does_not_span_the_deletion(cotree):
+    # at S = {0}, the spoke to vertex 1: without the rim edges 4 (1-2) and
+    # 7 (4-1) vertex 1 is cut off, edge 0 is not in Γ∖S, and Γ∖S has genus 3
+    s = fs(0)
+    cc = coherent_cotree(W4)
+    assert cc.cycles(s).rows
+    table = dict(cc.table)
+    table[s] = cotree
+    bad = CoherentCotree(W4, cc.faces, table)
+    with pytest.raises(NotACotree):
+        bad.cycles(s)
+    with pytest.raises(NotACotree):
+        CycleBasis(W4.delete(s), cotree)
+
+
+def test_cycles_build_no_graph(monkeypatch):
+    cc = coherent_cotree(K4PP)
+    oracle = {s: CycleBasis(K4PP.delete(s), cc.C(s)).rows for s in cc.faces.faces()}
+
+    def refuse(self, edges):
+        raise AssertionError("a cycle basis built a graph")
+
+    monkeypatch.setattr(Graph, "delete", refuse)
+    assert {s: cc.cycles(s).rows for s in cc.faces.faces()} == oracle

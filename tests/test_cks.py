@@ -18,6 +18,7 @@ from ckskit.cks import (
     cks_cohomology,
     euler_mismatch,
     euler_recurrence_holds,
+    euler_recurrences,
     euler_table,
     h_hat,
     tutte_loop_specialization,
@@ -32,6 +33,7 @@ from ckskit.intlinalg import (
     _rank_and_torsion,
     det,
     is_zero_matrix,
+    is_zero_product,
     map_matrix,
     matmul,
     solve_exact,
@@ -632,6 +634,20 @@ def test_a_corrupted_face_count_fails_the_recurrence(monkeypatch, side):
     assert calls == [4, 3, 4]
 
 
+def test_recurrences_count_the_faces_once_for_all_edges(monkeypatch):
+    # Γ's own table once, then the deleted and contracted tables per edge
+    faces = face_complex(K4PP)
+    each = {e: euler_recurrence_holds(faces, e) for e in K4PP.order}
+    original = cks_mod._counts_table
+    genera = []
+    monkeypatch.setattr(cks_mod, "_counts_table", lambda counts, genus: (
+        genera.append(genus), original(counts, genus))[1])
+    both = euler_recurrences(faces, K4PP.order)
+    assert both == each and all(both.values())
+    assert tuple(both) == K4PP.order
+    assert genera == [5] + [4, 5] * len(K4PP.order)
+
+
 @st.composite
 def face_splits(draw):
     """A genus g and, per level p, how many faces avoid the edge e and
@@ -728,6 +744,47 @@ def test_check_exact_rejects_a_nonzero_composite():
     assert not dc.check_exact(*key)
 
 
+@pytest.mark.parametrize("graphs", [
+    [g for _, g in corpus.corpus_graphs(bound=4)], [THETA6], [W4],
+], ids=["corpus4", "theta6", "w4"])
+def test_zero_product_agrees_with_the_dense_composite(graphs):
+    # on every piece, and with the first deleted triple's image also
+    # projected onto the first contracted triple, as in the test above
+    composites = 0
+    for g in graphs:
+        ctx = GraphContext(g)
+        for e in ctx.admissible_edges():
+            dc = DelConCKS(ctx.delcon(e))
+            for p, q, r in pieces(dc):
+                inc, prj = dc.include_matrix(p - 1, q, r), dc.project_matrix(p, q, r)
+                assert is_zero_product(prj, inc) == is_zero_matrix(matmul(prj, inc)) is True
+                if not (dc.sub.dim(p - 1, q, r) and dc.quo.dim(p, q, r)):
+                    continue
+                j = next(i for i, row in enumerate(inc) if row[0])
+                prj[0][j] = 1
+                assert is_zero_product(prj, inc) == is_zero_matrix(matmul(prj, inc)) is False
+                composites += 1
+    assert composites
+
+
+def test_check_exact_accepts_a_composite_whose_terms_cancel():
+    dc = DelConCKS(DelConR(face_complex(W4), W4.order[0]))
+    p, q, r = key = exact_piece(dc)
+    con = dc.split(*key)[0]
+    inc, prj = dc.include_matrix(p - 1, q, r), dc.project_matrix(*key)
+    # the first deleted triple's image also takes in the first contracted
+    # triple, which the projection meets with +1 and its own image with
+    # −1: the composite's entry is 1 − 1, and both maps keep full rank
+    d0 = next(i for i, row in enumerate(inc) if row[0])
+    inc[con[0]][0] = 1
+    prj[0][d0] = -1
+    assert [prj[0][k] * inc[k][0] for k in (d0, con[0])] == [-1, 1]
+    assert is_zero_matrix(matmul(prj, inc))
+    dc.include_matrix = lambda *_: inc
+    dc.project_matrix = lambda *_: prj
+    assert dc.check_exact(*key)
+
+
 # ---------------------------------------------------------------------------
 # the cocycle restriction H¹(Λ_S) -> H¹(Λ_{S∪e})
 
@@ -806,6 +863,24 @@ def test_restriction_is_the_transpose_of_the_cycle_lattice_inclusion():
                 (y,): col[x] for y, col in incl.items() if col[x]}
         assert _rank_and_torsion([[col[x] for x in xs] for col in incl.values()]) \
             == (len(incl), [])
+
+
+def test_the_lost_edge_restricts_by_the_exchange_identity():
+    # a_x = ⟨γ_x, e⟩ over C(S) are the edge record's iota values; x0 leaves
+    # the cotree, so a_x0 = ±1, and [x0] restricts to −a_x0 Σ_y a_y [y]
+    # over C(S ∪ e)
+    complexes = {}
+    for cc, s, e in restriction_cases():
+        htc = complexes.setdefault(cc, HTComplex(cc.graph, cc))
+        (record,) = [r for r in htc._edges(s) if r.e == e]
+        xs = cc.graph.sort_edges(cc.C(s))
+        assert record.iota == [cc.pair(s, x, e) for x in xs]
+        a = dict(zip(xs, record.iota))
+        x0 = cc.lost(s, e)
+        assert a[x0] in (1, -1)
+        assert cc.restrict(s, e, (x0,)) == {
+            (y,): -a[y] * a[x0] for y in cc.graph.sort_edges(cc.C(s | {e})) if a[y]}, \
+            (cc.graph.order, s, e)
 
 
 def test_lost_rejects_an_incoherent_table():
