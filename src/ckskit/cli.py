@@ -36,7 +36,7 @@ def load_graph(args):
             raise ParseError(f"cannot read {args.graph}: {exc}") from exc
     else:
         g = graph_from_dsl(args.inline)
-    if getattr(args, "order", None):
+    if getattr(args, "order", None) is not None:
         try:
             perm = [int(x) for x in args.order.split(",")]
         except ValueError as exc:
@@ -151,9 +151,8 @@ def cmd_ht(args):
             n = htc.dim(p, q)
             if n:
                 dims[f"{p},{q}"] = n
-            m = htc.d_matrix(p, q)
-            triples = [[i, j, m[i][j]] for i in range(len(m))
-                       for j in range(len(m[0]) if m else 0) if m[i][j]]
+            triples = sorted([i, j, x] for j, col in htc.d_columns(p, q).items()
+                             for i, x in col.items())
             if triples:
                 diffs[f"{p},{q}"] = triples
     identity_checks = {}

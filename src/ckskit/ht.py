@@ -14,13 +14,15 @@ size and the place of each face's block in it follow from the face counts
 block at a time, as the Kronecker product of the interior product and
 the restriction on the wedges of C(S) (HTComplex.d_columns).  Both come
 from one record per face S and edge e, built once per complex: the place
-of x0, the interior products of the 1-wedges and the restriction of x0.
-Templates of wedge positions, shared by all complexes, extend these to
-n-wedges: the interior product is a derivation followed by the projection
-that kills x0, and the restriction is an exterior power.  HTComplex.iota
-and CoherentCotree.restrict give the same maps wedge by wedge, for
-d_element, the reference.  The stripes' cohomology is computed one stripe
-at a time from those columns (HTComplex.stripe_cohomology).
+of x0 and the interior products a_x = ⟨γ_x, e⟩ of the 1-wedges.  The
+restriction of x0 follows from them by the exchange identity, −a_x0 Σ_y
+a_y [y] over C(S ∪ e).  Templates of wedge positions, shared by all
+complexes, extend these to n-wedges: the interior product is a derivation
+followed by the projection that kills x0, and the restriction is an
+exterior power.  HTComplex.iota and CoherentCotree.restrict give the same
+maps wedge by wedge, for d_element, the reference.  The stripes'
+cohomology is computed one stripe at a time from those columns
+(HTComplex.stripe_cohomology).
 
 Also here: the square-free reduction of monomials, the chain maps f and g
 between the complex and its cohomology ring R, the contracting homotopy h,
@@ -28,6 +30,7 @@ the ring R with its monomial basis, and the deletion-contraction setup
 that splits that basis.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -171,9 +174,11 @@ class HTComplex:
         Filled one face block at a time: the block from the elements on S
         to those on S ∪ e is the Kronecker product of the interior product
         by e on the q-wedges of C(S) with the restriction to C(S ∪ e) on
-        its r-wedges.  Both operators are read off the edge record of
-        (S, e) (_edges) through templates of wedge positions
-        (_iota_template, _restrict_template), so no operator is kept.
+        its r-wedges.  Both operators are read off the interior products
+        a of the edge record of (S, e) (_edges) through templates of wedge
+        positions (_iota_template, _restrict_template), so no operator is
+        kept: the restriction sends x0 to −a_x0 Σ_y a_y [y] (the exchange
+        identity) and keeps every other edge.
         Every face of a level has a block of the same size, so face S's
         first column is position[S] · dim(p, q, *r)/f_p and face T's first
         row is position[T] · dim(p + 1, q − 1, *r)/f_{p+1}.  d_element
@@ -196,17 +201,20 @@ class HTComplex:
         for s in level:
             j = position[s] * width
             for edge in self._edges(s):
+                a, x0 = edge.iota, edge.x0_pos
                 aop = identity
                 if n:
-                    b = self._restriction(s, edge)
+                    # b_y = −a_x0 a_y (the exchange identity), and at x0's
+                    # place the unit that keeps every other edge
+                    b = [-a[x0] * c for c in a]
+                    b[x0] = 1
                     aop = [(ja, arow) for ja, arow in enumerate(
                         [(y, sign * b[k]) for y, sign, k in row if b[k]]
-                        for row in _restrict_template(m, edge.x0_pos, n)) if arow]
+                        for row in _restrict_template(m, x0, n)) if arow]
                 i = edge.t_pos * height
-                a = edge.iota
                 # one source q-wedge of C(S) per template row, na columns apart
                 for col, row in zip(range(j, j + width, na),
-                                    _iota_template(m, edge.x0_pos, q)):
+                                    _iota_template(m, x0, q)):
                     bases = [(i + x * size, sign * a[k]) for x, sign, k in row if a[k]]
                     if bases:
                         for ja, arow in aop:
@@ -216,9 +224,8 @@ class HTComplex:
 
     def d_matrix(self, p, q, *r):
         """d_columns(p, q, *r) as dense rows of shape dim(p + 1, q − 1, *r)
-        × dim(p, q, *r), for the maps and checks that read rows (the HT
-        identities, check_chain_maps, `ht --matrices`).  Raises
-        OutsideBasis when d leaves the stripe."""
+        × dim(p, q, *r), for the checks that read rows (the HT identities,
+        check_chain_maps).  Raises OutsideBasis when d leaves the stripe."""
         m = zeros(self.dim(p + 1, q - 1, *r), self.dim(p, q, *r))
         for j, col in self.d_columns(p, q, *r).items():
             for i, x in col.items():
@@ -251,23 +258,6 @@ class HTComplex:
             self._records[s] = records
         return records
 
-    def _restriction(self, s, edge):
-        """The restriction of x0 = cc.lost(S, e) to C(S ∪ e), as its
-        coefficients on the sorted C(S ∪ e) followed by a 1 (the values
-        _restrict_template reads), built once per record.  Raises
-        OutsideBasis when an image is not a 1-wedge of C(S ∪ e)."""
-        if edge.restrict is None:
-            t = s | {edge.e}
-            index = {y: i for i, y in enumerate(self._cotree(t))}
-            x0 = self.cc.lost(s, edge.e)
-            values = [0] * len(index) + [1]
-            for key, c in self.cc.restrict(s, edge.e, (x0,)).items():
-                if len(key) != 1 or key[0] not in index:
-                    raise OutsideBasis((s, (x0,)), (t, key))
-                values[index[key[0]]] = c
-            edge.restrict = values
-        return edge.restrict
-
     def stripe_keys(self):
         """The key (k,) of every stripe p + q = k that can be nonzero."""
         return [(k,) for k in range(self.genus + 1)]
@@ -299,19 +289,16 @@ class HTComplex:
             return exc
 
 
-class _Edge:
-    """What d needs of a face S and an edge e with S ∪ e a face: e, the
-    place of S ∪ e in its level (t_pos), the place of x0 = cc.lost(S, e)
-    in the sorted C(S) (x0_pos), the interior products ⟨γ_x, e⟩ by e of
-    the 1-wedges x of the sorted C(S) (iota), and the values of
-    HTComplex._restriction once the CKS differential has asked for them
-    (restrict).  The templates read iota and restrict by position."""
+class _Edge(collections.namedtuple("_Edge", "e t_pos x0_pos iota")):
+    """What d needs of a face S and an edge e with S ∪ e a face, fixed once
+    built: e, the place of S ∪ e in its level (t_pos), the place of x0 =
+    cc.lost(S, e) in the sorted C(S) (x0_pos), and the interior products
+    a_x = ⟨γ_x, e⟩ by e of the 1-wedges x of the sorted C(S) (iota).  The
+    interior product on n-wedges reads a by position, and so does the
+    restriction, which a fixes too: x0 goes to −a_x0 Σ_y a_y [y] over
+    C(S ∪ e) (the exchange identity; a_x0 = ±1)."""
 
-    __slots__ = ("e", "t_pos", "x0_pos", "iota", "restrict")
-
-    def __init__(self, e, t_pos, x0_pos, iota):
-        self.e, self.t_pos, self.x0_pos, self.iota = e, t_pos, x0_pos, iota
-        self.restrict = None
+    __slots__ = ()
 
 
 def _wedge_index(m, n):
@@ -349,23 +336,24 @@ def _restrict_template(m, j, n):
     """The restriction to C(S ∪ e) on the n-wedges of a cotree C(S) of m
     sorted edges that loses its j-th edge x0, by position: the n-th
     exterior power of its map on 1-wedges, which keeps every other edge
-    and sends x0 to Σ_y b_y y over the m − 1 edges of C(S ∪ e).  Per
-    source wedge, in basis order, a (target wedge, sign, value index)
-    triple for each term: index y < m − 1 reads b_y, and m − 1 the 1 that
-    HTComplex._restriction appends (see CoherentCotree.restrict)."""
+    and sends x0 to Σ_y b_y y over the edges y ≠ x0 of C(S), the edges of
+    C(S ∪ e).  Per source wedge, in basis order, a (target wedge, sign,
+    value index) triple for each term; like _iota_template, the value
+    index is a position in C(S): y ≠ j reads b_y, and j the unit that
+    keeps a wedge without x0 (see CoherentCotree.restrict)."""
     index = _wedge_index(m - 1, n)
     out = []
     for w in itertools.combinations(range(m), n):
         if j not in w:
-            out.append(((index[_drop(w, j)], 1, m - 1),))
+            out.append(((index[_drop(w, j)], 1, j),))
             continue
         t = w.index(j)
-        rest = _drop(w[:t] + w[t + 1:], j)
+        rest = w[:t] + w[t + 1:]
         row = []
-        for y in range(m - 1):
-            if y not in rest:
+        for y in range(m):
+            if y not in w:
                 u = sum(1 for z in rest if z < y)
-                row.append((index[rest[:u] + (y,) + rest[u:]],
+                row.append((index[_drop(rest[:u] + (y,) + rest[u:], j)],
                             -1 if (t + u) % 2 else 1, y))
         out.append(tuple(row))
     return tuple(out)

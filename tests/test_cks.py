@@ -235,40 +235,42 @@ def as_reference(stripes):
 
 def test_stripe_walk_reports_the_stripe_the_reference_reports(monkeypatch, capsys):
     # the interior product on 1-wedges at level 0 doubles across the last
-    # edge, so d² ≠ 0 in every stripe (k, 0), k = 2..4, which the walk sees
-    # when the stripe ends; the restriction at level 1 keeps the lost edge
-    # x0, so every stripe (k, ℓ), k = 2..4 and ℓ = 1, 2, leaves its basis
-    # at p = 1 before its d² is checked
+    # edge, so d² ≠ 0 in the stripes (2, ℓ), ℓ = 0..2, and (k, 2), k = 3, 4,
+    # which the walk sees when the stripe ends; at level 2 it also keeps the
+    # 1-wedge, which the edge records reject, so the stripes (k, ℓ), k = 3, 4
+    # and ℓ = 0, 1, leave their basis at p = 2 before their d² is checked
+    # (at ℓ = 2 the level-2 pieces have no target, and build no records)
     inline = "v0-v1 v0-v2 v0-v3 v0-v4 v1-v2 v2-v3 v3-v4 v4-v1"
     original_iota = HTComplex.iota
-    original_restrict = CoherentCotree.restrict
 
-    def doubled(self, s, e, w):
+    def faulty(self, s, e, w):
         out = original_iota(self, s, e, w)
         if not s and len(w) == 1 and e == self.graph.order[-1]:
             return {k: 2 * c for k, c in out.items()}
+        if len(s) == 2 and len(w) == 1:
+            out[w] = 1
         return out
 
-    def kept(self, s, e, a):
-        if len(s) == 1:
-            return {a: 1}
-        return original_restrict(self, s, e, a)
-
-    monkeypatch.setattr(HTComplex, "iota", doubled)
-    monkeypatch.setattr(CoherentCotree, "restrict", kept)
+    monkeypatch.setattr(HTComplex, "iota", faulty)
     g = graph_from_dsl(inline)
     reference = stripes_one_by_one(build_cks(g))
     failed = {key: coh[:2] for key, coh in reference.items() if isinstance(coh, tuple)}
-    assert failed == {(k, ell): (0, "d^2 != 0") if ell == 0 else (1, "d leaves the stripe")
-                      for k in range(2, 5) for ell in range(3)}
+    leaves = (2, "d leaves the stripe")
+    assert failed == {(2, 0): (0, "d^2 != 0"), (2, 1): (0, "d^2 != 0"),
+                      (2, 2): (0, "d^2 != 0"), (3, 0): leaves, (3, 1): leaves,
+                      (3, 2): (0, "d^2 != 0"), (4, 0): leaves, (4, 1): leaves,
+                      (4, 2): (0, "d^2 != 0")}
+    assert reference[(3, 0)][2] == (
+        "the image of (frozenset({0, 1}), (2,)) has (frozenset({0, 1, 2}), (2,)) "
+        "outside the target basis")
     ctx = GraphContext(g)
     assert as_reference(ctx.cks_stripes) == reference
-    p, reason, message = reference[(2, 0)]
-    assert check_cks_d2(ctx) == (False, {"piece": (2 * p, 2 - p, 0), "reason": reason})
-    assert check_euler(ctx) == (False, {"stripe": (2, 0), "position": p,
-                                        "reason": reason})
+    assert reference[(2, 0)][2] == "d^2 != 0 at degree 0"
+    assert check_cks_d2(ctx) == (False, {"piece": (0, 2, 0), "reason": "d^2 != 0"})
+    assert check_euler(ctx) == (False, {"stripe": (2, 0), "position": 0,
+                                        "reason": "d^2 != 0"})
     assert cli.main(["cks", "--inline", inline]) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == ("", "error: d^2 != 0 at degree 0\n")
 
 
 def chain_maps_by_matmul(dc, p, q, r):
@@ -451,8 +453,9 @@ def test_dim_counts_each_basis_without_building_it(graphs):
 
 def test_delcon_cks_computes_each_operator_once_per_level(monkeypatch):
     # within one (complex, level) of d_matrix calls, no (S, e, w) interior
-    # product and no (S, e, a) restriction is computed twice; a complex is
-    # named by its cotree, which DelConCKS gives each complex its own of
+    # product is computed twice, and no restriction at all: d reads it off
+    # the edge records; a complex is named by its cotree, which DelConCKS
+    # gives each complex its own of
     level = {}
     seen = set()
     calls = {"iota": 0, "restrict": 0}
@@ -481,16 +484,18 @@ def test_delcon_cks_computes_each_operator_once_per_level(monkeypatch):
     monkeypatch.setattr(CKSComplex, "d_matrix", d_matrix)
     monkeypatch.setattr(HTComplex, "iota", iota)
     monkeypatch.setattr(CoherentCotree, "restrict", restrict)
-    report = run_checks(W4, ["delcon_cks"])
-    assert report["delcon_cks"]["passed"], report
-    assert calls["iota"] and calls["restrict"]
+    for g in (THETA6, W4):
+        report = run_checks(g, ["delcon_cks"])
+        assert report["delcon_cks"]["passed"], report
+    assert calls["iota"] and not calls["restrict"]
 
 
 @pytest.mark.parametrize("stripes", ["cks_stripes", "ht_stripes"])
 def test_stripe_walk_computes_each_operator_once(monkeypatch, stripes):
-    # no (S, e, w) interior product and no (S, e, a) restriction of one
-    # complex is computed twice (|S| is the level); the edge records ask
-    # only for 1-wedges, and the restriction only of the lost edge x0
+    # no (S, e, w) interior product of one complex is computed twice (|S|
+    # is the level), and no restriction at all: the edge records ask only
+    # for 1-wedges, and the restriction of the lost edge x0 is read off
+    # their interior products (the exchange identity)
     seen = set()
     calls = {"iota": 0, "restrict": 0}
     original_iota = HTComplex.iota
@@ -508,7 +513,6 @@ def test_stripe_walk_computes_each_operator_once(monkeypatch, stripes):
         return original_iota(self, s, e, w)
 
     def restrict(self, s, e, a):
-        assert a == (self.lost(s, e),), a
         once("restrict", self, s, e, a)
         return original_restrict(self, s, e, a)
 
@@ -517,9 +521,9 @@ def test_stripe_walk_computes_each_operator_once(monkeypatch, stripes):
     for g in (THETA6, W4):
         coh = getattr(GraphContext(g), stripes)
         assert not any(isinstance(c, Exception) for c in coh.values())
-    # 586 edge records on the two graphs; the 210 on faces of size
-    # genus − 1 never restrict, since no wedge is left for the target
-    assert calls == {"iota": 1172, "restrict": 376 if stripes == "cks_stripes" else 0}
+    # 586 edge records on the two graphs, one interior product per edge of
+    # their C(S)
+    assert calls == {"iota": 1172, "restrict": 0}
 
 
 @pytest.mark.parametrize("g", [THETA6, W4], ids=["theta6", "w4"])

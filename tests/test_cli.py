@@ -117,6 +117,26 @@ def test_cks_stdout_is_pinned(name, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# inline graph, extra arguments and sha256 of `ht --matrices` stdout,
+# computed with the differentials scanned from dense rows
+HT_MATRICES_STDOUT_SHA256 = {
+    "theta": ("v0-v1 v0-v1 v0-v1", ["--choice", "theta"],
+              "c2c8dc32ce5ae250f0aa1b1c7943b163c70186c24472cf11d487e547e9858ebe"),
+    "theta6": ("v0-v1 v0-v1 v0-v1 v0-v1 v0-v1 v0-v1", [],
+               "8a2af92992ce0f91a842afd97b5bd80c8c87147f55b8fce65e5078191f0cdbe0"),
+    "w4": ("v0-v1 v0-v2 v0-v3 v0-v4 v1-v2 v2-v3 v3-v4 v4-v1", [],
+           "152cf92795ac274d5c3c4a3e6c2740b3c432f8e15ac1322efe885fc5ba4bcd4a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HT_MATRICES_STDOUT_SHA256))
+def test_ht_matrices_stdout_is_pinned(name, capsys):
+    inline, extra, digest = HT_MATRICES_STDOUT_SHA256[name]
+    code, out, err = run_cli(["ht", "--inline", inline, "--matrices", *extra], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("args", [
     ["ht", "--inline", "v0-v0"],
     ["verify", "--inline", "v0-v0"],
@@ -255,6 +275,10 @@ def test_order_override(capsys):
     code, _, _ = run_cli(
         ["tutte", "--inline", THETA_INLINE, "--order", "0,0,1"], capsys)
     assert code == 2
+    # an empty value, say an unset shell variable, is not the identity
+    code, _, err = run_cli(["cks", "--inline", "v0-v1", "--order", ""], capsys)
+    assert code == 2
+    assert err == "error: --order must be a comma-separated permutation\n"
 
 
 def test_activity_json_fields(capsys):
