@@ -47,11 +47,12 @@ def main():
         print(f"    e({k},{l}) = {e}")
 
     hh = h_hat(theta)
+    t = tutte(theta)
+    spec = tutte_loop_specialization(t)
     print("\n  generating polynomial:", hh)
-    print("  Tutte polynomial:      ", tutte(theta))
-    print("  substitution of the loop value into the Tutte polynomial:",
-          tutte_loop_specialization(theta))
-    print("  agreement:", hh == tutte_loop_specialization(theta))
+    print("  Tutte polynomial:      ", t)
+    print("  substitution of the loop value into the Tutte polynomial:", spec)
+    print("  agreement:", hh == spec)
     print("  value at x = y = -1:", hh(-1, -1),
           "= spanning trees =", spanning_tree_count(theta))
 

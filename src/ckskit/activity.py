@@ -15,7 +15,8 @@ from .graphs import (
     CycleBasis,
     _guard,
     face_complex,
-    fundamental_cycle,
+    fundamental_cycles,
+    is_spanning_cotree,
     is_spanning_tree,
     spanning_cotrees,
     union_find,
@@ -184,15 +185,12 @@ class CoherentCotree:
         return out
 
     def validate(self):
-        """Check the defining invariants over the whole complex."""
-        from .graphs import is_spanning_cotree
+        """Check the defining invariants over the whole complex, in Γ
+        itself: C(S) is a spanning cotree of Γ∖S iff S ∪ C(S) is one of Γ."""
         d = self.faces.genus
         for s in self.faces.faces():
             c = self.table[s]
-            if len(c) != d - len(s):
-                return False
-            sub = self.graph.delete(s) if s else self.graph
-            if not is_spanning_cotree(sub, c):
+            if len(c) != d - len(s) or not is_spanning_cotree(self.graph, s | c):
                 return False
             for x in c:
                 if self.table[s | {x}] != c - {x}:
@@ -227,16 +225,13 @@ def coherent_cotree(graph, faces=None):
 
 def external_activity(graph, tree):
     """Edges outside the spanning tree that are minimal (in the edge
-    order) within their fundamental cycle."""
+    order) within their fundamental cycle, from one rooting of the tree."""
     tree = frozenset(tree)
     if not is_spanning_tree(graph, tree):
         raise NotASpanningTree(f"{sorted(map(str, tree))} is not a spanning tree")
-    out = set()
-    for e in graph.eids - tree:
-        cyc = fundamental_cycle(graph, tree, e)
-        if graph.pos(e) == min(graph.pos(x) for x in cyc):
-            out.add(e)
-    return frozenset(out)
+    cycles = fundamental_cycles(graph, tree, graph.eids - tree)
+    return frozenset(e for e, cyc in cycles.items()
+                     if graph.pos(e) == min(map(graph.pos, cyc)))
 
 
 def internal_activity(graph, tree):

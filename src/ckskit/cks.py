@@ -20,7 +20,7 @@ verified against exact cohomology.
 import math
 from operator import itemgetter
 
-from .activity import CoherentCotree, coherent_cotree, tutte
+from .activity import CoherentCotree, coherent_cotree
 from .errors import CksKitError
 from .graphs import face_complex
 from .ht import HTComplex
@@ -126,14 +126,15 @@ def h_hat(graph, cc=None):
     return Poly2({(d - k, ell): sign * v for (k, ell), v in table.items() if v})
 
 
-def tutte_loop_specialization(graph):
+def tutte_loop_specialization(t):
     """Substitute the loop-graph base value −(x+y+xy) into the loop slot
-    (second argument) of the Tutte polynomial; the bridge slot gets 1.
+    (second argument) of a graph's Tutte polynomial t; the bridge slot
+    gets 1.
 
     By Tutte universality this equals the h_hat generating polynomial for
     every graph (bridge: T = x ↦ 1; loop: T = y ↦ the base value).
     """
-    return tutte(graph).substitute(Poly2.const(1), LOOP_VALUE)
+    return t.substitute(Poly2.const(1), LOOP_VALUE)
 
 
 # ---------------------------------------------------------------------------

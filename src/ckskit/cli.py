@@ -13,7 +13,7 @@ import sys
 from . import checks as checks_mod
 from . import cks as cks_mod
 from . import periodize as periodize_mod
-from .activity import coherent_cotree, h_polynomial, tutte
+from .activity import coherent_cotree, tutte
 from .corpus import corpus_graphs
 from .errors import CksKitError, ParseError, ResourceGuard
 from .graphs import Graph, _guard, face_complex, graph_from_dsl, graph_from_json
@@ -30,9 +30,9 @@ def load_graph(args):
         raise ParseError("provide exactly one of --graph FILE or --inline SPEC")
     if args.graph:
         try:
-            with open(args.graph) as fh:
+            with open(args.graph, encoding="utf-8") as fh:
                 g = graph_from_json(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {args.graph}: {exc}") from exc
     else:
         g = graph_from_dsl(args.inline)
@@ -98,6 +98,7 @@ def cmd_analyze(args):
     g = load_graph(args)
     faces = face_complex(g)
     cc = coherent_cotree(g, faces)
+    t = tutte(g)
     payload = {
         "schema": SCHEMA,
         "vertices": g.n_vertices,
@@ -106,8 +107,8 @@ def cmd_analyze(args):
         "faces_by_degree": [len(level) for level in faces.levels],
         "spanning_cotrees": len(faces.levels[faces.genus]),
         "basis_dims": [len(level) for level in cc.basis_by_degree()],
-        "tutte": str(tutte(g)),
-        "h_poly": str(h_polynomial(g)),
+        "tutte": str(t),
+        "h_poly": str(t.eval_y()),
     }
     emit(args, payload)
     return 0
@@ -115,6 +116,7 @@ def cmd_analyze(args):
 
 def _activity_payload(g, cc):
     sh = cc.shelling
+    t = tutte(g)
     payload = {
         "schema": SCHEMA,
         "coherent_cotree": {face_str(g, s): face_str(g, c)
@@ -122,8 +124,8 @@ def _activity_payload(g, cc):
         "In_table": {face_str(g, s): face_str(g, cc.in_set(s))
                      for s in cc.faces.faces()},
         "basis_B": [face_str(g, s) for s in cc.basis()],
-        "tutte": str(tutte(g)),
-        "h_poly": str(h_polynomial(g)),
+        "tutte": str(t),
+        "h_poly": str(t.eval_y()),
     }
     if sh is not None:
         payload["shelling"] = [face_str(g, ct) for ct in sh.cotrees]
@@ -185,7 +187,7 @@ def cmd_cks(args):
     if key is not None:
         raise CksKitError(f"Euler characteristic mismatch at stripe {key}")
     hh = cks_mod.h_hat(ctx.cks)
-    spec_poly = cks_mod.tutte_loop_specialization(g)
+    spec_poly = cks_mod.tutte_loop_specialization(ctx.tutte)
     recurrence = {str(e): ok for e, ok in cks_mod.euler_recurrences(
         ctx.faces, ctx.admissible_edges()).items()}
     payload = {

@@ -197,6 +197,8 @@ def graph_from_json(text):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict) or "edges" not in data:
         raise ParseError("expected an object with an 'edges' field")
     edges = data["edges"]
@@ -324,19 +326,17 @@ def enumerate_bonds(graph):
     for r in range(1, len(edges) + 1):
         for combo in itertools.combinations(edges, r):
             s = frozenset(combo)
-            if _disconnects(graph, s) and not any(c < s for c in cuts):
+            if contains_bond(graph, s) and not any(c < s for c in cuts):
                 cuts.append(s)
     return cuts
 
 
-def _disconnects(graph, edges):
+def contains_bond(graph, edges):
+    """True iff the edge set contains a bond, i.e. its deletion disconnects:
+    the one connectivity test, a union-find pass over the other edges."""
+    edges = frozenset(edges)
     keep = graph.ends(e for e in graph.order if e not in edges)
     return not _connected(graph.vertices, keep)
-
-
-def contains_bond(graph, edges):
-    """True iff the edge set contains a bond, i.e. its deletion disconnects."""
-    return _disconnects(graph, frozenset(edges))
 
 
 class FaceComplex:
@@ -383,7 +383,7 @@ def face_complex(graph):
     levels = []
     for k in range(d + 1):
         level = [frozenset(c) for c in itertools.combinations(edges, k)
-                 if not _disconnects(graph, frozenset(c))]
+                 if not contains_bond(graph, c)]
         levels.append(level)
     return FaceComplex(graph, levels)
 
@@ -396,8 +396,7 @@ def is_spanning_tree(graph, edges):
 
 def is_spanning_cotree(graph, edges):
     edges = frozenset(edges)
-    return (len(edges) == graph.genus()
-            and not _disconnects(graph, edges))
+    return len(edges) == graph.genus() and not contains_bond(graph, edges)
 
 
 def spanning_cotrees(graph):
@@ -406,7 +405,7 @@ def spanning_cotrees(graph):
     d = graph.genus()
     edges = graph.sort_edges(graph.eids)
     return [frozenset(c) for c in itertools.combinations(edges, d)
-            if not _disconnects(graph, frozenset(c))]
+            if not contains_bond(graph, c)]
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +426,8 @@ def fundamental_cycle(graph, tree, x):
     """Cycle supported on tree ∪ {x}, signed so that x has coefficient +1.
 
     `tree` is a spanning tree edge set and x an edge outside it.  Returns a
-    sparse dict edge -> coefficient in {-1, 0, 1}.
+    sparse dict edge -> coefficient in {-1, 0, 1}.  The reference for
+    fundamental_cycles, which the library uses.
     """
     if graph.is_loop(x):
         return {x: 1}

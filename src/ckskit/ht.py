@@ -49,7 +49,7 @@ from .graphs import (
     FaceComplex,
     Graph,
     contains_bond,
-    fundamental_cycle,
+    fundamental_cycles,
     union_find,
 )
 from .intlinalg import CochainComplex, map_matrix, zeros
@@ -385,6 +385,9 @@ def reduce_monomial(ht, sigma):
     takes the fundamental cycle of e in the graph with the rest of the
     support deleted (so e has coefficient +1), and eliminates one power of
     e against that cycle's linear form.  Returns dict face -> coefficient.
+    One union-find pass in Γ over the edges outside the support does both:
+    they connect Γ iff the support is bond-free, and the edges it merges
+    are then a spanning tree of Γ∖(support ∖ e) that avoids e.
     """
     graph = ht.graph
     sigma = {e: int(x) for e, x in sigma.items() if x}
@@ -397,17 +400,17 @@ def reduce_monomial(ht, sigma):
             return memo[sig]
         d = dict(sig)
         supp = frozenset(d)
-        if contains_bond(graph, supp):
+        rest = [x for x in graph.order if x not in supp]
+        _, merged = union_find(graph.vertices, graph.ends(rest))
+        if len(merged) < graph.n_vertices - 1:  # the support holds a bond
             memo[sig] = {}
             return {}
         if all(v == 1 for v in d.values()):
             memo[sig] = {supp: 1}
             return {supp: 1}
         e = max((x for x, v in d.items() if v > 1), key=graph.pos)
-        s0 = supp - {e}
-        sub = graph.delete(s0) if s0 else graph
-        tree = _spanning_tree_avoiding(sub, e)
-        gamma = fundamental_cycle(sub, tree, e)
+        tree = [rest[i] for i in merged]
+        gamma = fundamental_cycles(graph, tree, [e])[e]
         out = {}
         for e2, c in gamma.items():
             if e2 == e:
@@ -426,13 +429,6 @@ def reduce_monomial(ht, sigma):
     if not sigma:
         return {frozenset(): 1}
     return red(frozenset(sigma.items()))
-
-
-def _spanning_tree_avoiding(graph, e):
-    """Spanning tree not using edge e (exists when e is not a bridge)."""
-    rest = [x for x in graph.order if x != e]
-    _, merged = union_find(graph.vertices, graph.ends(rest))
-    return frozenset(rest[i] for i in merged)
 
 
 # ---------------------------------------------------------------------------

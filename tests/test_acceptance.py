@@ -201,7 +201,7 @@ def test_criterion5_total_unimodularity(idx):
 @pytest.mark.parametrize("idx", corpus_cases(), ids=IDS)
 def test_criterion6_generating_polynomial_is_tutte_specialization(idx):
     g = CORPUS[idx][1]
-    assert h_hat(ctx_for(idx).cks) == tutte_loop_specialization(g), IDS[idx]
+    assert h_hat(ctx_for(idx).cks) == tutte_loop_specialization(tutte(g)), IDS[idx]
 
 
 @pytest.mark.xfail(strict=True, reason="substituting the one-edge base "

@@ -13,9 +13,16 @@ from ckskit.activity import (
     tutte_by_activity,
 )
 from ckskit.activity import CoherentCotree
+from ckskit.checks import (
+    GraphContext,
+    check_coherence,
+    check_cycle_space,
+    check_ring,
+)
 from ckskit.errors import FaceNotInComplex, NotACotree
 from ckskit.graphs import (
     CycleBasis,
+    FaceComplex,
     Graph,
     build_graph,
     face_complex,
@@ -183,3 +190,46 @@ def test_cycles_build_no_graph(monkeypatch):
 
     monkeypatch.setattr(Graph, "delete", refuse)
     assert {s: cc.cycles(s).rows for s in cc.faces.faces()} == oracle
+
+
+def test_the_deletion_checks_build_no_graph(monkeypatch):
+    # the ring's reductions, the cotree invariants, the cycle space and the
+    # external activities read Γ∖S in Γ itself
+    ctx = GraphContext(W4)
+    tops = ctx.faces.levels[W4.genus()]
+    walked = {}
+    for ct in tops:
+        tree = W4.eids - ct
+        walked[ct] = frozenset(
+            x for x in ct
+            if W4.pos(x) == min(map(W4.pos, fundamental_cycle(W4, tree, x))))
+    built = []
+    init = Graph.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    assert check_ring(ctx)[0]
+    assert check_coherence(ctx) == (True, None)
+    assert check_cycle_space(ctx) == (True, None)
+    assert {ct: external_activity(W4, W4.eids - ct) for ct in tops} == walked
+    assert built == []
+
+
+def test_a_bond_face_fails_the_cotree_and_cycle_space_checks():
+    # theta with a pendant edge 3 (1-2): {3} is a bridge, so a face complex
+    # that holds it holds a bond, and no cotree of Γ∖{3} exists to check
+    g = build_graph([(0, 1), (0, 1), (0, 1), (1, 2)])
+    cc = coherent_cotree(g)
+    assert cc.validate()
+    faces = FaceComplex.from_faces(g, [*cc.faces.faces(), fs(3)], cc.faces.genus)
+    table = dict(cc.table)
+    table[fs(3)] = fs(0)
+    bad = CoherentCotree(g, faces, table)
+    assert not bad.validate()
+    ctx = GraphContext(g)
+    ctx._cache.update(faces=faces, cc=bad)
+    assert check_cycle_space(ctx) == (
+        False, {"reason": "genus did not drop by |S|", "face": ["3"]})

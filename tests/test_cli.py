@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from ckskit import cli
+from ckskit import activity, cli
 from ckskit.cli import main
 
 THETA_INLINE = "v0-v1 v0-v1 v0-v1"
@@ -238,6 +238,39 @@ def test_malformed_enum_limit_exits_2():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: CKS_KIT_MAX_ENUM_EDGES")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("data", [b'\xff\xfe{"edges": [[0, 1]]}', b"[" * 200_000],
+                         ids=["not-utf8", "nested-too-deeply"])
+def test_unparsable_graph_file_exits_2(data, tmp_path):
+    # a file that is not UTF-8 text, and one that nests deeper than the
+    # JSON decoder recurses: both are input errors, reported on one line
+    path = tmp_path / "g.json"
+    path.write_bytes(data)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ckskit.cli", "cks", "--graph", str(path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["analyze", "activity"])
+def test_tutte_polynomial_is_enumerated_once(command, monkeypatch, capsys):
+    # the h-polynomial is read off the Tutte polynomial the payload prints
+    calls = []
+    original = activity.tutte
+
+    def counting(graph):
+        calls.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(activity, "tutte", counting)
+    monkeypatch.setattr(cli, "tutte", counting)
+    code, out, _ = run_cli([command, "--inline", THETA_INLINE], capsys)
+    payload = json.loads(out)
+    assert code == 0 and len(calls) == 1
+    assert (payload["tutte"], payload["h_poly"]) == ("x + y + y^2", "1 + q + q^2")
 
 
 @pytest.mark.parametrize("head", [0, 100])

@@ -36,7 +36,6 @@ from ckskit.graphs import (
     union_find,
     wedge,
 )
-from ckskit.ht import _spanning_tree_avoiding
 from ckskit.intlinalg import rank
 
 THETA = corpus.theta_graph()
@@ -225,16 +224,20 @@ def test_connectivity_helper_matches_boundary_rank(case):
     assert is_spanning_tree(g, range(m)) == (r == m == n - 1)
     assert g.contract(range(m)).n_vertices == n - r
 
-    # a spanning tree avoiding the first non-bridge edge, and the
-    # fundamental cut of each of its edges: x crosses the cut of t iff
-    # (tree - t) + x has full rank again
+    # a spanning tree avoiding the first non-bridge edge, as the forest
+    # that union_find merges over the other edges (reduce_monomial's tree),
+    # and the fundamental cut of each of its edges: x crosses the cut of t
+    # iff (tree - t) + x has full rank again
     edges = list(g.order)
     nonbridge = [e for e in edges
                  if rank(_columns(bd, [x for x in edges if x != e])) == n - 1]
     if not nonbridge:
         return
     e = nonbridge[0]
-    tree = _spanning_tree_avoiding(g, e)
+    rest = [x for x in edges if x != e]
+    _, merged = union_find(g.vertices, g.ends(rest))
+    assert not contains_bond(g, {e})
+    tree = frozenset(rest[i] for i in merged)
     assert e not in tree and len(tree) == n - 1
     assert rank(_columns(bd, sorted(tree))) == n - 1
     for t in tree:

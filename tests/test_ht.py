@@ -1,5 +1,7 @@
 """The face-stratified wedge complex: differential, reduction, f/g/h, ring."""
 
+import collections
+import itertools
 import sys
 
 import pytest
@@ -14,7 +16,14 @@ from ckskit.checks import (
     run_checks,
 )
 from ckskit.errors import ChoiceOutsideIn, EdgeIsBondOrLoop, ParseError
-from ckskit.graphs import build_graph, face_complex, spanning_cotrees
+from ckskit.graphs import (
+    build_graph,
+    contains_bond,
+    face_complex,
+    fundamental_cycle,
+    spanning_cotrees,
+    union_find,
+)
 from ckskit.ht import (
     ChoiceFunction,
     DelConR,
@@ -30,6 +39,7 @@ from ckskit.periodize import delcon_r_periodized
 THETA = corpus.theta_graph()
 # the wheel with hub 0 and rim 1-2-3-4, genus 4
 W4 = build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])
+THETA6 = build_graph([(0, 1)] * 6)
 X, Y, Z = 0, 1, 2
 
 
@@ -83,6 +93,60 @@ def test_reduce_monomial_trivial_cases(theta):
     ht, _ = theta
     assert reduce_monomial(ht, {}) == {fs(): 1}
     assert reduce_monomial(ht, {X: 1, Y: 1}) == {fs(X, Y): 1}
+
+
+def _reduce_monomial_in_the_deletion(ht, sigma):
+    """The reference reduction, which builds Γ∖(S ∖ e) for the support S:
+    the spanning tree of its edges other than e that union_find merges,
+    and the cycle of e walked in that tree by fundamental_cycle."""
+    graph = ht.graph
+    memo = {}
+
+    def red(sig):
+        if sig not in memo:
+            d = dict(sig)
+            supp = frozenset(d)
+            if contains_bond(graph, supp):
+                memo[sig] = {}
+            elif all(v == 1 for v in d.values()):
+                memo[sig] = {supp: 1}
+            else:
+                e = max((x for x, v in d.items() if v > 1), key=graph.pos)
+                s0 = supp - {e}
+                sub = graph.delete(s0) if s0 else graph
+                rest = [x for x in sub.order if x != e]
+                _, merged = union_find(sub.vertices, sub.ends(rest))
+                gamma = fundamental_cycle(sub, frozenset(rest[i] for i in merged), e)
+                out = {}
+                for e2, c in gamma.items():
+                    if e2 == e:
+                        continue
+                    nxt = dict(d)
+                    nxt[e] -= 1
+                    if not nxt[e]:
+                        del nxt[e]
+                    nxt[e2] = nxt.get(e2, 0) + 1
+                    for face, c2 in red(frozenset(nxt.items())).items():
+                        out[face] = out.get(face, 0) - c * c2
+                memo[sig] = {k: v for k, v in out.items() if v}
+        return memo[sig]
+
+    return red(frozenset(sigma.items())) if sigma else {frozenset(): 1}
+
+
+def test_reduce_monomial_matches_the_reduction_in_the_deletion():
+    # every monomial of degree 2 and 3, in values and in key order
+    monomials = 0
+    for g in [g for _, g in corpus.corpus_graphs(bound=5)] + [THETA6]:
+        ht = build_ht(g)
+        for k in (2, 3):
+            for combo in itertools.combinations_with_replacement(g.order, k):
+                sigma = collections.Counter(combo)
+                got = reduce_monomial(ht, sigma)
+                want = _reduce_monomial_in_the_deletion(ht, sigma)
+                assert list(got.items()) == list(want.items()), (g.order, combo)
+                monomials += 1
+    assert monomials > 5_000
 
 
 def test_choice_function_validation():
@@ -238,8 +302,8 @@ def test_ht_checks_report_an_image_outside_the_stripe():
 
 def test_checks_compute_each_tutte_polynomial_once(monkeypatch):
     # T(Γ) and (T(Γ∖e), T(Γ/e)) per admissible edge come from the graph
-    # context; hhat_tutte computes its own T(Γ) for the specialization
+    # context, and hhat_tutte specializes the context's T(Γ)
     calls = counting_calls(monkeypatch, "ckskit.activity", "tutte")
     report = run_checks(THETA)
     assert all(r["passed"] for r in report.values()), report
-    assert len(calls) == 1 + 2 * 3 + 1
+    assert len(calls) == 1 + 2 * 3

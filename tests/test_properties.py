@@ -49,7 +49,7 @@ def test_tutte_routes_agree(edges, data):
 @given(edge_lists(), st.data())
 def test_h_hat_is_the_loop_specialization(edges, data):
     g = ordered(edges, data)
-    assert h_hat(g) == tutte_loop_specialization(g)
+    assert h_hat(g) == tutte_loop_specialization(tutte(g))
 
 
 @SETTINGS
