@@ -17,7 +17,7 @@ from ckskit import (
     build_graph,
     cks_cohomology,
     euler_mismatch,
-    euler_recurrence_holds,
+    euler_recurrences,
     euler_table,
     face_complex,
     h_hat,
@@ -63,7 +63,7 @@ def main():
                 for p in range(3) for q in range(3) for r in range(3))
     print("  short exact sequences + chain-map squares:", exact)
     # the recurrence needs only the face counts of the three sides
-    print("  Euler-table recurrence:", euler_recurrence_holds(faces, 0))
+    print("  Euler-table recurrence:", euler_recurrences(faces, [0])[0])
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from .cks import (
     build_cks,
     cks_cohomology,
     euler_mismatch,
-    euler_recurrence_holds,
     euler_recurrences,
     euler_table,
     h_hat,
@@ -97,7 +96,6 @@ __all__ = [
     "delcon_r_periodized",
     "enumerate_connected_multigraphs",
     "euler_mismatch",
-    "euler_recurrence_holds",
     "euler_recurrences",
     "euler_table",
     "external_activity",

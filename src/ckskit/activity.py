@@ -264,31 +264,21 @@ def _component_count(graph, edges):
 
 
 def tutte(graph):
-    """Rank-nullity (corank-nullity) sum over all edge subsets."""
+    """Rank-nullity (corank-nullity) sum over all edge subsets: the subsets
+    counted by corank i and nullity j, with x − 1 and y − 1 substituted
+    into x^i y^j."""
     _guard(graph.n_edges, "the Tutte polynomial")
     edges = list(graph.order)
     n = graph.n_vertices
-    out = {}
+    counts = {}
     for r in range(len(edges) + 1):
         for combo in itertools.combinations(edges, r):
             k = _component_count(graph, combo)
             i = k - 1                     # corank exponent of (x-1)
             j = k + len(combo) - n        # nullity exponent of (y-1)
-            out[(i, j)] = out.get((i, j), 0) + 1
-    xm1 = Poly2({(1, 0): 1, (0, 0): -1})
-    ym1 = Poly2({(0, 1): 1, (0, 0): -1})
-    total = Poly2()
-    powx = {0: Poly2.const(1)}
-    powy = {0: Poly2.const(1)}
-
-    def power(cache, base, k):
-        if k not in cache:
-            cache[k] = power(cache, base, k - 1) * base
-        return cache[k]
-
-    for (i, j), c in out.items():
-        total = total + Poly2.const(c) * power(powx, xm1, i) * power(powy, ym1, j)
-    return total
+            counts[(i, j)] = counts.get((i, j), 0) + 1
+    return Poly2(counts).substitute(Poly2({(1, 0): 1, (0, 0): -1}),
+                                    Poly2({(0, 1): 1, (0, 0): -1}))
 
 
 def tutte_by_activity(graph):

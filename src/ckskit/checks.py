@@ -9,7 +9,7 @@ test-suite; everything is exact integer arithmetic.
 import itertools
 
 from . import activity, cks, graphs, ht, periodize
-from .errors import NotAComplex, OutsideBasis
+from .errors import NotAComplex
 from .intlinalg import (
     _rank_and_torsion,
     identity,
@@ -72,15 +72,15 @@ class GraphContext:
 
     @property
     def ht_stripes(self):
-        """k -> cohomology of the HT stripe p + q = k, or the error that
-        stopped its build (HTComplex.stripe_cohomology)."""
+        """k -> cohomology of the HT stripe p + q = k, or its NotAComplex
+        witness (HTComplex.stripe_cohomology)."""
         return self._get("ht_stripes", lambda: {
             k: coh for (k,), coh in self.ht.stripe_cohomology().items()})
 
     @property
     def cks_stripes(self):
-        """(k, ℓ) -> cohomology of the CKS stripe, or the error that
-        stopped its build (HTComplex.stripe_cohomology)."""
+        """(k, ℓ) -> cohomology of the CKS stripe, or its NotAComplex
+        witness (HTComplex.stripe_cohomology)."""
         return self._get("cks_stripes", self.cks.stripe_cohomology)
 
     @property
@@ -88,10 +88,13 @@ class GraphContext:
         return self._get("tutte", lambda: activity.tutte(self.graph))
 
     def tutte_delcon(self, e):
-        """(T(Γ∖e), T(Γ/e)) at an admissible edge."""
-        return self._get(("tutte", e), lambda: (
-            activity.tutte(self.graph.delete({e})),
-            activity.tutte(self.graph.contract({e}))))
+        """(T(Γ∖e), T(Γ/e)) at an admissible edge, from the deleted and
+        contracted graphs of its setup (delcon): the setup only moves e to
+        the end of the edge order, and both graphs drop e."""
+        def build():
+            setup = self.delcon(e)
+            return activity.tutte(setup.deleted), activity.tutte(setup.contracted)
+        return self._get(("tutte", e), build)
 
     @property
     def cycles(self):
@@ -115,13 +118,11 @@ class GraphContext:
 
 
 def _stripe_failure(stripes):
-    """(stripe key, position p, reason) of the first stripe whose build
-    failed, or None."""
+    """(stripe key, position p, reason) of the first stripe where d² ≠ 0
+    (a NotAComplex witness), or None."""
     for key, coh in stripes.items():
         if isinstance(coh, NotAComplex):
             return key, coh.degree, "d^2 != 0"
-        if isinstance(coh, OutsideBasis):
-            return key, len(coh.source[0]), "d leaves the stripe"
     return None
 
 
@@ -553,8 +554,8 @@ def check_delcon_r(ctx):
 # cks checks
 
 def check_cks_d2(ctx):
-    """d² = 0 in every stripe, and d maps (p, q, r) only into (p+1, q−1, r):
-    map_matrix rejects any image outside that target basis."""
+    """d² = 0 in every stripe; d maps (p, q, r) only into (p+1, q−1, r), since
+    d_columns places each face block inside that target piece."""
     failure = _stripe_failure(ctx.cks_stripes)
     if failure:
         (k, ell), p, reason = failure
@@ -595,7 +596,9 @@ def check_delcon_cks(ctx):
     are degreewise short-exact; the Euler recurrence follows.  A witness
     `piece` names the middle complex's source piece, for both squares."""
     d = ctx.graph.genus()
-    for e in ctx.admissible_edges():
+    edges = ctx.admissible_edges()
+    recurrences = cks.euler_recurrences(ctx.faces, edges)
+    for e in edges:
         dc = cks.DelConCKS(ctx.delcon(e))
         for p in range(d + 1):
             for q in range(d - p + 1):
@@ -606,7 +609,7 @@ def check_delcon_cks(ctx):
                     if not dc.check_chain_maps(p, q, r):
                         return False, {"edge": str(e), "piece": (2 * p, q, r),
                                        "reason": "chain maps do not commute"}
-        if not cks.euler_recurrence_holds(ctx.faces, e):
+        if not recurrences[e]:
             return False, {"edge": str(e), "reason": "Euler recurrence failed"}
     return True, None
 

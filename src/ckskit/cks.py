@@ -239,30 +239,27 @@ class DelConCKS:
                 and is_zero_matrix(block(tgt[0], src[1])))
 
 
-def euler_recurrence_holds(faces, e):
-    """e_Γ(k,ℓ) = e_{Γ/e}(k,ℓ) − e_{Γ∖e}(k−1,ℓ) at a non-loop non-bridge
-    edge e, from the face counts of the three sides.  They split Γ's face
-    levels at e: the faces of Γ∖e are those of Γ that contain e, minus e,
-    at genus g − 1; those of Γ/e are the faces of Γ that avoid e, at
-    genus g (the faces of induced_deletion_cotree and
-    induced_contraction_cotree).
+def euler_recurrences(faces, edges):
+    """{e: whether e_Γ(k,ℓ) = e_{Γ/e}(k,ℓ) − e_{Γ∖e}(k−1,ℓ)} over `edges`,
+    non-loop non-bridge edges, in their order, from the face counts of the
+    three sides.  They split Γ's face levels at e: the faces of Γ∖e are
+    those of Γ that contain e, minus e, at genus g − 1; those of Γ/e are
+    the faces of Γ that avoid e, at genus g (the faces of
+    induced_deletion_cotree and induced_contraction_cotree).  One pass over
+    Γ's face levels counts the faces of each size that contain each edge,
+    and Γ's own table is built once for all of them, unless there are
+    none; each edge then builds the tables of its two sides, deletion
+    first.
 
     This is an identity of the face split, so it holds for any face lists
     and cannot fail: each level's count is the sum of its two split
     counts, and a face of size p that contains e leaves a face of size
     p − 1 at genus g − 1, whose cotrees have g − p edges as in Γ.  `cks`
-    still reports it under "recurrence_checks" (euler_recurrences), and
-    `delcon_cks` runs it."""
-    return euler_recurrences(faces, [e])[e]
-
-
-def euler_recurrences(faces, edges):
-    """{e: euler_recurrence_holds(faces, e)} over `edges`, in their order.
-    One pass over Γ's face levels counts the faces of each size that
-    contain each edge, and Γ's own table is built once for all of them;
-    each edge then builds the tables of its two sides, deletion first."""
+    still reports it under "recurrence_checks", and `delcon_cks` runs it."""
     g = faces.genus
     containing = {e: [0] * len(faces.levels) for e in edges}
+    if not containing:
+        return {}
     for p, level in enumerate(faces.levels):
         for s in level:
             for x in s:

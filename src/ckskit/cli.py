@@ -87,10 +87,10 @@ def _default_table(payload, prefix=""):
 def cmd_tutte(args):
     g = load_graph(args)
     t = tutte(g)
-    if getattr(args, "format", None) == "json":
-        emit(args, {"schema": SCHEMA, "tutte": str(t)})
-    else:
+    if args.format in (None, "table"):
         print(t)
+    else:
+        emit(args, {"schema": SCHEMA, "tutte": str(t)})
     return 0
 
 

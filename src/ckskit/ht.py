@@ -14,14 +14,15 @@ size and the place of each face's block in it follow from the face counts
 block at a time, as the Kronecker product of the interior product and
 the restriction on the wedges of C(S) (HTComplex.d_columns).  Both come
 from one record per face S and edge e, built once per complex: the place
-of x0 and the interior products a_x = ⟨γ_x, e⟩ of the 1-wedges.  The
-restriction of x0 follows from them by the exchange identity, −a_x0 Σ_y
-a_y [y] over C(S ∪ e).  Templates of wedge positions, shared by all
-complexes, extend these to n-wedges: the interior product is a derivation
-followed by the projection that kills x0, and the restriction is an
-exterior power.  HTComplex.iota and CoherentCotree.restrict give the same
-maps wedge by wedge, for d_element, the reference.  The stripes'
-cohomology is computed one stripe at a time from those columns
+of x0 and the interior products a_x = ⟨γ_x, e⟩ of the 1-wedges, read off
+the cycle basis of Γ∖S.  The restriction of x0 follows from them by the
+exchange identity, −a_x0 Σ_y a_y [y] over C(S ∪ e).  Templates of wedge
+positions, shared by all complexes, extend these to n-wedges: the
+interior product is a derivation followed by the projection that kills
+x0, and the restriction is an exterior power.  HTComplex.iota and
+CoherentCotree.restrict give the same maps wedge by wedge, for
+d_element, the reference (and iota for the homotopy FGH.h_element).  The
+stripes' cohomology is computed one stripe at a time from those columns
 (HTComplex.stripe_cohomology).
 
 Also here: the square-free reduction of monomials, the chain maps f and g
@@ -41,7 +42,6 @@ from .errors import (
     EdgeIsBondOrLoop,
     MismatchedGraph,
     NotAComplex,
-    OutsideBasis,
     ParseError,
     SupportContainsBond,
 )
@@ -168,8 +168,8 @@ class HTComplex:
         """Matrix of d: (2p, q) -> (2p+2, q-1), or (2p, q, r) ->
         (2p+2, q-1, r), as sparse columns {j: {i: entry}} over its nonzero
         entries, j < dim(p, q, *r) and i < dim(p + 1, q − 1, *r): the
-        columns CochainComplex reads.  Raises OutsideBasis when d leaves
-        the stripe.
+        columns CochainComplex reads.  Every entry lies inside its piece:
+        each face block is placed from the face positions.
 
         Filled one face block at a time: the block from the elements on S
         to those on S ∪ e is the Kronecker product of the interior product
@@ -225,7 +225,7 @@ class HTComplex:
     def d_matrix(self, p, q, *r):
         """d_columns(p, q, *r) as dense rows of shape dim(p + 1, q − 1, *r)
         × dim(p, q, *r), for the checks that read rows (the HT identities,
-        check_chain_maps).  Raises OutsideBasis when d leaves the stripe."""
+        check_chain_maps)."""
         m = zeros(self.dim(p + 1, q - 1, *r), self.dim(p, q, *r))
         for j, col in self.d_columns(p, q, *r).items():
             for i, x in col.items():
@@ -234,9 +234,10 @@ class HTComplex:
 
     def _edges(self, s):
         """The edge records of face S, one per edge e with S ∪ e a face, in
-        edge order, each built once per complex (see _Edge).  Raises
-        OutsideBasis when the interior product by e of a 1-wedge of C(S)
-        is not a multiple of the empty wedge of C(S ∪ e)."""
+        edge order, each built once per complex (see _Edge).  A record
+        reads only the cycle basis of Γ∖S and cc.lost: the interior
+        product by e of the 1-wedge x of C(S) is ⟨γ_x, e⟩ times the empty
+        wedge (cc.pair)."""
         records = self._records.get(s)
         if records is None:
             records = []
@@ -244,17 +245,9 @@ class HTComplex:
             xs = self._cotree(s)
             for e in self.graph.sort_edges(self.graph.eids - s):
                 t = s | {e}
-                if t not in position:
-                    continue
-                values = []
-                for x in xs:
-                    image = self.iota(s, e, (x,))
-                    for key in image:
-                        if key:
-                            raise OutsideBasis((s, (x,)), (t, key))
-                    values.append(image.get((), 0))
-                records.append(_Edge(e, position[t], xs.index(self.cc.lost(s, e)),
-                                     values))
+                if t in position:
+                    records.append(_Edge(e, position[t], xs.index(self.cc.lost(s, e)),
+                                         [self.cc.pair(s, x, e) for x in xs]))
             self._records[s] = records
         return records
 
@@ -264,25 +257,21 @@ class HTComplex:
 
     def stripe_cohomology(self):
         """{p: (free, torsion)} of every stripe p + q = k (at weight r for
-        the CKS complex), keyed as in stripe_keys, or the OutsideBasis or
-        NotAComplex error that stopped its build, kept as a witness.  The
-        stripes are built one at a time (_stripe); they share the edge
-        records of d (_edges)."""
+        the CKS complex), keyed as in stripe_keys, or the NotAComplex
+        error of a stripe where d² ≠ 0, kept as a witness.  The stripes are
+        built one at a time (_stripe); they share the edge records of d
+        (_edges)."""
         return {key: self._stripe(*key) for key in self.stripe_keys()}
 
     def _stripe(self, k, *r):
         """One stripe: d_columns(p, k − p, *r) at every level p = 0..min(k,
         genus) with a nonzero piece, then a CochainComplex over ranges of
-        the piece sizes (the d² check), factored.  Stops at the first d
-        that leaves the basis."""
+        the piece sizes (the d² check), factored."""
         bases, columns = {}, {}
         for p in range(min(k, self.genus) + 1):
             bases[p] = range(self.dim(p, k - p, *r))
             if bases[p]:
-                try:
-                    columns[p] = self.d_columns(p, k - p, *r)
-                except OutsideBasis as exc:
-                    return exc
+                columns[p] = self.d_columns(p, k - p, *r)
         try:
             return CochainComplex(bases, columns).cohomology()
         except NotAComplex as exc:

@@ -17,7 +17,6 @@ from ckskit.cks import (
     build_cks,
     cks_cohomology,
     euler_mismatch,
-    euler_recurrence_holds,
     euler_recurrences,
     euler_table,
     h_hat,
@@ -156,11 +155,11 @@ def test_delcon_exactness_theta():
             for r in range(3 - p):
                 assert dc.check_exact(p, q, r), (p, q, r)
                 assert dc.check_chain_maps(p, q, r), (p, q, r)
-    assert euler_recurrence_holds(face_complex(THETA), 0)
+    assert euler_recurrences(face_complex(THETA), [0])[0]
     assert recurrence_by_delcon_complexes(dc)
 
 
-def test_cks_d2_reports_an_image_outside_the_stripe():
+def test_an_image_outside_the_stripe_reaches_only_the_element_wise_reference():
     ctx = GraphContext(THETA)
     c = ctx.cks
     original = c.iota
@@ -174,9 +173,14 @@ def test_cks_d2_reports_an_image_outside_the_stripe():
         return out
 
     c.iota = leaky
-    ok, witness = check_cks_d2(ctx)
-    assert not ok
-    assert witness == {"piece": (0, 1, 0), "reason": "d leaves the stripe"}
+    # the stripes read the edge records, which read the cycle basis and
+    # not iota, so d stays inside its stripe and cks_d2 passes
+    assert ctx.cks_stripes == GraphContext(THETA).cks_stripes
+    assert check_cks_d2(ctx) == (True, None)
+    with pytest.raises(OutsideBasis) as exc:
+        d_by_elements(c, 0, 1, 0)
+    assert str(exc.value) == ("the image of (frozenset(), (0,), ()) has "
+                              "(frozenset({0}), (0,), ()) outside the target basis")
 
 
 def test_cks_d2_reports_the_piece_where_d_squared_is_not_zero():
@@ -219,8 +223,6 @@ def stripes_one_by_one(c):
             out[key] = CochainComplex(bases, {
                 p: _columns(c.d_matrix(p, k - p, *r))
                 for p, b in bases.items() if b}).cohomology()
-        except OutsideBasis as exc:
-            out[key] = (len(exc.source[0]), "d leaves the stripe", str(exc))
         except NotAComplex as exc:
             out[key] = (exc.degree, "d^2 != 0", str(exc))
     return out
@@ -235,35 +237,22 @@ def as_reference(stripes):
 
 
 def test_stripe_walk_reports_the_stripe_the_reference_reports(monkeypatch, capsys):
-    # the interior product on 1-wedges at level 0 doubles across the last
-    # edge, so d² ≠ 0 in the stripes (2, ℓ), ℓ = 0..2, and (k, 2), k = 3, 4,
-    # which the walk sees when the stripe ends; at level 2 it also keeps the
-    # 1-wedge, which the edge records reject, so the stripes (k, ℓ), k = 3, 4
-    # and ℓ = 0, 1, leave their basis at p = 2 before their d² is checked
-    # (at ℓ = 2 the level-2 pieces have no target, and build no records)
+    # the pairing ⟨γ_x, e⟩ at level 0 doubles across the last edge, and so
+    # do the edge records read from it, so d² ≠ 0 at position 0 in every
+    # stripe (k, ℓ) with k = 2, 3, 4, which the walk sees when the stripe
+    # ends
     inline = "v0-v1 v0-v2 v0-v3 v0-v4 v1-v2 v2-v3 v3-v4 v4-v1"
-    original_iota = HTComplex.iota
+    original_pair = CoherentCotree.pair
 
-    def faulty(self, s, e, w):
-        out = original_iota(self, s, e, w)
-        if not s and len(w) == 1 and e == self.graph.order[-1]:
-            return {k: 2 * c for k, c in out.items()}
-        if len(s) == 2 and len(w) == 1:
-            out[w] = 1
-        return out
+    def faulty(self, s, x, e):
+        c = original_pair(self, s, x, e)
+        return 2 * c if not s and e == self.graph.order[-1] else c
 
-    monkeypatch.setattr(HTComplex, "iota", faulty)
+    monkeypatch.setattr(CoherentCotree, "pair", faulty)
     g = graph_from_dsl(inline)
     reference = stripes_one_by_one(build_cks(g))
     failed = {key: coh[:2] for key, coh in reference.items() if isinstance(coh, tuple)}
-    leaves = (2, "d leaves the stripe")
-    assert failed == {(2, 0): (0, "d^2 != 0"), (2, 1): (0, "d^2 != 0"),
-                      (2, 2): (0, "d^2 != 0"), (3, 0): leaves, (3, 1): leaves,
-                      (3, 2): (0, "d^2 != 0"), (4, 0): leaves, (4, 1): leaves,
-                      (4, 2): (0, "d^2 != 0")}
-    assert reference[(3, 0)][2] == (
-        "the image of (frozenset({0, 1}), (2,)) has (frozenset({0, 1, 2}), (2,)) "
-        "outside the target basis")
+    assert failed == {(k, ell): (0, "d^2 != 0") for k in (2, 3, 4) for ell in range(3)}
     ctx = GraphContext(g)
     assert as_reference(ctx.cks_stripes) == reference
     assert reference[(2, 0)][2] == "d^2 != 0 at degree 0"
@@ -452,79 +441,60 @@ def test_dim_counts_each_basis_without_building_it(graphs):
     assert pieces_seen
 
 
-def test_delcon_cks_computes_each_operator_once_per_level(monkeypatch):
-    # within one (complex, level) of d_matrix calls, no (S, e, w) interior
-    # product is computed twice, and no restriction at all: d reads it off
-    # the edge records; a complex is named by its cotree, which DelConCKS
-    # gives each complex its own of
-    level = {}
+def counting_pairs(monkeypatch):
+    """Wrap CoherentCotree.pair, iota and restrict: asserts that no
+    (cotree, S, x, e) pairing is read twice and counts each kind of call."""
     seen = set()
-    calls = {"iota": 0, "restrict": 0}
-    original_d = CKSComplex.d_matrix
-    original_iota = HTComplex.iota
-    original_restrict = CoherentCotree.restrict
+    calls = {"pair": 0, "iota": 0, "restrict": 0}
+    original_pair = CoherentCotree.pair
 
-    def once(kind, cc, *key):
-        key = (kind, cc, level[cc], *key)
+    def pair(self, s, x, e):
+        key = (self, s, x, e)
         assert key not in seen, key
         seen.add(key)
-        calls[kind] += 1
+        calls["pair"] += 1
+        return original_pair(self, s, x, e)
 
-    def d_matrix(self, p, q, *r):
-        level[self.cc] = p
-        return original_d(self, p, q, *r)
+    def counted(kind, original):
+        def wrapper(*args):
+            calls[kind] += 1
+            return original(*args)
+        return wrapper
 
-    def iota(self, s, e, w):
-        once("iota", self.cc, s, e, w)
-        return original_iota(self, s, e, w)
+    monkeypatch.setattr(CoherentCotree, "pair", pair)
+    monkeypatch.setattr(HTComplex, "iota", counted("iota", HTComplex.iota))
+    monkeypatch.setattr(CoherentCotree, "restrict",
+                        counted("restrict", CoherentCotree.restrict))
+    return calls
 
-    def restrict(self, s, e, a):
-        once("restrict", self, s, e, a)
-        return original_restrict(self, s, e, a)
 
-    monkeypatch.setattr(CKSComplex, "d_matrix", d_matrix)
-    monkeypatch.setattr(HTComplex, "iota", iota)
-    monkeypatch.setattr(CoherentCotree, "restrict", restrict)
+def test_delcon_cks_computes_each_operator_once_per_level(monkeypatch):
+    # each complex builds the edge records of a face once, for all levels,
+    # so no pairing ⟨γ_x, e⟩ of one cotree is read twice; d reads both of
+    # its operators off the records, so neither iota nor restrict is
+    # called.  A complex is named by its cotree, which DelConCKS gives each
+    # complex its own of
+    calls = counting_pairs(monkeypatch)
     for g in (THETA6, W4):
         report = run_checks(g, ["delcon_cks"])
         assert report["delcon_cks"]["passed"], report
-    assert calls["iota"] and not calls["restrict"]
+    # the edge records of the three complexes at every admissible edge, one
+    # pairing per edge of their C(S)
+    assert calls == {"pair": 15660, "iota": 0, "restrict": 0}
 
 
 @pytest.mark.parametrize("stripes", ["cks_stripes", "ht_stripes"])
 def test_stripe_walk_computes_each_operator_once(monkeypatch, stripes):
-    # no (S, e, w) interior product of one complex is computed twice (|S|
-    # is the level), and no restriction at all: the edge records ask only
-    # for 1-wedges, and the restriction of the lost edge x0 is read off
-    # their interior products (the exchange identity)
-    seen = set()
-    calls = {"iota": 0, "restrict": 0}
-    original_iota = HTComplex.iota
-    original_restrict = CoherentCotree.restrict
-
-    def once(kind, owner, *key):
-        key = (kind, owner, *key)
-        assert key not in seen, key
-        seen.add(key)
-        calls[kind] += 1
-
-    def iota(self, s, e, w):
-        assert len(w) == 1, w
-        once("iota", self, s, e, w)
-        return original_iota(self, s, e, w)
-
-    def restrict(self, s, e, a):
-        once("restrict", self, s, e, a)
-        return original_restrict(self, s, e, a)
-
-    monkeypatch.setattr(HTComplex, "iota", iota)
-    monkeypatch.setattr(CoherentCotree, "restrict", restrict)
+    # no pairing ⟨γ_x, e⟩ of one complex is read twice, and neither iota
+    # nor restrict is called: the edge records read the pairings of the
+    # 1-wedges, and the restriction of the lost edge x0 is read off them
+    # (the exchange identity)
+    calls = counting_pairs(monkeypatch)
     for g in (THETA6, W4):
         coh = getattr(GraphContext(g), stripes)
         assert not any(isinstance(c, Exception) for c in coh.values())
-    # 586 edge records on the two graphs, one interior product per edge of
-    # their C(S)
-    assert calls == {"iota": 1172, "restrict": 0}
+    # 586 edge records on the two graphs, one pairing per edge of their C(S)
+    assert calls == {"pair": 1172, "iota": 0, "restrict": 0}
 
 
 @pytest.mark.parametrize("g", [THETA6, W4], ids=["theta6", "w4"])
@@ -591,7 +561,7 @@ def dims_euler_table(c):
 
 
 def recurrence_by_delcon_complexes(dc):
-    """Oracle for euler_recurrence_holds: e_Γ(k,ℓ) = e_{Γ/e}(k,ℓ) −
+    """Oracle for euler_recurrences: e_Γ(k,ℓ) = e_{Γ/e}(k,ℓ) −
     e_{Γ∖e}(k−1,ℓ) on the dims of the three complexes of a DelConCKS."""
     mid, sub, quo = map(dims_euler_table, (dc.mid, dc.sub, dc.quo))
     keys = set(mid) | set(quo) | {(k + 1, l) for (k, l) in sub}
@@ -612,7 +582,7 @@ def test_face_count_recurrence_agrees_with_the_delcon_oracle(graphs):
             # each side's table from its face counts equals the one from dims
             for c in (dc.mid, dc.sub, dc.quo):
                 assert euler_table(c) == dims_euler_table(c), (g, e)
-            assert euler_recurrence_holds(ctx.faces, e) \
+            assert euler_recurrences(ctx.faces, [e])[e] \
                 == recurrence_by_delcon_complexes(dc) is True, (g, e)
             edges += 1
     assert edges
@@ -621,10 +591,10 @@ def test_face_count_recurrence_agrees_with_the_delcon_oracle(graphs):
 @pytest.mark.parametrize("side", [0, 1, 2], ids=["middle", "deleted", "contracted"])
 def test_a_corrupted_face_count_fails_the_recurrence(monkeypatch, side):
     # one more empty face on one of the three sides, in the order
-    # euler_recurrence_holds counts them
+    # euler_recurrences counts them
     faces = face_complex(W4)
     e = W4.order[0]
-    assert euler_recurrence_holds(faces, e)
+    assert euler_recurrences(faces, [e])[e]
     original = cks_mod._counts_table
     calls = []
 
@@ -635,14 +605,14 @@ def test_a_corrupted_face_count_fails_the_recurrence(monkeypatch, side):
         return original(counts, genus)
 
     monkeypatch.setattr(cks_mod, "_counts_table", corrupted)
-    assert not euler_recurrence_holds(faces, e)
+    assert not euler_recurrences(faces, [e])[e]
     assert calls == [4, 3, 4]
 
 
 def test_recurrences_count_the_faces_once_for_all_edges(monkeypatch):
     # Γ's own table once, then the deleted and contracted tables per edge
     faces = face_complex(K4PP)
-    each = {e: euler_recurrence_holds(faces, e) for e in K4PP.order}
+    each = {e: euler_recurrences(faces, [e])[e] for e in K4PP.order}
     original = cks_mod._counts_table
     genera = []
     monkeypatch.setattr(cks_mod, "_counts_table", lambda counts, genus: (
@@ -672,7 +642,7 @@ def test_the_face_count_recurrence_is_an_identity_of_the_split(faces):
     # each level's count is the sum of its two split counts, and the
     # deleted side's C(g − 1 − (p − 1), ·) is the middle's C(g − p, ·), so
     # the recurrence holds for any counts, not only those of a graph
-    assert euler_recurrence_holds(faces, "e")
+    assert euler_recurrences(faces, ["e"])["e"]
 
 
 def counts_table_by_piece_size(counts, genus):
@@ -886,6 +856,25 @@ def test_the_lost_edge_restricts_by_the_exchange_identity():
         assert cc.restrict(s, e, (x0,)) == {
             (y,): -a[y] * a[x0] for y in cc.graph.sort_edges(cc.C(s | {e})) if a[y]}, \
             (cc.graph.order, s, e)
+
+
+def test_edge_records_are_the_interior_products_of_the_1_wedges():
+    # oracle for _edges: iota, the wedge-by-wedge reference, removes the
+    # only edge of a 1-wedge (x), so its image is ⟨γ_x, e⟩ times the empty
+    # wedge, and that coefficient is the record's value at x
+    records = 0
+    for g in [g for _, g in corpus.corpus_graphs(bound=5)] + [THETA6, W4, K4PP]:
+        for order in (g.order, g.order[::-1]):
+            g2 = Graph(g.vertices, g.head, g.tail, list(order))
+            htc = HTComplex(g2, coherent_cotree(g2))
+            for s in htc.faces.faces():
+                xs = g2.sort_edges(htc.cc.C(s))
+                for record in htc._edges(s):
+                    images = [htc.iota(s, record.e, (x,)) for x in xs]
+                    assert all(set(image) <= {()} for image in images), (order, s)
+                    assert record.iota == [image.get((), 0) for image in images]
+                    records += 1
+    assert records == 6310
 
 
 def test_lost_rejects_an_incoherent_table():

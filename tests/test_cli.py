@@ -446,6 +446,21 @@ def test_csv_euler_table(capsys):
     assert "0,0,1" in lines
 
 
+@pytest.mark.parametrize("command", ["tutte", "analyze", "activity", "verify"])
+def test_csv_is_refused_where_there_is_no_table(capsys, command):
+    code, out, err = run_cli(
+        [command, "--inline", THETA_INLINE, "--format", "csv"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: csv output is not available for this subcommand\n"
+
+
+def test_tutte_formats(capsys):
+    for fmt, want in (("table", "x + y + y^2\n"),
+                      ("json", '{"schema":1,"tutte":"x + y + y^2"}\n')):
+        assert run_cli(["tutte", "--inline", THETA_INLINE, "--format", fmt],
+                       capsys) == (0, want, "")
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "ckskit.cli", "tutte", "--inline", THETA_INLINE],

@@ -15,7 +15,7 @@ from ckskit.checks import (
     check_ht_identities,
     run_checks,
 )
-from ckskit.errors import ChoiceOutsideIn, EdgeIsBondOrLoop, ParseError
+from ckskit.errors import ChoiceOutsideIn, EdgeIsBondOrLoop, OutsideBasis, ParseError
 from ckskit.graphs import (
     build_graph,
     contains_bond,
@@ -33,7 +33,7 @@ from ckskit.ht import (
     build_ht,
     reduce_monomial,
 )
-from ckskit.intlinalg import is_zero_matrix, matmul
+from ckskit.intlinalg import is_zero_matrix, map_matrix, matmul
 from ckskit.periodize import delcon_r_periodized
 
 THETA = corpus.theta_graph()
@@ -281,9 +281,10 @@ def test_delcon_setups_enumerate_nothing(monkeypatch):
     assert len(faces) == 1 and cotrees == []
 
 
-def test_ht_checks_report_an_image_outside_the_stripe():
+def test_ht_checks_see_a_leaky_iota_only_through_h():
     ctx = GraphContext(THETA)
-    original = ctx.ht.iota
+    htc = ctx.ht
+    original = htc.iota
 
     def leaky(s, e, w):
         # also send (∅, w) to the q-wedge w over C({e}), where d needs
@@ -293,11 +294,22 @@ def test_ht_checks_report_an_image_outside_the_stripe():
             out[w] = 1
         return out
 
-    ctx.ht.iota = leaky
-    reason = "d leaves the stripe"
-    assert check_ht_identities(ctx) == (False, {"piece": (0, 1), "reason": reason})
+    htc.iota = leaky
+    # the stripes read the edge records, not iota: they are unchanged, and
+    # so are the checks that read only them
+    assert ctx.ht_stripes == GraphContext(THETA).ht_stripes
     for check in (check_ht_exactness, check_ht_cohomology):
-        assert check(ctx) == (False, {"stripe": 1, "position": 0, "reason": reason})
+        assert check(ctx) == (True, None)
+    # d_element, the reference, leaves the target basis of d
+    with pytest.raises(OutsideBasis) as exc:
+        map_matrix(htc.basis(0, 1), htc.index(1, 0), lambda b: htc.d_element(*b))
+    assert str(exc.value) == ("the image of (frozenset(), (0,)) has "
+                              "(frozenset({0}), (0,)) outside the target basis")
+    # the homotopy h reads iota too, and meets S ∪ w = {0, 1, 2}, which is
+    # not a face and has no choice
+    with pytest.raises(KeyError) as exc:
+        check_ht_identities(ctx)
+    assert exc.value.args == (frozenset({0, 1, 2}),)
 
 
 def test_checks_compute_each_tutte_polynomial_once(monkeypatch):
