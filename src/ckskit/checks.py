@@ -10,15 +10,7 @@ import itertools
 
 from . import activity, cks, graphs, ht, periodize
 from .errors import NotAComplex
-from .intlinalg import (
-    _rank_and_torsion,
-    identity,
-    is_zero_matrix,
-    map_matrix,
-    matmul,
-    rank,
-    verify_direct_sum,
-)
+from .intlinalg import _factor, _rank_and_torsion, verify_direct_sum
 UNIMODULAR_EDGE_LIMIT = 6
 PERIODIZE_EDGE_LIMIT = 4
 PERIODIZE_LEVELS = (1, 2)
@@ -27,7 +19,9 @@ PERIODIZE_LEVELS = (1, 2)
 class GraphContext:
     """Caches the derived structures of one graph across checks.
 
-    Each HT and CKS stripe is built once; only its cohomology is kept.
+    Each HT and CKS stripe is built once; of a CKS stripe only its
+    cohomology is kept, while the HT complex (ht) also keeps the columns
+    of d, which the HT checks read again.
     """
 
     def __init__(self, graph, choice="min"):
@@ -177,19 +171,19 @@ def check_cycle_space(ctx):
     c(Γ∖S), so the genus drops by |S| iff S contains no bond (read in Γ)."""
     g = ctx.graph
     d = g.genus()
-    bd = graphs.boundary_matrix(g)
     for ct in ctx.faces.levels[d]:
         cb = graphs.CycleBasis(g, ct)
-        cm = cb.cycle_matrix()
-        prod = matmul(bd, [list(col) for col in zip(*cm)]) if cm else []
-        if prod and not is_zero_matrix(prod):
-            return False, {"reason": "cycle not in kernel of boundary",
-                           "cotree": sorted(map(str, ct))}
-        ident = cb.pairing(ct)
-        if any(ident[i][j] != (1 if i == j else 0)
-               for i in range(len(ident)) for j in range(len(ident))):
+        for row in cb.rows.values():
+            boundary = dict.fromkeys(g.vertices, 0)
+            for e, c in row.items():
+                boundary[g.head[e]] += c
+                boundary[g.tail[e]] -= c
+            if any(boundary.values()):
+                return False, {"reason": "cycle not in kernel of boundary",
+                               "cotree": sorted(map(str, ct))}
+        if any(row.get(y, 0) != (x == y) for x, row in cb.rows.items() for y in ct):
             return False, {"reason": "no identity block", "cotree": sorted(map(str, ct))}
-        if any(x not in (-1, 0, 1) for row in cb.pairing(g.eids) for x in row):
+        if any(c not in (-1, 0, 1) for row in cb.rows.values() for c in row.values()):
             return False, {"reason": "pairing entry outside {-1,0,1}"}
     ref = ctx.cc.cycles(frozenset())
     for s in ctx.faces.faces():
@@ -342,37 +336,41 @@ def check_tutte(ctx):
 # ht checks
 
 def check_ht_identities(ctx):
-    """d² = 0, fg = id, fd = 0 and id − gf = hd + dh in every graded piece."""
+    """d² = 0, fg = id, fd = 0 and id − gf = hd + dh in every graded piece,
+    element by element: d from its sparse columns (d_columns), f and g
+    from FGH.f_face, f_vector and g_face, h from FGH.h_element."""
     failure = _stripe_failure(ctx.ht_stripes)
     if failure:
         k, p, reason = failure
         return False, {"piece": (p, k - p), "reason": reason}
-    htc = ctx.ht
-    fgh = ctx.fgh
+    htc, fgh = ctx.ht, ctx.fgh
     for k in range(htc.genus + 1):
-        fmat, bk = fgh.f_matrix(k)
-        gmat, _ = fgh.g_matrix(k)
-        if matmul(fmat, gmat) != identity(len(bk)):
+        # the (k, 0) piece holds one element (S, ()) per face, in level order
+        level = ctx.faces.levels[k]
+        if any(fgh.f_face(b) != {b: 1} for b in level if b in fgh.bset):
             return False, {"grade": k, "reason": "fg != id"}
-        ds = [htc.d_matrix(p, k - p) for p in range(k)]
-        if k >= 1 and not is_zero_matrix(matmul(fmat, ds[k - 1])):
+        if k and any(fgh.f_vector({level[i]: x for i, x in col.items()})
+                     for col in htc.d_columns(k - 1, 1).values()):
             return False, {"grade": k, "reason": "fd != 0"}
-        # homotopy identities along the stripe p + q = k, as
-        # hd + dh (+ gf at p = k) = id; matmul gives [] for an empty product
+        # hd + dh (+ gf at p = k) = id on each element of the stripe p + q = k
         for p in range(k + 1):
             q = k - p
-            n = htc.dim(p, q)
-            terms = []
-            if p < k:
-                terms.append(matmul(fgh.h_matrix(p + 1, q - 1), ds[p]))
-            if p > 0:
-                terms.append(matmul(ds[p - 1], fgh.h_matrix(p, q)))
-            if p == k:
-                terms.append(matmul(gmat, fmat))
-            total = [[sum(t[i][j] for t in terms if t) for j in range(n)]
-                     for i in range(n)]
-            if total != identity(n):
-                return False, {"piece": (p, q), "reason": "homotopy identity failed"}
+            index = htc.index(p, q)
+            d_out = htc.d_columns(p, q) if q else {}
+            d_in = htc.d_columns(p - 1, q + 1) if p else {}
+            for j, b in enumerate(htc.basis(p, q)):
+                out = {}
+                for i, x in d_out.get(j, {}).items():
+                    for c, y in fgh.h_element(*htc.basis(p + 1, q - 1)[i]).items():
+                        out[index[c]] = out.get(index[c], 0) + x * y
+                for c, x in (fgh.h_element(*b) if p else {}).items():
+                    for i, y in d_in.get(htc.index(p - 1, q + 1)[c], {}).items():
+                        out[i] = out.get(i, 0) + x * y
+                for s, x in (fgh.f_face(b[0]) if not q else {}).items():
+                    for c, y in fgh.g_face(s).items():
+                        out[index[c]] = out.get(index[c], 0) + x * y
+                if {i: x for i, x in out.items() if x} != {j: 1}:
+                    return False, {"piece": (p, q), "reason": "homotopy identity failed"}
     return True, None
 
 
@@ -431,8 +429,7 @@ def check_splitting(ctx):
 def check_j_basis(ctx):
     """The vectors d(1_S x) with x the chosen element of In(S ∪ x) number
     |F_k ∖ B_k| per grade and have exactly that rank."""
-    htc = ctx.ht
-    fgh = ctx.fgh
+    htc, fgh = ctx.ht, ctx.fgh
     bset = fgh.bset
     for k in range(1, htc.genus + 1):
         src = [(s, (x,)) for s in ctx.faces.levels[k - 1] for x in ctx.cc.C(s)
@@ -441,8 +438,9 @@ def check_j_basis(ctx):
         expected = len(faces_k) - len([s for s in faces_k if s in bset])
         if len(src) != expected:
             return False, {"grade": k, "count": len(src), "expected": expected}
-        mat = map_matrix(src, htc.index(k, 0), lambda b: htc.d_element(*b))
-        if rank(mat) != expected:
+        # d(1_S x) is the column of (S, (x,)) in d: (2k − 2, 1) -> (2k, 0)
+        d, index = htc.d_columns(k - 1, 1), htc.index(k - 1, 1)
+        if _factor({n: d.get(index[b], {}) for n, b in enumerate(src)})[0] != expected:
             return False, {"grade": k, "reason": "rank deficient"}
     return True, None
 

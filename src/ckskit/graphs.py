@@ -521,11 +521,6 @@ class CycleBasis:
         except NotASpanningTree:
             raise NotACotree(f"{sorted(map(str, cotree))} is not a spanning cotree") from None
         self.graph = graph
-        self.deleted = deleted
-
-    def cycle_matrix(self):
-        cols = [e for e in self.graph.order if e not in self.deleted]
-        return [[self.rows[x].get(e, 0) for e in cols] for x in self.cotree]
 
     def pairing(self, edges):
         cols = self.graph.sort_edges(edges)

@@ -22,8 +22,10 @@ interior product is a derivation followed by the projection that kills
 x0, and the restriction is an exterior power.  HTComplex.iota and
 CoherentCotree.restrict give the same maps wedge by wedge, for
 d_element, the reference (and iota for the homotopy FGH.h_element).  The
-stripes' cohomology is computed one stripe at a time from those columns
-(HTComplex.stripe_cohomology).
+HT complex keeps each piece's columns once assembled, and its stripes,
+`ht` and the HT checks all read that copy; the CKS complex assembles per
+call.  The stripes' cohomology is computed one stripe at a time from
+those columns (HTComplex.stripe_cohomology).
 
 Also here: the square-free reduction of monomials, the chain maps f and g
 between the complex and its cohomology ring R, the contracting homotopy h,
@@ -77,8 +79,9 @@ class HTComplex:
         # both are fixed per complex
         self._dims = {}
         self._cotrees = {}
-        # face -> its edge records (_edges)
+        # face -> its edge records (_edges); (p, q) -> d's columns (d_columns)
         self._records = {}
+        self._columns = {}
 
     # -- bases ------------------------------------------------------------
 
@@ -164,7 +167,14 @@ class HTComplex:
             out.update(terms)
         return out
 
-    def d_columns(self, p, q, *r):
+    def d_columns(self, p, q):
+        """_assemble(p, q), kept for every later reader; none changes it."""
+        columns = self._columns.get((p, q))
+        if columns is None:
+            columns = self._columns[(p, q)] = self._assemble(p, q)
+        return columns
+
+    def _assemble(self, p, q, *r):
         """Matrix of d: (2p, q) -> (2p+2, q-1), or (2p, q, r) ->
         (2p+2, q-1, r), as sparse columns {j: {i: entry}} over its nonzero
         entries, j < dim(p, q, *r) and i < dim(p + 1, q − 1, *r): the
@@ -224,8 +234,8 @@ class HTComplex:
 
     def d_matrix(self, p, q, *r):
         """d_columns(p, q, *r) as dense rows of shape dim(p + 1, q − 1, *r)
-        × dim(p, q, *r), for the checks that read rows (the HT identities,
-        check_chain_maps)."""
+        × dim(p, q, *r), for the two checks that read rows:
+        check_splitting and DelConCKS.check_chain_maps."""
         m = zeros(self.dim(p + 1, q - 1, *r), self.dim(p, q, *r))
         for j, col in self.d_columns(p, q, *r).items():
             for i, x in col.items():
@@ -631,7 +641,9 @@ class DelConR:
     union of {S ∪ e : S ∈ B(Γ∖e)} and B(Γ/e).  The same setup (graph,
     cc, deleted, contracted, cc_del, cc_con) carries that split at every
     periodization level (periodize.delcon_r_periodized; level 0 is Γ) and
-    the CKS sequence (cks.DelConCKS).
+    the CKS sequence (cks.DelConCKS).  The three graphs are built at once;
+    the cotrees on first use, so a reader of the graphs alone (the Tutte
+    recurrence) builds none.
     """
 
     def __init__(self, faces, e):
@@ -639,16 +651,27 @@ class DelConR:
         if graph.is_loop(e) or contains_bond(graph, {e}):
             raise EdgeIsBondOrLoop(f"edge {e!r} is a loop or a bridge")
         self.edge = e
+        self._faces = faces
         order = [x for x in graph.order if x != e] + [e]
         self.graph = Graph(graph.vertices, graph.head, graph.tail, order)
-        self.cc = coherent_cotree(self.graph, FaceComplex.from_faces(
-            self.graph, faces.faces(), faces.genus))
-        assert e not in self.cc.C(frozenset()), \
-            "an edge ordered last cannot enter the lex-minimal cotree"
         self.deleted = self.graph.delete({e})
         self.contracted = self.graph.contract({e})
-        self.cc_del = induced_deletion_cotree(self.cc, e, self.deleted)
-        self.cc_con = induced_contraction_cotree(self.cc, e, self.contracted)
+
+    @functools.cached_property
+    def cc(self):
+        cc = coherent_cotree(self.graph, FaceComplex.from_faces(
+            self.graph, self._faces.faces(), self._faces.genus))
+        assert self.edge not in cc.C(frozenset()), \
+            "an edge ordered last cannot enter the lex-minimal cotree"
+        return cc
+
+    @functools.cached_property
+    def cc_del(self):
+        return induced_deletion_cotree(self.cc, self.edge, self.deleted)
+
+    @functools.cached_property
+    def cc_con(self):
+        return induced_contraction_cotree(self.cc, self.edge, self.contracted)
 
 
 def induced_deletion_cotree(cc, e, deleted):

@@ -1,9 +1,12 @@
 """Exact integer linear algebra.
 
 Dense matrices are plain lists of lists of Python ints.  map_matrix
-turns sparse images on labelled bases into them for the maps between
-complexes (f, g, h, inclusions, projections); ht.HTComplex.d_columns
-writes the HT and CKS differentials as sparse columns instead.
+turns sparse images on labelled bases into them for the f, g and h that
+`ht --matrices` prints, the g of the splitting certificate, and the
+inclusions and projections of deletion-contraction;
+ht.HTComplex.d_columns writes the HT and CKS differentials as sparse
+columns instead, and the HT identities are tested on those columns
+without a product of matrices (matmul serves SmithForm.verify).
 Everything here is exact: Smith normal form with unimodular transforms,
 ranks over Q, cochain-complex cohomology (free rank + torsion invariant
 factors), and direct-sum splitting certificates for sublattices of Z^n.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ckskit import corpus
+from ckskit import corpus, graphs
 from ckskit.activity import (
     coherent_cotree,
     external_activity,
@@ -216,6 +216,22 @@ def test_the_deletion_checks_build_no_graph(monkeypatch):
     assert check_cycle_space(ctx) == (True, None)
     assert {ct: external_activity(W4, W4.eids - ct) for ct in tops} == walked
     assert built == []
+
+
+def test_cycle_space_reports_a_cycle_row_outside_the_kernel(monkeypatch):
+    # the last cycle row of each basis loses its last tree edge, whose
+    # ends then stay in its boundary; the identity block is unchanged
+    class Perturbed(CycleBasis):
+        def __init__(self, *args):
+            super().__init__(*args)
+            x = self.cotree[-1]
+            row = dict(self.rows[x])
+            del row[[e for e in row if e != x][-1]]
+            self.rows = {**self.rows, x: row}
+
+    monkeypatch.setattr(graphs, "CycleBasis", Perturbed)
+    assert check_cycle_space(GraphContext(W4)) == (
+        False, {"reason": "cycle not in kernel of boundary", "cotree": ["0", "1", "2", "4"]})
 
 
 def test_a_bond_face_fails_the_cotree_and_cycle_space_checks():

@@ -198,16 +198,35 @@ def test_d2_and_euler_build_each_differential_once(monkeypatch):
     g = corpus.k4_graph()
     assert g.genus() == 3
     built = []
-    original = HTComplex.d_columns
+    original = HTComplex._assemble
 
     def counting(self, p, q, *r):
         built.append((p, q, *r))
         return original(self, p, q, *r)
 
-    monkeypatch.setattr(HTComplex, "d_columns", counting)
+    # the one assembly routine, which both complexes' d_columns call
+    monkeypatch.setattr(HTComplex, "_assemble", counting)
     report = run_checks(g, ["cks_d2", "euler"])
     assert all(r["passed"] for r in report.values()), report
     assert built and len(built) == len(set(built))
+
+
+@pytest.mark.parametrize("g", [THETA6, W4], ids=["theta6", "w4"])
+def test_cks_keeps_no_differential(monkeypatch, g):
+    # each CKS piece is assembled per call and dropped after its stripe
+    built = []
+    original = HTComplex._assemble
+
+    def counting(self, p, q, *r):
+        built.append((p, q, *r))
+        return original(self, p, q, *r)
+
+    monkeypatch.setattr(HTComplex, "_assemble", counting)
+    c = build_cks(g)
+    first = c.stripe_cohomology()
+    assert built and not c._columns
+    n = len(built)
+    assert c.stripe_cohomology() == first and len(built) == 2 * n
 
 
 def stripes_one_by_one(c):
@@ -517,12 +536,12 @@ def test_stripes_read_no_dense_rows(monkeypatch, g, stripes):
 
 @pytest.mark.parametrize("g", [THETA6, W4], ids=["theta6", "w4"])
 def test_each_stripe_is_complete_before_the_next_begins(monkeypatch, g):
-    # the stripes are built one at a time: every d_columns call between two
+    # the stripes are built one at a time: every assembly of d between two
     # CochainComplex builds belongs to one stripe, and no stripe comes back
     events = []
-    original = HTComplex.d_columns
+    original = HTComplex._assemble
 
-    def d_columns(self, p, q, r):
+    def assemble(self, p, q, r):
         events.append((p + q, r))
         return original(self, p, q, r)
 
@@ -531,7 +550,7 @@ def test_each_stripe_is_complete_before_the_next_begins(monkeypatch, g):
             events.append(None)
             super().__init__(*args)
 
-    monkeypatch.setattr(HTComplex, "d_columns", d_columns)
+    monkeypatch.setattr(HTComplex, "_assemble", assemble)
     monkeypatch.setattr(ht, "CochainComplex", Recording)
     c = build_cks(g)
     c.stripe_cohomology()

@@ -137,6 +137,24 @@ def test_ht_matrices_stdout_is_pinned(name, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_ht_assembles_each_differential_once(monkeypatch, capsys):
+    # `ht` writes every piece of d and runs four HT checks on them; all
+    # read the one copy the complex keeps
+    from ckskit.ht import HTComplex
+    built = []
+    original = HTComplex._assemble
+
+    def counting(self, p, q, *r):
+        built.append((p, q, *r))
+        return original(self, p, q, *r)
+
+    monkeypatch.setattr(HTComplex, "_assemble", counting)
+    code, out, _ = run_cli(["ht", "--inline", " ".join(["v0-v1"] * 6)], capsys)
+    assert code == 0 and all(json.loads(out)["identity_checks"].values())
+    # 21 pieces with p + q ≤ 5, and d: (−2, 1) -> (0, 0) for splitting at grade 0
+    assert len(built) == len(set(built)) == 22
+
+
 @pytest.mark.parametrize("args", [
     ["ht", "--inline", "v0-v0"],
     ["verify", "--inline", "v0-v0"],

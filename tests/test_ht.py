@@ -6,13 +6,14 @@ import sys
 
 import pytest
 
-from ckskit import corpus
+from ckskit import checks, corpus
 from ckskit.activity import coherent_cotree
 from ckskit.checks import (
     GraphContext,
     check_ht_cohomology,
     check_ht_exactness,
     check_ht_identities,
+    check_j_basis,
     run_checks,
 )
 from ckskit.errors import ChoiceOutsideIn, EdgeIsBondOrLoop, OutsideBasis, ParseError
@@ -33,7 +34,7 @@ from ckskit.ht import (
     build_ht,
     reduce_monomial,
 )
-from ckskit.intlinalg import is_zero_matrix, map_matrix, matmul
+from ckskit.intlinalg import identity, is_zero_matrix, map_matrix, matmul
 from ckskit.periodize import delcon_r_periodized
 
 THETA = corpus.theta_graph()
@@ -201,6 +202,143 @@ def test_homotopy_identities_theta():
     assert ok, witness
 
 
+def ht_identities_by_matmul(ctx):
+    """Dense oracle for check_ht_identities: f, g and h as matrices
+    (FGH.f_matrix, g_matrix, h_matrix), d as dense rows (d_matrix), and
+    each identity as a product of them, with the same witnesses."""
+    failure = checks._stripe_failure(ctx.ht_stripes)
+    if failure:
+        k, p, reason = failure
+        return False, {"piece": (p, k - p), "reason": reason}
+    htc = ctx.ht
+    fgh = ctx.fgh
+    for k in range(htc.genus + 1):
+        fmat, bk = fgh.f_matrix(k)
+        gmat, _ = fgh.g_matrix(k)
+        if matmul(fmat, gmat) != identity(len(bk)):
+            return False, {"grade": k, "reason": "fg != id"}
+        ds = [htc.d_matrix(p, k - p) for p in range(k)]
+        if k >= 1 and not is_zero_matrix(matmul(fmat, ds[k - 1])):
+            return False, {"grade": k, "reason": "fd != 0"}
+        # homotopy identities along the stripe p + q = k, as
+        # hd + dh (+ gf at p = k) = id; matmul gives [] for an empty product
+        for p in range(k + 1):
+            q = k - p
+            n = htc.dim(p, q)
+            terms = []
+            if p < k:
+                terms.append(matmul(fgh.h_matrix(p + 1, q - 1), ds[p]))
+            if p > 0:
+                terms.append(matmul(ds[p - 1], fgh.h_matrix(p, q)))
+            if p == k:
+                terms.append(matmul(gmat, fmat))
+            total = [[sum(t[i][j] for t in terms if t) for j in range(n)]
+                     for i in range(n)]
+            if total != identity(n):
+                return False, {"piece": (p, q), "reason": "homotopy identity failed"}
+    return True, None
+
+
+def identity_cases():
+    """(graph, choice preset) over the bound-4 corpus, theta6 and W4; the
+    theta preset where it fits."""
+    graphs = [g for _, g in corpus.corpus_graphs(bound=4)] + [THETA6, W4]
+    # the preset fits two vertices joined by three edges (ht.theta_edges)
+    return [(g, "min") for g in graphs] + [
+        (g, "theta") for g in graphs
+        if g.n_vertices == 2 and g.n_edges == 3 and not any(map(g.is_loop, g.order))]
+
+
+def test_ht_identities_agree_with_the_dense_oracle():
+    cases = identity_cases()
+    assert len(cases) > 40 and any(choice == "theta" for _, choice in cases)
+    for g, choice in cases:
+        got = check_ht_identities(GraphContext(g, choice))
+        assert got == (True, None), (g.order, choice, got)
+        assert ht_identities_by_matmul(GraphContext(g, choice)) == got
+
+
+def _fault_f(ctx):
+    """Add one to the coefficient of f on the last face outside B at the
+    first face of B of its size; False where no such face exists."""
+    fgh = ctx.fgh
+    by_degree = ctx.cc.basis_by_degree()
+    cases = [(s, by_degree[len(s)][0]) for s in ctx.faces.faces()
+             if s not in fgh.bset and by_degree[len(s)]]
+    if not cases:
+        return False
+    target, b = cases[-1]
+    original = fgh.f_face
+
+    def f_face(s):
+        out = original(s)
+        if frozenset(s) == target:
+            out = dict(out)
+            out[b] = out.get(b, 0) + 1
+        return out
+
+    fgh.f_face = f_face
+    return True
+
+
+def _fault_h(ctx):
+    """Flip the sign of the first value of h on the last element where h
+    is not zero; False where h is zero."""
+    fgh = ctx.fgh
+    htc = ctx.ht
+    targets = [b for p in range(1, htc.genus + 1) for q in range(htc.genus - p + 1)
+               for b in htc.basis(p, q) if fgh.h_element(*b)]
+    if not targets:
+        return False
+    target = targets[-1]
+    original = fgh.h_element
+
+    def h_element(s, w):
+        out = original(s, w)
+        if (frozenset(s), w) == target:
+            out = dict(out)
+            first = next(iter(out))
+            out[first] = -out[first]
+        return out
+
+    fgh.h_element = h_element
+    return True
+
+
+def _fault_pair(ctx):
+    """Add one to ⟨γ_x, e⟩ for the last cotree edge x of C(∅) and the
+    last edge e that joins it to a face; False where C(∅) is empty."""
+    cc = ctx.cc
+    if not cc.C(frozenset()):
+        return False
+    x = ctx.graph.sort_edges(cc.C(frozenset()))[-1]
+    e = [t for t in ctx.graph.order if frozenset({t}) in ctx.faces][-1]
+    original = cc.pair
+
+    def pair(s, y, t):
+        return original(s, y, t) + (not s and y == x and t == e)
+
+    cc.pair = pair
+    return True
+
+
+@pytest.mark.parametrize("fault", [_fault_f, _fault_h, _fault_pair],
+                         ids=["f_face", "h_element", "pair"])
+def test_ht_identities_and_the_dense_oracle_see_the_same_faults(fault):
+    cases = seen = 0
+    for g, choice in identity_cases():
+        results = []
+        for check in (check_ht_identities, ht_identities_by_matmul):
+            ctx = GraphContext(g, choice)
+            if fault(ctx):
+                results.append(check(ctx))
+        if results:
+            assert results[0] == results[1], (g.order, choice, results)
+            cases += 1
+            seen += not results[0][0]
+    assert cases > 20 and seen, (cases, seen)
+
+
 def test_ring_multiplication_theta(theta):
     ht, fgh = theta
     rr = RRing(ht, fgh.choice)
@@ -279,6 +417,35 @@ def test_delcon_setups_enumerate_nothing(monkeypatch):
     report = run_checks(W4, ["delcon_r", "delcon_cks"])
     assert all(r["passed"] for r in report.values()), report
     assert len(faces) == 1 and cotrees == []
+
+
+def test_tutte_check_builds_no_cotree(monkeypatch):
+    # the recurrence reads the deleted and contracted graphs of each
+    # setup, which builds its cotrees only when a check asks for them
+    w5 = build_graph([(0, v) for v in range(1, 6)] + [(v, v % 5 + 1) for v in range(1, 6)])
+    calls = counting_calls(monkeypatch, "ckskit.activity", "coherent_cotree")
+    report = run_checks(w5, ["tutte"])
+    assert report["tutte"]["passed"]
+    assert calls == []
+
+
+def test_j_basis_reports_a_choice_outside_the_cotree():
+    # [{0, 2}] = 2 is not an edge of C({0}), so d(1_{0} 2) is not among the
+    # vectors: one short of the two faces of size 2 outside B
+    ctx = GraphContext(THETA)
+    assert 2 not in ctx.cc.C(fs(0))
+    ctx.fgh.choice.mapping[fs(0, 2)] = 2
+    assert check_j_basis(ctx) == (False, {"grade": 2, "count": 1, "expected": 2})
+
+
+def test_j_basis_reports_a_rank_deficient_grade():
+    # with every pairing at the empty face zero, d vanishes on the 1-wedges
+    # over C(∅), and grade 1 has no vector left
+    for g in (THETA, W4):
+        ctx = GraphContext(g)
+        original = ctx.cc.pair
+        ctx.cc.pair = lambda s, x, e: original(s, x, e) if s else 0
+        assert check_j_basis(ctx) == (False, {"grade": 1, "reason": "rank deficient"})
 
 
 def test_ht_checks_see_a_leaky_iota_only_through_h():
