@@ -374,44 +374,48 @@ def check_ht_identities(ctx):
     return True, None
 
 
+def _ht_stripe_groups(ctx):
+    """The walk both HT stripe checks share: the witness of the first
+    stripe where d² ≠ 0 and no groups, or None and (k, p, free, torsion,
+    expected free rank) per nonzero position p of each stripe k, in order."""
+    failure = _stripe_failure(ctx.ht_stripes)
+    if failure:
+        k, p, reason = failure
+        return {"stripe": k, "position": p, "reason": reason}, []
+    bk_sizes = [len(level) for level in ctx.cc.basis_by_degree()]
+    return None, [(k, p, free, torsion, bk_sizes[k] if p == k else 0)
+                  for k, coh in ctx.ht_stripes.items()
+                  for p, (free, torsion) in coh.items()]
+
+
 def check_ht_exactness(ctx):
     """The stripe 0 → gr^k_0 → ... → gr^k_k → R^{2k} → 0 is exact: the
     cohomology of gr^k is 0 below the top and free of rank |B_k| at it,
     with no torsion, so every differential image is a direct summand."""
-    failure = _stripe_failure(ctx.ht_stripes)
-    if failure:
-        k, p, reason = failure
-        return False, {"stripe": k, "position": p, "reason": reason}
-    bk_sizes = [len(level) for level in ctx.cc.basis_by_degree()]
-    for k, coh in ctx.ht_stripes.items():
-        for p in range(k + 1):
-            free, torsion = coh.get(p, (0, []))
-            if torsion:
-                return False, {"stripe": k, "position": p - 1,
-                               "reason": "image is not a direct summand"}
-            if free != (bk_sizes[k] if p == k else 0):
-                return False, {"stripe": k, "position": p,
-                               "reason": "rank bookkeeping failed"}
-    return True, None
+    failure, groups = _ht_stripe_groups(ctx)
+    for k, p, free, torsion, expected in groups:
+        if torsion:
+            return False, {"stripe": k, "position": p - 1,
+                           "reason": "image is not a direct summand"}
+        if free != expected:
+            return False, {"stripe": k, "position": p,
+                           "reason": "rank bookkeeping failed"}
+    return failure is None, failure
 
 
 def check_ht_cohomology(ctx):
     """Stripe cohomology is free of rank |B_k|, concentrated at the top
     position; torsion is reported but does not fail the check."""
-    failure = _stripe_failure(ctx.ht_stripes)
-    if failure:
-        k, p, reason = failure
-        return False, {"stripe": k, "position": p, "reason": reason}
-    bk_sizes = [len(level) for level in ctx.cc.basis_by_degree()]
+    failure, groups = _ht_stripe_groups(ctx)
     torsion_seen = []
-    for k, coh in ctx.ht_stripes.items():
-        for p, (free, torsion) in coh.items():
-            expected = bk_sizes[k] if p == k else 0
-            if free != expected:
-                return False, {"stripe": k, "position": p,
-                               "rank": free, "expected": expected}
-            if torsion:
-                torsion_seen.append({"stripe": k, "position": p, "torsion": torsion})
+    for k, p, free, torsion, expected in groups:
+        if free != expected:
+            return False, {"stripe": k, "position": p,
+                           "rank": free, "expected": expected}
+        if torsion:
+            torsion_seen.append({"stripe": k, "position": p, "torsion": torsion})
+    if failure:
+        return False, failure
     return True, ({"torsion_flagged": torsion_seen} if torsion_seen else None)
 
 

@@ -26,9 +26,10 @@ PERIODIZE_MAX_LEVEL = 2
 # input handling
 
 def load_graph(args):
-    if bool(args.graph) == bool(args.inline):
+    # an empty value, say an unset shell variable, is still a value
+    if (args.graph is None) == (args.inline is None):
         raise ParseError("provide exactly one of --graph FILE or --inline SPEC")
-    if args.graph:
+    if args.graph is not None:
         try:
             with open(args.graph, encoding="utf-8") as fh:
                 g = graph_from_json(fh.read())

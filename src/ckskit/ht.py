@@ -19,7 +19,10 @@ the cycle basis of Γ∖S.  The restriction of x0 follows from them by the
 exchange identity, −a_x0 Σ_y a_y [y] over C(S ∪ e).  Templates of wedge
 positions, shared by all complexes, extend these to n-wedges: the
 interior product is a derivation followed by the projection that kills
-x0, and the restriction is an exterior power.  HTComplex.iota and
+x0, and the restriction is an exterior power.  A block depends on its
+record only through the place of x0 and the a_x, so each assembly builds
+one block per distinct record of the piece and shifts it into place for
+every face S and edge e that has it.  HTComplex.iota and
 CoherentCotree.restrict give the same maps wedge by wedge, for
 d_element, the reference (and iota for the homotopy FGH.h_element).  The
 HT complex keeps each piece's columns once assembled, and its stripes,
@@ -184,15 +187,17 @@ class HTComplex:
         Filled one face block at a time: the block from the elements on S
         to those on S ∪ e is the Kronecker product of the interior product
         by e on the q-wedges of C(S) with the restriction to C(S ∪ e) on
-        its r-wedges.  Both operators are read off the interior products
-        a of the edge record of (S, e) (_edges) through templates of wedge
-        positions (_iota_template, _restrict_template), so no operator is
-        kept: the restriction sends x0 to −a_x0 Σ_y a_y [y] (the exchange
-        identity) and keeps every other edge.
-        Every face of a level has a block of the same size, so face S's
-        first column is position[S] · dim(p, q, *r)/f_p and face T's first
-        row is position[T] · dim(p + 1, q − 1, *r)/f_{p+1}.  d_element
-        gives the same columns element by element."""
+        its r-wedges.  Both operators are read off the edge record of
+        (S, e) (_edges) through templates of wedge positions
+        (_face_block), so no operator is kept: the restriction sends x0 to
+        −a_x0 Σ_y a_y [y] (the exchange identity) and keeps every other
+        edge.  A block depends only on the piece and the record's x0_pos
+        and iota, so each distinct block is built once per call and
+        shifted into place for every record that has it; none outlives
+        the call.  Every face of a level has a block of the same size, so
+        face S's first column is position[S] · dim(p, q, *r)/f_p and face
+        T's first row is position[T] · dim(p + 1, q − 1, *r)/f_{p+1}.
+        d_element gives the same columns element by element."""
         n_src, n_tgt = self.dim(p, q, *r), self.dim(p + 1, q - 1, *r)
         columns = {}
         if not (n_src and n_tgt):
@@ -201,35 +206,19 @@ class HTComplex:
         width = n_src // len(level)
         height = n_tgt // len(self.faces.levels[p + 1])
         position = self.faces.position
-        m = self.genus - p
-        n = r[0] if r else 0
-        # the restriction maps the na n-wedges of C(S) to the size n-wedges
-        # of C(S ∪ e); HT has no third grading, and at n = 0 the
-        # restriction is the 1×1 identity
-        na, size = math.comb(m, n), math.comb(m - 1, n)
-        identity = [(0, [(0, 1)])]
+        m, n = self.genus - p, (r[0] if r else 0)
+        # (x0_pos, iota) -> its block, for this call only
+        blocks = {}
         for s in level:
             j = position[s] * width
             for edge in self._edges(s):
-                a, x0 = edge.iota, edge.x0_pos
-                aop = identity
-                if n:
-                    # b_y = −a_x0 a_y (the exchange identity), and at x0's
-                    # place the unit that keeps every other edge
-                    b = [-a[x0] * c for c in a]
-                    b[x0] = 1
-                    aop = [(ja, arow) for ja, arow in enumerate(
-                        [(y, sign * b[k]) for y, sign, k in row if b[k]]
-                        for row in _restrict_template(m, x0, n)) if arow]
+                key = (edge.x0_pos, tuple(edge.iota))
+                block = blocks.get(key)
+                if block is None:
+                    block = blocks[key] = _face_block(m, q, n, *key)
                 i = edge.t_pos * height
-                # one source q-wedge of C(S) per template row, na columns apart
-                for col, row in zip(range(j, j + width, na),
-                                    _iota_template(m, x0, q)):
-                    bases = [(i + x * size, sign * a[k]) for x, sign, k in row if a[k]]
-                    if bases:
-                        for ja, arow in aop:
-                            columns.setdefault(col + ja, {}).update(
-                                [(base + y, c * c2) for base, c in bases for y, c2 in arow])
+                for dc, di, x in block:
+                    columns.setdefault(j + dc, {})[i + di] = x
         return columns
 
     def d_matrix(self, p, q, *r):
@@ -295,9 +284,42 @@ class _Edge(collections.namedtuple("_Edge", "e t_pos x0_pos iota")):
     a_x = ⟨γ_x, e⟩ by e of the 1-wedges x of the sorted C(S) (iota).  The
     interior product on n-wedges reads a by position, and so does the
     restriction, which a fixes too: x0 goes to −a_x0 Σ_y a_y [y] over
-    C(S ∪ e) (the exchange identity; a_x0 = ±1)."""
+    C(S ∪ e) (the exchange identity; a_x0 = ±1).  So x0_pos and iota fix
+    the record's block in every piece, and records that share them share
+    one block per assembly; e and t_pos only say where it goes."""
 
     __slots__ = ()
+
+
+def _face_block(m, q, n, x0, a):
+    """The block of d from the elements on a face S to those on S ∪ e, for
+    a cotree C(S) of m edges, q-wedges w and n-wedges of cocycles, from an
+    edge record's x0_pos (x0) and iota values (a): the Kronecker product
+    of the interior product by e with the restriction, by position.  A flat
+    tuple of (column offset, row offset, entry) triples over the nonzero
+    entries, in the order HTComplex._assemble fills the columns; the offsets
+    count from the block's first column and first row."""
+    # the restriction maps the na n-wedges of C(S) to the size n-wedges of
+    # C(S ∪ e); HT has no third grading, and at n = 0 the restriction is
+    # the 1×1 identity
+    na, size = math.comb(m, n), math.comb(m - 1, n)
+    aop = [(0, [(0, 1)])]
+    if n:
+        # b_y = −a_x0 a_y (the exchange identity), and at x0's place the
+        # unit that keeps every other edge
+        b = [-a[x0] * c for c in a]
+        b[x0] = 1
+        aop = [(ja, arow) for ja, arow in enumerate(
+            [(y, sign * b[k]) for y, sign, k in row if b[k]]
+            for row in _restrict_template(m, x0, n)) if arow]
+    out = []
+    # one source q-wedge of C(S) per template row, na columns apart
+    for col, row in zip(itertools.count(0, na), _iota_template(m, x0, q)):
+        bases = [(x * size, sign * a[k]) for x, sign, k in row if a[k]]
+        if bases:
+            out += [(col + ja, base + y, c * c2)
+                    for ja, arow in aop for base, c in bases for y, c2 in arow]
+    return tuple(out)
 
 
 def _wedge_index(m, n):

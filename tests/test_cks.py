@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -431,6 +432,147 @@ def test_d_matrix_agrees_with_the_element_wise_oracle(graphs):
                 assert c.d_matrix(*key) == expected, (g, key)
                 pieces_seen += 1
     assert pieces_seen
+
+
+def assemble_by_records(c, p, q, *r):
+    """Record-by-record oracle for HTComplex._assemble: the face block of
+    each edge record is built from the templates where it is placed, so
+    no block is shared between records."""
+    n_src, n_tgt = c.dim(p, q, *r), c.dim(p + 1, q - 1, *r)
+    columns = {}
+    if not (n_src and n_tgt):
+        return columns
+    level = c.faces.levels[p]
+    width = n_src // len(level)
+    height = n_tgt // len(c.faces.levels[p + 1])
+    m = c.genus - p
+    n = r[0] if r else 0
+    na, size = math.comb(m, n), math.comb(m - 1, n)
+    identity = [(0, [(0, 1)])]
+    for s in level:
+        j = c.faces.position[s] * width
+        for edge in c._edges(s):
+            a, x0 = edge.iota, edge.x0_pos
+            aop = identity
+            if n:
+                b = [-a[x0] * v for v in a]
+                b[x0] = 1
+                aop = [(ja, arow) for ja, arow in enumerate(
+                    [(y, sign * b[k]) for y, sign, k in row if b[k]]
+                    for row in ht._restrict_template(m, x0, n)) if arow]
+            i = edge.t_pos * height
+            for col, row in zip(range(j, j + width, na), ht._iota_template(m, x0, q)):
+                bases = [(i + x * size, sign * a[k]) for x, sign, k in row if a[k]]
+                if bases:
+                    for ja, arow in aop:
+                        columns.setdefault(col + ja, {}).update(
+                            [(base + y, v * v2) for base, v in bases for y, v2 in arow])
+    return columns
+
+
+def in_both_orders(graphs):
+    """Each graph in its own edge order and in the reverse order."""
+    for g in graphs:
+        for order in (g.order, g.order[::-1]):
+            yield Graph(g.vertices, g.head, g.tail, list(order))
+
+
+def filled(columns):
+    """Columns with the order their entries were filled in."""
+    return [(j, list(col.items())) for j, col in columns.items()]
+
+
+@pytest.mark.parametrize("graphs", [
+    [g for _, g in corpus.corpus_graphs(bound=5)], [THETA6], [W4], [K5],
+], ids=["corpus5", "theta6", "w4", "k5"])
+def test_assembly_agrees_with_the_record_by_record_oracle(graphs):
+    # a block built once per distinct record and shifted into place fills
+    # the same entries, in the same order, as a block built per record
+    pieces_seen = 0
+    for g in in_both_orders(graphs):
+        cks = build_cks(g)
+        for c in (HTComplex(g, cks.cc), cks):
+            for key in d_pieces(c):
+                assert filled(c.d_columns(*key)) == filled(assemble_by_records(c, *key)), \
+                    (g.order, key)
+                pieces_seen += 1
+    assert pieces_seen
+
+
+def record_keys(c, p):
+    """The distinct (x0_pos, iota) of the edge records of level p."""
+    return {(edge.x0_pos, tuple(edge.iota))
+            for s in c.faces.levels[p] for edge in c._edges(s)}
+
+
+def first_shared_record(c):
+    """(p, S, record) of the first edge record, in the order _assemble
+    walks them, whose (x0_pos, iota) an earlier record of level p has."""
+    seen = set()
+    for p, level in enumerate(c.faces.levels):
+        for s in level:
+            for record in c._edges(s):
+                key = (p, record.x0_pos, tuple(record.iota))
+                if key in seen:
+                    return p, s, record
+                seen.add(key)
+
+
+def test_a_block_is_keyed_by_every_value_of_its_record():
+    # one pairing ⟨γ_x, e⟩ of a record that shares its block with an
+    # earlier one is raised by one, value by value: that changes its iota
+    # and keeps its x0_pos, so a key that left the value out would place
+    # the earlier record's block for it
+    c = HTComplex(W4, coherent_cotree(W4))
+    p, s, record = first_shared_record(c)
+    xs = W4.sort_edges(c.cc.C(s))
+    clean = c.d_columns(p, 1)
+    for x in xs:
+        cc = coherent_cotree(W4)
+
+        def pair(s2, y, t, x=x, original=cc.pair):
+            return original(s2, y, t) + (s2 == s and y == x and t == record.e)
+
+        cc.pair = pair
+        cks = build_cks(W4, cc)
+        faulty = HTComplex(W4, cc)
+        assert faulty.d_columns(p, 1) != clean
+        # the restriction d_element reads comes from the cycles of Γ∖(S ∪ e),
+        # not from the pairings, so the CKS pieces are compared at r = 0
+        for complex_, rs in ((faulty, ()), (cks, (0,))):
+            for q in range(1, c.genus - p + 1):
+                key = (p, q, *rs)
+                assert complex_.d_columns(*key) == _columns(d_by_elements(complex_, *key)), \
+                    (x, key)
+
+
+@pytest.mark.parametrize("g", [THETA6, W4], ids=["theta6", "w4"])
+def test_each_distinct_block_is_built_once_per_assembly(monkeypatch, g):
+    # one block per distinct (x0_pos, iota) of the level's records; none
+    # outlives its call, so assembling the piece again builds new ones
+    builds = []
+    original = ht._face_block
+
+    def counting(*args):
+        block = original(*args)
+        builds.append((args[3:], block))
+        return block
+
+    monkeypatch.setattr(ht, "_face_block", counting)
+    cks = build_cks(g)
+    for c in (HTComplex(g, cks.cc), cks):
+        for p, q, *r in d_pieces(c):
+            expected = (record_keys(c, p) if c.dim(p, q, *r) and c.dim(p + 1, q - 1, *r)
+                        else set())
+            runs = []
+            for _ in range(2):
+                builds.clear()
+                c._assemble(p, q, *r)
+                keys = [key for key, _ in builds]
+                assert len(keys) == len(expected) and set(keys) == expected, (p, q, r)
+                runs.append([block for _, block in builds])
+            # both runs' blocks are alive here, so equal ids are one object
+            assert not set(map(id, runs[0])) & set(map(id, runs[1])), (p, q, r)
 
 
 @pytest.mark.parametrize("graphs", [

@@ -332,6 +332,19 @@ def test_order_override(capsys):
     assert err == "error: --order must be a comma-separated permutation\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--graph", "", "--inline", "v0-v1"],
+     "provide exactly one of --graph FILE or --inline SPEC"),
+    (["--inline", ""], "empty graph description"),
+], ids=["empty-graph-and-inline", "empty-inline"])
+def test_an_empty_graph_option_is_given(args, message, capsys):
+    # an empty --graph or --inline counts as given, like an empty --order
+    code, out, err = run_cli(["cks", *args], capsys)
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
 def test_activity_json_fields(capsys):
     code, out, _ = run_cli(["activity", "--inline", THETA_INLINE], capsys)
     assert code == 0

@@ -16,7 +16,13 @@ from ckskit.checks import (
     check_j_basis,
     run_checks,
 )
-from ckskit.errors import ChoiceOutsideIn, EdgeIsBondOrLoop, OutsideBasis, ParseError
+from ckskit.errors import (
+    ChoiceOutsideIn,
+    EdgeIsBondOrLoop,
+    NotAComplex,
+    OutsideBasis,
+    ParseError,
+)
 from ckskit.graphs import (
     build_graph,
     contains_bond,
@@ -486,3 +492,77 @@ def test_checks_compute_each_tutte_polynomial_once(monkeypatch):
     report = run_checks(THETA)
     assert all(r["passed"] for r in report.values()), report
     assert len(calls) == 1 + 2 * 3
+
+
+def ht_exactness_by_positions(ctx):
+    """Oracle for check_ht_exactness: its own walk over the positions
+    0..k of each stripe k, an absent position read as (0, [])."""
+    failure = checks._stripe_failure(ctx.ht_stripes)
+    if failure:
+        k, p, reason = failure
+        return False, {"stripe": k, "position": p, "reason": reason}
+    bk_sizes = [len(level) for level in ctx.cc.basis_by_degree()]
+    for k, coh in ctx.ht_stripes.items():
+        for p in range(k + 1):
+            free, torsion = coh.get(p, (0, []))
+            if torsion:
+                return False, {"stripe": k, "position": p - 1,
+                               "reason": "image is not a direct summand"}
+            if free != (bk_sizes[k] if p == k else 0):
+                return False, {"stripe": k, "position": p,
+                               "reason": "rank bookkeeping failed"}
+    return True, None
+
+
+def ht_cohomology_by_positions(ctx):
+    """Oracle for check_ht_cohomology: its own walk over the positions
+    each stripe holds."""
+    failure = checks._stripe_failure(ctx.ht_stripes)
+    if failure:
+        k, p, reason = failure
+        return False, {"stripe": k, "position": p, "reason": reason}
+    bk_sizes = [len(level) for level in ctx.cc.basis_by_degree()]
+    torsion_seen = []
+    for k, coh in ctx.ht_stripes.items():
+        for p, (free, torsion) in coh.items():
+            expected = bk_sizes[k] if p == k else 0
+            if free != expected:
+                return False, {"stripe": k, "position": p,
+                               "rank": free, "expected": expected}
+            if torsion:
+                torsion_seen.append({"stripe": k, "position": p, "torsion": torsion})
+    return True, ({"torsion_flagged": torsion_seen} if torsion_seen else None)
+
+
+# named edits of the HT stripe cohomology of a graph of genus 2 or more:
+# (kind, stripe k, position p) per wrong group, in the order applied
+STRIPE_FAULTS = {
+    "none": [],
+    "torsion-below-top": [("torsion", 2, 1)],
+    "torsion-at-top": [("torsion", 2, 2)],
+    "torsion-in-two-stripes": [("torsion", 2, 2), ("torsion", 1, 1)],
+    "rank-at-top": [("rank", 2, 2)],
+    "rank-below-top": [("rank", 2, 0)],
+    "torsion-then-rank": [("torsion", 1, 1), ("rank", 2, 0)],
+    "d2": [("d2", 2, 1)],
+}
+
+
+@pytest.mark.parametrize("fault", list(STRIPE_FAULTS))
+@pytest.mark.parametrize("g", [THETA, W4], ids=["theta", "w4"])
+def test_ht_stripe_checks_share_one_walk_and_keep_their_witnesses(g, fault):
+    # both checks read one walk of the stripes; each keeps the payload and
+    # the witness order of its own walk
+    ctx = GraphContext(g)
+    coh = ctx.ht_stripes
+    for kind, k, p in STRIPE_FAULTS[fault]:
+        if kind == "d2":
+            coh[k] = NotAComplex(p)
+        else:
+            free, torsion = coh[k][p]
+            coh[k][p] = (free + 1, torsion) if kind == "rank" else (free, [2])
+    assert check_ht_exactness(ctx) == ht_exactness_by_positions(ctx)
+    assert check_ht_cohomology(ctx) == ht_cohomology_by_positions(ctx)
+    if fault != "none":
+        assert not all(check(ctx)[0] for check in (check_ht_exactness,
+                                                    check_ht_cohomology))
