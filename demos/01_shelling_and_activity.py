@@ -8,7 +8,6 @@ from ckskit import (
     coherent_cotree,
     face_complex,
     h_polynomial,
-    lex_shelling,
     spanning_tree_count,
     tutte,
 )
@@ -27,13 +26,13 @@ def main():
     print("\nbond-free edge sets by size:",
           [len(level) for level in fc.levels])
 
-    sh = lex_shelling(fc)
+    cc = coherent_cotree(g, fc)
+    sh = cc.shelling
     print("\nlexicographic shelling of the top faces (cotrees)")
     for cotree in sh.cotrees:
         print(f"  cotree {face(cotree):8}"
               f"  restriction set {face(sh.restriction[cotree])}")
 
-    cc = coherent_cotree(g, fc)
     print("\nper-face data: assigned cotree C(S) and the subset In(S)")
     for s in fc.faces():
         print(f"  S = {face(s):8}  C(S) = {face(cc.table[s]):8}"

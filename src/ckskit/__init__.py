@@ -9,7 +9,6 @@ from .activity import (
     external_activity,
     h_polynomial,
     internal_activity,
-    lex_shelling,
     tutte,
     tutte_by_activity,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "h_polynomial",
     "internal_activity",
     "is_generic_character",
-    "lex_shelling",
     "named_graphs",
     "periodized_cotree",
     "reduce_monomial",

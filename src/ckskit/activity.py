@@ -2,12 +2,15 @@
 
 The central object is the coherent cotree: a compatible choice of spanning
 cotree C(S) of the deleted graph for every face S of the coindependence
-complex, built here from the lexicographic shelling of the top-dimensional
-faces.  From it come the In(S) operator, the monomial basis B (faces with
-In empty), and internal/external activity, with the Tutte polynomial
-computed by two independent routes.
+complex.  It is built in one walk of the lexicographic order of the
+top-dimensional faces (the spanning cotrees), which is a shelling because
+matroid complexes are shellable: each face S is first covered by one facet
+T, and C(S) = T − S.  From it come the In(S) operator, the monomial basis
+B (faces with In empty), and internal/external activity, with the Tutte
+polynomial computed by two independent routes.
 """
 
+import collections
 import itertools
 
 from .errors import FaceNotInComplex, IncoherentCotree, NotASpanningTree
@@ -24,60 +27,14 @@ from .graphs import (
 from .polynomials import Poly2
 
 
-class Shelling:
-    """Lexicographic shelling of the spanning cotrees.
+class Shelling(collections.namedtuple("Shelling", "cotrees restriction")):
+    """Lexicographic shelling of the spanning cotrees (coherent_cotree).
 
-    cotrees: facets in shelling order; restriction[T*] is the unique
-    minimal new face contributed by T*.  partial_complex(k) returns the
-    set of faces covered by the first k facets.
+    cotrees: the facets in shelling order; restriction[T] is R(T), the
+    unique minimal face that T adds to the faces of the earlier facets.
+    In a shelling T adds exactly the interval [R(T), T], which
+    checks.check_shelling verifies facet by facet.
     """
-
-    def __init__(self, graph, cotrees, restriction):
-        self.graph = graph
-        self.cotrees = cotrees
-        self.restriction = restriction
-
-    def partial_complex(self, k):
-        faces = set()
-        for ct in self.cotrees[:k]:
-            members = self.graph.sort_edges(ct)
-            for r in range(len(members) + 1):
-                faces.update(frozenset(c) for c in itertools.combinations(members, r))
-        return faces
-
-    def new_faces(self, k):
-        """Faces first covered at step k (1-based), per the restriction set:
-        everything between R(T*_k) and T*_k."""
-        ct = self.cotrees[k - 1]
-        rest = self.restriction[ct]
-        free = self.graph.sort_edges(ct - rest)
-        out = set()
-        for r in range(len(free) + 1):
-            for extra in itertools.combinations(free, r):
-                out.add(rest | frozenset(extra))
-        return out
-
-
-def lex_shelling(faces):
-    """Order the spanning cotrees lexicographically (in the edge order) and
-    compute each facet's minimal new face.  The facets are the top level of
-    the face complex `faces`, already in that order."""
-    graph = faces.graph
-    cotrees = faces.levels[faces.genus]
-    covered = set()
-    restriction = {}
-    for ct in cotrees:
-        members = graph.sort_edges(ct)
-        new = [frozenset(c)
-               for r in range(len(members) + 1)
-               for c in itertools.combinations(members, r)
-               if frozenset(c) not in covered]
-        covered.update(new)
-        restriction[ct] = min(new, key=len) if new else frozenset()
-        # the minimal new face is unique for a shelling; make that explicit
-        smallest = min((len(s) for s in new), default=0)
-        assert sum(1 for s in new if len(s) == smallest) == 1
-    return Shelling(graph, cotrees, restriction)
 
 
 class CoherentCotree:
@@ -205,19 +162,32 @@ class CoherentCotree:
 
 
 def coherent_cotree(graph, faces=None):
-    """Build the shelling-derived coherent cotree: every face S first
-    appears in a unique shelling step k, and C(S) = T*_k - S there."""
+    """Build the shelling-derived coherent cotree in one walk of the lex
+    shelling: the facets T (the top level of the face complex, already in
+    lex order) are visited in turn, each subset S of T that no earlier
+    facet covered gets C(S) = T − S, and the smallest such S is R(T)."""
     if faces is None:
         faces = face_complex(graph)
-    shelling = lex_shelling(faces)
-    step = {}
-    for k, ct in enumerate(shelling.cotrees, 1):
-        for s in shelling.new_faces(k):
-            step[s] = ct
-    assert set(step) == set(faces.faces())
+    cotrees = faces.levels[faces.genus]
+    first = {}  # face -> the facet that first covers it
+    restriction = {}
+    for ct in cotrees:
+        members = graph.sort_edges(ct)
+        new = []
+        for r in range(len(members) + 1):
+            for c in itertools.combinations(members, r):
+                s = frozenset(c)
+                if s not in first:
+                    first[s] = ct
+                    new.append(s)
+        # new runs by size and holds T itself; the minimal new face is
+        # unique for a shelling, make that explicit
+        assert len(new) == 1 or len(new[0]) < len(new[1])
+        restriction[ct] = new[0]
+    assert len(first) == len(faces)
     # keyed by the face complex's own sets, so each face is held once
-    table = {s: step[s] - s for s in faces.faces()}
-    return CoherentCotree(graph, faces, table, shelling)
+    table = {s: first[s] - s for s in faces.faces()}
+    return CoherentCotree(graph, faces, table, Shelling(cotrees, restriction))
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,8 @@ class HTComplex:
         complex, as a sparse vector: the sum over the edges e with S ∪ e a
         face of the interior product by e on w, tensored with the
         restriction of the cocycle wedge a to C(S ∪ e).  Computed element
-        by element, it is the reference for d_matrix."""
+        by element, it is the reference for the columns d_columns
+        assembles."""
         out = {}
         for e in self.graph.sort_edges(self.graph.eids - s):
             t = s | {e}

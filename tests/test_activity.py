@@ -1,23 +1,27 @@
 """Shelling, coherent cotree tables, In/B, activities, Tutte polynomials."""
 
+import itertools
+
 import pytest
 
-from ckskit import corpus, graphs
+from ckskit import corpus, graphs, ht
 from ckskit.activity import (
     coherent_cotree,
     external_activity,
     h_polynomial,
     internal_activity,
-    lex_shelling,
     tutte,
     tutte_by_activity,
 )
-from ckskit.activity import CoherentCotree
+from ckskit.activity import CoherentCotree, Shelling
 from ckskit.checks import (
     GraphContext,
+    _elimination,
     check_coherence,
     check_cycle_space,
+    check_matroid,
     check_ring,
+    check_shelling,
 )
 from ckskit.errors import FaceNotInComplex, NotACotree
 from ckskit.graphs import (
@@ -38,6 +42,10 @@ THETA6 = build_graph([(0, 1)] * 6)
 W4 = build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])
 # K4 with the edges 0-1 and 2-3 doubled, genus 5
 K4PP = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1), (2, 3)])
+K5 = build_graph(list(itertools.combinations(range(5), 2)))
+# the wheel with hub 0 and rim 1-2-3-4-5, genus 5
+W5 = build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+                  (1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
 
 
 def fs(*edges):
@@ -50,11 +58,16 @@ def theta_cc():
 
 
 def test_shelling_order_and_restrictions():
-    sh = lex_shelling(face_complex(THETA))
+    sh = coherent_cotree(THETA).shelling
     assert sh.cotrees == [fs(X, Y), fs(X, Z), fs(Y, Z)]
     assert sh.restriction == {fs(X, Y): fs(), fs(X, Z): fs(Z), fs(Y, Z): fs(Y, Z)}
-    assert sh.new_faces(2) == {fs(Z), fs(X, Z)}
-    assert sh.partial_complex(3) == sh.partial_complex(2) | {fs(Y, Z)}
+    # facet 2 first covers {z} and {x, z}, the interval [R, T] of its
+    # restriction face; facet 3 adds only itself
+    added = oracle_walk(THETA, sh.cotrees)
+    assert set(added[1]) == oracle_interval(THETA, fs(X, Z), sh.restriction[fs(X, Z)]) \
+        == {fs(Z), fs(X, Z)}
+    assert added[2] == [fs(Y, Z)]
+    assert check_shelling(GraphContext(THETA)) == (True, {"facets": 3})
 
 
 def test_theta_cotree_table(theta_cc):
@@ -249,3 +262,170 @@ def test_a_bond_face_fails_the_cotree_and_cycle_space_checks():
     ctx._cache.update(faces=faces, cc=bad)
     assert check_cycle_space(ctx) == (
         False, {"reason": "genus did not drop by |S|", "face": ["3"]})
+
+
+# ---------------------------------------------------------------------------
+# the shelling walk against the interval-based construction
+#
+# The oracles are the construction and checks coherent_cotree and
+# check_shelling/check_matroid replaced: C(S) read off the restriction
+# intervals [R(T), T], the shelling check that rebuilds the faces of the
+# first k facets at every step, and basis exchange decided by two
+# spanning-cotree tests per candidate.
+
+def subsets(graph, ct):
+    members = graph.sort_edges(ct)
+    return [frozenset(c) for r in range(len(members) + 1)
+            for c in itertools.combinations(members, r)]
+
+
+def oracle_walk(graph, cotrees):
+    """The faces each facet adds to those of the earlier facets, in any
+    facet order, each list by size."""
+    covered, out = set(), []
+    for ct in cotrees:
+        new = [s for s in subsets(graph, ct) if s not in covered]
+        covered.update(new)
+        out.append(new)
+    return out
+
+
+def oracle_restriction(graph, cotrees):
+    return {ct: min(new, key=len, default=frozenset())
+            for ct, new in zip(cotrees, oracle_walk(graph, cotrees))}
+
+
+def oracle_interval(graph, ct, rest):
+    """Everything between R(T) and T."""
+    free = graph.sort_edges(ct - rest)
+    return {rest | frozenset(extra)
+            for r in range(len(free) + 1) for extra in itertools.combinations(free, r)}
+
+
+def oracle_partial_complex(graph, cotrees, k):
+    return {s for ct in cotrees[:k] for s in subsets(graph, ct)}
+
+
+def oracle_table(faces):
+    """C(S) = T − S for the facet T whose restriction interval holds S."""
+    graph, cotrees = faces.graph, faces.levels[faces.genus]
+    restriction = oracle_restriction(graph, cotrees)
+    step = {s: ct for ct in cotrees for s in oracle_interval(graph, ct, restriction[ct])}
+    assert set(step) == set(faces.faces())
+    return {s: step[s] - s for s in faces.faces()}
+
+
+def oracle_check_shelling(graph, sh):
+    for k in range(2, len(sh.cotrees) + 1):
+        ct = sh.cotrees[k - 1]
+        prev = oracle_partial_complex(graph, sh.cotrees, k - 1)
+        inter = [s for s in subsets(graph, ct) if s in prev]
+        maximal = [s for s in inter if not any(s < t for t in inter)]
+        if any(len(s) != len(ct) - 1 for s in maximal):
+            return False, {"step": k, "reason": "intersection not pure of codim 1"}
+        rest = sh.restriction[ct]
+        new = oracle_interval(graph, ct, rest)
+        if new != {s for s in subsets(graph, ct) if rest <= s}:
+            return False, {"step": k, "reason": "restriction interval mismatch"}
+        if oracle_partial_complex(graph, sh.cotrees, k) != prev | new:
+            return False, {"step": k, "reason": "partial complex mismatch"}
+    return True, {"facets": len(sh.cotrees)}
+
+
+def oracle_check_matroid(ctx):
+    for family, note in ((ctx.cycles, "cycles"), (ctx.bonds, "bonds")):
+        ok, wit = _elimination(family, note)
+        if not ok:
+            return False, wit
+    cotrees = graphs.spanning_cotrees(ctx.graph)
+    d = ctx.graph.genus()
+    if any(len(t) != d for t in cotrees):
+        return False, {"reason": "cotree of wrong cardinality"}
+    if set(ctx.faces.levels[d]) != set(cotrees):
+        return False, {"reason": "top faces differ from spanning cotrees"}
+    for a, b in itertools.permutations(cotrees, 2):
+        for x in a - b:
+            if not any(graphs.is_spanning_cotree(ctx.graph, (a - {x}) | {y})
+                       and graphs.is_spanning_cotree(ctx.graph, (b - {y}) | {x})
+                       for y in b - a):
+                return False, {"reason": "basis exchange failed",
+                               "pair": (sorted(map(str, a)), sorted(map(str, b))),
+                               "element": str(x)}
+    return True, {"cycles": len(ctx.cycles), "bonds": len(ctx.bonds),
+                  "cotrees": len(cotrees)}
+
+
+@pytest.mark.parametrize("cases", [
+    [g for _, g in corpus.corpus_graphs(bound=5)], [THETA6], [K5], [W5],
+], ids=["corpus5", "theta6", "k5", "w5"])
+def test_the_shelling_walk_agrees_with_the_interval_oracles(cases, monkeypatch):
+    calls = []
+    spanning = graphs.is_spanning_cotree
+    monkeypatch.setattr(graphs, "is_spanning_cotree",
+                        lambda *args: calls.append(args) or spanning(*args))
+    for g in cases:
+        for order in (g.order, g.order[::-1]):
+            ctx = GraphContext(Graph(g.vertices, g.head, g.tail, list(order)))
+            sh = ctx.cc.shelling
+            assert ctx.cc.table == oracle_table(ctx.faces)
+            assert sh.restriction == oracle_restriction(ctx.graph, sh.cotrees)
+            assert check_shelling(ctx) == oracle_check_shelling(ctx.graph, sh)
+            calls.clear()
+            result = check_matroid(ctx)
+            assert calls == []
+            assert result == oracle_check_matroid(ctx)
+
+
+def with_shelling(graph, cotrees, restriction):
+    ctx = GraphContext(graph)
+    ctx.cc.shelling = Shelling(cotrees, restriction)
+    return ctx
+
+
+def test_a_wrong_restriction_value_fails_as_in_the_oracle():
+    # R(T2) = T2 instead of {z}: T2 adds {z}, outside [T2, T2]
+    cotrees = face_complex(THETA).levels[2]
+    rest = {**oracle_restriction(THETA, cotrees), fs(X, Z): fs(X, Z)}
+    expected = (False, {"step": 2, "reason": "partial complex mismatch"})
+    assert oracle_check_shelling(THETA, Shelling(cotrees, rest)) == expected
+    assert check_shelling(with_shelling(THETA, cotrees, rest)) == expected
+
+
+def test_an_impure_intersection_fails_as_in_the_oracle():
+    # in K4 the cotree {01, 12, 23} is the complement of the spanning tree
+    # {02, 03, 13} and vice versa: put them first, the second meets the
+    # first in the empty face alone
+    k4 = corpus.k4_graph()
+    first, second = fs(0, 3, 5), fs(1, 2, 4)
+    tops = face_complex(k4).levels[3]
+    assert first in tops and second in tops
+    cotrees = [first, second] + [t for t in tops if t not in (first, second)]
+    rest = oracle_restriction(k4, cotrees)
+    expected = (False, {"step": 2, "reason": "intersection not pure of codim 1"})
+    assert oracle_check_shelling(k4, Shelling(cotrees, rest)) == expected
+    assert check_shelling(with_shelling(k4, cotrees, rest)) == expected
+
+
+def test_a_restriction_interval_that_meets_an_earlier_facet_fails():
+    # R(T2) = ∅: [∅, {x, z}] holds ∅ and {x}, which T1 = {x, y} covers.  The
+    # oracle reads its interval off the restriction face and passes; the
+    # walk collects what T2 really adds and refuses, the intended tightening
+    cotrees = face_complex(THETA).levels[2]
+    rest = {**oracle_restriction(THETA, cotrees), fs(X, Z): fs()}
+    assert oracle_check_shelling(THETA, Shelling(cotrees, rest)) == (True, {"facets": 3})
+    assert check_shelling(with_shelling(THETA, cotrees, rest)) == (
+        False, {"step": 2, "reason": "restriction interval mismatch"})
+
+
+@pytest.mark.parametrize("graph", [THETA, corpus.k4_graph(), W4], ids=["theta", "k4", "w4"])
+def test_the_ring_check_multiplies_each_pair_once(graph, monkeypatch):
+    # n unit products and both orders of each of the n(n + 1)/2 pairs;
+    # associativity reads them from the table
+    calls = []
+    multiply = ht.RRing.multiply
+    monkeypatch.setattr(ht.RRing, "multiply",
+                        lambda self, *args: calls.append(args) or multiply(self, *args))
+    ok, payload = check_ring(GraphContext(graph))
+    n = sum(payload["dims"])
+    assert ok
+    assert len(calls) == n + n * (n + 1)
