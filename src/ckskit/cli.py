@@ -5,7 +5,6 @@ reader closes stdout early; 2 on input errors; 3 when a resource guard
 refuses an exhaustive enumeration."""
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -225,8 +224,9 @@ def cmd_periodize(args):
         [ctx.delcon(e) for e in ctx.admissible_edges()])
     pgraph = pcc.graph
     checks = {key: report[key] for key in ("in_formula", "basis_formula", "faces_product")}
-    ok = all(checks.values()) and all(rep["dimension_identity"] and rep["basis_partition"]
-                                      for rep in report["delcon"])
+    # faces_product is None where the face check did not run
+    ok = all(v is not False for v in checks.values()) and all(
+        rep["dimension_identity"] and rep["basis_partition"] for rep in report["delcon"])
     checks["delcon"] = {str(rep["edge"]): {key: rep[key] for key in
                                            ("dimension_identity", "dims", "basis_partition")}
                         for rep in report["delcon"]}
@@ -300,6 +300,9 @@ def cmd_corpus(args):
              for i, (label, g) in enumerate(graphs)]
     jobs = min(args.jobs, len(items))
     if jobs > 1:
+        # only a parallel run needs the pool, and importing it costs every
+        # other command its start-up time
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_corpus_worker, items))
     else:

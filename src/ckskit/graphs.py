@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     ResourceGuard,
 )
-from .intlinalg import det, solve_exact
+from .intlinalg import det
 
 class Graph:
     """Connected oriented multigraph with totally ordered edges."""
@@ -535,30 +535,23 @@ def is_generic_character(graph, theta):
     incidence of the associated hyperplane arrangement.
 
     For each spanning cotree T*, the system <p, x> = theta_x (x in T*) has a
-    unique solution p (the cotree systems are unimodular, so p is integral,
-    asserted).  The character is generic iff no solution also satisfies
-    <p, e> = theta_e for an edge e outside T*.  Returns (bool, violations)
-    where violations lists (cotree, edge) witnesses.
+    unique solution p in the cycle space.  The fundamental cycles gamma_x
+    of T* restrict to the identity on T*, so p = sum of theta_x gamma_x
+    over x in T*, integral by construction, and nothing is solved.  The
+    character is generic iff no such p also satisfies <p, e> = theta_e for
+    an edge e outside T*.  Returns (bool, violations) where violations
+    lists (cotree, edge) witnesses, cotree by cotree in enumeration order
+    and edge by edge in the edge order.
     """
     if isinstance(theta, (list, tuple)):
         theta = {e: theta[i] for i, e in enumerate(graph.order)}
-    d = graph.genus()
-    if d == 0:
+    if graph.genus() == 0:
         return True, []
-    cotrees = spanning_cotrees(graph)
-    ref = CycleBasis(graph, cotrees[0])
-    basis = list(ref.cotree)
     violations = []
-    for ct in cotrees:
-        cols = graph.sort_edges(ct)
-        a = [[ref.rows[y].get(x, 0) for y in basis] for x in cols]
-        b = [theta[x] for x in cols]
-        p = dict(zip(basis, solve_exact(a, b)))
-        assert all(c.denominator == 1 for c in p.values()), \
-            "cotree system must be unimodular"
+    for ct in spanning_cotrees(graph):
+        rows = CycleBasis(graph, ct).rows
         for e in graph.sort_edges(graph.eids - frozenset(ct)):
-            val = sum(p[y] * ref.rows[y].get(e, 0) for y in basis)
-            if val == theta[e]:
+            if sum(theta[x] * rows[x].get(e, 0) for x in rows) == theta[e]:
                 violations.append((frozenset(ct), e))
     return not violations, violations
 

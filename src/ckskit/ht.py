@@ -641,14 +641,22 @@ class RRing:
         self.fgh = FGH(ht, choice)
         self.basis_by_degree = ht.cc.basis_by_degree()
         self.dims = [len(level) for level in self.basis_by_degree]
+        self._products = {}
 
     def multiply(self, sa, sb):
-        """Product of two basis monomials, in B-coordinates."""
-        sigma = {}
-        for e in itertools.chain(sa, sb):
-            sigma[e] = sigma.get(e, 0) + 1
-        vec = reduce_monomial(self.ht, sigma)
-        return self.fgh.f_vector(vec)
+        """Product of two basis monomials, in B-coordinates.  The product
+        depends only on the exponent multiset σ of sa·sb, so it is reduced
+        once per σ and kept under it: both orders of a pair, and every pair
+        with the same σ, return the same dict.  σ(e) ≤ 2 for faces, so the
+        key packs it in two bits per edge, at the edge's place in the order."""
+        pos = self.ht.graph.pos
+        key = sum(1 << 2 * pos(e) for e in itertools.chain(sa, sb))
+        if key not in self._products:
+            sigma = {}
+            for e in itertools.chain(sa, sb):
+                sigma[e] = sigma.get(e, 0) + 1
+            self._products[key] = self.fgh.f_vector(reduce_monomial(self.ht, sigma))
+        return self._products[key]
 
 
 # ---------------------------------------------------------------------------

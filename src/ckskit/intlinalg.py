@@ -7,16 +7,16 @@ inclusions and projections of deletion-contraction;
 ht.HTComplex.d_columns writes the HT and CKS differentials as sparse
 columns instead, and the HT identities are tested on those columns
 without a product of matrices (matmul serves SmithForm.verify).
-Everything here is exact: Smith normal form with unimodular transforms,
-ranks over Q, cochain-complex cohomology (free rank + torsion invariant
-factors), and direct-sum splitting certificates for sublattices of Z^n.
+Everything here is exact and stays in the integers, with no fractions:
+Smith normal form with unimodular transforms, ranks over Q, cochain-complex
+cohomology (free rank + torsion invariant factors), and direct-sum
+splitting certificates for sublattices of Z^n.
 Ranks, cohomology and the certificates factor each matrix once with a
 sparse unit-pivot elimination that hands only its residual core to the
 dense Smith normal form.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+import collections
 from heapq import heappop, heappush
 from itertools import compress, count
 
@@ -121,44 +121,13 @@ def rank(a):
     return _rank_and_torsion(a)[0]
 
 
-def solve_exact(a, b):
-    """Solve a·x = b over Q for square nonsingular a; returns Fractions.
-
-    Raises ValueError when the system is singular or inconsistent.
-    """
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("singular system")
-        m[c], m[piv] = m[piv], m[c]
-        inv = m[c][c]
-        for j in range(c, n + 1):
-            m[c][j] /= inv
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                for j in range(c, n + 1):
-                    m[i][j] -= f * m[c][j]
-    return [m[i][n] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-@dataclass
-class SmithForm:
+class SmithForm(collections.namedtuple("SmithForm", "U D V rank invariant_factors")):
     """U·A·V = D with U, V unimodular and D = diag(d1 | d2 | ...)."""
-    U: list
-    D: list
-    V: list
-    rank: int
-    invariant_factors: list
+
+    __slots__ = ()
 
     def verify(self, a):
         return matmul(matmul(self.U, a), self.V) == self.D \

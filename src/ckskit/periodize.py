@@ -166,14 +166,16 @@ def level_checks(cc, n, basis, setups):
 
     Returns (pcc, report): the periodized coherent cotree, and the In
     formula, basis formula and face product verdicts, the periodized genus,
-    and one delcon_r_periodized report per setup.
+    and one delcon_r_periodized report per setup.  The face product verdict
+    is None when native_face_check did not run (more than NATIVE_MAX_EDGES
+    periodized edges).
     """
     delcon = [delcon_r_periodized(setup, n) for setup in setups]
     _, pcc = periodized_cotree(cc, n)
     return pcc, {
         "in_formula": check_in_lemma(cc, pcc)[0],
         "basis_formula": check_basis_formula(pcc, basis)[0],
-        "faces_product": native_face_check(pcc) is not False,
+        "faces_product": native_face_check(pcc),
         "genus": pcc.graph.genus(),
         "delcon": delcon,
     }

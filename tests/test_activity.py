@@ -1,5 +1,6 @@
 """Shelling, coherent cotree tables, In/B, activities, Tutte polynomials."""
 
+import collections
 import itertools
 
 import pytest
@@ -429,3 +430,67 @@ def test_the_ring_check_multiplies_each_pair_once(graph, monkeypatch):
     n = sum(payload["dims"])
     assert ok
     assert len(calls) == n + n * (n + 1)
+
+
+@pytest.mark.parametrize("graph, sigmas", [(THETA, 6), (corpus.k4_graph(), 100), (W4, 590)],
+                         ids=["theta", "k4", "w4"])
+def test_the_ring_reduces_each_exponent_multiset_once(graph, sigmas, monkeypatch):
+    # a product depends only on the exponent multiset σ of the pair, so
+    # RRing.multiply reduces each σ once, whichever order or pair gives it
+    calls = []
+    reduce_monomial = ht.reduce_monomial
+    monkeypatch.setattr(ht, "reduce_monomial",
+                        lambda h, sigma: calls.append(sigma) or reduce_monomial(h, sigma))
+    ok, _ = check_ring(GraphContext(graph))
+    assert ok
+    flat = [s for level in coherent_cotree(graph).basis_by_degree() for s in level]
+    pairs = [(fs(), s) for s in flat] + list(itertools.combinations_with_replacement(flat, 2))
+    distinct = {frozenset(collections.Counter(itertools.chain(a, b)).items()) for a, b in pairs}
+    assert len(calls) == len(distinct) == sigmas
+
+
+# ---------------------------------------------------------------------------
+# CoherentCotree.validate against the all-subsets walk
+
+def validate_by_all_subsets(cc):
+    """The all-subsets form of CoherentCotree.validate: the cotree and
+    one-edge-up conditions at every face, then C(S1) ⊆ C(S2) for every
+    subset S2 of every face S1.  Returns (the cotree conditions hold, the
+    verdict)."""
+    d = cc.faces.genus
+    for s in cc.faces.faces():
+        c = cc.table[s]
+        if len(c) != d - len(s) or not graphs.is_spanning_cotree(cc.graph, s | c):
+            return False, False
+        for x in c:
+            if cc.table[s | {x}] != c - {x}:
+                return False, False
+    for s1 in cc.faces.faces():
+        members = cc.graph.sort_edges(s1)
+        for r in range(len(members) + 1):
+            for sub in itertools.combinations(members, r):
+                if not cc.table[s1] <= cc.table[frozenset(sub)]:
+                    return True, False
+    return True, True
+
+
+def test_validate_agrees_with_the_all_subsets_walk():
+    # every table that differs from the coherent one at a single face S,
+    # where it holds T − S for another facet T ⊇ S instead
+    graphs_ = [g for _, g in corpus.corpus_graphs(bound=4)] + [corpus.k4_graph(), W4]
+    outcomes = collections.Counter()
+    for g in graphs_:
+        cc = coherent_cotree(g)
+        assert cc.validate() and validate_by_all_subsets(cc) == (True, True)
+        facets = cc.faces.levels[cc.faces.genus]
+        for s in cc.faces.faces():
+            for t in facets:
+                if s <= t and t - s != cc.table[s]:
+                    bad = CoherentCotree(g, cc.faces, {**cc.table, s: t - s})
+                    conditions, verdict = validate_by_all_subsets(bad)
+                    assert bad.validate() == verdict, (g.order, s, t)
+                    outcomes[conditions, verdict] += 1
+    # some perturbations meet the cotree conditions and fail only the
+    # compatibility, where the two walks differ
+    assert outcomes[True, False] > 0 and outcomes[False, False] > 0
+    assert outcomes[True, True] > 0

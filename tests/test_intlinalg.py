@@ -25,7 +25,6 @@ from ckskit.intlinalg import (
     matmul,
     rank,
     smith_normal_form,
-    solve_exact,
     verify_direct_sum,
 )
 
@@ -88,10 +87,6 @@ def test_snf_large_random_reconstruction():
 def test_det_and_solve():
     assert det([[2, 0], [0, 3]]) == 6
     assert det([[1, 2], [2, 4]]) == 0
-    sol = solve_exact([[2, 1], [1, 1]], [3, 2])
-    assert sol == [1, 1]
-    with pytest.raises(ValueError):
-        solve_exact([[1, 2], [2, 4]], [1, 1])
 
 
 def test_cohomology_zero_differentials():
