@@ -9,16 +9,15 @@ def _clean(coeffs):
     return {k: v for k, v in coeffs.items() if v}
 
 
-class Poly1:
+class _Poly:
+    """The coefficient arithmetic Poly1 and Poly2 share; they differ only
+    in how exponents add, evaluate and render."""
+
     def __init__(self, coeffs=None):
         self.coeffs = _clean(dict(coeffs or {}))
 
-    @classmethod
-    def monomial(cls, exp, coeff=1):
-        return cls({exp: coeff})
-
     def __eq__(self, other):
-        return isinstance(other, Poly1) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
@@ -27,13 +26,19 @@ class Poly1:
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out.get(k, 0) + v
-        return Poly1(out)
+        return type(self)(out)
 
     def __sub__(self, other):
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out.get(k, 0) - v
-        return Poly1(out)
+        return type(self)(out)
+
+
+class Poly1(_Poly):
+    @classmethod
+    def monomial(cls, exp, coeff=1):
+        return cls({exp: coeff})
 
     def __mul__(self, other):
         out = {}
@@ -48,19 +53,13 @@ class Poly1:
     def coeff(self, exp):
         return self.coeffs.get(exp, 0)
 
-    def degree(self):
-        return max(self.coeffs, default=0)
-
     def __str__(self):
         return _render(self.coeffs, lambda e: _pow("q", e))
 
     __repr__ = __str__
 
 
-class Poly2:
-    def __init__(self, coeffs=None):
-        self.coeffs = _clean(dict(coeffs or {}))
-
+class Poly2(_Poly):
     @classmethod
     def monomial(cls, i, j, coeff=1):
         return cls({(i, j): coeff})
@@ -68,24 +67,6 @@ class Poly2:
     @classmethod
     def const(cls, c):
         return cls({(0, 0): c})
-
-    def __eq__(self, other):
-        return isinstance(other, Poly2) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return Poly2(out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return Poly2(out)
 
     def __neg__(self):
         return Poly2({k: -v for k, v in self.coeffs.items()})

@@ -1,6 +1,8 @@
 """Graph core: parsing, matroid queries, cycle bases, genericity."""
 
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from ckskit import corpus
 from ckskit.activity import _component_count, _fundamental_cut
+from ckskit.checks import GraphContext, check_unimodular
 from ckskit.errors import (
     BondDeletion,
     DisconnectedGraph,
@@ -38,7 +41,8 @@ from ckskit.graphs import (
     union_find,
     wedge,
 )
-from ckskit.intlinalg import rank
+from ckskit.intlinalg import det, rank
+from test_activity import K5, W4, W5
 from test_cks import solve_exact
 
 THETA = corpus.theta_graph()
@@ -164,6 +168,80 @@ def test_cycle_space_reads_the_cotrees_of_the_face_complex(monkeypatch):
                         lambda g: pytest.fail("enumerated the cotrees again"))
     for g in cases:
         assert checks.check_cycle_space(checks.GraphContext(g)) == (True, None)
+
+
+def unimodular_by_all_minors(full, n_cols):
+    """The all-minors form of check_unimodular: every square minor of the
+    matrix, of every size, is -1, 0 or 1."""
+    rows = len(full)
+    for k in range(1, min(rows, n_cols) + 1):
+        for ri in itertools.combinations(range(rows), k):
+            for ci in itertools.combinations(range(n_cols), k):
+                if det([[full[i][j] for j in ci] for i in ri]) not in (-1, 0, 1):
+                    return False
+    return True
+
+
+def assert_unimodular_agrees(ctx):
+    """check_unimodular and the all-minors oracle give the same verdict,
+    and a failing g × g witness minor has the determinant it reports."""
+    full = ctx.cc.cycles(frozenset()).pairing(ctx.graph.eids)
+    ok, witness = check_unimodular(ctx)
+    assert ok == unimodular_by_all_minors(full, ctx.graph.n_edges), witness
+    if not ok:
+        assert witness["det"] not in (-1, 0, 1)
+        assert det([[row[j] for j in witness["cols"]] for row in full]) == witness["det"]
+    return ok
+
+
+def test_unimodular_agrees_with_all_minors_on_the_corpus():
+    for _, g in corpus.corpus_graphs(bound=6):
+        for order in (g.order, g.order[::-1]):
+            assert assert_unimodular_agrees(GraphContext(Graph(g.vertices, g.head, g.tail, order)))
+
+
+def identity_block_context(rows, cotree, n_edges):
+    """A GraphContext stand-in over the edges 0..n_edges-1 whose reference
+    cycle basis has the given rows (cotree edge -> {edge: entry})."""
+    basis = SimpleNamespace(rows=rows, cotree=cotree, pairing=lambda edges: [
+        [rows[x].get(e, 0) for e in sorted(edges)] for x in cotree])
+    return SimpleNamespace(graph=SimpleNamespace(eids=frozenset(range(n_edges)), n_edges=n_edges),
+                           cc=SimpleNamespace(cycles=lambda s: basis))
+
+
+def test_unimodular_agrees_with_all_minors_on_random_identity_blocks():
+    # entries in {-1, 0, 1}, so every failure is a minor of size 2 or more
+    rng = random.Random(19)
+    verdicts = []
+    for _ in range(1000):
+        g = rng.randint(1, 5)
+        n = g + rng.randint(0, 5)
+        cotree = tuple(sorted(rng.sample(range(n), g)))
+        rows = {x: {e: 1 if e == x else rng.choice((-1, 0, 0, 1))
+                    for e in range(n) if e == x or e not in cotree} for x in cotree}
+        verdicts.append(assert_unimodular_agrees(identity_block_context(rows, cotree, n)))
+    assert 100 < verdicts.count(False) < 900
+
+
+@pytest.mark.parametrize("graph", [corpus.k4_graph(), W4], ids=["k4", "w4"])
+def test_unimodular_reports_a_perturbed_pairing(graph):
+    ctx = GraphContext(graph)
+    cb = ctx.cc.cycles(frozenset())
+    # an entry 2 in the cycle of x at a tree edge e: swapping x for e in
+    # C(∅) gives a minor ±2
+    x, y = cb.cotree[:2]
+    cb.rows[x][graph.sort_edges(graph.eids - set(cb.cotree))[0]] = 2
+    assert not assert_unimodular_agrees(ctx)
+    # the entry 1 at another cotree edge breaks the identity block
+    cb.rows[x][y] = 1
+    assert check_unimodular(ctx) == (False, {"reason": "no identity block",
+                                             "cotree": sorted(map(str, cb.cotree))})
+
+
+@pytest.mark.parametrize("graph", [K5, W5, build_graph([(0, 1)] * 8)],
+                         ids=["k5", "w5", "theta8"])
+def test_unimodular_runs_past_six_edges(graph):
+    assert check_unimodular(GraphContext(graph)) == (True, None)
 
 
 def test_spanning_tree_count():

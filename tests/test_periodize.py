@@ -134,6 +134,16 @@ def test_native_face_enumeration_agrees():
     assert native_face_check(periodized_cotree(cc, 2)[1]) is None
 
 
+@pytest.mark.parametrize("graph, level_2", [
+    (corpus.loop_graph(), "ok"),
+    (corpus.theta_graph(), "ok, face product not run"),
+], ids=["loop", "theta"])
+def test_the_periodize_check_says_where_the_face_product_did_not_run(graph, level_2):
+    # theta at level 2 has 15 periodized edges, past NATIVE_MAX_EDGES
+    report = run_checks(graph, ["periodize"])["periodize"]
+    assert report == {"passed": True, "payload": {"level_1": "ok", "level_2": level_2}}
+
+
 def test_contraction_compatibility():
     for g in (corpus.loop_graph(), corpus.theta_graph()):
         cc = coherent_cotree(g)
