@@ -167,13 +167,15 @@ class DelConCKS:
 
     def include_matrix(self, p, q, r):
         """Inclusion (2p,q,r) of the deleted complex into (2p+2,q,r) of
-        the middle one: (S, w, a) ↦ (S ∪ e, w, a)."""
+        the middle one: (S, w, a) ↦ (S ∪ e, w, a), as sparse columns
+        (map_matrix)."""
         return map_matrix(self.sub.basis(p, q, r), self.mid.index(p + 1, q, r),
                           lambda b: {(b[0] | {self.edge}, b[1], b[2]): 1})
 
     def project_matrix(self, p, q, r):
         """Projection of the middle (2p,q,r) onto the contracted complex:
-        kill triples whose face contains e."""
+        kill triples whose face contains e.  Sparse columns, an empty one
+        for each killed triple (map_matrix)."""
         return map_matrix(self.mid.basis(p, q, r), self.quo.index(p, q, r),
                           lambda b: {} if self.edge in b[0] else {b: 1})
 
@@ -182,7 +184,8 @@ class DelConCKS:
         dimensions add up, the inclusion has full column rank and the
         projection full row rank (intlinalg.rank), and the composite is
         zero, tested exactly from the nonzero entries of both maps
-        (intlinalg.is_zero_product) without forming the dense product."""
+        (intlinalg.is_zero_product).  All three read the sparse columns of
+        the two maps; no dense row is formed."""
         inc = self.include_matrix(p - 1, q, r)
         prj = self.project_matrix(p, q, r)
         dim_mid = self.mid.dim(p, q, r)

@@ -57,7 +57,7 @@ from .graphs import (
     fundamental_cycles,
     union_find,
 )
-from .intlinalg import CochainComplex, map_matrix, zeros
+from .intlinalg import CochainComplex, dense, map_matrix
 
 
 class HTComplex:
@@ -226,11 +226,8 @@ class HTComplex:
         """d_columns(p, q, *r) as dense rows of shape dim(p + 1, q − 1, *r)
         × dim(p, q, *r), for the two checks that read rows:
         check_splitting and DelConCKS.check_chain_maps."""
-        m = zeros(self.dim(p + 1, q - 1, *r), self.dim(p, q, *r))
-        for j, col in self.d_columns(p, q, *r).items():
-            for i, x in col.items():
-                m[i][j] = x
-        return m
+        return dense(self.d_columns(p, q, *r), self.dim(p + 1, q - 1, *r),
+                     self.dim(p, q, *r))
 
     def _edges(self, s):
         """The edge records of face S, one per edge e with S ∪ e a face, in
@@ -611,18 +608,19 @@ class FGH:
         faces = self.ht.faces.levels[k]
         bk = [s for s in faces if s in self.bset]
         bindex = {b: i for i, b in enumerate(bk)}
-        return map_matrix(faces, bindex, self.f_face), bk
+        return dense(map_matrix(faces, bindex, self.f_face), len(bk), len(faces)), bk
 
     def g_matrix(self, k):
         faces = self.ht.faces.levels[k]
         bk = [s for s in faces if s in self.bset]
         findex = {s: i for i, s in enumerate(faces)}
-        return map_matrix(bk, findex, lambda b: {b: 1}), bk
+        return dense(map_matrix(bk, findex, lambda b: {b: 1}), len(faces), len(bk)), bk
 
     def h_matrix(self, p, q):
         """h: (2p, q) -> (2p-2, q+1)."""
-        return map_matrix(self.ht.basis(p, q), self.ht.index(p - 1, q + 1),
-                          lambda b: self.h_element(*b))
+        src, tgt = self.ht.basis(p, q), self.ht.index(p - 1, q + 1)
+        return dense(map_matrix(src, tgt, lambda b: self.h_element(*b)),
+                     len(tgt), len(src))
 
 
 # ---------------------------------------------------------------------------

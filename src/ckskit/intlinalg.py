@@ -1,12 +1,16 @@
 """Exact integer linear algebra.
 
-Dense matrices are plain lists of lists of Python ints.  map_matrix
-turns sparse images on labelled bases into them for the f, g and h that
-`ht --matrices` prints, the g of the splitting certificate, and the
-inclusions and projections of deletion-contraction;
-ht.HTComplex.d_columns writes the HT and CKS differentials as sparse
-columns instead, and the HT identities are tested on those columns
-without a product of matrices (matmul serves SmithForm.verify).
+Matrices are sparse columns {j: {i: entry}} over the nonzero entries, or
+dense rows, plain lists of lists of Python ints.  map_matrix writes the
+columns of a map given on labelled bases (the inclusions and
+projections of deletion-contraction, f, g and h), and
+ht.HTComplex.d_columns writes the HT and CKS differentials; rank,
+is_zero_product, the d² check and cohomology read columns as they are.
+Dense rows are made from columns in one place (dense), only for the
+readers that read rows: the f, g and h that `ht --matrices` prints, the
+splitting certificate, and the d_matrix blocks that
+DelConCKS.check_chain_maps compares.  matmul serves SmithForm.verify and
+the dense oracles of the tests.
 Everything here is exact and stays in the integers, with no fractions:
 Smith normal form with unimodular transforms, ranks over Q, cochain-complex
 cohomology (free rank + torsion invariant factors), and direct-sum
@@ -24,26 +28,39 @@ from .errors import NotAComplex, OutsideBasis
 
 
 # ---------------------------------------------------------------------------
-# basic dense-matrix helpers
+# basic matrix helpers
 
 def zeros(rows, cols):
     return [[0] * cols for _ in range(rows)]
 
 
 def map_matrix(src, tgt_index, image):
-    """Matrix of a linear map between labelled bases.
+    """Sparse columns {j: {i: c}} of a linear map between labelled bases.
 
     Column j holds image(src[j]), a dict label -> coefficient, with each
-    label placed in the row tgt_index[label].  Raises OutsideBasis when
-    an image label is not in the target basis.
+    nonzero coefficient at the row tgt_index[label]; every source
+    position j has a column, an empty one where the image is zero.
+    Raises OutsideBasis when an image label is not in the target basis.
     """
-    m = zeros(len(tgt_index), len(src))
+    columns = {}
     for j, label in enumerate(src):
+        col = columns[j] = {}
         for key, c in image(label).items():
             i = tgt_index.get(key)
             if i is None:
                 raise OutsideBasis(label, key)
-            m[i][j] = c
+            if c:
+                col[i] = c
+    return columns
+
+
+def dense(columns, rows, cols):
+    """Sparse columns {j: {i: x}} as dense rows of shape rows × cols, for
+    the readers that read rows."""
+    m = zeros(rows, cols)
+    for j, col in columns.items():
+        for i, x in col.items():
+            m[i][j] = x
     return m
 
 
@@ -70,23 +87,16 @@ def is_zero_matrix(a):
 
 
 def is_zero_product(a, b):
-    """a·b = 0, decided exactly without forming the dense product: each row
-    of a sums the nonzero entries of the rows of b its own nonzero entries
-    meet, a_ik b_kj over those k, so terms that cancel give zero.  Each row
-    of b is scanned once, when a first meets it; is_zero_matrix(matmul(a,
-    b)) is the dense oracle."""
-    nonzero = {}
-    for row in a:
-        acc = {}
-        for k in compress(range(len(row)), row):
-            entries = nonzero.get(k)
-            if entries is None:
-                bk = b[k]
-                entries = nonzero[k] = [(j, bk[j]) for j in compress(range(len(bk)), bk)]
-            x = row[k]
-            for j, y in entries:
-                acc[j] = acc.get(j, 0) + x * y
-        if any(acc.values()):
+    """a·b = 0 for sparse columns a and b ({j: {i: x}}), decided exactly
+    without forming the product: column j of a·b sums b_kj · (column k of
+    a) over the nonzero b_kj, so terms that cancel give zero.
+    is_zero_matrix(matmul(...)) of the dense forms is the oracle."""
+    for col in b.values():
+        out = {}
+        for k, x in col.items():
+            for i, y in a.get(k, {}).items():
+                out[i] = out.get(i, 0) + x * y
+        if any(out.values()):
             return False
     return True
 
@@ -117,8 +127,10 @@ def det(a):
 
 
 def rank(a):
-    """Rank over Q of an integer matrix: the rank its Smith form has."""
-    return _rank_and_torsion(a)[0]
+    """Rank over Q of an integer matrix, given as sparse columns
+    {j: {i: x}} (as map_matrix writes them) or as dense rows: the rank its
+    Smith form has."""
+    return _factor(a if isinstance(a, dict) else _columns(a))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +298,9 @@ def _rank_and_torsion(a):
 
 
 def _factor(columns):
-    """(rank, invariant factors > 1) of the matrix with these _columns,
-    which it leaves unchanged.
+    """(rank, invariant factors > 1) of the matrix with these sparse
+    columns (as _columns or map_matrix writes them; a column may be
+    empty), which it leaves unchanged.
 
     Eliminates unit pivots first (Dumas, Saunders and Villard, J. Symb.
     Comp. 2001) on sparse rows with a column -> row-set index.  A heap
@@ -389,17 +402,10 @@ class CochainComplex:
                 raise ValueError(f"differential at degree {n} has wrong shape")
 
     def _check_d2(self):
-        """NotAComplex(n) at the first n with d_{n+1}·d_n ≠ 0.  Column j of
-        the product is Σ_k d_n[k][j] · (column k of d_{n+1})."""
+        """NotAComplex(n) at the first n with d_{n+1}·d_n ≠ 0."""
         for n, a in self._columns.items():
-            b = self._columns.get(n + 1, {})
-            for col in a.values():
-                out = {}
-                for k, x in col.items():
-                    for i, y in b.get(k, {}).items():
-                        out[i] = out.get(i, 0) + x * y
-                if any(out.values()):
-                    raise NotAComplex(n)
+            if not is_zero_product(self._columns.get(n + 1, {}), a):
+                raise NotAComplex(n)
 
     def cohomology(self):
         """Per-degree (free rank, torsion invariant factors > 1).

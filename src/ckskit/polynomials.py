@@ -36,10 +36,6 @@ class _Poly:
 
 
 class Poly1(_Poly):
-    @classmethod
-    def monomial(cls, exp, coeff=1):
-        return cls({exp: coeff})
-
     def __mul__(self, other):
         out = {}
         for a, ca in self.coeffs.items():

@@ -1,5 +1,6 @@
 """Trigraded complex: cohomology, Euler tables, Tutte specialization."""
 
+import collections
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckskit import checks, cli, corpus, ht
+from ckskit import checks, cli, corpus, ht, intlinalg
 from ckskit import cks as cks_mod
 from ckskit.activity import CoherentCotree, coherent_cotree, tutte
 from ckskit.cks import (
@@ -32,6 +33,7 @@ from ckskit.intlinalg import (
     CochainComplex,
     _columns,
     _rank_and_torsion,
+    dense,
     det,
     is_zero_matrix,
     is_zero_product,
@@ -283,6 +285,20 @@ def test_stripe_walk_reports_the_stripe_the_reference_reports(monkeypatch, capsy
     assert capsys.readouterr() == ("", "error: d^2 != 0 at degree 0\n")
 
 
+def include_rows(dc, p, q, r, columns=None):
+    """dc.include_matrix(p, q, r), or columns of its shape, as dense rows."""
+    if columns is None:
+        columns = dc.include_matrix(p, q, r)
+    return dense(columns, dc.mid.dim(p + 1, q, r), dc.sub.dim(p, q, r))
+
+
+def project_rows(dc, p, q, r, columns=None):
+    """dc.project_matrix(p, q, r), or columns of its shape, as dense rows."""
+    if columns is None:
+        columns = dc.project_matrix(p, q, r)
+    return dense(columns, dc.quo.dim(p, q, r), dc.mid.dim(p, q, r))
+
+
 def chain_maps_by_matmul(dc, p, q, r):
     """Slow oracle for DelConCKS.check_chain_maps: both squares as
     products with the inclusion and projection matrices, at the middle
@@ -294,15 +310,15 @@ def chain_maps_by_matmul(dc, p, q, r):
 
     # inclusion square: d_mid ∘ inc = inc ∘ d_sub
     if dc.sub.dim(p - 1, q, r):
-        left = matmul(dc.mid.d_matrix(p, q, r), dc.include_matrix(p - 1, q, r))
-        right = matmul(dc.include_matrix(p, q - 1, r),
+        left = matmul(dc.mid.d_matrix(p, q, r), include_rows(dc, p - 1, q, r))
+        right = matmul(include_rows(dc, p, q - 1, r),
                        dc.sub.d_matrix(p - 1, q, r))
         if not same(left, right):
             return False
     # projection square: d_quo ∘ prj = prj ∘ d_mid
     if dc.mid.dim(p, q, r):
-        left = matmul(dc.quo.d_matrix(p, q, r), dc.project_matrix(p, q, r))
-        right = matmul(dc.project_matrix(p + 1, q - 1, r),
+        left = matmul(dc.quo.d_matrix(p, q, r), project_rows(dc, p, q, r))
+        right = matmul(project_rows(dc, p + 1, q - 1, r),
                        dc.mid.d_matrix(p, q, r))
         if not same(left, right):
             return False
@@ -410,9 +426,11 @@ def d_pieces(c):
 
 
 def d_by_elements(c, p, q, *r):
-    """The element-wise oracle for d_matrix."""
-    return map_matrix(c.basis(p, q, *r), c.index(p + 1, q - 1, *r),
-                      lambda b: c.d_element(*b))
+    """The element-wise oracle for d_columns: the columns map_matrix writes
+    from d_element, less the empty ones."""
+    columns = map_matrix(c.basis(p, q, *r), c.index(p + 1, q - 1, *r),
+                         lambda b: c.d_element(*b))
+    return {j: col for j, col in columns.items() if col}
 
 
 @pytest.mark.parametrize("graphs", [
@@ -427,9 +445,11 @@ def test_d_matrix_agrees_with_the_element_wise_oracle(graphs):
         cks = build_cks(g)
         for c in (HTComplex(g, cks.cc), cks):
             for key in d_pieces(c):
+                p, q, *r = key
                 expected = d_by_elements(c, *key)
-                assert c.d_columns(*key) == _columns(expected), (g, key)
-                assert c.d_matrix(*key) == expected, (g, key)
+                assert c.d_columns(*key) == expected, (g, key)
+                assert c.d_matrix(*key) == dense(
+                    expected, c.dim(p + 1, q - 1, *r), c.dim(*key)), (g, key)
                 pieces_seen += 1
     assert pieces_seen
 
@@ -542,7 +562,7 @@ def test_a_block_is_keyed_by_every_value_of_its_record():
         for complex_, rs in ((faulty, ()), (cks, (0,))):
             for q in range(1, c.genus - p + 1):
                 key = (p, q, *rs)
-                assert complex_.d_columns(*key) == _columns(d_by_elements(complex_, *key)), \
+                assert complex_.d_columns(*key) == d_by_elements(complex_, *key), \
                     (x, key)
 
 
@@ -852,8 +872,7 @@ def test_check_exact_rejects_a_non_injective_inclusion():
     assert dc.check_exact(*key)
     inc = dc.include_matrix(p - 1, q, r)
     # the second deleted triple goes where the first one does
-    for row in inc:
-        row[1] = row[0]
+    inc[1] = dict(inc[0])
     dc.include_matrix = lambda *_: inc
     assert not dc.check_exact(*key)
 
@@ -863,7 +882,8 @@ def test_check_exact_rejects_a_projection_that_is_not_onto():
     key = exact_piece(dc)
     prj = dc.project_matrix(*key)
     # nothing projects onto the first contracted triple
-    prj[0] = [0] * len(prj[0])
+    for col in prj.values():
+        col.pop(0, None)
     dc.project_matrix = lambda *_: prj
     assert not dc.check_exact(*key)
 
@@ -874,8 +894,8 @@ def test_check_exact_rejects_a_nonzero_composite():
     prj = dc.project_matrix(*key)
     # the image of the first deleted triple also projects onto the first
     # contracted triple; both maps keep their full rank
-    j = next(i for i, row in enumerate(dc.include_matrix(p - 1, q, r)) if row[0])
-    prj[0][j] = 1
+    [j] = dc.include_matrix(p - 1, q, r)[0]
+    prj[j][0] = 1
     dc.project_matrix = lambda *_: prj
     assert not dc.check_exact(*key)
 
@@ -893,12 +913,17 @@ def test_zero_product_agrees_with_the_dense_composite(graphs):
             dc = DelConCKS(ctx.delcon(e))
             for p, q, r in pieces(dc):
                 inc, prj = dc.include_matrix(p - 1, q, r), dc.project_matrix(p, q, r)
-                assert is_zero_product(prj, inc) == is_zero_matrix(matmul(prj, inc)) is True
+
+                def dense_composite():
+                    return matmul(project_rows(dc, p, q, r, prj),
+                                  include_rows(dc, p - 1, q, r, inc))
+
+                assert is_zero_product(prj, inc) == is_zero_matrix(dense_composite()) is True
                 if not (dc.sub.dim(p - 1, q, r) and dc.quo.dim(p, q, r)):
                     continue
-                j = next(i for i, row in enumerate(inc) if row[0])
-                prj[0][j] = 1
-                assert is_zero_product(prj, inc) == is_zero_matrix(matmul(prj, inc)) is False
+                [j] = inc[0]
+                prj[j][0] = 1
+                assert is_zero_product(prj, inc) == is_zero_matrix(dense_composite()) is False
                 composites += 1
     assert composites
 
@@ -911,14 +936,46 @@ def test_check_exact_accepts_a_composite_whose_terms_cancel():
     # the first deleted triple's image also takes in the first contracted
     # triple, which the projection meets with +1 and its own image with
     # −1: the composite's entry is 1 − 1, and both maps keep full rank
-    d0 = next(i for i, row in enumerate(inc) if row[0])
-    inc[con[0]][0] = 1
-    prj[0][d0] = -1
-    assert [prj[0][k] * inc[k][0] for k in (d0, con[0])] == [-1, 1]
-    assert is_zero_matrix(matmul(prj, inc))
+    [d0] = inc[0]
+    inc[0][con[0]] = 1
+    prj[d0][0] = -1
+    assert [prj[k][0] * inc[0][k] for k in (d0, con[0])] == [-1, 1]
+    assert is_zero_matrix(matmul(project_rows(dc, p, q, r, prj),
+                                 include_rows(dc, p - 1, q, r, inc)))
     dc.include_matrix = lambda *_: inc
     dc.project_matrix = lambda *_: prj
     assert dc.check_exact(*key)
+
+
+def test_check_exact_forms_no_dense_row(monkeypatch):
+    # rank and the zero product read the columns map_matrix writes: inside
+    # check_exact nothing fills zero rows or scans rows into columns
+    calls = collections.Counter()
+    inside = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            if inside:
+                calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(intlinalg, "zeros", counted("zeros", intlinalg.zeros))
+    monkeypatch.setattr(intlinalg, "_columns", counted("_columns", intlinalg._columns))
+    monkeypatch.setattr(cks_mod, "rank", counted("rank", cks_mod.rank))
+    check_exact = DelConCKS.check_exact
+
+    def traced(self, *key):
+        inside.append(key)
+        try:
+            return check_exact(self, *key)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(DelConCKS, "check_exact", traced)
+    assert run_checks(W4, ["delcon_cks"])["delcon_cks"]["passed"]
+    assert calls["rank"] > 0
+    assert (calls["zeros"], calls["_columns"]) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

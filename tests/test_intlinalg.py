@@ -18,9 +18,11 @@ from ckskit.intlinalg import (
     CochainComplex,
     _columns,
     _rank_and_torsion,
+    dense,
     det,
     identity,
     is_zero_matrix,
+    is_zero_product,
     map_matrix,
     matmul,
     rank,
@@ -168,10 +170,14 @@ def test_direct_sum_edge_cases():
 
 
 def test_map_matrix_places_images_by_label():
-    images = {"a": {"y": 2}, "b": {"x": 1, "y": -1}, "c": {}}
-    assert map_matrix(["a", "b", "c"], {"x": 0, "y": 1}, images.get) == \
-        [[0, 1, 0], [2, -1, 0]]
-    assert map_matrix([], {"x": 0}, images.get) == [[]]
+    images = {"a": {"y": 2}, "b": {"x": 1, "y": -1}, "c": {}, "d": {"x": 0}}
+    columns = map_matrix(["a", "b", "c", "d"], {"x": 0, "y": 1}, images.get)
+    # every source position has a column, an empty one for a zero image
+    assert columns == {0: {1: 2}, 1: {0: 1, 1: -1}, 2: {}, 3: {}}
+    assert dense(columns, 2, 4) == [[0, 1, 0, 0], [2, -1, 0, 0]]
+    assert map_matrix([], {"x": 0}, images.get) == {}
+    assert dense({}, 1, 0) == [[]]
+    assert dense({0: {}}, 0, 1) == []
     with pytest.raises(OutsideBasis) as exc:
         map_matrix(["a"], {"x": 0}, images.get)
     assert exc.value.source == "a"
@@ -290,6 +296,7 @@ def test_matmul_and_is_zero_matrix_match_plain_loops(pair):
     assert product == (matmul_by_loops(a, b, m) if a and b else [])
     for x in (a, b, product):
         assert is_zero_matrix(x) == is_zero_by_loops(x)
+    assert is_zero_product(_columns(a), _columns(b)) == is_zero_matrix(product)
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +360,40 @@ def test_rank_on_the_delcon_inclusions_and_projections():
             dc = DelConCKS(ctx.delcon(e))
             d = dc.mid.genus
             for p, q, r in itertools.product(range(d + 1), repeat=3):
-                if dc.sub.dim(p - 1, q, r):
+                mid, sub, quo = dc.mid.dim(p, q, r), dc.sub.dim(p - 1, q, r), dc.quo.dim(p, q, r)
+                if sub:
                     inc = dc.include_matrix(p - 1, q, r)
-                    assert_rank_agrees(inc)
-                    assert rank(inc) == dc.sub.dim(p - 1, q, r)
+                    rows = dense(inc, mid, sub)
+                    assert_rank_agrees(rows)
+                    assert rank(inc) == smith_normal_form(rows).rank == sub
                     seen += 1
-                if dc.mid.dim(p, q, r) and dc.quo.dim(p, q, r):
+                if mid and quo:
                     prj = dc.project_matrix(p, q, r)
-                    assert_rank_agrees(prj)
-                    assert rank(prj) == dc.quo.dim(p, q, r)
+                    rows = dense(prj, quo, mid)
+                    assert_rank_agrees(rows)
+                    assert rank(prj) == smith_normal_form(rows).rank == quo
                     seen += 1
     assert seen
+
+
+def test_rank_of_dense_rows_equals_rank_of_their_columns():
+    # the columns key every position, the empty ones too, as map_matrix
+    # writes them; some rows and columns are cleared to zero
+    rng = random.Random(26)
+    cleared = 0
+    for _ in range(500):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        a = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(cols)] for _ in range(rows)]
+        if rows and cols and rng.random() < 0.5:
+            a[rng.randrange(rows)] = [0] * cols
+            j = rng.randrange(cols)
+            for row in a:
+                row[j] = 0
+            cleared += 1
+        columns = {j: {i: a[i][j] for i in range(rows) if a[i][j]} for j in range(cols)}
+        assert dense(columns, rows, cols) == a
+        assert rank(columns) == rank(a) == smith_normal_form(a).rank
+    assert cleared > 100
 
 
 def test_engine_requeues_a_column_whose_unit_appears_later(monkeypatch):

@@ -11,7 +11,7 @@ from ckskit.checks import GraphContext, run_checks
 from ckskit.cks import build_cks, euler_table, h_hat, tutte_loop_specialization
 from ckskit.graphs import build_graph
 from ckskit.ht import HTComplex
-from ckskit.intlinalg import map_matrix
+from ckskit.intlinalg import dense, map_matrix
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -74,6 +74,7 @@ def test_d_matrix_is_the_element_wise_differential(edges, data):
     for c, keys in ((HTComplex(cks.graph, cks.cc), pieces),
                     (cks, [(p, q, r) for p, q in pieces for r in range(d - p + 1)])):
         for p, q, *r in keys:
-            assert c.d_matrix(p, q, *r) == map_matrix(
+            assert c.d_matrix(p, q, *r) == dense(map_matrix(
                 c.basis(p, q, *r), c.index(p + 1, q - 1, *r),
-                lambda b: c.d_element(*b)), (p, q, *r)
+                lambda b: c.d_element(*b)), c.dim(p + 1, q - 1, *r), c.dim(p, q, *r)), \
+                (p, q, *r)
