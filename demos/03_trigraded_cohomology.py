@@ -2,8 +2,10 @@
 
 The trigraded complex refines the wedge complex by polynomial weight.
 Its cohomology is computed by exact integer elimination (unit pivots,
-then a Smith normal form of whatever remains), so free ranks and
-torsion are certified, not floating-point estimates.  Summing Euler
+then a Smith normal form of whatever remains), one degree after the
+next: the columns of d_(n+1) at d_n's unit-pivot rows are integer
+combinations of the others, so they are cleared, never factored.  Free
+ranks and torsion are certified, not floating-point estimates.  Summing Euler
 characteristics along the stripes packages everything into a
 two-variable generating polynomial that equals a one-line substitution
 into the Tutte polynomial.

@@ -17,7 +17,9 @@ cohomology (free rank + torsion invariant factors), and direct-sum
 splitting certificates for sublattices of Z^n.
 Ranks, cohomology and the certificates factor each matrix once with a
 sparse unit-pivot elimination that hands only its residual core to the
-dense Smith normal form.
+dense Smith normal form.  Cohomology factors a complex in increasing
+degree and clears as it goes: a column of d_{n+1} at a pivot row of d_n
+is an integer combination of the other columns, so it is never factored.
 """
 
 import collections
@@ -294,13 +296,14 @@ def _columns(a):
 
 def _rank_and_torsion(a):
     """(rank, invariant factors > 1) of dense rows a, by _factor."""
-    return _factor(_columns(a))
+    return _factor(_columns(a))[:2]
 
 
 def _factor(columns):
-    """(rank, invariant factors > 1) of the matrix with these sparse
-    columns (as _columns or map_matrix writes them; a column may be
-    empty), which it leaves unchanged.
+    """(rank, invariant factors > 1, pivot rows) of the matrix with these
+    sparse columns (as _columns or map_matrix writes them; a column may be
+    empty), which it leaves unchanged.  The pivot rows are the rows of its
+    unit pivots, or None when a residual core remained.
 
     Eliminates unit pivots first (Dumas, Saunders and Villard, J. Symb.
     Comp. 2001) on sparse rows with a column -> row-set index.  A heap
@@ -313,6 +316,11 @@ def _factor(columns):
     column was examined after its last change and had no unit entry.
     Only that residual core goes to smith_normal_form; CKS and HT
     differentials leave none.
+
+    Without a core, the pivot rows P and columns Q bound a minor A[P, Q]
+    of determinant ±1: the row operations are unimodular, and after them
+    the minor is triangular in pivot order with ±1 on its diagonal.
+    CochainComplex.cohomology clears with P.
     """
     rows = {}
     for j, col in columns.items():
@@ -320,7 +328,7 @@ def _factor(columns):
             rows.setdefault(i, {})[j] = x
     cols = {j: set(col) for j, col in columns.items()}
     queue = sorted((len(col), j) for j, col in cols.items())  # a heap
-    pivots = 0
+    pivot_rows = []
     while queue:
         n, pj = heappop(queue)
         col = cols.get(pj)
@@ -333,7 +341,7 @@ def _factor(columns):
                 pi = i
         if pi is None:
             continue
-        pivots += 1
+        pivot_rows.append(pi)
         prow = rows.pop(pi)
         unit = prow.pop(pj)
         for j in prow:
@@ -361,11 +369,12 @@ def _factor(columns):
             else:
                 del cols[j]
     if not rows:
-        return pivots, []
+        return len(pivot_rows), [], pivot_rows
     core_cols = sorted(cols)
     snf = smith_normal_form([[row.get(j, 0) for j in core_cols]
                              for row in rows.values()])
-    return pivots + snf.rank, [x for x in snf.invariant_factors if x > 1]
+    return (len(pivot_rows) + snf.rank, [x for x in snf.invariant_factors if x > 1],
+            None)
 
 
 # ---------------------------------------------------------------------------
@@ -395,26 +404,47 @@ class CochainComplex:
         return sorted(self._dims)
 
     def _check_shapes(self):
+        """ValueError unless every column index of d_n lies in [0, |C^n|)
+        and every row index in [0, |C^{n+1}|)."""
         for n, cols in self._columns.items():
-            if (max(cols) >= self.dim(n)
-                    or max((i for col in cols.values() for i in col), default=-1)
-                    >= self.dim(n + 1)):
+            rows = set().union(*cols.values())
+            if (min(cols) < 0 or max(cols) >= self.dim(n)
+                    or rows and (min(rows) < 0 or max(rows) >= self.dim(n + 1))):
                 raise ValueError(f"differential at degree {n} has wrong shape")
 
     def _check_d2(self):
-        """NotAComplex(n) at the first n with d_{n+1}·d_n ≠ 0."""
-        for n, a in self._columns.items():
-            if not is_zero_product(self._columns.get(n + 1, {}), a):
+        """NotAComplex(n) at the first n with d_{n+1}·d_n ≠ 0, over every
+        column (cohomology's clearing relies on it)."""
+        for n in sorted(self._columns):
+            if not is_zero_product(self._columns.get(n + 1, {}), self._columns[n]):
                 raise NotAComplex(n)
 
     def cohomology(self):
         """Per-degree (free rank, torsion invariant factors > 1).
 
-        Each differential is factored once; its rank enters the free rank
-        on both sides and its invariant factors give the torsion of the
-        degree it maps into.
+        Each differential is factored once, in increasing degree; its rank
+        enters the free rank on both sides and its invariant factors give
+        the torsion of the degree it maps into.
+
+        Clearing (the "twist" of Chen and Kerber, 2011): when d_n left no
+        core, its pivot rows P and columns Q bound a minor of determinant
+        ±1 (_factor), and d_{n+1}·d_n = 0 gives
+        d_{n+1}[:, P] = −d_{n+1}[:, ∉P]·d_n[∉P, Q]·d_n[P, Q]⁻¹.  So the
+        columns of d_{n+1} at P are integer combinations of the others, and
+        factoring d_{n+1} without them keeps its column lattice: its rank
+        and invariant factors over Z.  Nothing is cleared after a core,
+        nor across a zero (omitted) d_n.
         """
-        facts = {n: _factor(cols) for n, cols in self._columns.items()}
+        facts, cleared = {}, {}
+        for n in sorted(self._columns):
+            columns = self._columns[n]
+            skip = cleared.get(n)
+            if skip:
+                columns = {j: col for j, col in columns.items() if j not in skip}
+            rank, torsion, pivot_rows = _factor(columns)
+            facts[n] = rank, torsion
+            if pivot_rows:
+                cleared[n + 1] = set(pivot_rows)
         out = {}
         for n in self.degrees():
             rank_out = facts.get(n, (0, []))[0]

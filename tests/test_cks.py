@@ -48,6 +48,9 @@ W4 = build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)
 THETA6 = build_graph([(0, 1)] * 6)
 THETA7 = build_graph([(0, 1)] * 7)
 K5 = build_graph(list(itertools.combinations(range(5), 2)))
+# the wheel with hub 0 and rim 1-2-3-4-5, genus 5
+W5 = build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+                  (1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
 # K4 with the edges 0-1 and 2-3 doubled, genus 5
 K4PP = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1), (2, 3)])
 
@@ -517,6 +520,56 @@ def test_assembly_agrees_with_the_record_by_record_oracle(graphs):
                     (g.order, key)
                 pieces_seen += 1
     assert pieces_seen
+
+
+def uncleared_cohomology(cx):
+    """CochainComplex.cohomology without clearing: the oracle factors every
+    differential in full."""
+    facts = {n: intlinalg._factor(cols)[:2] for n, cols in cx._columns.items()}
+    return {n: (cx.dim(n) - facts.get(n, (0, []))[0] - facts.get(n - 1, (0, []))[0],
+                facts.get(n - 1, (0, []))[1])
+            for n in cx.degrees()}
+
+
+@pytest.mark.parametrize("graphs", [
+    [g for _, g in corpus.corpus_graphs(bound=5)], [THETA7], [K5], [W5],
+], ids=["corpus5", "theta7", "k5", "w5"])
+def test_cleared_cohomology_agrees_with_the_uncleared_factorization(monkeypatch, graphs):
+    # clearing drops columns of d_(n+1) at d_n's pivot rows; every HT and
+    # CKS stripe must keep the free ranks and torsion of full factoring
+    seen = []
+
+    class Compared(CochainComplex):
+        def cohomology(self):
+            got = super().cohomology()
+            assert got == uncleared_cohomology(self)
+            seen.append(got)
+            return got
+
+    monkeypatch.setattr(ht, "CochainComplex", Compared)
+    for g in in_both_orders(graphs):
+        cks = build_cks(g)
+        for c in (HTComplex(g, cks.cc), cks):
+            assert not any(isinstance(coh, Exception)
+                           for coh in c.stripe_cohomology().values()), g.order
+    assert seen
+
+
+@pytest.mark.parametrize("g, factored", [(THETA6, 1981), (W4, 675), (K5, 18887)],
+                         ids=["theta6", "w4", "k5"])
+def test_clearing_pins_the_columns_the_cks_stripes_factor(monkeypatch, g, factored):
+    # of 3,241, 917 and 31,493 nonzero columns: a change that stops
+    # clearing passes every other test
+    widths = []
+    original = intlinalg._factor
+
+    def counting(columns):
+        widths.append(len(columns))
+        return original(columns)
+
+    monkeypatch.setattr(intlinalg, "_factor", counting)
+    build_cks(g).stripe_cohomology()
+    assert sum(widths) == factored
 
 
 def record_keys(c, p):

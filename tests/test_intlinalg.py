@@ -115,6 +115,75 @@ def test_cochain_complex_rejects_columns_outside_the_bases():
         CochainComplex({0: ["a"], 1: ["b"]}, {0: {0: {1: 1}}})
 
 
+def test_cochain_complex_rejects_negative_indices():
+    # a column or row that does not exist must not count in the rank
+    with pytest.raises(ValueError):
+        CochainComplex({0: range(1), 1: range(1)}, {0: {-1: {0: 1}}})
+    with pytest.raises(ValueError):
+        CochainComplex({0: range(1), 1: range(1)}, {0: {0: {-1: 1}}})
+
+
+def test_d2_witness_is_the_first_degree_in_any_insertion_order():
+    bases = {n: range(1) for n in range(4)}
+    for order in ([2, 1, 0], [0, 1, 2]):
+        with pytest.raises(NotAComplex) as exc:
+            CochainComplex(bases, {n: {0: {0: 1}} for n in order})
+        assert exc.value.degree == 0
+
+
+def test_factor_reports_its_pivot_rows_or_none_after_a_core():
+    got = intlinalg._factor({0: {2: 1}, 1: {0: -1}})
+    assert got[:2] == (2, []) and sorted(got[2]) == [0, 2]
+    assert intlinalg._factor({0: {0: 1}, 1: {1: 2}}) == (2, [2], None)
+    assert intlinalg._factor({}) == (0, [], [])
+
+
+def factored_widths(monkeypatch, cx):
+    """cx.cohomology() and the number of columns each _factor call got."""
+    widths = []
+    original = intlinalg._factor
+
+    def counting(columns):
+        widths.append(len(columns))
+        return original(columns)
+
+    monkeypatch.setattr(intlinalg, "_factor", counting)
+    return cx.cohomology(), widths
+
+
+@pytest.mark.parametrize("core", [False, True], ids=["units", "core"])
+def test_clearing_stops_after_a_core(monkeypatch, core):
+    # d_0 pivots on ±1 in column 0 (at row 0 or 2), and d_1's columns 0 and
+    # 2 are then dependent; with a 2 in column 1 of d_0, d_0 leaves a core
+    # and d_1 is factored in full
+    d0 = {0: {0: 1, 2: 1}, 1: {1: 2 if core else 1}}
+    d1 = {0: {0: 1}, 2: {0: -1}}
+    cx = CochainComplex({0: range(2), 1: range(3), 2: range(1)}, {0: d0, 1: d1})
+    coh, widths = factored_widths(monkeypatch, cx)
+    assert coh == {0: (0, []), 1: (0, [2] if core else []), 2: (0, [])}
+    assert widths == [2, 2 if core else 1]
+
+
+def test_clearing_reads_pivot_rows_not_pivot_columns(monkeypatch):
+    # d_0 pivots at row 1, column 0: clearing must drop d_1's (absent)
+    # column 1 and keep its column 0
+    cx = CochainComplex({0: range(1), 1: range(2), 2: range(1)},
+                        {0: {0: {1: 1}}, 1: {0: {0: 1}}})
+    coh, widths = factored_widths(monkeypatch, cx)
+    assert coh == {0: (0, []), 1: (0, []), 2: (0, [])}
+    assert widths == [1, 1]
+
+
+def test_clearing_skips_a_degree_whose_differential_is_zero(monkeypatch):
+    # d_1 = 0 is omitted: d_0's pivot row is an index of C^1, not of C^2,
+    # so d_2 keeps its column 0
+    cx = CochainComplex({n: range(1) for n in range(4)},
+                        {0: {0: {0: 1}}, 2: {0: {0: 1}}})
+    coh, widths = factored_widths(monkeypatch, cx)
+    assert coh == {n: (0, []) for n in range(4)}
+    assert widths == [1, 1]
+
+
 @st.composite
 def differential_chains(draw):
     """Dimensions of four degrees and three differentials between them,
