@@ -21,10 +21,10 @@ import math
 from operator import itemgetter
 
 from .activity import CoherentCotree, coherent_cotree
-from .errors import CksKitError
+from .errors import CksKitError, OutsideBasis
 from .graphs import face_complex
 from .ht import HTComplex
-from .intlinalg import is_zero_matrix, is_zero_product, map_matrix, rank
+from .intlinalg import is_zero_matrix, is_zero_product, rank
 from .polynomials import Poly2
 
 # base value for the Tutte specialization: the loop graph's generating
@@ -35,8 +35,8 @@ LOOP_VALUE = Poly2({(1, 0): -1, (0, 1): -1, (1, 1): -1})
 class CKSComplex(HTComplex):
     """Lazily materialized trigraded complex over a coherent cotree.
 
-    Bases (p, q, r), index maps, stripes (k, ℓ) and the differential
-    come from HTComplex, generic over the third grading.
+    Stripes (k, ℓ) and the differential come from HTComplex, generic over
+    the third grading; its labelled bases serve only the tests' references.
     """
 
     # a name of its own, so that perfbench's tracer times the CKS
@@ -122,11 +122,10 @@ def euler_mismatch(table, coh):
 
 
 def h_hat(graph, cc=None):
-    """Generating polynomial (−1)^d Σ e(k,ℓ) x^{d−k} y^ℓ of the table."""
-    cks = graph if isinstance(graph, CKSComplex) else build_cks(graph, cc)
-    d = cks.genus
+    """Generating polynomial (−1)^d Σ e(k,ℓ) x^{d−k} y^ℓ of euler_table."""
+    d = graph.genus if isinstance(graph, HTComplex) else graph.genus()
     sign = -1 if d % 2 else 1
-    table = euler_table(cks)
+    table = euler_table(graph, cc)
     return Poly2({(d - k, ell): sign * v for (k, ell), v in table.items() if v})
 
 
@@ -151,7 +150,8 @@ class DelConCKS:
     with the edge ordered last and induced cotrees on both sides, the
     middle basis splits literally: triples with e ∈ S come from the
     deleted graph (degree shift +2, stripe shift (k,ℓ) -> (k+1,ℓ)) and
-    triples with e ∉ S project to the contracted graph.
+    triples with e ∉ S project to the contracted graph.  split reads it off
+    the faces; labelled bases serve only the tests' references.
     """
 
     def __init__(self, setup):
@@ -162,22 +162,19 @@ class DelConCKS:
         self.mid, self.sub, self.quo = (
             CKSComplex(cc.graph, CoherentCotree(cc.graph, cc.faces, cc.table))
             for cc in (setup.cc, setup.cc_del, setup.cc_con))
-        # (p, q, r) -> the positions split finds in the middle basis
-        self._positions = {}
 
     def include_matrix(self, p, q, r):
         """Inclusion (2p,q,r) of the deleted complex into (2p+2,q,r) of
-        the middle one: (S, w, a) ↦ (S ∪ e, w, a), as sparse columns
-        (map_matrix)."""
-        return map_matrix(self.sub.basis(p, q, r), self.mid.index(p + 1, q, r),
-                          lambda b: {(b[0] | {self.edge}, b[1], b[2]): 1})
+        the middle one: (S, w, a) ↦ (S ∪ e, w, a), as sparse columns: a 1
+        at each deleted position of split(p + 1, q, r)."""
+        return {j: {i: 1} for j, i in enumerate(self.split(p + 1, q, r)[1])}
 
     def project_matrix(self, p, q, r):
         """Projection of the middle (2p,q,r) onto the contracted complex:
         kill triples whose face contains e.  Sparse columns, an empty one
-        for each killed triple (map_matrix)."""
-        return map_matrix(self.mid.basis(p, q, r), self.quo.index(p, q, r),
-                          lambda b: {} if self.edge in b[0] else {b: 1})
+        for each killed triple, a 1 at each contracted position of split."""
+        con = {j: {i: 1} for i, j in enumerate(self.split(p, q, r)[0])}
+        return {j: con.get(j, {}) for j in range(self.mid.dim(p, q, r))}
 
     def check_exact(self, p, q, r):
         """Degreewise exactness 0 → sub → mid → quo → 0 at (2p, q, r): the
@@ -185,7 +182,7 @@ class DelConCKS:
         projection full row rank (intlinalg.rank), and the composite is
         zero, tested exactly from the nonzero entries of both maps
         (intlinalg.is_zero_product).  All three read the sparse columns of
-        the two maps; no dense row is formed."""
+        the two maps, from split; no basis or dense row is formed."""
         inc = self.include_matrix(p - 1, q, r)
         prj = self.project_matrix(p, q, r)
         dim_mid = self.mid.dim(p, q, r)
@@ -202,24 +199,29 @@ class DelConCKS:
         return True
 
     def split(self, p, q, r):
-        """Positions in the middle basis (2p, q, r) of the triples with e ∉ S
-        and e ∈ S; None unless they are the contracted (2p, q, r) and deleted
-        (2p−2, q, r) bases in order, the latter moved by S ↦ S ∪ e.  The
-        positions are found once per piece; the bases are compared on
-        every call."""
-        mid = self.mid.basis(p, q, r)
-        key = (p, q, r)
-        if key not in self._positions:
-            sides = [], []
-            for i, b in enumerate(mid):
-                sides[self.edge in b[0]].append(i)
-            self._positions[key] = sides
-        con, dl = self._positions[key]
-        if ([mid[i] for i in con] != self.quo.basis(p, q, r)
-                or [(mid[i][0] - {self.edge}, *mid[i][1:]) for i in dl]
-                != self.sub.basis(p - 1, q, r)):
-            return None
-        return con, dl
+        """Positions in the middle (2p, q, r) of the contracted (2p, q, r)
+        and deleted (2p−2, q, r) triples, each side in its own order.  The
+        triples of a face S are the wedges of its cotree, so they fill the
+        block of its partner S (or S ∪ e) in the middle, where _assemble
+        writes d, if the partner has the same cotree; else OutsideBasis.
+        No labelled basis is read."""
+        mid, n = self.mid, self.mid.dim(p, q, r)
+        if not n:
+            return [], []
+        width = n // len(mid.faces.levels[p])
+
+        def blocks(side, level, added):
+            out = []
+            for s in level:
+                t = s | added
+                i = mid.faces.position.get(t)
+                if i is None or side._cotree(s) != mid._cotree(t):
+                    raise OutsideBasis(s, t)
+                out.extend(range(i * width, i * width + width))
+            return out
+
+        return (blocks(self.quo, self.quo.faces.levels[p], frozenset()),
+                blocks(self.sub, self.sub.faces.levels[p - 1] if p else (), {self.edge}))
 
     def check_chain_maps(self, p, q, r):
         """Both squares with the differentials commute at the middle
@@ -228,8 +230,6 @@ class DelConCKS:
         target is empty, all three differentials are empty and none is
         built."""
         src, tgt = self.split(p, q, r), self.split(p + 1, q - 1, r)
-        if src is None or tgt is None:
-            return False
         if not self.mid.dim(p, q, r) or not self.mid.dim(p + 1, q - 1, r):
             return True
         d = self.mid.d_matrix(p, q, r)

@@ -2,8 +2,7 @@
 
 Matrices are sparse columns {j: {i: entry}} over the nonzero entries, or
 dense rows, plain lists of lists of Python ints.  map_matrix writes the
-columns of a map given on labelled bases (the inclusions and
-projections of deletion-contraction, f, g and h), and
+columns of a map given on labelled bases (f, g and h only), and
 ht.HTComplex.d_columns writes the HT and CKS differentials; rank,
 is_zero_product, the d² check and cohomology read columns as they are.
 Dense rows are made from columns in one place (dense), only for the

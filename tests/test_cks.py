@@ -154,6 +154,15 @@ def test_k4_specialization():
     assert h_hat(k4) == tutte_loop_specialization(tutte(k4))
 
 
+def test_h_hat_builds_no_coherent_cotree(monkeypatch):
+    k4 = corpus.k4_graph()
+    spec = tutte_loop_specialization(tutte(k4))
+    for module in (cks_mod, ht):
+        monkeypatch.setattr(module, "coherent_cotree",
+                            lambda *_: pytest.fail("built a coherent cotree"))
+    assert h_hat(k4) == spec
+
+
 def test_delcon_exactness_theta():
     dc = DelConCKS(DelConR(face_complex(THETA), 0))
     for p in range(3):
@@ -385,21 +394,135 @@ def test_chain_maps_and_the_oracle_detect_the_same_perturbations():
     assert cases and 0 < detected < cases
 
 
-def test_chain_maps_reject_a_broken_basis_split():
-    dc = DelConCKS(DelConR(face_complex(THETA), 0))
-    assert dc.check_chain_maps(1, 1, 0)
-    dc.quo.basis(1, 1, 0).reverse()
-    assert not dc.check_chain_maps(1, 1, 0)
+def labelled_include(dc, p, q, r):
+    """Reference for DelConCKS.include_matrix: (S, w, a) ↦ (S ∪ e, w, a)
+    over the labelled bases (map_matrix)."""
+    return map_matrix(dc.sub.basis(p, q, r), dc.mid.index(p + 1, q, r),
+                      lambda b: {(b[0] | {dc.edge}, b[1], b[2]): 1})
 
 
-def test_chain_maps_reject_a_broken_basis_split_where_d_has_no_target():
-    # at q = 0 the target (p + 1, −1, r) is empty and no d is built, but
-    # the split is still checked
+def labelled_project(dc, p, q, r):
+    """Reference for DelConCKS.project_matrix: kill the middle triples
+    whose face contains e, over the labelled bases (map_matrix)."""
+    return map_matrix(dc.mid.basis(p, q, r), dc.quo.index(p, q, r),
+                      lambda b: {} if dc.edge in b[0] else {b: 1})
+
+
+def labelled_split(dc, p, q, r):
+    """Reference for DelConCKS.split: a scan of the middle triples, None
+    unless the two sides are the contracted and deleted bases in order."""
+    mid = dc.mid.basis(p, q, r)
+    sides = [], []
+    for i, b in enumerate(mid):
+        sides[dc.edge in b[0]].append(i)
+    con, dl = sides
+    if ([mid[i] for i in con] != dc.quo.basis(p, q, r)
+            or [(mid[i][0] - {dc.edge}, *mid[i][1:]) for i in dl]
+            != dc.sub.basis(p - 1, q, r)):
+        return None
+    return con, dl
+
+
+def test_the_face_split_agrees_with_the_labelled_bases():
+    # every piece check_exact and check_chain_maps read, over each graph in
+    # its edge order and in reverse
+    graphs = [g for _, g in corpus.corpus_graphs(bound=4)] + [THETA6, W4]
+    seen = 0
+    for g in graphs:
+        for order in (g.order, g.order[::-1]):
+            ctx = GraphContext(Graph(g.vertices, g.head, g.tail, list(order)))
+            for e in ctx.admissible_edges():
+                dc = DelConCKS(ctx.delcon(e))
+                for p, q, r in pieces(dc):
+                    for key in ((p, q, r), (p + 1, q - 1, r)):
+                        assert dc.split(*key) == labelled_split(dc, *key), (g, e, key)
+                    assert (dc.include_matrix(p - 1, q, r)
+                            == labelled_include(dc, p - 1, q, r)), (g, e, p, q, r)
+                    assert (dc.project_matrix(p, q, r)
+                            == labelled_project(dc, p, q, r)), (g, e, p, q, r)
+                    seen += 1
+    assert seen
+
+
+@pytest.mark.parametrize("g", [THETA6, W4], ids=["theta6", "w4"])
+def test_delcon_cks_builds_no_basis(monkeypatch, g):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(HTComplex, "basis", counted("basis", HTComplex.basis))
+    monkeypatch.setattr(HTComplex, "index", counted("index", HTComplex.index))
+    report = run_checks(g, ["delcon_cks"])
+    assert report["delcon_cks"]["passed"], report
+    assert calls == {}
+
+
+def with_side(dc, side, levels=None, table=None):
+    """dc with a fresh contracted or deleted complex over other face levels
+    or another cotree table; the middle keeps its own."""
+    c = getattr(dc, side)
+    faces = FaceComplex(c.graph, levels) if levels is not None else c.faces
+    setattr(dc, side, CKSComplex(c.graph, CoherentCotree(
+        c.graph, faces, table if table is not None else c.cc.table)))
+    return dc
+
+
+def with_other_cotree(dc, side, level):
+    """dc whose contracted or deleted side gives its first face of `level`
+    the complement of its cotree in the edges outside the face, which
+    the middle's cotree at the partner face differs from."""
+    c = getattr(dc, side)
+    s = c.faces.levels[level][0]
+    other = c.graph.eids - s - c.cc.C(s)
+    assert other != c.cc.C(s)
+    return with_side(dc, side, table={**c.cc.table, s: other})
+
+
+# (side, its level with the changed face, middle source piece)
+COTREE_FAULTS = {"contracted": ("quo", 1, (1, 1, 0)), "deleted": ("sub", 0, (1, 1, 0))}
+
+
+@pytest.mark.parametrize("side", list(COTREE_FAULTS))
+def test_chain_maps_reject_a_cotree_the_middle_does_not_share(side):
+    attr, level, key = COTREE_FAULTS[side]
     dc = DelConCKS(DelConR(face_complex(THETA), 0))
-    assert dc.quo.dim(0, 0, 1) == 2 and not dc.mid.dim(1, -1, 1)
-    assert dc.check_chain_maps(0, 0, 1)
-    dc.quo.basis(0, 0, 1).reverse()
-    assert not dc.check_chain_maps(0, 0, 1)
+    assert dc.check_chain_maps(*key)
+    with_other_cotree(dc, attr, level)
+    with pytest.raises(OutsideBasis):
+        dc.check_chain_maps(*key)
+
+
+# at q = 0 the target (p + 1, −1, r) is empty and no d is built, but the
+# split of the source is still read; the deleted side has no face at p = 0
+EMPTY_TARGET_FAULTS = {"contracted": ("quo", 0, (0, 0, 1)), "deleted": ("sub", 0, (1, 0, 1))}
+
+
+@pytest.mark.parametrize("side", list(EMPTY_TARGET_FAULTS))
+def test_chain_maps_reject_a_cotree_the_middle_does_not_share_where_d_has_no_target(side):
+    attr, level, key = EMPTY_TARGET_FAULTS[side]
+    dc = DelConCKS(DelConR(face_complex(THETA), 0))
+    p, q, r = key
+    assert dc.mid.dim(*key) and not dc.mid.dim(p + 1, q - 1, r)
+    assert dc.check_chain_maps(*key)
+    with_other_cotree(dc, attr, level)
+    with pytest.raises(OutsideBasis):
+        dc.check_chain_maps(*key)
+
+
+@pytest.mark.parametrize("side", ["quo", "sub"], ids=["contracted", "deleted"])
+def test_check_exact_rejects_a_side_that_lacks_a_face(side):
+    dc = DelConCKS(DelConR(face_complex(W4), W4.order[0]))
+    p, q, r = key = exact_piece(dc)
+    assert dc.check_exact(*key)
+    level = p if side == "quo" else p - 1
+    levels = [list(faces) for faces in getattr(dc, side).faces.levels]
+    del levels[level][0]
+    with_side(dc, side, levels=levels)
+    assert not dc.check_exact(*key)
 
 
 def test_delcon_cks_builds_each_differential_once(monkeypatch):
