@@ -54,7 +54,6 @@ from .intlinalg import (
     CochainComplex,
     SmithForm,
     smith_normal_form,
-    verify_direct_sum,
 )
 from .periodize import (
     PeriodizedGraph,
@@ -117,6 +116,5 @@ __all__ = [
     "tutte",
     "tutte_by_activity",
     "tutte_loop_specialization",
-    "verify_direct_sum",
     "wedge",
 ]

@@ -84,11 +84,17 @@ def euler_table(graph, cc=None):
     """e(k, ℓ) = alternating sum over p of the stripe dimensions, read
     from the face counts of a graph, of its coherent cotree cc or of a
     complex (see _counts_table)."""
+    return _faces_and_table(graph, cc)[1]
+
+
+def _faces_and_table(graph, cc):
+    """The face complex of a graph, of its coherent cotree cc or of a
+    complex, and its Euler table."""
     if isinstance(graph, HTComplex):
         faces = graph.faces
     else:
         faces = cc.faces if cc is not None else face_complex(graph)
-    return _counts_table([len(level) for level in faces.levels], faces.genus)
+    return faces, _counts_table([len(level) for level in faces.levels], faces.genus)
 
 
 def _counts_table(counts, genus):
@@ -123,9 +129,9 @@ def euler_mismatch(table, coh):
 
 def h_hat(graph, cc=None):
     """Generating polynomial (−1)^d Σ e(k,ℓ) x^{d−k} y^ℓ of euler_table."""
-    d = graph.genus if isinstance(graph, HTComplex) else graph.genus()
+    faces, table = _faces_and_table(graph, cc)
+    d = faces.genus
     sign = -1 if d % 2 else 1
-    table = euler_table(graph, cc)
     return Poly2({(d - k, ell): sign * v for (k, ell), v in table.items() if v})
 
 

@@ -214,7 +214,7 @@ def cmd_periodize(args):
         raise ParseError("--level must be >= 0")
     max_edges = checks_mod.PERIODIZE_EDGE_LIMIT
     if n > PERIODIZE_MAX_LEVEL or g.n_edges > max_edges:
-        raise ParseError(
+        raise ResourceGuard(
             f"periodization is capped at level {PERIODIZE_MAX_LEVEL} "
             f"and {max_edges} base edges")
     ctx = checks_mod.GraphContext(g)

@@ -6,15 +6,15 @@ columns of a map given on labelled bases (f, g and h only), and
 ht.HTComplex.d_columns writes the HT and CKS differentials; rank,
 is_zero_product, the d² check and cohomology read columns as they are.
 Dense rows are made from columns in one place (dense), only for the
-readers that read rows: the f, g and h that `ht --matrices` prints, the
-splitting certificate, and the d_matrix blocks that
+readers that read rows: the f, g and h that `ht --matrices` prints, and
+the d_matrix rows that checks.check_splitting factors and whose blocks
 DelConCKS.check_chain_maps compares.  matmul serves SmithForm.verify and
 the dense oracles of the tests.
 Everything here is exact and stays in the integers, with no fractions:
-Smith normal form with unimodular transforms, ranks over Q, cochain-complex
-cohomology (free rank + torsion invariant factors), and direct-sum
-splitting certificates for sublattices of Z^n.
-Ranks, cohomology and the certificates factor each matrix once with a
+Smith normal form with unimodular transforms, ranks over Q, invariant
+factors, and cochain-complex cohomology (free rank + torsion invariant
+factors).
+Ranks, invariant factors and cohomology factor each matrix once with a
 sparse unit-pivot elimination that hands only its residual core to the
 dense Smith normal form.  Cohomology factors a complex in increasing
 degree and clears as it goes: a column of d_{n+1} at a pivot row of d_n
@@ -30,10 +30,6 @@ from .errors import NotAComplex, OutsideBasis
 
 # ---------------------------------------------------------------------------
 # basic matrix helpers
-
-def zeros(rows, cols):
-    return [[0] * cols for _ in range(rows)]
-
 
 def map_matrix(src, tgt_index, image):
     """Sparse columns {j: {i: c}} of a linear map between labelled bases.
@@ -58,7 +54,7 @@ def map_matrix(src, tgt_index, image):
 def dense(columns, rows, cols):
     """Sparse columns {j: {i: x}} as dense rows of shape rows × cols, for
     the readers that read rows."""
-    m = zeros(rows, cols)
+    m = [[0] * cols for _ in range(rows)]
     for j, col in columns.items():
         for i, x in col.items():
             m[i][j] = x
@@ -451,20 +447,3 @@ class CochainComplex:
             out[n] = (self.dim(n) - rank_out - rank_in, torsion)
         return out
 
-
-def verify_direct_sum(ambient_rank, image_generators, complement_basis):
-    """Certify Z^ambient = (column span of image_generators) + complement.
-
-    Both arguments are matrices with ambient_rank rows (a row may be
-    empty when there are no columns).  True iff the concatenated columns
-    span Z^ambient, all invariant factors are 1, and the two ranks add up
-    to the ambient rank (trivial intersection, index one).
-    """
-    if len(image_generators) != ambient_rank or len(complement_basis) != ambient_rank:
-        raise ValueError("both matrices need one row per ambient coordinate")
-    stacked = [a + b for a, b in zip(image_generators, complement_basis)]
-    if _rank_and_torsion(stacked) != (ambient_rank, []):
-        return False
-    ra = _rank_and_torsion(image_generators)[0]
-    rb = _rank_and_torsion(complement_basis)[0]
-    return ra + rb == ambient_rank

@@ -416,10 +416,10 @@ def test_periodize_reports_a_face_check_not_run_as_null(capsys):
 def test_periodize_caps(capsys):
     code, _, _ = run_cli(
         ["periodize", "--inline", THETA_INLINE, "--level", "3"], capsys)
-    assert code == 2
+    assert code == 3
     code, _, _ = run_cli(
         ["periodize", "--inline", "v0-v1 v0-v1 v0-v1 v0-v2 v1-v2"], capsys)
-    assert code == 2
+    assert code == 3
 
 
 def test_corpus_small_bound(capsys):

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import random
 import sys
 
 import pytest
@@ -14,6 +15,7 @@ from ckskit.checks import (
     check_ht_exactness,
     check_ht_identities,
     check_j_basis,
+    check_splitting,
     run_checks,
 )
 from ckskit.errors import (
@@ -42,6 +44,8 @@ from ckskit.ht import (
 )
 from ckskit.intlinalg import identity, is_zero_matrix, map_matrix, matmul
 from ckskit.periodize import delcon_r_periodized
+from test_cks import K5, W5, in_both_orders
+from test_intlinalg import stacked_direct_sum
 
 THETA = corpus.theta_graph()
 # the wheel with hub 0 and rim 1-2-3-4, genus 4
@@ -452,6 +456,69 @@ def test_j_basis_reports_a_rank_deficient_grade():
         original = ctx.cc.pair
         ctx.cc.pair = lambda s, x, e: original(s, x, e) if s else 0
         assert check_j_basis(ctx) == (False, {"grade": 1, "reason": "rank deficient"})
+
+
+def splitting_by_the_stack(ctx):
+    """check_splitting by the stacked certificate (stacked_direct_sum) of
+    d_matrix's rows beside the unit columns of B_k (FGH.g_matrix)."""
+    for k in range(ctx.ht.genus + 1):
+        if not stacked_direct_sum(ctx.ht.dim(k, 0), ctx.ht.d_matrix(k - 1, 1),
+                                  ctx.fgh.g_matrix(k)[0]):
+            return False, {"grade": k}
+    return True, None
+
+
+SPLITTING_FAULTS = ("entry + 1", "entry + 2", "doubled column", "zeroed row")
+
+
+def splitting_faults(ctx, k, rng):
+    """(kind, rows) for each fault of d into grade k that fits there, at
+    seeded places: an entry raised by 1 or by 2, a column doubled, a row
+    of a face outside B_k zeroed."""
+    d = ctx.ht.d_matrix(k - 1, 1)
+    width = len(d[0])
+    if width:
+        for c in (1, 2):
+            rows = [row[:] for row in d]
+            rows[rng.randrange(len(d))][rng.randrange(width)] += c
+            yield f"entry + {c}", rows
+        j = rng.randrange(width)
+        yield "doubled column", [row[:j] + [2 * row[j]] + row[j + 1:] for row in d]
+    bset = set(ctx.cc.basis())
+    outside = [i for i, s in enumerate(ctx.faces.levels[k]) if s not in bset]
+    if outside:
+        i = rng.choice(outside)
+        yield "zeroed row", [[0] * width if n == i else row for n, row in enumerate(d)]
+
+
+@pytest.mark.parametrize("graphs", [
+    [g for _, g in corpus.corpus_graphs(bound=5)], [W5], [K5],
+], ids=["corpus5", "w5", "k5"])
+def test_splitting_agrees_with_the_stacked_certificate(graphs):
+    # the rows of d outside B_k map onto Z^(F_k ∖ B_k), and d has no larger
+    # rank: both conditions must decide as the stack does, on d as built
+    # and on d with one fault in one grade
+    rng = random.Random(1)
+    failing = collections.Counter()
+    for g in in_both_orders(graphs):
+        ctx = GraphContext(g)
+        htc = ctx.ht
+        assert check_splitting(ctx) == splitting_by_the_stack(ctx) == (True, None), g.order
+        for k in range(htc.genus + 1):
+            for kind, rows in splitting_faults(ctx, k, rng):
+                htc.d_matrix = lambda p, q, rows=rows, k=k: (
+                    rows if p == k - 1 else HTComplex.d_matrix(htc, p, q))
+                got, want = check_splitting(ctx), splitting_by_the_stack(ctx)
+                del htc.d_matrix
+                assert got == want, (g.order, k, kind)
+                assert got in ((True, None), (False, {"grade": k}))
+                failing[kind] += not got[0]
+    assert all(failing[kind] for kind in SPLITTING_FAULTS), failing
+
+
+def test_splitting_and_j_basis_build_no_homotopy(monkeypatch):
+    monkeypatch.setattr(FGH, "__init__", lambda *_: pytest.fail("built FGH"))
+    assert all(r["passed"] for r in run_checks(W4, ["splitting", "j_basis"]).values())
 
 
 def test_ht_checks_see_a_leaky_iota_only_through_h():

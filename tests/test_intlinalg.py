@@ -1,4 +1,5 @@
-"""Exact linear algebra: Smith normal form, cohomology, splitting certificates."""
+"""Exact linear algebra: Smith normal form, cohomology, and the stacked
+splitting certificate, the oracle of checks.check_splitting."""
 
 import itertools
 import random
@@ -27,7 +28,6 @@ from ckskit.intlinalg import (
     matmul,
     rank,
     smith_normal_form,
-    verify_direct_sum,
 )
 
 
@@ -222,20 +222,37 @@ def test_cohomology_invariant_under_basis_permutation():
     assert cx.cohomology() == cx2.cohomology()
 
 
+def stacked_direct_sum(ambient_rank, image_generators, complement_basis):
+    """Oracle for checks.check_splitting: Z^ambient = (column span of
+    image_generators) ⊕ (column span of complement_basis), certified on
+    the stacked columns.  Both are dense rows, one per ambient coordinate
+    (a row may be empty when there are no columns).  True iff the stack
+    spans Z^ambient with every invariant factor 1 and the two ranks add
+    up to the ambient rank (trivial intersection, index one)."""
+    if len(image_generators) != ambient_rank or len(complement_basis) != ambient_rank:
+        raise ValueError("both matrices need one row per ambient coordinate")
+    stacked = [a + b for a, b in zip(image_generators, complement_basis)]
+    if _rank_and_torsion(stacked) != (ambient_rank, []):
+        return False
+    ra = _rank_and_torsion(image_generators)[0]
+    rb = _rank_and_torsion(complement_basis)[0]
+    return ra + rb == ambient_rank
+
+
 def test_direct_sum_unimodular_pair():
-    assert verify_direct_sum(2, [[1], [1]], [[0], [1]])
+    assert stacked_direct_sum(2, [[1], [1]], [[0], [1]])
 
 
 def test_direct_sum_index_two_fails():
-    assert not verify_direct_sum(2, [[2], [0]], [[0], [1]])
+    assert not stacked_direct_sum(2, [[2], [0]], [[0], [1]])
 
 
 def test_direct_sum_edge_cases():
-    assert verify_direct_sum(0, [], [])
-    assert not verify_direct_sum(2, [[], []], [[], []])
-    assert verify_direct_sum(2, [[], []], [[1, 0], [0, 1]])
+    assert stacked_direct_sum(0, [], [])
+    assert not stacked_direct_sum(2, [[], []], [[], []])
+    assert stacked_direct_sum(2, [[], []], [[1, 0], [0, 1]])
     with pytest.raises(ValueError):
-        verify_direct_sum(2, [[1]], [[0], [1]])
+        stacked_direct_sum(2, [[1]], [[0], [1]])
 
 
 def test_map_matrix_places_images_by_label():

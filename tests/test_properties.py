@@ -22,7 +22,6 @@ from ckskit.intlinalg import (
     identity,
     map_matrix,
     matmul,
-    zeros,
 )
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -152,7 +151,7 @@ def known_complexes(draw):
     columns = {}
     for n in range(top):
         if dims[n] and dims[n + 1]:
-            d = zeros(dims[n + 1], dims[n])
+            d = dense({}, dims[n + 1], dims[n])
             for m, i, j, k in entries:
                 if m == n:
                     d[i][j] = k
