@@ -19,10 +19,11 @@ the cycle basis of Γ∖S.  The restriction of x0 follows from them by the
 exchange identity, −a_x0 Σ_y a_y [y] over C(S ∪ e).  Templates of wedge
 positions, shared by all complexes, extend these to n-wedges: the
 interior product is a derivation followed by the projection that kills
-x0, and the restriction is an exterior power.  A block depends on its
-record only through the place of x0 and the a_x, so each assembly builds
-one block per distinct record of the piece and shifts it into place for
-every face S and edge e that has it.  HTComplex.iota and
+x0, and the restriction is an exterior power.  Each factor depends on its
+record only through the place of x0 and the a_x, so it is read off the
+templates once per wedge size and distinct record, and cached for the
+process like the templates; assembly writes the product of the two
+factors straight into the columns.  HTComplex.iota and
 CoherentCotree.restrict give the same maps wedge by wedge, for
 d_element, the reference (and iota for the homotopy FGH.h_element).  The
 HT complex keeps each piece's columns once assembled, and its stripes,
@@ -188,17 +189,19 @@ class HTComplex:
         Filled one face block at a time: the block from the elements on S
         to those on S ∪ e is the Kronecker product of the interior product
         by e on the q-wedges of C(S) with the restriction to C(S ∪ e) on
-        its r-wedges.  Both operators are read off the edge record of
-        (S, e) (_edges) through templates of wedge positions
-        (_face_block), so no operator is kept: the restriction sends x0 to
-        −a_x0 Σ_y a_y [y] (the exchange identity) and keeps every other
-        edge.  A block depends only on the piece and the record's x0_pos
-        and iota, so each distinct block is built once per call and
-        shifted into place for every record that has it; none outlives
-        the call.  Every face of a level has a block of the same size, so
-        face S's first column is position[S] · dim(p, q, *r)/f_p and face
-        T's first row is position[T] · dim(p + 1, q − 1, *r)/f_{p+1}.
-        d_element gives the same columns element by element."""
+        its r-wedges.  Both factors are read off the edge record of (S, e)
+        (_edges) through templates of wedge positions: the restriction
+        sends x0 to −a_x0 Σ_y a_y [y] (the exchange identity) and keeps
+        every other edge.  A factor depends only on the wedge sizes and
+        the record's x0_pos and iota, so it is cached for the process
+        (_iota_factor, _restrict_factor), and the product is written
+        straight into the columns: the entry c·c2 of source wedges w and
+        ja goes to column w · C(m, r) + ja of the block and row
+        x · C(m − 1, r) + y, for every term (x, c) of w and (y, c2) of ja.
+        Every face of a level has a block of the same size, so face S's
+        first column is position[S] · dim(p, q, *r)/f_p and face T's first
+        row is position[T] · dim(p + 1, q − 1, *r)/f_{p+1}.  d_element
+        gives the same columns element by element."""
         n_src, n_tgt = self.dim(p, q, *r), self.dim(p + 1, q - 1, *r)
         columns = {}
         if not (n_src and n_tgt):
@@ -208,18 +211,18 @@ class HTComplex:
         height = n_tgt // len(self.faces.levels[p + 1])
         position = self.faces.position
         m, n = self.genus - p, (r[0] if r else 0)
-        # (x0_pos, iota) -> its block, for this call only
-        blocks = {}
+        na, size = math.comb(m, n), math.comb(m - 1, n)
         for s in level:
             j = position[s] * width
             for edge in self._edges(s):
-                key = (edge.x0_pos, tuple(edge.iota))
-                block = blocks.get(key)
-                if block is None:
-                    block = blocks[key] = _face_block(m, q, n, *key)
                 i = edge.t_pos * height
-                for dc, di, x in block:
-                    columns.setdefault(j + dc, {})[i + di] = x
+                restriction = _restrict_factor(m, n, edge.x0_pos, edge.iota)
+                for w, terms in _iota_factor(m, q, edge.x0_pos, edge.iota):
+                    for ja, row in restriction:
+                        column = columns.setdefault(j + w * na + ja, {})
+                        for x, c in terms:
+                            for y, c2 in row:
+                                column[i + x * size + y] = c * c2
         return columns
 
     def d_matrix(self, p, q, *r):
@@ -244,7 +247,7 @@ class HTComplex:
                 t = s | {e}
                 if t in position:
                     records.append(_Edge(e, position[t], xs.index(self.cc.lost(s, e)),
-                                         [self.cc.pair(s, x, e) for x in xs]))
+                                         tuple(self.cc.pair(s, x, e) for x in xs)))
             self._records[s] = records
         return records
 
@@ -283,41 +286,11 @@ class _Edge(collections.namedtuple("_Edge", "e t_pos x0_pos iota")):
     interior product on n-wedges reads a by position, and so does the
     restriction, which a fixes too: x0 goes to −a_x0 Σ_y a_y [y] over
     C(S ∪ e) (the exchange identity; a_x0 = ±1).  So x0_pos and iota fix
-    the record's block in every piece, and records that share them share
-    one block per assembly; e and t_pos only say where it goes."""
+    both factors of the record's block in every piece, and records that
+    share them share the cached factors (_iota_factor, _restrict_factor);
+    e and t_pos only say where the block goes."""
 
     __slots__ = ()
-
-
-def _face_block(m, q, n, x0, a):
-    """The block of d from the elements on a face S to those on S ∪ e, for
-    a cotree C(S) of m edges, q-wedges w and n-wedges of cocycles, from an
-    edge record's x0_pos (x0) and iota values (a): the Kronecker product
-    of the interior product by e with the restriction, by position.  A flat
-    tuple of (column offset, row offset, entry) triples over the nonzero
-    entries, in the order HTComplex._assemble fills the columns; the offsets
-    count from the block's first column and first row."""
-    # the restriction maps the na n-wedges of C(S) to the size n-wedges of
-    # C(S ∪ e); HT has no third grading, and at n = 0 the restriction is
-    # the 1×1 identity
-    na, size = math.comb(m, n), math.comb(m - 1, n)
-    aop = [(0, [(0, 1)])]
-    if n:
-        # b_y = −a_x0 a_y (the exchange identity), and at x0's place the
-        # unit that keeps every other edge
-        b = [-a[x0] * c for c in a]
-        b[x0] = 1
-        aop = [(ja, arow) for ja, arow in enumerate(
-            [(y, sign * b[k]) for y, sign, k in row if b[k]]
-            for row in _restrict_template(m, x0, n)) if arow]
-    out = []
-    # one source q-wedge of C(S) per template row, na columns apart
-    for col, row in zip(itertools.count(0, na), _iota_template(m, x0, q)):
-        bases = [(x * size, sign * a[k]) for x, sign, k in row if a[k]]
-        if bases:
-            out += [(col + ja, base + y, c * c2)
-                    for ja, arow in aop for base, c in bases for y, c2 in arow]
-    return tuple(out)
 
 
 def _wedge_index(m, n):
@@ -331,8 +304,9 @@ def _drop(w, j):
     return tuple(x - (x > j) for x in w)
 
 
-# The templates are cached for the process: there is one per (m, j, n)
-# with j < m ≤ genus, and each is a tuple of tuples that no caller changes.
+# The templates and factors are cached for the process, each a tuple of
+# tuples no caller changes: one template per (m, j, n), j < m ≤ genus, and
+# one factor per wedge size and distinct (x0_pos, iota) of an edge record.
 
 @functools.cache
 def _iota_template(m, j, n):
@@ -376,6 +350,32 @@ def _restrict_template(m, j, n):
                             -1 if (t + u) % 2 else 1, y))
         out.append(tuple(row))
     return tuple(out)
+
+
+@functools.cache
+def _iota_factor(m, q, x0, a):
+    """The interior product by e on the q-wedges of a cotree C(S) of m
+    edges, from an edge record's x0_pos (x0) and iota values (a), by
+    position: _iota_template with the values read in (_read_values)."""
+    return _read_values(_iota_template(m, x0, q), a)
+
+
+@functools.cache
+def _restrict_factor(m, n, x0, a):
+    """The restriction to C(S ∪ e) on the n-wedges of a cotree C(S) of m
+    edges, likewise: _restrict_template with b_y = −a_x0 a_y read in (the
+    exchange identity), and b_x0 = 1, the unit that keeps every other edge.
+    At n = 0, HT's only weight, it is the 1×1 identity."""
+    b = [-a[x0] * c for c in a]
+    b[x0] = 1
+    return _read_values(_restrict_template(m, x0, n), b)
+
+
+def _read_values(template, v):
+    """(source place, ((target place, sign · v[k]), ...)) for each source
+    wedge of a template whose terms are not all zero, in basis order."""
+    rows = (tuple((t, sign * v[k]) for t, sign, k in row if v[k]) for row in template)
+    return tuple((w, terms) for w, terms in enumerate(rows) if terms)
 
 
 def piece_size(faces, edges, ns):

@@ -742,33 +742,72 @@ def test_a_block_is_keyed_by_every_value_of_its_record():
                     (x, key)
 
 
+FACTORS = (ht._iota_factor, ht._restrict_factor)
+
+
+def clear_factors():
+    for factor in FACTORS:
+        factor.cache_clear()
+
+
 @pytest.mark.parametrize("g", [THETA6, W4], ids=["theta6", "w4"])
-def test_each_distinct_block_is_built_once_per_assembly(monkeypatch, g):
-    # one block per distinct (x0_pos, iota) of the level's records; none
-    # outlives its call, so assembling the piece again builds new ones
-    builds = []
-    original = ht._face_block
-
-    def counting(*args):
-        block = original(*args)
-        builds.append((args[3:], block))
-        return block
-
-    monkeypatch.setattr(ht, "_face_block", counting)
+def test_each_factor_is_built_once_per_distinct_record(g):
+    # each cache misses once per distinct (x0_pos, iota) of the level's
+    # records and is hit by every other record; the factors outlive the
+    # call, so assembling the piece again builds none
     cks = build_cks(g)
     for c in (HTComplex(g, cks.cc), cks):
         for p, q, *r in d_pieces(c):
-            expected = (record_keys(c, p) if c.dim(p, q, *r) and c.dim(p + 1, q - 1, *r)
-                        else set())
-            runs = []
-            for _ in range(2):
-                builds.clear()
+            records = distinct = 0
+            if c.dim(p, q, *r) and c.dim(p + 1, q - 1, *r):
+                records = sum(len(c._edges(s)) for s in c.faces.levels[p])
+                distinct = len(record_keys(c, p))
+            clear_factors()
+            for run in (1, 2):
                 c._assemble(p, q, *r)
-                keys = [key for key, _ in builds]
-                assert len(keys) == len(expected) and set(keys) == expected, (p, q, r)
-                runs.append([block for _, block in builds])
-            # both runs' blocks are alive here, so equal ids are one object
-            assert not set(map(id, runs[0])) & set(map(id, runs[1])), (p, q, r)
+                assert [(f.cache_info().misses, f.cache_info().hits) for f in FACTORS] == \
+                    [(distinct, run * records - distinct)] * 2, (p, q, r, run)
+
+
+def coherent_cotrees(g):
+    """g's coherent cotree, and that of g's reverse edge order read in g's
+    order.  With the first, x0 is the last place in C(S) with a_x ≠ 0 on
+    every edge record of the bound-6 corpus, theta7 and K5, in both edge
+    orders; with the second it is not always, so only the two together
+    tell a factor key without x0_pos from one with it."""
+    reverse = Graph(g.vertices, g.head, g.tail, list(g.order[::-1]))
+    return [coherent_cotree(g),
+            CoherentCotree(g, face_complex(g), coherent_cotree(reverse).table)]
+
+
+def test_assembly_does_not_depend_on_what_the_factor_caches_hold():
+    # each graph's pieces with both caches cleared before it (checked by
+    # the record-by-record oracle), then with the caches filled by the
+    # graphs after it, then by every graph: a factor keyed by less than it
+    # reads would be handed to a record of another graph, cotree or piece
+    cases = [(g, cc) for g in in_both_orders(
+        [g for _, g in corpus.corpus_graphs(bound=4)] + [THETA6, W4])
+        for cc in coherent_cotrees(g)]
+
+    def assembled(g, cc, oracle=False):
+        out = []
+        for c in (HTComplex(g, cc), build_cks(g, cc)):
+            for key in d_pieces(c):
+                out.append(filled(c.d_columns(*key)))
+                if oracle:
+                    assert out[-1] == filled(assemble_by_records(c, *key)), (g.order, key)
+        return out
+
+    cleared = []
+    for case in cases:
+        clear_factors()
+        cleared.append(assembled(*case, oracle=True))
+    clear_factors()
+    for k in reversed(range(len(cases))):
+        assert assembled(*cases[k]) == cleared[k], cases[k][0].order
+    for case, expected in zip(cases, cleared):
+        assert assembled(*case) == expected, case[0].order
+    assert all(f.cache_info().hits for f in FACTORS)
 
 
 @pytest.mark.parametrize("graphs", [
@@ -1274,7 +1313,7 @@ def test_the_lost_edge_restricts_by_the_exchange_identity():
         htc = complexes.setdefault(cc, HTComplex(cc.graph, cc))
         (record,) = [r for r in htc._edges(s) if r.e == e]
         xs = cc.graph.sort_edges(cc.C(s))
-        assert record.iota == [cc.pair(s, x, e) for x in xs]
+        assert record.iota == tuple(cc.pair(s, x, e) for x in xs)
         a = dict(zip(xs, record.iota))
         x0 = cc.lost(s, e)
         assert a[x0] in (1, -1)
@@ -1297,7 +1336,7 @@ def test_edge_records_are_the_interior_products_of_the_1_wedges():
                 for record in htc._edges(s):
                     images = [htc.iota(s, record.e, (x,)) for x in xs]
                     assert all(set(image) <= {()} for image in images), (order, s)
-                    assert record.iota == [image.get((), 0) for image in images]
+                    assert record.iota == tuple(image.get((), 0) for image in images)
                     records += 1
     assert records == 6310
 
