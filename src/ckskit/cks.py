@@ -158,6 +158,16 @@ class DelConCKS:
     deleted graph (degree shift +2, stripe shift (k,ℓ) -> (k+1,ℓ)) and
     triples with e ∉ S project to the contracted graph.  split reads it off
     the faces; labelled bases serve only the tests' references.
+
+    The split is face-level.  On a face of size p all three complexes
+    have cotrees of g − p edges (Γ∖e has genus g − 1 and its faces one
+    edge fewer), so in the (2p, q, r) piece each face holds one block of
+    w = C(g − p, q)·C(g − p, r) triples, the same w on all three sides.
+    The inclusion and the projection at that piece are then F_p ⊗ I_w and
+    G_p ⊗ I_w, where F_p and G_p are the 0/1 maps of the faces, the maps
+    at (2p, 0, 0).  So each level's partner table (_partners) and
+    exactness verdict (check_exact) are found once and kept here, and
+    freed with the sequence.
     """
 
     def __init__(self, setup):
@@ -168,6 +178,9 @@ class DelConCKS:
         self.mid, self.sub, self.quo = (
             CKSComplex(cc.graph, CoherentCotree(cc.graph, cc.faces, cc.table))
             for cc in (setup.cc, setup.cc_del, setup.cc_con))
+        # level p -> its partner table (_partners) and its verdict (check_exact)
+        self._levels = {}
+        self._exact = {}
 
     def include_matrix(self, p, q, r):
         """Inclusion (2p,q,r) of the deleted complex into (2p+2,q,r) of
@@ -183,21 +196,35 @@ class DelConCKS:
         return {j: con.get(j, {}) for j in range(self.mid.dim(p, q, r))}
 
     def check_exact(self, p, q, r):
-        """Degreewise exactness 0 → sub → mid → quo → 0 at (2p, q, r): the
+        """Degreewise exactness 0 → sub → mid → quo → 0 at (2p, q, r).  An
+        empty middle piece is exact when both sides are empty.  At width
+        w > 0 the maps are F ⊗ I_w and G ⊗ I_w (see the class):
+        rank(F ⊗ I_w) = w·rank(F), (G·F) ⊗ I_w = 0 exactly when G·F = 0,
+        and the dimensions are w times the face counts, so the piece is
+        exact exactly when its faces, the piece (2p, 0, 0), are.  That
+        verdict is decided once per level (_faces_exact)."""
+        if not self.mid.dim(p, q, r):
+            return not self.sub.dim(p - 1, q, r) and not self.quo.dim(p, q, r)
+        if p not in self._exact:
+            self._exact[p] = self._faces_exact(p)
+        return self._exact[p]
+
+    def _faces_exact(self, p):
+        """Exactness at the faces of level p, the piece (2p, 0, 0): the
         dimensions add up, the inclusion has full column rank and the
         projection full row rank (intlinalg.rank), and the composite is
         zero, tested exactly from the nonzero entries of both maps
         (intlinalg.is_zero_product).  All three read the sparse columns of
         the two maps, from split; no basis or dense row is formed."""
-        inc = self.include_matrix(p - 1, q, r)
-        prj = self.project_matrix(p, q, r)
-        dim_mid = self.mid.dim(p, q, r)
-        dim_sub = self.sub.dim(p - 1, q, r)
-        dim_quo = self.quo.dim(p, q, r)
+        inc = self.include_matrix(p - 1, 0, 0)
+        prj = self.project_matrix(p, 0, 0)
+        dim_mid = self.mid.dim(p, 0, 0)
+        dim_sub = self.sub.dim(p - 1, 0, 0)
+        dim_quo = self.quo.dim(p, 0, 0)
         if dim_sub + dim_quo != dim_mid:
             return False
         r_inc = rank(inc) if dim_sub else 0
-        r_prj = rank(prj) if dim_mid and dim_quo else 0
+        r_prj = rank(prj) if dim_quo else 0
         if r_inc != dim_sub or r_prj != dim_quo:
             return False
         if dim_sub and dim_quo:
@@ -207,27 +234,39 @@ class DelConCKS:
     def split(self, p, q, r):
         """Positions in the middle (2p, q, r) of the contracted (2p, q, r)
         and deleted (2p−2, q, r) triples, each side in its own order.  The
-        triples of a face S are the wedges of its cotree, so they fill the
-        block of its partner S (or S ∪ e) in the middle, where _assemble
-        writes d, if the partner has the same cotree; else OutsideBasis.
+        triples of a face fill the block of width w of its partner in the
+        middle, where _assemble writes d, so the face-level table of
+        _partners, found once per level, is expanded by the piece's width.
         No labelled basis is read."""
-        mid, n = self.mid, self.mid.dim(p, q, r)
+        n = self.mid.dim(p, q, r)
         if not n:
             return [], []
-        width = n // len(mid.faces.levels[p])
+        if p not in self._levels:
+            self._levels[p] = self._partners(p)
+        width = n // len(self.mid.faces.levels[p])
+        return tuple([k for i in faces for k in range(i * width, i * width + width)]
+                     for faces in self._levels[p])
 
-        def blocks(side, level, added):
+    def _partners(self, p):
+        """The positions in the middle's level p of the partners of the
+        contracted faces of size p (S itself) and of the deleted faces of
+        size p − 1 (S ∪ e), each side in its own order.  A partner must be
+        a middle face with the same cotree, else OutsideBasis; then the
+        face's triples are the partner's."""
+        mid = self.mid
+
+        def partners(side, level, added):
             out = []
             for s in level:
                 t = s | added
                 i = mid.faces.position.get(t)
                 if i is None or side._cotree(s) != mid._cotree(t):
                     raise OutsideBasis(s, t)
-                out.extend(range(i * width, i * width + width))
+                out.append(i)
             return out
 
-        return (blocks(self.quo, self.quo.faces.levels[p], frozenset()),
-                blocks(self.sub, self.sub.faces.levels[p - 1] if p else (), {self.edge}))
+        return (partners(self.quo, self.quo.faces.levels[p], frozenset()),
+                partners(self.sub, self.sub.faces.levels[p - 1] if p else (), {self.edge}))
 
     def check_chain_maps(self, p, q, r):
         """Both squares with the differentials commute at the middle

@@ -75,16 +75,6 @@ class Graph:
     def __repr__(self):
         return f"Graph(|V|={self.n_vertices}, |E|={self.n_edges}, genus={self.genus()})"
 
-    def same_labeled(self, other):
-        """Equality as labeled graphs: same edges, order, and incidences
-        up to the identification of merged vertices."""
-        if self.order != other.order:
-            return False
-        return all(
-            self.head[e] == other.head[e] and self.tail[e] == other.tail[e]
-            for e in self.order
-        )
-
     # -- deletion / contraction ------------------------------------------
 
     def delete(self, edges):
@@ -410,17 +400,6 @@ def spanning_cotrees(graph):
 
 # ---------------------------------------------------------------------------
 # homology coordinates
-
-def boundary_matrix(graph):
-    """Vertex-by-edge incidence matrix: edge e contributes +1 at its head
-    and -1 at its tail (loops give zero columns)."""
-    vidx = {v: i for i, v in enumerate(graph.vertices)}
-    m = [[0] * graph.n_edges for _ in graph.vertices]
-    for j, e in enumerate(graph.order):
-        m[vidx[graph.head[e]]][j] += 1
-        m[vidx[graph.tail[e]]][j] -= 1
-    return m
-
 
 def fundamental_cycle(graph, tree, x):
     """Cycle supported on tree ∪ {x}, signed so that x has coefficient +1.

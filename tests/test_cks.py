@@ -26,7 +26,13 @@ from ckskit.cks import (
     tutte_loop_specialization,
 )
 from ckskit.checks import GraphContext, check_cks_d2, check_euler, run_checks
-from ckskit.errors import IncoherentCotree, MismatchedGraph, NotAComplex, OutsideBasis
+from ckskit.errors import (
+    CksKitError,
+    IncoherentCotree,
+    MismatchedGraph,
+    NotAComplex,
+    OutsideBasis,
+)
 from ckskit.graphs import FaceComplex, Graph, build_graph, face_complex, graph_from_dsl
 from ckskit.ht import DelConR, HTComplex
 from ckskit.intlinalg import (
@@ -462,8 +468,8 @@ def test_delcon_cks_builds_no_basis(monkeypatch, g):
 
 
 def with_side(dc, side, levels=None, table=None):
-    """dc with a fresh contracted or deleted complex over other face levels
-    or another cotree table; the middle keeps its own."""
+    """dc with a fresh contracted, deleted or middle complex over other
+    face levels or another cotree table; the other two keep their own."""
     c = getattr(dc, side)
     faces = FaceComplex(c.graph, levels) if levels is not None else c.faces
     setattr(dc, side, CKSComplex(c.graph, CoherentCotree(
@@ -488,10 +494,12 @@ COTREE_FAULTS = {"contracted": ("quo", 1, (1, 1, 0)), "deleted": ("sub", 0, (1, 
 
 @pytest.mark.parametrize("side", list(COTREE_FAULTS))
 def test_chain_maps_reject_a_cotree_the_middle_does_not_share(side):
+    # a sequence finds each level's partners once, so the fault goes into
+    # a fresh one
     attr, level, key = COTREE_FAULTS[side]
-    dc = DelConCKS(DelConR(face_complex(THETA), 0))
-    assert dc.check_chain_maps(*key)
-    with_other_cotree(dc, attr, level)
+    setup = DelConR(face_complex(THETA), 0)
+    assert DelConCKS(setup).check_chain_maps(*key)
+    dc = with_other_cotree(DelConCKS(setup), attr, level)
     with pytest.raises(OutsideBasis):
         dc.check_chain_maps(*key)
 
@@ -504,20 +512,24 @@ EMPTY_TARGET_FAULTS = {"contracted": ("quo", 0, (0, 0, 1)), "deleted": ("sub", 0
 @pytest.mark.parametrize("side", list(EMPTY_TARGET_FAULTS))
 def test_chain_maps_reject_a_cotree_the_middle_does_not_share_where_d_has_no_target(side):
     attr, level, key = EMPTY_TARGET_FAULTS[side]
-    dc = DelConCKS(DelConR(face_complex(THETA), 0))
+    setup = DelConR(face_complex(THETA), 0)
+    dc = DelConCKS(setup)
     p, q, r = key
     assert dc.mid.dim(*key) and not dc.mid.dim(p + 1, q - 1, r)
     assert dc.check_chain_maps(*key)
-    with_other_cotree(dc, attr, level)
+    dc = with_other_cotree(DelConCKS(setup), attr, level)
     with pytest.raises(OutsideBasis):
         dc.check_chain_maps(*key)
 
 
 @pytest.mark.parametrize("side", ["quo", "sub"], ids=["contracted", "deleted"])
 def test_check_exact_rejects_a_side_that_lacks_a_face(side):
-    dc = DelConCKS(DelConR(face_complex(W4), W4.order[0]))
+    # a sequence decides each level once, so the fault goes into a fresh one
+    setup = DelConR(face_complex(W4), W4.order[0])
+    dc = DelConCKS(setup)
     p, q, r = key = exact_piece(dc)
     assert dc.check_exact(*key)
+    dc = DelConCKS(setup)
     level = p if side == "quo" else p - 1
     levels = [list(faces) for faces in getattr(dc, side).faces.levels]
     del levels[level][0]
@@ -1081,15 +1093,36 @@ def exact_piece(dc):
                 if dc.sub.dim(p - 1, q, r) >= 2 and dc.quo.dim(p, q, r))
 
 
+def exact_level_piece(dc):
+    """A piece (p, q, r) of more than one triple per face whose level p
+    has two deleted faces and a contracted one."""
+    return next((p, q, r) for p, q, r in pieces(dc)
+                if dc.sub.dim(p - 1, 0, 0) >= 2 and dc.quo.dim(p, 0, 0)
+                and dc.mid.dim(p, q, r) > dc.mid.dim(p, 0, 0))
+
+
+def with_face_maps(dc, p, inc=None, prj=None):
+    """dc whose inclusion into and projection from the middle's faces of
+    level p, the maps check_exact decides that level from, are `inc` and
+    `prj` where given; every other piece keeps its own maps."""
+    include, project = dc.include_matrix, dc.project_matrix
+    if inc is not None:
+        dc.include_matrix = lambda *k: inc if k == (p - 1, 0, 0) else include(*k)
+    if prj is not None:
+        dc.project_matrix = lambda *k: prj if k == (p, 0, 0) else project(*k)
+    return dc
+
+
 def test_check_exact_rejects_a_non_injective_inclusion():
-    dc = DelConCKS(DelConR(face_complex(W4), W4.order[0]))
-    p, q, r = key = exact_piece(dc)
+    setup = DelConR(face_complex(W4), W4.order[0])
+    dc = DelConCKS(setup)
+    p, q, r = key = exact_level_piece(dc)
     assert dc.check_exact(*key)
-    inc = dc.include_matrix(p - 1, q, r)
-    # the second deleted triple goes where the first one does
+    dc = DelConCKS(setup)
+    inc = dc.include_matrix(p - 1, 0, 0)
+    # the second deleted face goes where the first one does
     inc[1] = dict(inc[0])
-    dc.include_matrix = lambda *_: inc
-    assert not dc.check_exact(*key)
+    assert not with_face_maps(dc, p, inc=inc).check_exact(*key)
 
 
 def test_check_exact_rejects_a_projection_that_is_not_onto():
@@ -1145,21 +1178,22 @@ def test_zero_product_agrees_with_the_dense_composite(graphs):
 
 def test_check_exact_accepts_a_composite_whose_terms_cancel():
     dc = DelConCKS(DelConR(face_complex(W4), W4.order[0]))
-    p, q, r = key = exact_piece(dc)
-    con = dc.split(*key)[0]
-    inc, prj = dc.include_matrix(p - 1, q, r), dc.project_matrix(*key)
-    # the first deleted triple's image also takes in the first contracted
-    # triple, which the projection meets with +1 and its own image with
+    p, q, r = key = exact_level_piece(dc)
+    con = dc.split(p, 0, 0)[0]
+    inc, prj = dc.include_matrix(p - 1, 0, 0), dc.project_matrix(p, 0, 0)
+    # the first deleted face's image also takes in the first contracted
+    # face, which the projection meets with +1 and its own image with
     # −1: the composite's entry is 1 − 1, and both maps keep full rank
     [d0] = inc[0]
     inc[0][con[0]] = 1
     prj[d0][0] = -1
     assert [prj[k][0] * inc[0][k] for k in (d0, con[0])] == [-1, 1]
-    assert is_zero_matrix(matmul(project_rows(dc, p, q, r, prj),
-                                 include_rows(dc, p - 1, q, r, inc)))
-    dc.include_matrix = lambda *_: inc
-    dc.project_matrix = lambda *_: prj
-    assert dc.check_exact(*key)
+    assert is_zero_matrix(matmul(project_rows(dc, p, 0, 0, prj),
+                                 include_rows(dc, p - 1, 0, 0, inc)))
+    assert with_face_maps(dc, p, inc, prj).check_exact(*key)
+    # with the projection's term alone the composite is not zero
+    dc = DelConCKS(DelConR(face_complex(W4), W4.order[0]))
+    assert not with_face_maps(dc, p, prj=prj).check_exact(*key)
 
 
 def test_check_exact_forms_no_dense_row(monkeypatch):
@@ -1193,6 +1227,203 @@ def test_check_exact_forms_no_dense_row(monkeypatch):
     assert run_checks(W4, ["delcon_cks"])["delcon_cks"]["passed"]
     assert calls["rank"] > 0
     assert (calls["dense"], calls["_columns"]) == (0, 0)
+
+
+def check_exact_by_pieces(dc, p, q, r):
+    """Oracle for DelConCKS.check_exact: the same test on the maps of the
+    piece (2p, q, r) itself, with no verdict shared between the pieces
+    of one face level."""
+    inc = dc.include_matrix(p - 1, q, r)
+    prj = dc.project_matrix(p, q, r)
+    dim_mid = dc.mid.dim(p, q, r)
+    dim_sub = dc.sub.dim(p - 1, q, r)
+    dim_quo = dc.quo.dim(p, q, r)
+    if dim_sub + dim_quo != dim_mid:
+        return False
+    r_inc = intlinalg.rank(inc) if dim_sub else 0
+    r_prj = intlinalg.rank(prj) if dim_mid and dim_quo else 0
+    if r_inc != dim_sub or r_prj != dim_quo:
+        return False
+    if dim_sub and dim_quo:
+        return is_zero_product(prj, inc)
+    return True
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and arguments of the error it raises."""
+    try:
+        return fn(*args)
+    except CksKitError as err:
+        return type(err), err.args
+
+
+def with_face_fault(dc, fault, side, level):
+    """dc whose contracted, deleted or middle complex has a fault in its
+    faces of `level`, whose partners make the middle's level (level + 1
+    on the deleted side):
+    - "lacks a face": its first face is missing;
+    - "two faces with one partner": its second face is its first one;
+    - "a partner outside the middle": its first face is every edge of
+      the middle's graph;
+    - "overlapping position lists": on the contracted side, its first
+      face is the middle's partner of the deleted side's first face;
+    - "an empty level": it has no face at all, on the middle's last level."""
+    c = getattr(dc, side)
+    levels = [list(faces) for faces in c.faces.levels]
+    faces, table = levels[level], None
+    if fault == "lacks a face":
+        del faces[0]
+    elif fault == "two faces with one partner":
+        faces[1] = faces[0]
+    elif fault == "a partner outside the middle":
+        faces[0] = frozenset(dc.mid.graph.eids)
+    elif fault == "overlapping position lists":
+        t = dc.sub.faces.levels[level - 1][0] | {dc.edge}
+        faces[0] = t
+        table = {**c.cc.table, t: dc.mid.cc.C(t)}
+    else:
+        assert fault == "an empty level"
+        faces.clear()
+    return with_side(dc, side, levels=levels, table=table)
+
+
+FACE_FAULTS = [
+    ("lacks a face", "quo", 0), ("lacks a face", "quo", 1),
+    ("lacks a face", "sub", 0), ("lacks a face", "sub", 1),
+    ("two faces with one partner", "quo", 1), ("two faces with one partner", "sub", 1),
+    ("a partner outside the middle", "quo", 1), ("a partner outside the middle", "sub", 1),
+    ("overlapping position lists", "quo", 1), ("overlapping position lists", "quo", 2),
+    ("an empty level", "mid", -1),
+]
+
+
+@pytest.mark.parametrize("graphs", [
+    [g for _, g in corpus.corpus_graphs(bound=4)], [THETA6], [W4],
+], ids=["corpus4", "theta6", "w4"])
+def test_check_exact_agrees_with_the_piece_by_piece_oracle(graphs):
+    # every piece of every admissible edge, each graph in its edge order
+    # and in reverse; the oracle reads a sequence of its own
+    seen = 0
+    for g in graphs:
+        for order in (g.order, g.order[::-1]):
+            ctx = GraphContext(Graph(g.vertices, g.head, g.tail, list(order)))
+            for e in ctx.admissible_edges():
+                dc, ref = DelConCKS(ctx.delcon(e)), DelConCKS(ctx.delcon(e))
+                verdicts = [dc.check_exact(*key) for key in pieces(dc)]
+                assert verdicts == [check_exact_by_pieces(ref, *key)
+                                    for key in pieces(ref)], (g, e)
+                seen += len(verdicts)
+    assert seen
+
+
+@pytest.mark.parametrize("fault", FACE_FAULTS, ids=lambda f: f"{f[0]}-{f[1]}{f[2]}")
+def test_check_exact_agrees_with_the_oracle_under_a_face_fault(fault):
+    # a verdict or the error raised, on every piece, the new check and
+    # the oracle each on a faulted sequence of its own
+    rejected = 0
+    for g in (THETA6, W4):
+        ctx = GraphContext(g)
+        for e in ctx.admissible_edges():
+            dc, ref = (with_face_fault(DelConCKS(ctx.delcon(e)), *fault) for _ in "ab")
+            verdicts = [outcome(dc.check_exact, *key) for key in pieces(dc)]
+            assert verdicts == [outcome(check_exact_by_pieces, ref, *key)
+                                for key in pieces(ref)], (g, e)
+            rejected += any(v is not True for v in verdicts)
+    assert rejected
+
+
+def delcon_cks_by_pieces(g):
+    """Reference for run_checks(g, ["delcon_cks"]): check_delcon_cks's
+    loop over the edges and pieces, with each piece's exactness decided by
+    check_exact_by_pieces."""
+    ctx = GraphContext(g)
+    edges = ctx.admissible_edges()
+    recurrences = euler_recurrences(ctx.faces, edges)
+    for e in edges:
+        dc = DelConCKS(ctx.delcon(e))
+        for p, q, r in pieces(dc):
+            for check, reason in ((check_exact_by_pieces, "not short-exact"),
+                                  (DelConCKS.check_chain_maps, "chain maps do not commute")):
+                if not check(dc, p, q, r):
+                    return {"passed": False, "payload": {
+                        "edge": str(e), "piece": (2 * p, q, r), "reason": reason}}
+        if not recurrences[e]:
+            return {"passed": False,
+                    "payload": {"edge": str(e), "reason": "Euler recurrence failed"}}
+    return {"passed": True, "payload": None}
+
+
+def test_delcon_cks_reports_a_face_fault_as_the_piece_by_piece_loop(monkeypatch):
+    # each fault is seeded into the sequence of every admissible edge; it
+    # fails the check, and some fault fails it as "not short-exact", not
+    # only through the chain maps or an error
+    init = DelConCKS.__init__
+    reasons = set()
+    for fault in FACE_FAULTS:
+        def faulted(self, setup, fault=fault):
+            init(self, setup)
+            with_face_fault(self, *fault)
+
+        monkeypatch.setattr(DelConCKS, "__init__", faulted)
+        for g in (THETA6, W4):
+            report = outcome(lambda: run_checks(g, ["delcon_cks"])["delcon_cks"])
+            assert report == outcome(delcon_cks_by_pieces, g), (fault, g)
+            if isinstance(report, dict):
+                assert not report["passed"], (fault, g)
+                reasons.add(report["payload"]["reason"])
+    assert reasons == {"not short-exact", "chain maps do not commute"}
+
+
+@pytest.mark.parametrize("g", [THETA6, W4], ids=["theta6", "w4"])
+def test_delcon_cks_decides_each_level_once(monkeypatch, g):
+    # rank runs at most twice per (admissible edge, level), on the
+    # inclusion and the projection of the level's faces, and each level's
+    # partner table is built once, so the cotree of each face of the three
+    # complexes is compared once per edge
+    sequences, ranks, compared, inside = [], collections.Counter(), collections.Counter(), []
+    init, check_exact, partners = (
+        DelConCKS.__init__, DelConCKS.check_exact, DelConCKS._partners)
+    rank, cotree = cks_mod.rank, HTComplex._cotree
+
+    def kept(self, setup):
+        # keep each sequence, so that the ids of its complexes are not reused
+        init(self, setup)
+        sequences.append(self)
+
+    def traced(method):
+        def wrapper(self, p, *rest):
+            inside.append((id(self), method.__name__, p))
+            try:
+                return method(self, p, *rest)
+            finally:
+                inside.pop()
+        return wrapper
+
+    def counted_rank(a):
+        _, name, p = key = inside[-1]
+        assert name == "check_exact", key
+        ranks[key] += 1
+        return rank(a)
+
+    def counted_cotree(self, s):
+        if inside and inside[-1][1] == "_partners":
+            compared[(id(self), s)] += 1
+        return cotree(self, s)
+
+    monkeypatch.setattr(DelConCKS, "__init__", kept)
+    monkeypatch.setattr(DelConCKS, "check_exact", traced(check_exact))
+    monkeypatch.setattr(DelConCKS, "_partners", traced(partners))
+    monkeypatch.setattr(cks_mod, "rank", counted_rank)
+    monkeypatch.setattr(HTComplex, "_cotree", counted_cotree)
+    report = run_checks(g, ["delcon_cks"])
+    assert report["delcon_cks"]["passed"], report
+    assert len(sequences) == len(GraphContext(g).admissible_edges())
+    levels = {(id(dc), p) for dc in sequences for p in range(g.genus() + 1)}
+    assert ranks and set(ranks) <= {(i, "check_exact", p) for i, p in levels}
+    assert max(ranks.values()) <= 2
+    assert compared == collections.Counter(
+        (id(c), s) for dc in sequences for c in (dc.mid, dc.sub, dc.quo)
+        for s in c.faces.faces())
 
 
 # ---------------------------------------------------------------------------
