@@ -168,6 +168,12 @@ class DelConCKS:
     at (2p, 0, 0).  So each level's partner table (_partners) and
     exactness verdict (check_exact) are found once and kept here, and
     freed with the sequence.
+
+    The chain maps are decided once per level too (check_chain_maps), from
+    its 2m − 1 generator pieces (2p, q, 0), q = 1..m, and (2p, 1, r),
+    r = 1..m − 1, m = g − p: each block of d is the Kronecker product of
+    its record's two factors, so blocks that agree at those pieces agree
+    at every piece.
     """
 
     def __init__(self, setup):
@@ -178,9 +184,11 @@ class DelConCKS:
         self.mid, self.sub, self.quo = (
             CKSComplex(cc.graph, CoherentCotree(cc.graph, cc.faces, cc.table))
             for cc in (setup.cc, setup.cc_del, setup.cc_con))
-        # level p -> its partner table (_partners) and its verdict (check_exact)
+        # level p -> its partner table (_partners) and its verdicts
+        # (check_exact, check_chain_maps)
         self._levels = {}
         self._exact = {}
+        self._commutes = {}
 
     def include_matrix(self, p, q, r):
         """Inclusion (2p,q,r) of the deleted complex into (2p+2,q,r) of
@@ -273,10 +281,36 @@ class DelConCKS:
         source piece (2p, q, r): in the split of the middle bases,
         d_mid = [[d_quo, 0], [*, d_sub]].  Where the middle source or
         target is empty, all three differentials are empty and none is
-        built."""
-        src, tgt = self.split(p, q, r), self.split(p + 1, q - 1, r)
+        built.
+
+        Each level's verdict is decided once, on the first nonempty piece,
+        from its generator pieces (2p, q, 0), q = 1..m, and (2p, 1, r),
+        r = 1..m − 1, m = g − p (the same m on all three sides).  In the
+        piece (2p, q, r), the block of d from S to S ∪ f is I_q ⊗ R_r,
+        the factors of the record ρ of (S, f) (_assemble): R_0 is the 1×1
+        identity, I_1 the row a = ρ.iota, and every entry of I_q is ± an
+        entry of a.  The squares compare the blocks face pair by face pair
+        (each face's records go to distinct targets), a missing record
+        being a zero block.  Equal blocks at every (q, 0) give I_q = I′_q,
+        and at every (1, r) then a ⊗ R_r = a ⊗ R′_r, so R_r = R′_r unless
+        a = 0, when both I_q are 0; either way the blocks agree at every
+        (q, r), and the block (e ∈ S, e ∉ T) is zero likewise.  A level
+        that fails is checked piece by piece (_piece_commutes), so every
+        verdict is the one of its own piece."""
+        # a face without its partner raises here, at this piece
+        self.split(p, q, r), self.split(p + 1, q - 1, r)
         if not self.mid.dim(p, q, r) or not self.mid.dim(p + 1, q - 1, r):
             return True
+        if p not in self._commutes:
+            m = self.mid.genus - p
+            generators = [(1, n) for n in range(m)] + [(n, 0) for n in range(2, m + 1)]
+            self._commutes[p] = all(self._piece_commutes(p, *key) for key in generators)
+        return self._commutes[p] or self._piece_commutes(p, q, r)
+
+    def _piece_commutes(self, p, q, r):
+        """Both squares at the nonempty middle source piece (2p, q, r),
+        compared on the dense rows of the three differentials."""
+        src, tgt = self.split(p, q, r), self.split(p + 1, q - 1, r)
         d = self.mid.d_matrix(p, q, r)
 
         def block(rows, cols):

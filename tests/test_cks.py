@@ -4,6 +4,7 @@ import collections
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -343,6 +344,16 @@ def chain_maps_by_matmul(dc, p, q, r):
     return True
 
 
+def chain_maps_by_pieces(dc, p, q, r):
+    """Per-piece reference for DelConCKS.check_chain_maps: its two splits
+    and its empty-piece test, then DelConCKS._piece_commutes on the piece
+    itself, with no verdict shared between the pieces of a level."""
+    dc.split(p, q, r), dc.split(p + 1, q - 1, r)
+    if not dc.mid.dim(p, q, r) or not dc.mid.dim(p + 1, q - 1, r):
+        return True
+    return dc._piece_commutes(p, q, r)
+
+
 def pieces(dc):
     d = dc.mid.genus
     return [(p, q, r) for p in range(d + 1)
@@ -391,7 +402,10 @@ def test_chain_maps_and_the_oracle_detect_the_same_perturbations():
                 return m
 
             c.d_matrix = perturbed
-            new = [dc.check_chain_maps(*k) for k in pieces(dc)]
+            # no edge record gives d this fault, which the generator pieces
+            # of check_chain_maps need not see: the per-piece reference
+            # compares it
+            new = [chain_maps_by_pieces(dc, *k) for k in pieces(dc)]
             old = [chain_maps_by_matmul(dc, *k) for k in pieces(dc)]
             del c.d_matrix
             assert new == old, (dc.edge, key)
@@ -1093,11 +1107,12 @@ def exact_piece(dc):
                 if dc.sub.dim(p - 1, q, r) >= 2 and dc.quo.dim(p, q, r))
 
 
-def exact_level_piece(dc):
+def exact_level_piece(dc, deleted=2, contracted=1):
     """A piece (p, q, r) of more than one triple per face whose level p
-    has two deleted faces and a contracted one."""
+    has at least `deleted` deleted faces and `contracted` contracted ones."""
     return next((p, q, r) for p, q, r in pieces(dc)
-                if dc.sub.dim(p - 1, 0, 0) >= 2 and dc.quo.dim(p, 0, 0)
+                if dc.sub.dim(p - 1, 0, 0) >= deleted
+                and dc.quo.dim(p, 0, 0) >= contracted
                 and dc.mid.dim(p, q, r) > dc.mid.dim(p, 0, 0))
 
 
@@ -1126,26 +1141,31 @@ def test_check_exact_rejects_a_non_injective_inclusion():
 
 
 def test_check_exact_rejects_a_projection_that_is_not_onto():
-    dc = DelConCKS(DelConR(face_complex(W4), W4.order[0]))
-    key = exact_piece(dc)
-    prj = dc.project_matrix(*key)
-    # nothing projects onto the first contracted triple
+    setup = DelConR(face_complex(W4), W4.order[0])
+    dc = DelConCKS(setup)
+    p, q, r = key = exact_level_piece(dc, deleted=1, contracted=2)
+    assert with_face_maps(dc, p, prj=dc.project_matrix(p, 0, 0)).check_exact(*key)
+    dc = DelConCKS(setup)
+    prj = dc.project_matrix(p, 0, 0)
+    # nothing projects onto the first contracted face
     for col in prj.values():
         col.pop(0, None)
-    dc.project_matrix = lambda *_: prj
-    assert not dc.check_exact(*key)
+    assert not with_face_maps(dc, p, prj=prj).check_exact(*key)
 
 
 def test_check_exact_rejects_a_nonzero_composite():
-    dc = DelConCKS(DelConR(face_complex(W4), W4.order[0]))
-    p, q, r = key = exact_piece(dc)
-    prj = dc.project_matrix(*key)
-    # the image of the first deleted triple also projects onto the first
-    # contracted triple; both maps keep their full rank
-    [j] = dc.include_matrix(p - 1, q, r)[0]
+    setup = DelConR(face_complex(W4), W4.order[0])
+    dc = DelConCKS(setup)
+    p, q, r = key = exact_level_piece(dc, deleted=1, contracted=2)
+    inc = dc.include_matrix(p - 1, 0, 0)
+    assert with_face_maps(dc, p, inc=inc).check_exact(*key)
+    dc = DelConCKS(setup)
+    prj = dc.project_matrix(p, 0, 0)
+    # the image of the first deleted face also projects onto the first
+    # contracted face; both maps keep their full rank
+    [j] = inc[0]
     prj[j][0] = 1
-    dc.project_matrix = lambda *_: prj
-    assert not dc.check_exact(*key)
+    assert not with_face_maps(dc, p, prj=prj).check_exact(*key)
 
 
 @pytest.mark.parametrize("graphs", [
@@ -1335,7 +1355,7 @@ def test_check_exact_agrees_with_the_oracle_under_a_face_fault(fault):
 def delcon_cks_by_pieces(g):
     """Reference for run_checks(g, ["delcon_cks"]): check_delcon_cks's
     loop over the edges and pieces, with each piece's exactness decided by
-    check_exact_by_pieces."""
+    check_exact_by_pieces and its chain maps by chain_maps_by_pieces."""
     ctx = GraphContext(g)
     edges = ctx.admissible_edges()
     recurrences = euler_recurrences(ctx.faces, edges)
@@ -1343,7 +1363,7 @@ def delcon_cks_by_pieces(g):
         dc = DelConCKS(ctx.delcon(e))
         for p, q, r in pieces(dc):
             for check, reason in ((check_exact_by_pieces, "not short-exact"),
-                                  (DelConCKS.check_chain_maps, "chain maps do not commute")):
+                                  (chain_maps_by_pieces, "chain maps do not commute")):
                 if not check(dc, p, q, r):
                     return {"passed": False, "payload": {
                         "edge": str(e), "piece": (2 * p, q, r), "reason": reason}}
@@ -1424,6 +1444,225 @@ def test_delcon_cks_decides_each_level_once(monkeypatch, g):
     assert compared == collections.Counter(
         (id(c), s) for dc in sequences for c in (dc.mid, dc.sub, dc.quo)
         for s in c.faces.faces())
+
+
+# ---------------------------------------------------------------------------
+# chain maps decided from the generator pieces of each level
+
+def record_faults(record):
+    """Faulted copies of an edge record: each iota entry plus one, each
+    other x0_pos, iota negated and iota zeroed."""
+    a = record.iota
+    for k in range(len(a)):
+        yield record._replace(iota=a[:k] + (a[k] + 1,) + a[k + 1:])
+    for x0 in range(len(a)):
+        if x0 != record.x0_pos:
+            yield record._replace(x0_pos=x0)
+    yield record._replace(iota=tuple(-c for c in a))
+    yield record._replace(iota=(0,) * len(a))
+
+
+class FactorFault(tuple):
+    """An edge record's iota whose interior product (kind "iota", at q =
+    n) or restriction (kind "restrict", at r = n) has the first entry of
+    its factor negated, where with_factor_faults reads it: no record of
+    values gives that, but it leaves the block of d a Kronecker product,
+    so the generator pieces must see it."""
+
+    def __new__(cls, a, kind, n):
+        self = super().__new__(cls, a)
+        self.kind, self.n = kind, n
+        return self
+
+
+def with_factor_faults(monkeypatch):
+    """Let ht's two factors read FactorFault (see there)."""
+    for kind, name in (("iota", "_iota_factor"), ("restrict", "_restrict_factor")):
+        def faulted(m, n, x0, a, kind=kind, factor=getattr(ht, name)):
+            out = factor(m, n, x0, a)
+            if isinstance(a, FactorFault) and (a.kind, a.n) == (kind, n):
+                (w, ((t, v), *terms)), *rows = out
+                out = ((w, ((t, -v), *terms)), *rows)
+            return out
+
+        monkeypatch.setattr(ht, name, faulted)
+
+
+def factor_faults(record):
+    """Copies of an edge record whose interior product at one q ≥ 1 or
+    restriction at one r ≥ 1 is faulted (FactorFault)."""
+    m = len(record.iota)
+    return [record._replace(iota=FactorFault(record.iota, kind, n))
+            for kind, ns in (("iota", range(1, m + 1)), ("restrict", range(1, m)))
+            for n in ns]
+
+
+def with_record(dc, side, s, k, record):
+    """dc whose contracted, deleted or middle complex has `record` as the
+    k-th edge record of its face s; every other record is its own."""
+    getattr(dc, side)._edges(s)[k] = record
+    return dc
+
+
+# the kinds of record record_kinds sorts: "free" are the middle's records
+# that add the sequence's edge e, whose blocks (e ∉ S, e ∈ S ∪ e) of d_mid
+# the squares leave free
+RECORD_KINDS = ("mid", "sub", "quo", "free")
+
+
+def record_kinds(dc):
+    """{kind: [(side, face, k), ...]} over every edge record of the three
+    complexes, by RECORD_KINDS; a kind with no record is left out."""
+    kinds = collections.defaultdict(list)
+    for side in ("mid", "sub", "quo"):
+        c = getattr(dc, side)
+        for s in c.faces.faces():
+            for k, record in enumerate(c._edges(s)):
+                free = side == "mid" and record.e == dc.edge
+                kinds["free" if free else side].append((side, s, k))
+    return kinds
+
+
+@pytest.mark.parametrize("graphs, edges", [
+    ([g for _, g in corpus.corpus_graphs(bound=4)], None), ([THETA6, W4], 2),
+], ids=["corpus4", "theta6-w4"])
+def test_chain_maps_agree_with_both_oracles_under_a_record_fault(monkeypatch, graphs, edges):
+    # each sequence, of each graph in its edge order and in reverse (at
+    # `edges` admissible edges drawn per order, or at all), has one record
+    # drawn, of each kind in turn, and faulted in every way of
+    # record_faults and factor_faults, each fault in fresh sequences.  Every
+    # verdict of check_chain_maps is the per-piece one, and under a record
+    # fault the product one; only a fault in the free block goes unseen
+    with_factor_faults(monkeypatch)
+    rng = random.Random(32)
+    cases = detected = 0
+    unseen = set()
+    turn = itertools.cycle(RECORD_KINDS)
+    for g in graphs:
+        for order in (g.order, g.order[::-1]):
+            ctx = GraphContext(Graph(g.vertices, g.head, g.tail, list(order)))
+            admissible = ctx.admissible_edges()
+            for e in admissible if edges is None else rng.sample(admissible, edges):
+                setup = ctx.delcon(e)
+                probe = DelConCKS(setup)
+                kinds = record_kinds(probe)
+                kind = next(k for k in turn if k in kinds)
+                side, s, k = rng.choice(kinds[kind])
+                record = getattr(probe, side)._edges(s)[k]
+                faults = [(bad, True) for bad in record_faults(record)]
+                faults += [(bad, False) for bad in factor_faults(record)]
+                for bad, by_matmul in faults:
+                    dc, ref = (with_record(DelConCKS(setup), side, s, k, bad) for _ in "ab")
+                    verdicts = [dc.check_chain_maps(*key) for key in pieces(dc)]
+                    assert verdicts == [chain_maps_by_pieces(ref, *key)
+                                        for key in pieces(ref)], (g, e, kind, bad)
+                    assert not by_matmul or verdicts == [chain_maps_by_matmul(ref, *key)
+                                                         for key in pieces(ref)], (g, e, kind, bad)
+                    cases += 1
+                    if all(verdicts):
+                        unseen.add(kind)
+                    else:
+                        detected += 1
+    assert 0 < detected < cases
+    assert unseen == {"free"}
+
+
+# (side, level, record of the level's first face, fault), the fault an
+# index into record_faults: 0 and 1 add one to an iota entry, −3 moves
+# x0_pos to the last other place, −2 negates iota and −1 zeroes it.  The
+# last record of the middle's first face adds the sequence's edge: the
+# free block.
+RECORD_FAULTS = [
+    ("mid", 1, 0, 0), ("mid", 2, 0, -2), ("sub", 0, 0, -1), ("sub", 1, -1, 1),
+    ("quo", 0, 0, -3), ("quo", 2, 0, 2), ("mid", 0, -1, -1),
+]
+
+
+def test_delcon_cks_reports_a_record_fault_as_the_piece_by_piece_loop(monkeypatch):
+    # each fault is seeded into the sequence of every admissible edge:
+    # the check gives the payload of the per-piece loop, and the fault in
+    # the free block alone passes
+    init = DelConCKS.__init__
+    passed = set()
+    for fault in RECORD_FAULTS:
+        side, level, k, which = fault
+
+        def faulted(self, setup, side=side, level=level, k=k, which=which):
+            init(self, setup)
+            c = getattr(self, side)
+            s = c.faces.levels[level][0]
+            with_record(self, side, s, k, list(record_faults(c._edges(s)[k]))[which])
+
+        monkeypatch.setattr(DelConCKS, "__init__", faulted)
+        for g in (THETA6, W4):
+            report = run_checks(g, ["delcon_cks"])["delcon_cks"]
+            assert report == delcon_cks_by_pieces(g), (fault, g)
+            if report["passed"]:
+                passed.add(fault)
+    assert passed == {("mid", 0, -1, -1)}
+
+
+@pytest.mark.parametrize("graphs", [
+    [g for _, g in corpus.corpus_graphs(bound=5)], [THETA6, W4],
+], ids=["corpus5", "theta6-w4"])
+def test_the_generator_argument_holds_on_every_record(graphs):
+    # what check_chain_maps's argument reads of _assemble's factors, on
+    # every record of the three complexes of every sequence: R_0 is the
+    # 1×1 identity, I_1 the nonzero entries of a = iota, every value of
+    # I_q is ± an entry of a, and a face's records go to distinct targets
+    records = 0
+    for g in graphs:
+        ctx = GraphContext(g)
+        for e in ctx.admissible_edges():
+            dc = DelConCKS(ctx.delcon(e))
+            for c in (dc.mid, dc.sub, dc.quo):
+                for p, level in enumerate(c.faces.levels):
+                    m = c.genus - p
+                    for s in level:
+                        edges = c._edges(s)
+                        assert len({rec.t_pos for rec in edges}) == len(edges), (g, e, s)
+                        for rec in edges:
+                            x0, a = rec.x0_pos, rec.iota
+                            assert ht._restrict_factor(m, 0, x0, a) == ((0, ((0, 1),)),)
+                            assert ht._iota_factor(m, 1, x0, a) == tuple(
+                                (x, ((0, v),)) for x, v in enumerate(a) if v)
+                            entries = {v for v in a} | {-v for v in a}
+                            for q in range(1, m + 1):
+                                for _, terms in ht._iota_factor(m, q, x0, a):
+                                    assert {v for _, v in terms} <= entries
+                            records += 1
+    assert records
+
+
+def generator_pieces(m):
+    """The (q, r) of the generator pieces of a level whose cotrees have m
+    edges, in check_chain_maps's order."""
+    return [(1, r) for r in range(m)] + [(q, 0) for q in range(2, m + 1)]
+
+
+@pytest.mark.parametrize("g", [THETA6, W4], ids=["theta6", "w4"])
+def test_chain_maps_build_d_only_at_the_generator_pieces(monkeypatch, g):
+    # on an honest graph, each of the three complexes of a sequence builds
+    # d at no piece but its level's generators, at most 2m − 1 per level
+    built = []
+    original = CKSComplex.d_matrix
+
+    def counting(self, p, q, r):
+        built.append((self, p, q, r))
+        return original(self, p, q, r)
+
+    monkeypatch.setattr(CKSComplex, "d_matrix", counting)
+    report = run_checks(g, ["delcon_cks"])
+    assert report["delcon_cks"]["passed"], report
+    per_level = collections.Counter()
+    for c, p, q, r in built:
+        m = c.genus - p
+        assert (q, r) in generator_pieces(m), (p, q, r)
+        per_level[(id(c), p)] += 1
+        assert per_level[(id(c), p)] <= 2 * m - 1
+    # theta6 and W4 build them all: each generator piece of a level with
+    # faces on both sides of d has nonempty source and target
+    assert built
 
 
 # ---------------------------------------------------------------------------
