@@ -160,20 +160,15 @@ class DelConCKS:
     the faces; labelled bases serve only the tests' references.
 
     The split is face-level.  On a face of size p all three complexes
-    have cotrees of g − p edges (Γ∖e has genus g − 1 and its faces one
-    edge fewer), so in the (2p, q, r) piece each face holds one block of
-    w = C(g − p, q)·C(g − p, r) triples, the same w on all three sides.
-    The inclusion and the projection at that piece are then F_p ⊗ I_w and
-    G_p ⊗ I_w, where F_p and G_p are the 0/1 maps of the faces, the maps
-    at (2p, 0, 0).  So each level's partner table (_partners) and
-    exactness verdict (check_exact) are found once and kept here, and
+    have cotrees of m = g − p edges (Γ∖e has genus g − 1 and its faces one
+    edge fewer), so in the (2p, q, r) piece, q, r ≤ m, each face holds one
+    block of w = C(m, q)·C(m, r) > 0 triples, the same w on all three
+    sides.  The inclusion and the projection at that piece are then
+    F_p ⊗ I_w and G_p ⊗ I_w, where F_p and G_p are the 0/1 maps of the
+    faces (_face_maps), the maps at (2p, 0, 0).  So the sequence is
+    checked one face level at a time (check_exact, check_chain_maps), and
+    each level's partner table (_partners) is found once, kept here and
     freed with the sequence.
-
-    The chain maps are decided once per level too (check_chain_maps), from
-    its 2m − 1 generator pieces (2p, q, 0), q = 1..m, and (2p, 1, r),
-    r = 1..m − 1, m = g − p: each block of d is the Kronecker product of
-    its record's two factors, so blocks that agree at those pieces agree
-    at every piece.
     """
 
     def __init__(self, setup):
@@ -184,83 +179,64 @@ class DelConCKS:
         self.mid, self.sub, self.quo = (
             CKSComplex(cc.graph, CoherentCotree(cc.graph, cc.faces, cc.table))
             for cc in (setup.cc, setup.cc_del, setup.cc_con))
-        # level p -> its partner table (_partners) and its verdicts
-        # (check_exact, check_chain_maps)
+        # level p -> its partner table (_partners)
         self._levels = {}
-        self._exact = {}
-        self._commutes = {}
 
-    def include_matrix(self, p, q, r):
-        """Inclusion (2p,q,r) of the deleted complex into (2p+2,q,r) of
-        the middle one: (S, w, a) ↦ (S ∪ e, w, a), as sparse columns: a 1
-        at each deleted position of split(p + 1, q, r)."""
-        return {j: {i: 1} for j, i in enumerate(self.split(p + 1, q, r)[1])}
-
-    def project_matrix(self, p, q, r):
-        """Projection of the middle (2p,q,r) onto the contracted complex:
-        kill triples whose face contains e.  Sparse columns, an empty one
-        for each killed triple, a 1 at each contracted position of split."""
-        con = {j: {i: 1} for i, j in enumerate(self.split(p, q, r)[0])}
-        return {j: con.get(j, {}) for j in range(self.mid.dim(p, q, r))}
-
-    def check_exact(self, p, q, r):
-        """Degreewise exactness 0 → sub → mid → quo → 0 at (2p, q, r).  An
-        empty middle piece is exact when both sides are empty.  At width
-        w > 0 the maps are F ⊗ I_w and G ⊗ I_w (see the class):
-        rank(F ⊗ I_w) = w·rank(F), (G·F) ⊗ I_w = 0 exactly when G·F = 0,
-        and the dimensions are w times the face counts, so the piece is
-        exact exactly when its faces, the piece (2p, 0, 0), are.  That
-        verdict is decided once per level (_faces_exact)."""
-        if not self.mid.dim(p, q, r):
-            return not self.sub.dim(p - 1, q, r) and not self.quo.dim(p, q, r)
-        if p not in self._exact:
-            self._exact[p] = self._faces_exact(p)
-        return self._exact[p]
-
-    def _faces_exact(self, p):
-        """Exactness at the faces of level p, the piece (2p, 0, 0): the
-        dimensions add up, the inclusion has full column rank and the
-        projection full row rank (intlinalg.rank), and the composite is
-        zero, tested exactly from the nonzero entries of both maps
-        (intlinalg.is_zero_product).  All three read the sparse columns of
-        the two maps, from split; no basis or dense row is formed."""
-        inc = self.include_matrix(p - 1, 0, 0)
-        prj = self.project_matrix(p, 0, 0)
-        dim_mid = self.mid.dim(p, 0, 0)
-        dim_sub = self.sub.dim(p - 1, 0, 0)
-        dim_quo = self.quo.dim(p, 0, 0)
-        if dim_sub + dim_quo != dim_mid:
+    def check_exact(self, p):
+        """Degreewise exactness 0 → sub → mid → quo → 0 on every piece
+        (2p, q, r) of level p.  rank(F ⊗ I_w) = w·rank(F),
+        (G·F) ⊗ I_w = 0 exactly when G·F = 0, and the dimensions are w
+        times the face counts, so every piece of the level is exact
+        exactly when its faces are: the dimensions add up, the inclusion
+        has full column rank and the projection full row rank
+        (intlinalg.rank), and the composite is zero, tested exactly from
+        the nonzero entries of both maps (intlinalg.is_zero_product).  A
+        face without its partner raises before the dimensions are
+        compared, unless the middle level is empty."""
+        n = self.mid.dim(p, 0, 0)
+        if n:
+            inc, prj = self._face_maps(p)
+        n_sub, n_quo = self.sub.dim(p - 1, 0, 0), self.quo.dim(p, 0, 0)
+        if n_sub + n_quo != n:
             return False
-        r_inc = rank(inc) if dim_sub else 0
-        r_prj = rank(prj) if dim_quo else 0
-        if r_inc != dim_sub or r_prj != dim_quo:
-            return False
-        if dim_sub and dim_quo:
-            return is_zero_product(prj, inc)
-        return True
+        return ((not n_sub or rank(inc) == n_sub)
+                and (not n_quo or rank(prj) == n_quo)
+                and (not (n_sub and n_quo) or is_zero_product(prj, inc)))
+
+    def _face_maps(self, p):
+        """F_p and G_p: the inclusion of the deleted faces of size p − 1
+        (S ↦ S ∪ e) into the middle's faces of size p and the projection
+        of those onto the contracted faces (killing the faces that
+        contain e), as sparse 0/1 columns, from the level's partner
+        table.  No labelled basis or dense row is formed."""
+        con, dl = self._partners(p)
+        inc = {j: {i: 1} for j, i in enumerate(dl)}
+        prj = {j: {} for j in range(len(self.mid.faces.levels[p]))}
+        for i, j in enumerate(con):
+            prj[j] = {i: 1}
+        return inc, prj
 
     def split(self, p, q, r):
         """Positions in the middle (2p, q, r) of the contracted (2p, q, r)
         and deleted (2p−2, q, r) triples, each side in its own order.  The
         triples of a face fill the block of width w of its partner in the
-        middle, where _assemble writes d, so the face-level table of
-        _partners, found once per level, is expanded by the piece's width.
-        No labelled basis is read."""
+        middle, where _assemble writes d, so the level's partner table is
+        expanded by the piece's width."""
         n = self.mid.dim(p, q, r)
         if not n:
             return [], []
-        if p not in self._levels:
-            self._levels[p] = self._partners(p)
         width = n // len(self.mid.faces.levels[p])
         return tuple([k for i in faces for k in range(i * width, i * width + width)]
-                     for faces in self._levels[p])
+                     for faces in self._partners(p))
 
     def _partners(self, p):
         """The positions in the middle's level p of the partners of the
         contracted faces of size p (S itself) and of the deleted faces of
-        size p − 1 (S ∪ e), each side in its own order.  A partner must be
-        a middle face with the same cotree, else OutsideBasis; then the
-        face's triples are the partner's."""
+        size p − 1 (S ∪ e), each side in its own order; built once per
+        level.  A partner must be a middle face with the same cotree, else
+        OutsideBasis; then the face's triples are the partner's."""
+        if p in self._levels:
+            return self._levels[p]
         mid = self.mid
 
         def partners(side, level, added):
@@ -273,39 +249,41 @@ class DelConCKS:
                 out.append(i)
             return out
 
-        return (partners(self.quo, self.quo.faces.levels[p], frozenset()),
-                partners(self.sub, self.sub.faces.levels[p - 1] if p else (), {self.edge}))
+        table = self._levels[p] = (
+            partners(self.quo, self.quo.faces.levels[p], frozenset()),
+            partners(self.sub, self.sub.faces.levels[p - 1] if p else (), {self.edge}))
+        return table
 
-    def check_chain_maps(self, p, q, r):
-        """Both squares with the differentials commute at the middle
-        source piece (2p, q, r): in the split of the middle bases,
-        d_mid = [[d_quo, 0], [*, d_sub]].  Where the middle source or
-        target is empty, all three differentials are empty and none is
-        built.
+    def check_chain_maps(self, p):
+        """None when both squares with the differentials commute on every
+        middle source piece (2p, q, r) of level p, else the first (q, r),
+        in (q, r) order, where one does not: in the split of the middle
+        bases, d_mid = [[d_quo, 0], [*, d_sub]].  A piece with q = 0 or
+        r = m (m = g − p) has no target, and a level whose middle has no
+        face of size p or none of size p + 1 has no square.
 
-        Each level's verdict is decided once, on the first nonempty piece,
-        from its generator pieces (2p, q, 0), q = 1..m, and (2p, 1, r),
-        r = 1..m − 1, m = g − p (the same m on all three sides).  In the
-        piece (2p, q, r), the block of d from S to S ∪ f is I_q ⊗ R_r,
-        the factors of the record ρ of (S, f) (_assemble): R_0 is the 1×1
-        identity, I_1 the row a = ρ.iota, and every entry of I_q is ± an
-        entry of a.  The squares compare the blocks face pair by face pair
-        (each face's records go to distinct targets), a missing record
-        being a zero block.  Equal blocks at every (q, 0) give I_q = I′_q,
-        and at every (1, r) then a ⊗ R_r = a ⊗ R′_r, so R_r = R′_r unless
-        a = 0, when both I_q are 0; either way the blocks agree at every
-        (q, r), and the block (e ∈ S, e ∉ T) is zero likewise.  A level
-        that fails is checked piece by piece (_piece_commutes), so every
-        verdict is the one of its own piece."""
-        # a face without its partner raises here, at this piece
-        self.split(p, q, r), self.split(p + 1, q - 1, r)
-        if not self.mid.dim(p, q, r) or not self.mid.dim(p + 1, q - 1, r):
-            return True
-        if p not in self._commutes:
-            m = self.mid.genus - p
-            generators = [(1, n) for n in range(m)] + [(n, 0) for n in range(2, m + 1)]
-            self._commutes[p] = all(self._piece_commutes(p, *key) for key in generators)
-        return self._commutes[p] or self._piece_commutes(p, q, r)
+        The level is decided from its 2m − 1 generator pieces (2p, q, 0),
+        q = 1..m, and (2p, 1, r), r = 1..m − 1.  In the piece (2p, q, r),
+        the block of d from S to S ∪ f is I_q ⊗ R_r, the factors of the
+        record ρ of (S, f) (_assemble): R_0 is the 1×1 identity, I_1 the
+        row a = ρ.iota, and every entry of I_q is ± an entry of a.  The
+        squares compare the blocks face pair by face pair (each face's
+        records go to distinct targets), a missing record being a zero
+        block.  Equal blocks at every (q, 0) give I_q = I′_q, and at every
+        (1, r) then a ⊗ R_r = a ⊗ R′_r, so R_r = R′_r unless a = 0, when
+        both I_q are 0; either way the blocks agree at every (q, r), and
+        the block (e ∈ S, e ∉ T) is zero likewise.  Only a level whose
+        generators fail is scanned piece by piece (_piece_commutes), which
+        splits a piece's source and target before building its d: the
+        first generator builds the partner table of level p + 1."""
+        if not self.mid.dim(p, 0, 0) or not self.mid.dim(p + 1, 0, 0):
+            return None
+        m = self.mid.genus - p
+        generators = [(1, r) for r in range(m)] + [(q, 0) for q in range(2, m + 1)]
+        if all(self._piece_commutes(p, *key) for key in generators):
+            return None
+        return next((q, r) for q in range(1, m + 1) for r in range(m)
+                    if not self._piece_commutes(p, q, r))
 
     def _piece_commutes(self, p, q, r):
         """Both squares at the nonempty middle source piece (2p, q, r),

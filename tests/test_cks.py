@@ -173,10 +173,8 @@ def test_h_hat_builds_no_coherent_cotree(monkeypatch):
 def test_delcon_exactness_theta():
     dc = DelConCKS(DelConR(face_complex(THETA), 0))
     for p in range(3):
-        for q in range(3 - p):
-            for r in range(3 - p):
-                assert dc.check_exact(p, q, r), (p, q, r)
-                assert dc.check_chain_maps(p, q, r), (p, q, r)
+        assert dc.check_exact(p), p
+        assert dc.check_chain_maps(p) is None, p
     assert euler_recurrences(face_complex(THETA), [0])[0]
     assert recurrence_by_delcon_complexes(dc)
 
@@ -305,16 +303,16 @@ def test_stripe_walk_reports_the_stripe_the_reference_reports(monkeypatch, capsy
 
 
 def include_rows(dc, p, q, r, columns=None):
-    """dc.include_matrix(p, q, r), or columns of its shape, as dense rows."""
+    """labelled_include(dc, p, q, r), or columns of its shape, as dense rows."""
     if columns is None:
-        columns = dc.include_matrix(p, q, r)
+        columns = labelled_include(dc, p, q, r)
     return dense(columns, dc.mid.dim(p + 1, q, r), dc.sub.dim(p, q, r))
 
 
 def project_rows(dc, p, q, r, columns=None):
-    """dc.project_matrix(p, q, r), or columns of its shape, as dense rows."""
+    """labelled_project(dc, p, q, r), or columns of its shape, as dense rows."""
     if columns is None:
-        columns = dc.project_matrix(p, q, r)
+        columns = labelled_project(dc, p, q, r)
     return dense(columns, dc.quo.dim(p, q, r), dc.mid.dim(p, q, r))
 
 
@@ -345,9 +343,10 @@ def chain_maps_by_matmul(dc, p, q, r):
 
 
 def chain_maps_by_pieces(dc, p, q, r):
-    """Per-piece reference for DelConCKS.check_chain_maps: its two splits
-    and its empty-piece test, then DelConCKS._piece_commutes on the piece
-    itself, with no verdict shared between the pieces of a level."""
+    """Per-piece reference for DelConCKS.check_chain_maps: the splits of
+    the piece's source and target and an empty-piece test, then
+    DelConCKS._piece_commutes on the piece itself, with no verdict shared
+    between the pieces of a level."""
     dc.split(p, q, r), dc.split(p + 1, q - 1, r)
     if not dc.mid.dim(p, q, r) or not dc.mid.dim(p + 1, q - 1, r):
         return True
@@ -355,9 +354,26 @@ def chain_maps_by_pieces(dc, p, q, r):
 
 
 def pieces(dc):
+    """Every piece (p, q, r) of the middle complex, in the order of the
+    levels and, within a level, of (q, r)."""
     d = dc.mid.genus
     return [(p, q, r) for p in range(d + 1)
             for q in range(d - p + 1) for r in range(d - p + 1)]
+
+
+def levels_of(dc):
+    """The face levels p of the middle complex."""
+    return range(dc.mid.genus + 1)
+
+
+def first_rejected(dc, verdicts):
+    """Per level p of dc, the first (q, r) whose verdict in `verdicts`,
+    one per piece of pieces(dc), is False; None where there is none."""
+    out = [None for _ in levels_of(dc)]
+    for (p, q, r), ok in zip(pieces(dc), verdicts):
+        if not ok and out[p] is None:
+            out[p] = (q, r)
+    return out
 
 
 def delcon_sequences(bound):
@@ -371,8 +387,9 @@ def test_chain_maps_agree_with_the_matmul_oracle_on_the_corpus():
     edges = 0
     for dc in delcon_sequences(4):
         edges += 1
+        for p in levels_of(dc):
+            assert dc.check_chain_maps(p) is None, (dc.edge, p)
         for key in pieces(dc):
-            assert dc.check_chain_maps(*key), (dc.edge, key)
             assert chain_maps_by_matmul(dc, *key), (dc.edge, key)
     assert edges == 62
 
@@ -415,15 +432,18 @@ def test_chain_maps_and_the_oracle_detect_the_same_perturbations():
 
 
 def labelled_include(dc, p, q, r):
-    """Reference for DelConCKS.include_matrix: (S, w, a) ↦ (S ∪ e, w, a)
-    over the labelled bases (map_matrix)."""
+    """The inclusion (2p,q,r) of the deleted complex into (2p+2,q,r) of
+    the middle one, (S, w, a) ↦ (S ∪ e, w, a), over the labelled bases
+    (map_matrix): the reference for DelConCKS._face_maps at q = r = 0."""
     return map_matrix(dc.sub.basis(p, q, r), dc.mid.index(p + 1, q, r),
                       lambda b: {(b[0] | {dc.edge}, b[1], b[2]): 1})
 
 
 def labelled_project(dc, p, q, r):
-    """Reference for DelConCKS.project_matrix: kill the middle triples
-    whose face contains e, over the labelled bases (map_matrix)."""
+    """The projection of the middle (2p,q,r) onto the contracted complex,
+    killing the middle triples whose face contains e, over the labelled
+    bases (map_matrix): the reference for DelConCKS._face_maps at
+    q = r = 0."""
     return map_matrix(dc.mid.basis(p, q, r), dc.quo.index(p, q, r),
                       lambda b: {} if dc.edge in b[0] else {b: 1})
 
@@ -444,8 +464,9 @@ def labelled_split(dc, p, q, r):
 
 
 def test_the_face_split_agrees_with_the_labelled_bases():
-    # every piece check_exact and check_chain_maps read, over each graph in
-    # its edge order and in reverse
+    # every piece check_chain_maps reads and the face maps of every level,
+    # which check_exact reads, over each graph in its edge order and in
+    # reverse
     graphs = [g for _, g in corpus.corpus_graphs(bound=4)] + [THETA6, W4]
     seen = 0
     for g in graphs:
@@ -456,11 +477,10 @@ def test_the_face_split_agrees_with_the_labelled_bases():
                 for p, q, r in pieces(dc):
                     for key in ((p, q, r), (p + 1, q - 1, r)):
                         assert dc.split(*key) == labelled_split(dc, *key), (g, e, key)
-                    assert (dc.include_matrix(p - 1, q, r)
-                            == labelled_include(dc, p - 1, q, r)), (g, e, p, q, r)
-                    assert (dc.project_matrix(p, q, r)
-                            == labelled_project(dc, p, q, r)), (g, e, p, q, r)
                     seen += 1
+                for p in levels_of(dc):
+                    assert dc._face_maps(p) == (labelled_include(dc, p - 1, 0, 0),
+                                                labelled_project(dc, p, 0, 0)), (g, e, p)
     assert seen
 
 
@@ -502,53 +522,54 @@ def with_other_cotree(dc, side, level):
     return with_side(dc, side, table={**c.cc.table, s: other})
 
 
-# (side, its level with the changed face, middle source piece)
-COTREE_FAULTS = {"contracted": ("quo", 1, (1, 1, 0)), "deleted": ("sub", 0, (1, 1, 0))}
+# (side, its level with the changed face, middle source level)
+COTREE_FAULTS = {"contracted": ("quo", 1, 1), "deleted": ("sub", 0, 1)}
 
 
 @pytest.mark.parametrize("side", list(COTREE_FAULTS))
 def test_chain_maps_reject_a_cotree_the_middle_does_not_share(side):
-    # a sequence finds each level's partners once, so the fault goes into
-    # a fresh one
-    attr, level, key = COTREE_FAULTS[side]
+    attr, level, p = COTREE_FAULTS[side]
     setup = DelConR(face_complex(THETA), 0)
-    assert DelConCKS(setup).check_chain_maps(*key)
+    assert DelConCKS(setup).check_chain_maps(p) is None
     dc = with_other_cotree(DelConCKS(setup), attr, level)
     with pytest.raises(OutsideBasis):
-        dc.check_chain_maps(*key)
+        dc.check_chain_maps(p)
 
 
-# at q = 0 the target (p + 1, −1, r) is empty and no d is built, but the
-# split of the source is still read; the deleted side has no face at p = 0
-EMPTY_TARGET_FAULTS = {"contracted": ("quo", 0, (0, 0, 1)), "deleted": ("sub", 0, (1, 0, 1))}
+# the chain maps of level p split their first piece's source and target,
+# levels p and p + 1, before building its d; so a face of level 0 or 1
+# without its partner fails the chain maps of level 0 where no d is
+# built (the deleted side's faces of size 0 are partnered in the
+# middle's level 1)
+EMPTY_TARGET_FAULTS = {"contracted": ("quo", 0, 0), "deleted": ("sub", 0, 0)}
 
 
 @pytest.mark.parametrize("side", list(EMPTY_TARGET_FAULTS))
-def test_chain_maps_reject_a_cotree_the_middle_does_not_share_where_d_has_no_target(side):
-    attr, level, key = EMPTY_TARGET_FAULTS[side]
+def test_chain_maps_reject_a_cotree_the_middle_does_not_share_where_d_has_no_target(
+        monkeypatch, side):
+    attr, level, p = EMPTY_TARGET_FAULTS[side]
     setup = DelConR(face_complex(THETA), 0)
-    dc = DelConCKS(setup)
-    p, q, r = key
-    assert dc.mid.dim(*key) and not dc.mid.dim(p + 1, q - 1, r)
-    assert dc.check_chain_maps(*key)
+    assert DelConCKS(setup).check_chain_maps(p) is None
     dc = with_other_cotree(DelConCKS(setup), attr, level)
+    monkeypatch.setattr(CKSComplex, "d_matrix", lambda *_: pytest.fail("built d"))
     with pytest.raises(OutsideBasis):
-        dc.check_chain_maps(*key)
+        dc.check_chain_maps(p)
 
 
 @pytest.mark.parametrize("side", ["quo", "sub"], ids=["contracted", "deleted"])
 def test_check_exact_rejects_a_side_that_lacks_a_face(side):
-    # a sequence decides each level once, so the fault goes into a fresh one
+    # a sequence builds each level's partner table once, so the fault goes
+    # into a fresh one
     setup = DelConR(face_complex(W4), W4.order[0])
     dc = DelConCKS(setup)
-    p, q, r = key = exact_piece(dc)
-    assert dc.check_exact(*key)
+    p = exact_level(dc, deleted=1)
+    assert dc.check_exact(p)
     dc = DelConCKS(setup)
     level = p if side == "quo" else p - 1
     levels = [list(faces) for faces in getattr(dc, side).faces.levels]
     del levels[level][0]
     with_side(dc, side, levels=levels)
-    assert not dc.check_exact(*key)
+    assert not dc.check_exact(p)
 
 
 def test_delcon_cks_builds_each_differential_once(monkeypatch):
@@ -1100,72 +1121,64 @@ def test_cks_reports_a_corrupted_deletion_count(monkeypatch, capsys):
         "edge": "0", "reason": "Euler recurrence failed"}
 
 
-def exact_piece(dc):
-    """A piece (p, q, r) whose sequence has two deleted triples and a
-    contracted one."""
-    return next((p, q, r) for p, q, r in pieces(dc)
-                if dc.sub.dim(p - 1, q, r) >= 2 and dc.quo.dim(p, q, r))
-
-
-def exact_level_piece(dc, deleted=2, contracted=1):
-    """A piece (p, q, r) of more than one triple per face whose level p
-    has at least `deleted` deleted faces and `contracted` contracted ones."""
-    return next((p, q, r) for p, q, r in pieces(dc)
-                if dc.sub.dim(p - 1, 0, 0) >= deleted
-                and dc.quo.dim(p, 0, 0) >= contracted
-                and dc.mid.dim(p, q, r) > dc.mid.dim(p, 0, 0))
+def exact_level(dc, deleted=2, contracted=1):
+    """The first level p with at least `deleted` deleted faces and
+    `contracted` contracted ones."""
+    return next(p for p in levels_of(dc)
+                if dc.sub.dim(p - 1, 0, 0) >= deleted and dc.quo.dim(p, 0, 0) >= contracted)
 
 
 def with_face_maps(dc, p, inc=None, prj=None):
     """dc whose inclusion into and projection from the middle's faces of
     level p, the maps check_exact decides that level from, are `inc` and
-    `prj` where given; every other piece keeps its own maps."""
-    include, project = dc.include_matrix, dc.project_matrix
-    if inc is not None:
-        dc.include_matrix = lambda *k: inc if k == (p - 1, 0, 0) else include(*k)
-    if prj is not None:
-        dc.project_matrix = lambda *k: prj if k == (p, 0, 0) else project(*k)
+    `prj` where given; every other level keeps its own maps."""
+    face_maps = dc._face_maps
+
+    def patched(k):
+        if k != p:
+            return face_maps(k)
+        own_inc, own_prj = face_maps(k)
+        return (own_inc if inc is None else inc), (own_prj if prj is None else prj)
+
+    dc._face_maps = patched
     return dc
 
 
 def test_check_exact_rejects_a_non_injective_inclusion():
-    setup = DelConR(face_complex(W4), W4.order[0])
-    dc = DelConCKS(setup)
-    p, q, r = key = exact_level_piece(dc)
-    assert dc.check_exact(*key)
-    dc = DelConCKS(setup)
-    inc = dc.include_matrix(p - 1, 0, 0)
+    dc = DelConCKS(DelConR(face_complex(W4), W4.order[0]))
+    p = exact_level(dc)
+    assert dc.check_exact(p)
+    inc, _ = dc._face_maps(p)
     # the second deleted face goes where the first one does
     inc[1] = dict(inc[0])
-    assert not with_face_maps(dc, p, inc=inc).check_exact(*key)
+    assert not with_face_maps(dc, p, inc=inc).check_exact(p)
 
 
 def test_check_exact_rejects_a_projection_that_is_not_onto():
     setup = DelConR(face_complex(W4), W4.order[0])
     dc = DelConCKS(setup)
-    p, q, r = key = exact_level_piece(dc, deleted=1, contracted=2)
-    assert with_face_maps(dc, p, prj=dc.project_matrix(p, 0, 0)).check_exact(*key)
+    p = exact_level(dc, deleted=1, contracted=2)
+    assert with_face_maps(dc, p, prj=dc._face_maps(p)[1]).check_exact(p)
     dc = DelConCKS(setup)
-    prj = dc.project_matrix(p, 0, 0)
+    _, prj = dc._face_maps(p)
     # nothing projects onto the first contracted face
     for col in prj.values():
         col.pop(0, None)
-    assert not with_face_maps(dc, p, prj=prj).check_exact(*key)
+    assert not with_face_maps(dc, p, prj=prj).check_exact(p)
 
 
 def test_check_exact_rejects_a_nonzero_composite():
     setup = DelConR(face_complex(W4), W4.order[0])
     dc = DelConCKS(setup)
-    p, q, r = key = exact_level_piece(dc, deleted=1, contracted=2)
-    inc = dc.include_matrix(p - 1, 0, 0)
-    assert with_face_maps(dc, p, inc=inc).check_exact(*key)
+    p = exact_level(dc, deleted=1, contracted=2)
+    inc, prj = dc._face_maps(p)
+    assert with_face_maps(dc, p, inc=inc).check_exact(p)
     dc = DelConCKS(setup)
-    prj = dc.project_matrix(p, 0, 0)
     # the image of the first deleted face also projects onto the first
     # contracted face; both maps keep their full rank
     [j] = inc[0]
     prj[j][0] = 1
-    assert not with_face_maps(dc, p, prj=prj).check_exact(*key)
+    assert not with_face_maps(dc, p, prj=prj).check_exact(p)
 
 
 @pytest.mark.parametrize("graphs", [
@@ -1180,7 +1193,7 @@ def test_zero_product_agrees_with_the_dense_composite(graphs):
         for e in ctx.admissible_edges():
             dc = DelConCKS(ctx.delcon(e))
             for p, q, r in pieces(dc):
-                inc, prj = dc.include_matrix(p - 1, q, r), dc.project_matrix(p, q, r)
+                inc, prj = labelled_include(dc, p - 1, q, r), labelled_project(dc, p, q, r)
 
                 def dense_composite():
                     return matmul(project_rows(dc, p, q, r, prj),
@@ -1198,9 +1211,9 @@ def test_zero_product_agrees_with_the_dense_composite(graphs):
 
 def test_check_exact_accepts_a_composite_whose_terms_cancel():
     dc = DelConCKS(DelConR(face_complex(W4), W4.order[0]))
-    p, q, r = key = exact_level_piece(dc)
+    p = exact_level(dc)
     con = dc.split(p, 0, 0)[0]
-    inc, prj = dc.include_matrix(p - 1, 0, 0), dc.project_matrix(p, 0, 0)
+    inc, prj = dc._face_maps(p)
     # the first deleted face's image also takes in the first contracted
     # face, which the projection meets with +1 and its own image with
     # −1: the composite's entry is 1 − 1, and both maps keep full rank
@@ -1210,10 +1223,10 @@ def test_check_exact_accepts_a_composite_whose_terms_cancel():
     assert [prj[k][0] * inc[0][k] for k in (d0, con[0])] == [-1, 1]
     assert is_zero_matrix(matmul(project_rows(dc, p, 0, 0, prj),
                                  include_rows(dc, p - 1, 0, 0, inc)))
-    assert with_face_maps(dc, p, inc, prj).check_exact(*key)
+    assert with_face_maps(dc, p, inc, prj).check_exact(p)
     # with the projection's term alone the composite is not zero
     dc = DelConCKS(DelConR(face_complex(W4), W4.order[0]))
-    assert not with_face_maps(dc, p, prj=prj).check_exact(*key)
+    assert not with_face_maps(dc, p, prj=prj).check_exact(p)
 
 
 def test_check_exact_forms_no_dense_row(monkeypatch):
@@ -1251,14 +1264,21 @@ def test_check_exact_forms_no_dense_row(monkeypatch):
 
 def check_exact_by_pieces(dc, p, q, r):
     """Oracle for DelConCKS.check_exact: the same test on the maps of the
-    piece (2p, q, r) itself, with no verdict shared between the pieces
-    of one face level."""
-    inc = dc.include_matrix(p - 1, q, r)
-    prj = dc.project_matrix(p, q, r)
+    piece (2p, q, r) itself, over the labelled bases (labelled_include,
+    labelled_project), with no verdict shared between the pieces of one
+    face level.  The piece's split is read first, so a face without its
+    partner raises as there; a triple that a map sends outside the other
+    side's basis leaves the piece not exact."""
+    dc.split(p, q, r)
     dim_mid = dc.mid.dim(p, q, r)
     dim_sub = dc.sub.dim(p - 1, q, r)
     dim_quo = dc.quo.dim(p, q, r)
     if dim_sub + dim_quo != dim_mid:
+        return False
+    try:
+        inc = labelled_include(dc, p - 1, q, r)
+        prj = labelled_project(dc, p, q, r)
+    except OutsideBasis:
         return False
     r_inc = intlinalg.rank(inc) if dim_sub else 0
     r_prj = intlinalg.rank(prj) if dim_mid and dim_quo else 0
@@ -1329,7 +1349,8 @@ def test_check_exact_agrees_with_the_piece_by_piece_oracle(graphs):
             ctx = GraphContext(Graph(g.vertices, g.head, g.tail, list(order)))
             for e in ctx.admissible_edges():
                 dc, ref = DelConCKS(ctx.delcon(e)), DelConCKS(ctx.delcon(e))
-                verdicts = [dc.check_exact(*key) for key in pieces(dc)]
+                by_level = [dc.check_exact(p) for p in levels_of(dc)]
+                verdicts = [by_level[p] for p, _, _ in pieces(dc)]
                 assert verdicts == [check_exact_by_pieces(ref, *key)
                                     for key in pieces(ref)], (g, e)
                 seen += len(verdicts)
@@ -1345,7 +1366,8 @@ def test_check_exact_agrees_with_the_oracle_under_a_face_fault(fault):
         ctx = GraphContext(g)
         for e in ctx.admissible_edges():
             dc, ref = (with_face_fault(DelConCKS(ctx.delcon(e)), *fault) for _ in "ab")
-            verdicts = [outcome(dc.check_exact, *key) for key in pieces(dc)]
+            by_level = [outcome(dc.check_exact, p) for p in levels_of(dc)]
+            verdicts = [by_level[p] for p, _, _ in pieces(dc)]
             assert verdicts == [outcome(check_exact_by_pieces, ref, *key)
                                 for key in pieces(ref)], (g, e)
             rejected += any(v is not True for v in verdicts)
@@ -1446,6 +1468,53 @@ def test_delcon_cks_decides_each_level_once(monkeypatch, g):
         for s in c.faces.faces())
 
 
+@pytest.mark.parametrize("g", [THETA6, W4], ids=["theta6", "w4"])
+def test_delcon_cks_checks_each_level_once(monkeypatch, g):
+    # check_exact and check_chain_maps run once per (admissible edge,
+    # level), and split runs only inside _piece_commutes, once on the
+    # piece's source and once on its target
+    sequences, calls, inside = [], collections.Counter(), []
+    init, piece_commutes, split = (
+        DelConCKS.__init__, DelConCKS._piece_commutes, DelConCKS.split)
+
+    def kept(self, setup):
+        # keep each sequence, so that its id is not reused
+        init(self, setup)
+        sequences.append(self)
+
+    def counted(method):
+        def wrapper(self, p):
+            calls[(id(self), method.__name__, p)] += 1
+            return method(self, p)
+        return wrapper
+
+    def traced(self, *key):
+        calls["_piece_commutes"] += 1
+        inside.append(key)
+        try:
+            return piece_commutes(self, *key)
+        finally:
+            inside.pop()
+
+    def split_inside(self, *key):
+        assert inside, key
+        calls["split"] += 1
+        return split(self, *key)
+
+    monkeypatch.setattr(DelConCKS, "__init__", kept)
+    for name in ("check_exact", "check_chain_maps"):
+        monkeypatch.setattr(DelConCKS, name, counted(getattr(DelConCKS, name)))
+    monkeypatch.setattr(DelConCKS, "_piece_commutes", traced)
+    monkeypatch.setattr(DelConCKS, "split", split_inside)
+    report = run_checks(g, ["delcon_cks"])
+    assert report["delcon_cks"]["passed"], report
+    assert len(sequences) == len(GraphContext(g).admissible_edges())
+    assert calls.pop("split") == 2 * calls.pop("_piece_commutes") > 0
+    assert calls == collections.Counter(
+        (id(dc), name, p) for dc in sequences
+        for name in ("check_exact", "check_chain_maps") for p in range(g.genus() + 1))
+
+
 # ---------------------------------------------------------------------------
 # chain maps decided from the generator pieces of each level
 
@@ -1530,9 +1599,10 @@ def test_chain_maps_agree_with_both_oracles_under_a_record_fault(monkeypatch, gr
     # each sequence, of each graph in its edge order and in reverse (at
     # `edges` admissible edges drawn per order, or at all), has one record
     # drawn, of each kind in turn, and faulted in every way of
-    # record_faults and factor_faults, each fault in fresh sequences.  Every
-    # verdict of check_chain_maps is the per-piece one, and under a record
-    # fault the product one; only a fault in the free block goes unseen
+    # record_faults and factor_faults, each fault in fresh sequences.  Each
+    # level's check_chain_maps returns the first piece the per-piece
+    # reference rejects, whose verdicts are, under a record fault, the
+    # product ones; only a fault in the free block goes unseen
     with_factor_faults(monkeypatch)
     rng = random.Random(32)
     cases = detected = 0
@@ -1553,9 +1623,9 @@ def test_chain_maps_agree_with_both_oracles_under_a_record_fault(monkeypatch, gr
                 faults += [(bad, False) for bad in factor_faults(record)]
                 for bad, by_matmul in faults:
                     dc, ref = (with_record(DelConCKS(setup), side, s, k, bad) for _ in "ab")
-                    verdicts = [dc.check_chain_maps(*key) for key in pieces(dc)]
-                    assert verdicts == [chain_maps_by_pieces(ref, *key)
-                                        for key in pieces(ref)], (g, e, kind, bad)
+                    verdicts = [chain_maps_by_pieces(ref, *key) for key in pieces(ref)]
+                    failed = [dc.check_chain_maps(p) for p in levels_of(dc)]
+                    assert failed == first_rejected(ref, verdicts), (g, e, kind, bad)
                     assert not by_matmul or verdicts == [chain_maps_by_matmul(ref, *key)
                                                          for key in pieces(ref)], (g, e, kind, bad)
                     cases += 1

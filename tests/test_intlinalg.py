@@ -447,14 +447,19 @@ def test_rank_on_the_delcon_inclusions_and_projections():
             d = dc.mid.genus
             for p, q, r in itertools.product(range(d + 1), repeat=3):
                 mid, sub, quo = dc.mid.dim(p, q, r), dc.sub.dim(p - 1, q, r), dc.quo.dim(p, q, r)
+                # the piece's inclusion and projection, 0/1 columns read
+                # off its split
+                con, dl = dc.split(p, q, r)
                 if sub:
-                    inc = dc.include_matrix(p - 1, q, r)
+                    inc = {j: {i: 1} for j, i in enumerate(dl)}
                     rows = dense(inc, mid, sub)
                     assert_rank_agrees(rows)
                     assert rank(inc) == smith_normal_form(rows).rank == sub
                     seen += 1
                 if mid and quo:
-                    prj = dc.project_matrix(p, q, r)
+                    prj = {j: {} for j in range(mid)}
+                    for i, j in enumerate(con):
+                        prj[j] = {i: 1}
                     rows = dense(prj, quo, mid)
                     assert_rank_agrees(rows)
                     assert rank(prj) == smith_normal_form(rows).rank == quo
