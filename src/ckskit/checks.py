@@ -296,10 +296,6 @@ def check_activity(ctx):
     return True, {"dims": sizes}
 
 
-def _reorder(graph, order):
-    return graphs.Graph(graph.vertices, graph.head, graph.tail, order)
-
-
 def check_tutte(ctx):
     """Rank-nullity Tutte equals the activity Tutte under several edge
     orders; deletion-contraction recurrence; T(1,1) counts spanning trees."""
@@ -313,7 +309,7 @@ def check_tutte(ctx):
         if key in seen:
             continue
         seen.add(key)
-        g2 = _reorder(g, order)
+        g2 = graphs.Graph(g.vertices, g.head, g.tail, order)
         if activity.tutte_by_activity(g2) != t:
             return False, {"order": [str(e) for e in order]}
     for e in ctx.admissible_edges():

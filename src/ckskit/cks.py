@@ -62,9 +62,9 @@ def build_cks(graph, cc=None):
 # ---------------------------------------------------------------------------
 # cohomology, Euler table, generating polynomial
 
-def cks_cohomology(graph, cc=None):
+def cks_cohomology(graph):
     """Free rank and torsion per tridegree (2p, q, r), as a dict."""
-    cks = graph if isinstance(graph, CKSComplex) else build_cks(graph, cc)
+    cks = graph if isinstance(graph, CKSComplex) else build_cks(graph)
     return by_tridegree(cks.stripe_cohomology())
 
 
@@ -80,20 +80,15 @@ def by_tridegree(stripes):
             for p, (free, torsion) in coh.items() if free or torsion}
 
 
-def euler_table(graph, cc=None):
+def euler_table(graph):
     """e(k, ℓ) = alternating sum over p of the stripe dimensions, read
-    from the face counts of a graph, of its coherent cotree cc or of a
-    complex (see _counts_table)."""
-    return _faces_and_table(graph, cc)[1]
+    from the face counts of a graph or of a complex (see _counts_table)."""
+    return _faces_and_table(graph)[1]
 
 
-def _faces_and_table(graph, cc):
-    """The face complex of a graph, of its coherent cotree cc or of a
-    complex, and its Euler table."""
-    if isinstance(graph, HTComplex):
-        faces = graph.faces
-    else:
-        faces = cc.faces if cc is not None else face_complex(graph)
+def _faces_and_table(graph):
+    """The face complex of a graph or of a complex, and its Euler table."""
+    faces = graph.faces if isinstance(graph, HTComplex) else face_complex(graph)
     return faces, _counts_table([len(level) for level in faces.levels], faces.genus)
 
 
@@ -127,9 +122,9 @@ def euler_mismatch(table, coh):
                  if table.get(key, 0) != alt.get(key, 0)), None)
 
 
-def h_hat(graph, cc=None):
+def h_hat(graph):
     """Generating polynomial (−1)^d Σ e(k,ℓ) x^{d−k} y^ℓ of euler_table."""
-    faces, table = _faces_and_table(graph, cc)
+    faces, table = _faces_and_table(graph)
     d = faces.genus
     sign = -1 if d % 2 else 1
     return Poly2({(d - k, ell): sign * v for (k, ell), v in table.items() if v})

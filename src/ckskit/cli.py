@@ -279,8 +279,8 @@ def cmd_verify(args):
 
 
 def _corpus_worker(item):
-    name, g, names, choice = item
-    report = checks_mod.run_checks(g, names=names, choice=choice)
+    name, g, names = item
+    report = checks_mod.run_checks(g, names=names)
     return name, g.n_edges, g.genus(), report
 
 
@@ -296,7 +296,7 @@ def cmd_corpus(args):
     # the named graphs can have more edges than the bound
     _guard(max((g.n_edges for _, g in graphs), default=0),
            f"corpus --bound {args.bound} with its named graphs")
-    items = [(f"{label}#{i}" if label == "enum" else label, g, names, "min")
+    items = [(f"{label}#{i}" if label == "enum" else label, g, names)
              for i, (label, g) in enumerate(graphs)]
     jobs = min(args.jobs, len(items))
     if jobs > 1:

@@ -83,10 +83,12 @@ class Graph:
         if not edges <= self.eids:
             raise ValueError("not a subset of the edge set")
         keep = [e for e in self.order if e not in edges]
-        g = _build_unchecked(self.vertices, self.head, self.tail, keep)
-        if g is None:
-            raise BondDeletion(f"deleting {sorted(map(str, edges))} disconnects the graph")
-        return g
+        try:
+            return Graph(self.vertices, {e: self.head[e] for e in keep},
+                         {e: self.tail[e] for e in keep}, keep)
+        except (DisconnectedGraph, EmptyGraph):
+            raise BondDeletion(
+                f"deleting {sorted(map(str, edges))} disconnects the graph") from None
 
     def contract(self, edges):
         """Contract an edge set; merged vertices become frozensets of the
@@ -113,14 +115,6 @@ def _flatten_vertex(v):
     if isinstance(v, frozenset):
         return v
     return frozenset([v])
-
-
-def _build_unchecked(vertices, head, tail, keep):
-    try:
-        return Graph(vertices, {e: head[e] for e in keep},
-                     {e: tail[e] for e in keep}, keep)
-    except (DisconnectedGraph, EmptyGraph):
-        return None
 
 
 def union_find(vertices, pairs):
@@ -354,9 +348,7 @@ class FaceComplex:
         return len(self.position)
 
     @classmethod
-    def from_faces(cls, graph, faces, genus=None):
-        if genus is None:
-            genus = max((len(s) for s in faces), default=0)
+    def from_faces(cls, graph, faces, genus):
         levels = [[] for _ in range(genus + 1)]
         for s in faces:
             levels[len(s)].append(frozenset(s))

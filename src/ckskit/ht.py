@@ -13,13 +13,15 @@ size and the place of each face's block in it follow from the face counts
 (HTComplex.dim).  The matrix of d is written as sparse columns, one face
 block at a time, as the Kronecker product of the interior product and
 the restriction on the wedges of C(S) (HTComplex.d_columns).  Both come
-from one record per face S and edge e, built once per complex: the place
-of x0 and the interior products a_x = ⟨γ_x, e⟩ of the 1-wedges, read off
-the cycle basis of Γ∖S.  The restriction of x0 follows from them by the
-exchange identity, −a_x0 Σ_y a_y [y] over C(S ∪ e).  Templates of wedge
-positions, shared by all complexes, extend these to n-wedges: the
-interior product is a derivation followed by the projection that kills
-x0, and the restriction is an exterior power.  Each factor depends on its
+from one record per face S and edge e, kept in one plain table per face
+level and built once per complex (HTComplex.records): the places of S
+and S ∪ e in their levels, the place of x0 and the interior products
+a_x = ⟨γ_x, e⟩ of the 1-wedges, read off the cycle basis of Γ∖S.  The
+restriction of x0 follows from them by the exchange identity,
+−a_x0 Σ_y a_y [y] over C(S ∪ e).  Templates of wedge positions, shared
+by all complexes, extend these to n-wedges: the interior product is a
+derivation followed by the projection that kills x0, and the
+restriction is an exterior power.  Each factor depends on its
 record only through the place of x0 and the a_x, so it is read off the
 templates once per wedge size and distinct record, and cached for the
 process like the templates; assembly writes the product of the two
@@ -37,7 +39,6 @@ the ring R with its monomial basis, and the deletion-contraction setup
 that splits that basis.
 """
 
-import collections
 import functools
 import itertools
 import math
@@ -79,11 +80,8 @@ class HTComplex:
         self.genus = cc.faces.genus
         self._basis = {}
         self._index = {}
-        # (p, *ns) -> dim(p, *ns), and face -> its sorted C(S) (_cotree):
-        # both are fixed per complex
-        self._dims = {}
-        self._cotrees = {}
-        # face -> its edge records (_edges); (p, q) -> d's columns (d_columns)
+        # p -> the edge records of level p (records); (p, q) -> d's
+        # columns (d_columns)
         self._records = {}
         self._columns = {}
 
@@ -111,23 +109,14 @@ class HTComplex:
     def dim(self, p, *ns):
         """len(basis(p, *ns)), counted without building the basis: C(S)
         has genus − p edges on every face S of size p, so the piece has
-        piece_size(f_p, genus − p, ns) elements, f_p = len(levels[p]).
-        Counted once per piece."""
-        key = (p, *ns)
-        size = self._dims.get(key)
-        if size is None:
-            size = self._dims[key] = (
-                piece_size(len(self.faces.levels[p]), self.genus - p, ns)
-                if 0 <= p <= self.genus and all(0 <= n <= self.genus - p for n in ns)
-                else 0)
-        return size
+        piece_size(f_p, genus − p, ns) elements, f_p = len(levels[p])."""
+        if 0 <= p <= self.genus and all(0 <= n <= self.genus - p for n in ns):
+            return piece_size(len(self.faces.levels[p]), self.genus - p, ns)
+        return 0
 
     def _cotree(self, s):
-        """C(S) in the edge order, sorted once per face."""
-        xs = self._cotrees.get(s)
-        if xs is None:
-            xs = self._cotrees[s] = tuple(self.graph.sort_edges(self.cc.C(s)))
-        return xs
+        """C(S) in the edge order."""
+        return self.graph.sort_edges(self.cc.C(s))
 
     def _wedges(self, s, n):
         """The increasing n-wedges of C(S), in basis order."""
@@ -189,40 +178,36 @@ class HTComplex:
         Filled one face block at a time: the block from the elements on S
         to those on S ∪ e is the Kronecker product of the interior product
         by e on the q-wedges of C(S) with the restriction to C(S ∪ e) on
-        its r-wedges.  Both factors are read off the edge record of (S, e)
-        (_edges) through templates of wedge positions: the restriction
-        sends x0 to −a_x0 Σ_y a_y [y] (the exchange identity) and keeps
-        every other edge.  A factor depends only on the wedge sizes and
-        the record's x0_pos and iota, so it is cached for the process
-        (_iota_factor, _restrict_factor), and the product is written
-        straight into the columns: the entry c·c2 of source wedges w and
-        ja goes to column w · C(m, r) + ja of the block and row
-        x · C(m − 1, r) + y, for every term (x, c) of w and (y, c2) of ja.
-        Every face of a level has a block of the same size, so face S's
-        first column is position[S] · dim(p, q, *r)/f_p and face T's first
-        row is position[T] · dim(p + 1, q − 1, *r)/f_{p+1}.  d_element
-        gives the same columns element by element."""
+        its r-wedges.  Both factors are read off the row of (S, e) in the
+        level's record table (records) through templates of wedge
+        positions: the restriction sends x0 to −a_x0 Σ_y a_y [y] (the
+        exchange identity) and keeps every other edge.  A factor depends
+        only on the wedge sizes and the row's x0 place and iota, so it is
+        cached for the process (_iota_factor, _restrict_factor), and the
+        product is written straight into the columns: the entry c·c2 of
+        source wedges w and ja goes to column w · C(m, r) + ja of the
+        block and row x · C(m − 1, r) + y, for every term (x, c) of w and
+        (y, c2) of ja.  Every face of a level has a block of the same
+        size, so face S's first column is its place · dim(p, q, *r)/f_p
+        and face T's first row is its place · dim(p + 1, q − 1, *r)/f_{p+1}.
+        d_element gives the same columns element by element."""
         n_src, n_tgt = self.dim(p, q, *r), self.dim(p + 1, q - 1, *r)
         columns = {}
         if not (n_src and n_tgt):
             return columns
-        level = self.faces.levels[p]
-        width = n_src // len(level)
+        width = n_src // len(self.faces.levels[p])
         height = n_tgt // len(self.faces.levels[p + 1])
-        position = self.faces.position
         m, n = self.genus - p, (r[0] if r else 0)
         na, size = math.comb(m, n), math.comb(m - 1, n)
-        for s in level:
-            j = position[s] * width
-            for edge in self._edges(s):
-                i = edge.t_pos * height
-                restriction = _restrict_factor(m, n, edge.x0_pos, edge.iota)
-                for w, terms in _iota_factor(m, q, edge.x0_pos, edge.iota):
-                    for ja, row in restriction:
-                        column = columns.setdefault(j + w * na + ja, {})
-                        for x, c in terms:
-                            for y, c2 in row:
-                                column[i + x * size + y] = c * c2
+        for s_pos, _, t_pos, x0, a in self.records(p):
+            j, i = s_pos * width, t_pos * height
+            restriction = _restrict_factor(m, n, x0, a)
+            for w, terms in _iota_factor(m, q, x0, a):
+                for ja, row in restriction:
+                    column = columns.setdefault(j + w * na + ja, {})
+                    for x, c in terms:
+                        for y, c2 in row:
+                            column[i + x * size + y] = c * c2
         return columns
 
     def d_matrix(self, p, q, *r):
@@ -232,24 +217,32 @@ class HTComplex:
         return dense(self.d_columns(p, q, *r), self.dim(p + 1, q - 1, *r),
                      self.dim(p, q, *r))
 
-    def _edges(self, s):
-        """The edge records of face S, one per edge e with S ∪ e a face, in
-        edge order, each built once per complex (see _Edge).  A record
-        reads only the cycle basis of Γ∖S and cc.lost: the interior
-        product by e of the 1-wedge x of C(S) is ⟨γ_x, e⟩ times the empty
-        wedge (cc.pair)."""
-        records = self._records.get(s)
-        if records is None:
-            records = []
+    def records(self, p):
+        """The edge records of level p, one row per face S of size p and
+        edge e with S ∪ e a face, built once per complex: (place of S in
+        level p, e, place of S ∪ e in level p + 1, place of x0 =
+        cc.lost(S, e) in the sorted C(S), iota), iota the interior
+        products a_x = ⟨γ_x, e⟩ by e of the 1-wedges x of the sorted C(S)
+        (cc.pair), read off the cycle basis of Γ∖S.  The rows go by S in
+        level order, then e in edge order.  The interior product on
+        n-wedges reads a by position, and so does the restriction, which
+        a fixes too: x0 goes to −a_x0 Σ_y a_y [y] over C(S ∪ e) (the
+        exchange identity; a_x0 = ±1).  So the x0 place and iota fix both
+        factors of the row's block in every piece, and rows that share
+        them share the cached factors (_iota_factor, _restrict_factor); the
+        two face places only say where the block goes."""
+        table = self._records.get(p)
+        if table is None:
+            table = self._records[p] = []
             position = self.faces.position
-            xs = self._cotree(s)
-            for e in self.graph.sort_edges(self.graph.eids - s):
-                t = s | {e}
-                if t in position:
-                    records.append(_Edge(e, position[t], xs.index(self.cc.lost(s, e)),
-                                         tuple(self.cc.pair(s, x, e) for x in xs)))
-            self._records[s] = records
-        return records
+            for s_pos, s in enumerate(self.faces.levels[p]):
+                xs = self._cotree(s)
+                for e in self.graph.sort_edges(self.graph.eids - s):
+                    t_pos = position.get(s | {e})
+                    if t_pos is not None:
+                        table.append((s_pos, e, t_pos, xs.index(self.cc.lost(s, e)),
+                                      tuple(self.cc.pair(s, x, e) for x in xs)))
+        return table
 
     def stripe_keys(self):
         """The key (k,) of every stripe p + q = k that can be nonzero."""
@@ -260,7 +253,7 @@ class HTComplex:
         the CKS complex), keyed as in stripe_keys, or the NotAComplex
         error of a stripe where d² ≠ 0, kept as a witness.  The stripes are
         built one at a time (_stripe); they share the edge records of d
-        (_edges)."""
+        (records)."""
         return {key: self._stripe(*key) for key in self.stripe_keys()}
 
     def _stripe(self, k, *r):
@@ -278,21 +271,6 @@ class HTComplex:
             return exc
 
 
-class _Edge(collections.namedtuple("_Edge", "e t_pos x0_pos iota")):
-    """What d needs of a face S and an edge e with S ∪ e a face, fixed once
-    built: e, the place of S ∪ e in its level (t_pos), the place of x0 =
-    cc.lost(S, e) in the sorted C(S) (x0_pos), and the interior products
-    a_x = ⟨γ_x, e⟩ by e of the 1-wedges x of the sorted C(S) (iota).  The
-    interior product on n-wedges reads a by position, and so does the
-    restriction, which a fixes too: x0 goes to −a_x0 Σ_y a_y [y] over
-    C(S ∪ e) (the exchange identity; a_x0 = ±1).  So x0_pos and iota fix
-    both factors of the record's block in every piece, and records that
-    share them share the cached factors (_iota_factor, _restrict_factor);
-    e and t_pos only say where the block goes."""
-
-    __slots__ = ()
-
-
 def _wedge_index(m, n):
     """{w: place} over the increasing n-wedges of range(m), in basis order."""
     return {w: i for i, w in enumerate(itertools.combinations(range(m), n))}
@@ -306,7 +284,7 @@ def _drop(w, j):
 
 # The templates and factors are cached for the process, each a tuple of
 # tuples no caller changes: one template per (m, j, n), j < m ≤ genus, and
-# one factor per wedge size and distinct (x0_pos, iota) of an edge record.
+# one factor per wedge size and distinct (x0 place, iota) of an edge record.
 
 @functools.cache
 def _iota_template(m, j, n):
@@ -355,7 +333,7 @@ def _restrict_template(m, j, n):
 @functools.cache
 def _iota_factor(m, q, x0, a):
     """The interior product by e on the q-wedges of a cotree C(S) of m
-    edges, from an edge record's x0_pos (x0) and iota values (a), by
+    edges, from an edge record's x0 place (x0) and iota values (a), by
     position: _iota_template with the values read in (_read_values)."""
     return _read_values(_iota_template(m, x0, q), a)
 

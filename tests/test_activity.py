@@ -24,7 +24,7 @@ from ckskit.checks import (
     check_ring,
     check_shelling,
 )
-from ckskit.errors import FaceNotInComplex, NotACotree
+from ckskit.errors import FaceNotInComplex, NotACotree, NotASpanningTree
 from ckskit.graphs import (
     CycleBasis,
     FaceComplex,
@@ -114,6 +114,15 @@ def test_activities_theta():
     assert external_activity(THETA, fs(X)) == fs()
     assert internal_activity(THETA, fs(X)) == fs(X)
     assert internal_activity(THETA, fs(Z)) == fs()
+
+
+@pytest.mark.parametrize("activity", [external_activity, internal_activity])
+def test_activities_reject_an_edge_set_that_is_not_a_spanning_tree(activity):
+    # too few edges, too many, and as many as a tree has but closing a cycle
+    g = build_graph([(0, 1), (0, 1), (1, 2)])
+    for graph, edges in ((THETA, fs()), (THETA, fs(X, Y)), (g, fs(0, 1))):
+        with pytest.raises(NotASpanningTree):
+            activity(graph, edges)
 
 
 def test_in_of_top_faces_is_external_activity(theta_cc):

@@ -635,31 +635,28 @@ def assemble_by_records(c, p, q, *r):
     columns = {}
     if not (n_src and n_tgt):
         return columns
-    level = c.faces.levels[p]
-    width = n_src // len(level)
+    width = n_src // len(c.faces.levels[p])
     height = n_tgt // len(c.faces.levels[p + 1])
     m = c.genus - p
     n = r[0] if r else 0
     na, size = math.comb(m, n), math.comb(m - 1, n)
     identity = [(0, [(0, 1)])]
-    for s in level:
-        j = c.faces.position[s] * width
-        for edge in c._edges(s):
-            a, x0 = edge.iota, edge.x0_pos
-            aop = identity
-            if n:
-                b = [-a[x0] * v for v in a]
-                b[x0] = 1
-                aop = [(ja, arow) for ja, arow in enumerate(
-                    [(y, sign * b[k]) for y, sign, k in row if b[k]]
-                    for row in ht._restrict_template(m, x0, n)) if arow]
-            i = edge.t_pos * height
-            for col, row in zip(range(j, j + width, na), ht._iota_template(m, x0, q)):
-                bases = [(i + x * size, sign * a[k]) for x, sign, k in row if a[k]]
-                if bases:
-                    for ja, arow in aop:
-                        columns.setdefault(col + ja, {}).update(
-                            [(base + y, v * v2) for base, v in bases for y, v2 in arow])
+    for s_pos, _, t_pos, x0, a in c.records(p):
+        j = s_pos * width
+        aop = identity
+        if n:
+            b = [-a[x0] * v for v in a]
+            b[x0] = 1
+            aop = [(ja, arow) for ja, arow in enumerate(
+                [(y, sign * b[k]) for y, sign, k in row if b[k]]
+                for row in ht._restrict_template(m, x0, n)) if arow]
+        i = t_pos * height
+        for col, row in zip(range(j, j + width, na), ht._iota_template(m, x0, q)):
+            bases = [(i + x * size, sign * a[k]) for x, sign, k in row if a[k]]
+            if bases:
+                for ja, arow in aop:
+                    columns.setdefault(col + ja, {}).update(
+                        [(base + y, v * v2) for base, v in bases for y, v2 in arow])
     return columns
 
 
@@ -743,38 +740,35 @@ def test_clearing_pins_the_columns_the_cks_stripes_factor(monkeypatch, g, factor
 
 
 def record_keys(c, p):
-    """The distinct (x0_pos, iota) of the edge records of level p."""
-    return {(edge.x0_pos, tuple(edge.iota))
-            for s in c.faces.levels[p] for edge in c._edges(s)}
+    """The distinct (x0 place, iota) of the edge records of level p."""
+    return {(x0, tuple(a)) for _, _, _, x0, a in c.records(p)}
 
 
 def first_shared_record(c):
-    """(p, S, record) of the first edge record, in the order _assemble
-    walks them, whose (x0_pos, iota) an earlier record of level p has."""
-    seen = set()
+    """(p, S, e) of the first edge record, in the order _assemble walks
+    them, whose (x0 place, iota) an earlier record of level p has."""
     for p, level in enumerate(c.faces.levels):
-        for s in level:
-            for record in c._edges(s):
-                key = (p, record.x0_pos, tuple(record.iota))
-                if key in seen:
-                    return p, s, record
-                seen.add(key)
+        seen = set()
+        for s_pos, e, _, x0, a in c.records(p):
+            if (x0, a) in seen:
+                return p, level[s_pos], e
+            seen.add((x0, a))
 
 
 def test_a_block_is_keyed_by_every_value_of_its_record():
     # one pairing ⟨γ_x, e⟩ of a record that shares its block with an
     # earlier one is raised by one, value by value: that changes its iota
-    # and keeps its x0_pos, so a key that left the value out would place
+    # and keeps its x0 place, so a key that left the value out would place
     # the earlier record's block for it
     c = HTComplex(W4, coherent_cotree(W4))
-    p, s, record = first_shared_record(c)
+    p, s, e = first_shared_record(c)
     xs = W4.sort_edges(c.cc.C(s))
     clean = c.d_columns(p, 1)
     for x in xs:
         cc = coherent_cotree(W4)
 
         def pair(s2, y, t, x=x, original=cc.pair):
-            return original(s2, y, t) + (s2 == s and y == x and t == record.e)
+            return original(s2, y, t) + (s2 == s and y == x and t == e)
 
         cc.pair = pair
         cks = build_cks(W4, cc)
@@ -799,7 +793,7 @@ def clear_factors():
 
 @pytest.mark.parametrize("g", [THETA6, W4], ids=["theta6", "w4"])
 def test_each_factor_is_built_once_per_distinct_record(g):
-    # each cache misses once per distinct (x0_pos, iota) of the level's
+    # each cache misses once per distinct (x0 place, iota) of the level's
     # records and is hit by every other record; the factors outlive the
     # call, so assembling the piece again builds none
     cks = build_cks(g)
@@ -807,7 +801,7 @@ def test_each_factor_is_built_once_per_distinct_record(g):
         for p, q, *r in d_pieces(c):
             records = distinct = 0
             if c.dim(p, q, *r) and c.dim(p + 1, q - 1, *r):
-                records = sum(len(c._edges(s)) for s in c.faces.levels[p])
+                records = len(c.records(p))
                 distinct = len(record_keys(c, p))
             clear_factors()
             for run in (1, 2):
@@ -821,7 +815,7 @@ def coherent_cotrees(g):
     order.  With the first, x0 is the last place in C(S) with a_x ≠ 0 on
     every edge record of the bound-6 corpus, theta7 and K5, in both edge
     orders; with the second it is not always, so only the two together
-    tell a factor key without x0_pos from one with it."""
+    tell a factor key without the x0 place from one with it."""
     reverse = Graph(g.vertices, g.head, g.tail, list(g.order[::-1]))
     return [coherent_cotree(g),
             CoherentCotree(g, face_complex(g), coherent_cotree(reverse).table)]
@@ -1520,15 +1514,15 @@ def test_delcon_cks_checks_each_level_once(monkeypatch, g):
 
 def record_faults(record):
     """Faulted copies of an edge record: each iota entry plus one, each
-    other x0_pos, iota negated and iota zeroed."""
-    a = record.iota
+    other x0 place, iota negated and iota zeroed."""
+    s_pos, e, t_pos, x0, a = record
     for k in range(len(a)):
-        yield record._replace(iota=a[:k] + (a[k] + 1,) + a[k + 1:])
-    for x0 in range(len(a)):
-        if x0 != record.x0_pos:
-            yield record._replace(x0_pos=x0)
-    yield record._replace(iota=tuple(-c for c in a))
-    yield record._replace(iota=(0,) * len(a))
+        yield s_pos, e, t_pos, x0, a[:k] + (a[k] + 1,) + a[k + 1:]
+    for other in range(len(a)):
+        if other != x0:
+            yield s_pos, e, t_pos, other, a
+    yield s_pos, e, t_pos, x0, tuple(-c for c in a)
+    yield s_pos, e, t_pos, x0, (0,) * len(a)
 
 
 class FactorFault(tuple):
@@ -1560,16 +1554,16 @@ def with_factor_faults(monkeypatch):
 def factor_faults(record):
     """Copies of an edge record whose interior product at one q ≥ 1 or
     restriction at one r ≥ 1 is faulted (FactorFault)."""
-    m = len(record.iota)
-    return [record._replace(iota=FactorFault(record.iota, kind, n))
-            for kind, ns in (("iota", range(1, m + 1)), ("restrict", range(1, m)))
+    *head, a = record
+    return [(*head, FactorFault(a, kind, n))
+            for kind, ns in (("iota", range(1, len(a) + 1)), ("restrict", range(1, len(a))))
             for n in ns]
 
 
-def with_record(dc, side, s, k, record):
+def with_record(dc, side, p, k, record):
     """dc whose contracted, deleted or middle complex has `record` as the
-    k-th edge record of its face s; every other record is its own."""
-    getattr(dc, side)._edges(s)[k] = record
+    k-th row of its level-p record table; every other record is its own."""
+    getattr(dc, side).records(p)[k] = record
     return dc
 
 
@@ -1580,15 +1574,16 @@ RECORD_KINDS = ("mid", "sub", "quo", "free")
 
 
 def record_kinds(dc):
-    """{kind: [(side, face, k), ...]} over every edge record of the three
-    complexes, by RECORD_KINDS; a kind with no record is left out."""
+    """{kind: [(side, p, k), ...]} over every edge record of the three
+    complexes, the k-th row of level p, by RECORD_KINDS; a kind with no
+    record is left out."""
     kinds = collections.defaultdict(list)
     for side in ("mid", "sub", "quo"):
         c = getattr(dc, side)
-        for s in c.faces.faces():
-            for k, record in enumerate(c._edges(s)):
-                free = side == "mid" and record.e == dc.edge
-                kinds["free" if free else side].append((side, s, k))
+        for p in range(len(c.faces.levels)):
+            for k, (_, e, _, _, _) in enumerate(c.records(p)):
+                free = side == "mid" and e == dc.edge
+                kinds["free" if free else side].append((side, p, k))
     return kinds
 
 
@@ -1617,12 +1612,12 @@ def test_chain_maps_agree_with_both_oracles_under_a_record_fault(monkeypatch, gr
                 probe = DelConCKS(setup)
                 kinds = record_kinds(probe)
                 kind = next(k for k in turn if k in kinds)
-                side, s, k = rng.choice(kinds[kind])
-                record = getattr(probe, side)._edges(s)[k]
+                side, p, k = rng.choice(kinds[kind])
+                record = getattr(probe, side).records(p)[k]
                 faults = [(bad, True) for bad in record_faults(record)]
                 faults += [(bad, False) for bad in factor_faults(record)]
                 for bad, by_matmul in faults:
-                    dc, ref = (with_record(DelConCKS(setup), side, s, k, bad) for _ in "ab")
+                    dc, ref = (with_record(DelConCKS(setup), side, p, k, bad) for _ in "ab")
                     verdicts = [chain_maps_by_pieces(ref, *key) for key in pieces(ref)]
                     failed = [dc.check_chain_maps(p) for p in levels_of(dc)]
                     assert failed == first_rejected(ref, verdicts), (g, e, kind, bad)
@@ -1639,7 +1634,7 @@ def test_chain_maps_agree_with_both_oracles_under_a_record_fault(monkeypatch, gr
 
 # (side, level, record of the level's first face, fault), the fault an
 # index into record_faults: 0 and 1 add one to an iota entry, −3 moves
-# x0_pos to the last other place, −2 negates iota and −1 zeroes it.  The
+# the x0 place to the last other place, −2 negates iota and −1 zeroes it.  The
 # last record of the middle's first face adds the sequence's edge: the
 # free block.
 RECORD_FAULTS = [
@@ -1659,9 +1654,9 @@ def test_delcon_cks_reports_a_record_fault_as_the_piece_by_piece_loop(monkeypatc
 
         def faulted(self, setup, side=side, level=level, k=k, which=which):
             init(self, setup)
-            c = getattr(self, side)
-            s = c.faces.levels[level][0]
-            with_record(self, side, s, k, list(record_faults(c._edges(s)[k]))[which])
+            table = getattr(self, side).records(level)
+            row = [i for i, (s_pos, *_) in enumerate(table) if s_pos == 0][k]
+            with_record(self, side, level, row, list(record_faults(table[row]))[which])
 
         monkeypatch.setattr(DelConCKS, "__init__", faulted)
         for g in (THETA6, W4):
@@ -1686,21 +1681,20 @@ def test_the_generator_argument_holds_on_every_record(graphs):
         for e in ctx.admissible_edges():
             dc = DelConCKS(ctx.delcon(e))
             for c in (dc.mid, dc.sub, dc.quo):
-                for p, level in enumerate(c.faces.levels):
+                for p in range(len(c.faces.levels)):
                     m = c.genus - p
-                    for s in level:
-                        edges = c._edges(s)
-                        assert len({rec.t_pos for rec in edges}) == len(edges), (g, e, s)
-                        for rec in edges:
-                            x0, a = rec.x0_pos, rec.iota
-                            assert ht._restrict_factor(m, 0, x0, a) == ((0, ((0, 1),)),)
-                            assert ht._iota_factor(m, 1, x0, a) == tuple(
-                                (x, ((0, v),)) for x, v in enumerate(a) if v)
-                            entries = {v for v in a} | {-v for v in a}
-                            for q in range(1, m + 1):
-                                for _, terms in ht._iota_factor(m, q, x0, a):
-                                    assert {v for _, v in terms} <= entries
-                            records += 1
+                    rows = c.records(p)
+                    assert len({(s_pos, t_pos) for s_pos, _, t_pos, _, _ in rows}) \
+                        == len(rows), (g, e, p)
+                    for _, _, _, x0, a in rows:
+                        assert ht._restrict_factor(m, 0, x0, a) == ((0, ((0, 1),)),)
+                        assert ht._iota_factor(m, 1, x0, a) == tuple(
+                            (x, ((0, v),)) for x, v in enumerate(a) if v)
+                        entries = {v for v in a} | {-v for v in a}
+                        for q in range(1, m + 1):
+                            for _, terms in ht._iota_factor(m, q, x0, a):
+                                assert {v for _, v in terms} <= entries
+                        records += 1
     assert records
 
 
@@ -1851,10 +1845,11 @@ def test_the_lost_edge_restricts_by_the_exchange_identity():
     complexes = {}
     for cc, s, e in restriction_cases():
         htc = complexes.setdefault(cc, HTComplex(cc.graph, cc))
-        (record,) = [r for r in htc._edges(s) if r.e == e]
+        s_pos = htc.faces.position[s]
+        (iota,) = [a for i, e2, _, _, a in htc.records(len(s)) if (i, e2) == (s_pos, e)]
         xs = cc.graph.sort_edges(cc.C(s))
-        assert record.iota == tuple(cc.pair(s, x, e) for x in xs)
-        a = dict(zip(xs, record.iota))
+        assert iota == tuple(cc.pair(s, x, e) for x in xs)
+        a = dict(zip(xs, iota))
         x0 = cc.lost(s, e)
         assert a[x0] in (1, -1)
         assert cc.restrict(s, e, (x0,)) == {
@@ -1863,20 +1858,30 @@ def test_the_lost_edge_restricts_by_the_exchange_identity():
 
 
 def test_edge_records_are_the_interior_products_of_the_1_wedges():
-    # oracle for _edges: iota, the wedge-by-wedge reference, removes the
-    # only edge of a 1-wedge (x), so its image is ⟨γ_x, e⟩ times the empty
-    # wedge, and that coefficient is the record's value at x
+    # oracle for records: its rows go by S in level order, then e in edge
+    # order, over the e with S ∪ e a face, and hold the places of S and
+    # S ∪ e (faces.position) and of x0 = cc.lost(S, e) in the sorted C(S);
+    # iota, the wedge-by-wedge reference, removes the only edge of a
+    # 1-wedge (x), so its image is ⟨γ_x, e⟩ times the empty wedge, and
+    # that coefficient is the record's value at x
     records = 0
     for g in [g for _, g in corpus.corpus_graphs(bound=5)] + [THETA6, W4, K4PP]:
         for order in (g.order, g.order[::-1]):
             g2 = Graph(g.vertices, g.head, g.tail, list(order))
             htc = HTComplex(g2, coherent_cotree(g2))
-            for s in htc.faces.faces():
-                xs = g2.sort_edges(htc.cc.C(s))
-                for record in htc._edges(s):
-                    images = [htc.iota(s, record.e, (x,)) for x in xs]
+            position = htc.faces.position
+            for p, level in enumerate(htc.faces.levels):
+                rows = htc.records(p)
+                assert [row[:3] for row in rows] == [
+                    (position[s], e, position[s | {e}]) for s in level
+                    for e in g2.sort_edges(g2.eids - s) if s | {e} in htc.faces], (order, p)
+                for s_pos, e, _, x0, a in rows:
+                    s = level[s_pos]
+                    xs = g2.sort_edges(htc.cc.C(s))
+                    assert xs[x0] == htc.cc.lost(s, e), (order, s, e)
+                    images = [htc.iota(s, e, (x,)) for x in xs]
                     assert all(set(image) <= {()} for image in images), (order, s)
-                    assert record.iota == tuple(image.get((), 0) for image in images)
+                    assert a == tuple(image.get((), 0) for image in images)
                     records += 1
     assert records == 6310
 

@@ -114,6 +114,9 @@ def test_delete_contract():
     assert g.contract({Z}).genus() == 2  # both survivors become loops
     with pytest.raises(BondDeletion):
         corpus.bridge_graph().delete({0})
+    # a bridge between two loops: the rest keeps edges but falls apart
+    with pytest.raises(BondDeletion):
+        build_graph([(0, 0), (0, 1), (1, 1)]).delete({1})
     # deleting every edge of an all-loops graph leaves the one-vertex graph
     empty = corpus.loop_graph().delete({0})
     assert empty.n_edges == 0 and empty.n_vertices == 1 and empty.genus() == 0

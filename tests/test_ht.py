@@ -24,6 +24,7 @@ from ckskit.errors import (
     NotAComplex,
     OutsideBasis,
     ParseError,
+    SupportContainsBond,
 )
 from ckskit.graphs import (
     build_graph,
@@ -104,6 +105,13 @@ def test_reduce_monomial_trivial_cases(theta):
     ht, _ = theta
     assert reduce_monomial(ht, {}) == {fs(): 1}
     assert reduce_monomial(ht, {X: 1, Y: 1}) == {fs(X, Y): 1}
+
+
+def test_reduce_monomial_rejects_an_exponent_outside_the_graph(theta):
+    ht, _ = theta
+    for sigma in ({7: 1}, {X: 1, 7: 2}):
+        with pytest.raises(SupportContainsBond):
+            reduce_monomial(ht, sigma)
 
 
 def _reduce_monomial_in_the_deletion(ht, sigma):
