@@ -80,20 +80,21 @@ class CoherentCotree:
 
     def pair(self, s, x, e):
         """Coefficient of edge e in the cycle of cotree edge x, inside the
-        graph with S deleted."""
+        graph with S deleted: one entry of the cycle rows.  The reference
+        for the element-wise d (HTComplex.iota) and for f; the edge records
+        of d (HTComplex.records) read the rows themselves."""
         return self.cycles(s).rows[x].get(e, 0)
 
     def lost(self, s, e):
-        """The cotree edge x0 that S loses when e joins it, C(S) ∖ C(S ∪ e).
-        Raises IncoherentCotree unless C(S ∪ e) = C(S) ∖ {x0}, the coherence
-        that validate (run by checks.check_coherence) checks everywhere."""
+        """The cotree edge x0 that S loses when e joins it, C(S) ∖ C(S ∪ e)
+        (lost_edge), kept per (S, e) for the element-wise d and the
+        homotopy; the edge records of d take it from the two cotrees
+        themselves.  Raises IncoherentCotree unless C(S ∪ e) = C(S) ∖
+        {x0}, the coherence that validate (run by checks.check_coherence)
+        checks everywhere."""
         key = (frozenset(s), e)
         if key not in self._lost:
-            c, c2 = self.C(key[0]), self.C(key[0] | {e})
-            if len(c2) + 1 != len(c) or not c2 <= c:
-                raise IncoherentCotree(f"C(S ∪ {{{e}}}) is not C(S) less one edge "
-                                       f"at S = {sorted(map(str, key[0]))}")
-            (self._lost[key],) = c - c2
+            self._lost[key] = lost_edge(self.C(key[0]), self.C(key[0] | {e}), key[0], e)
         return self._lost[key]
 
     def restrict(self, s, e, a):
@@ -159,6 +160,16 @@ class CoherentCotree:
             if not all(c <= self.table[s - {y}] for y in s):
                 return False
         return True
+
+
+def lost_edge(c, c2, s, e):
+    """The one edge x0 of c = C(S) outside c2 = C(S ∪ e).  Raises
+    IncoherentCotree unless c2 = c ∖ {x0}."""
+    if len(c2) + 1 != len(c) or not c2 <= c:
+        raise IncoherentCotree(f"C(S ∪ {{{e}}}) is not C(S) less one edge "
+                               f"at S = {sorted(map(str, s))}")
+    (x0,) = c - c2
+    return x0
 
 
 def coherent_cotree(graph, faces=None):

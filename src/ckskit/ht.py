@@ -15,8 +15,9 @@ block at a time, as the Kronecker product of the interior product and
 the restriction on the wedges of C(S) (HTComplex.d_columns).  Both come
 from one record per face S and edge e, kept in one plain table per face
 level and built once per complex (HTComplex.records): the places of S
-and S ∪ e in their levels, the place of x0 and the interior products
-a_x = ⟨γ_x, e⟩ of the 1-wedges, read off the cycle basis of Γ∖S.  The
+and S ∪ e in their levels, the place of x0, taken from C(S) and
+C(S ∪ e), and the interior products a_x = ⟨γ_x, e⟩ of the 1-wedges,
+read off the cycle rows of Γ∖S, which each face reads once.  The
 restriction of x0 follows from them by the exchange identity,
 −a_x0 Σ_y a_y [y] over C(S ∪ e).  Templates of wedge positions, shared
 by all complexes, extend these to n-wedges: the interior product is a
@@ -26,8 +27,9 @@ record only through the place of x0 and the a_x, so it is read off the
 templates once per wedge size and distinct record, and cached for the
 process like the templates; assembly writes the product of the two
 factors straight into the columns.  HTComplex.iota and
-CoherentCotree.restrict give the same maps wedge by wedge, for
-d_element, the reference (and iota for the homotopy FGH.h_element).  The
+CoherentCotree.restrict give the same maps wedge by wedge, from
+CoherentCotree.pair and CoherentCotree.lost, for d_element, the
+reference (and iota for the homotopy FGH.h_element).  The
 HT complex keeps each piece's columns once assembled, and its stripes,
 `ht` and the HT checks all read that copy; the CKS complex assembles per
 call.  The stripes' cohomology is computed one stripe at a time from
@@ -43,7 +45,7 @@ import functools
 import itertools
 import math
 
-from .activity import CoherentCotree, coherent_cotree
+from .activity import CoherentCotree, coherent_cotree, lost_edge
 from .errors import (
     ChoiceOutsideIn,
     EdgeIsBondOrLoop,
@@ -110,9 +112,13 @@ class HTComplex:
         """len(basis(p, *ns)), counted without building the basis: C(S)
         has genus − p edges on every face S of size p, so the piece has
         piece_size(f_p, genus − p, ns) elements, f_p = len(levels[p])."""
-        if 0 <= p <= self.genus and all(0 <= n <= self.genus - p for n in ns):
-            return piece_size(len(self.faces.levels[p]), self.genus - p, ns)
-        return 0
+        m = self.genus - p
+        if p < 0 or m < 0:
+            return 0
+        for n in ns:
+            if not 0 <= n <= m:
+                return 0
+        return piece_size(len(self.faces.levels[p]), m, ns)
 
     def _cotree(self, s):
         """C(S) in the edge order."""
@@ -220,10 +226,14 @@ class HTComplex:
     def records(self, p):
         """The edge records of level p, one row per face S of size p and
         edge e with S ∪ e a face, built once per complex: (place of S in
-        level p, e, place of S ∪ e in level p + 1, place of x0 =
-        cc.lost(S, e) in the sorted C(S), iota), iota the interior
-        products a_x = ⟨γ_x, e⟩ by e of the 1-wedges x of the sorted C(S)
-        (cc.pair), read off the cycle basis of Γ∖S.  The rows go by S in
+        level p, e, place of S ∪ e in level p + 1, place of x0 in the
+        sorted C(S), iota), iota the interior products a_x = ⟨γ_x, e⟩ by e
+        of the 1-wedges x of the sorted C(S).  Each face reads its cycle
+        rows, the cycle basis of Γ∖S, once (cc.cycles), and iota is the
+        column e of those rows; x0 is the one edge of C(S) outside
+        C(S ∪ e), taken from the two cotrees (activity.lost_edge, which
+        also raises IncoherentCotree).  cc.pair and cc.lost give the same
+        values one at a time, for the references.  The rows go by S in
         level order, then e in edge order.  The interior product on
         n-wedges reads a by position, and so does the restriction, which
         a fixes too: x0 goes to −a_x0 Σ_y a_y [y] over C(S ∪ e) (the
@@ -234,14 +244,20 @@ class HTComplex:
         table = self._records.get(p)
         if table is None:
             table = self._records[p] = []
-            position = self.faces.position
+            cc, order, position = self.cc, self.graph.order, self.faces.position
             for s_pos, s in enumerate(self.faces.levels[p]):
-                xs = self._cotree(s)
-                for e in self.graph.sort_edges(self.graph.eids - s):
-                    t_pos = position.get(s | {e})
+                cycles = cc.cycles(s)
+                xs, c = cycles.cotree, cc.C(s)
+                rows = [cycles.rows[x] for x in xs]
+                for e in order:
+                    if e in s:
+                        continue
+                    t = s | {e}
+                    t_pos = position.get(t)
                     if t_pos is not None:
-                        table.append((s_pos, e, t_pos, xs.index(self.cc.lost(s, e)),
-                                      tuple(self.cc.pair(s, x, e) for x in xs)))
+                        x0 = lost_edge(c, cc.C(t), s, e)
+                        table.append((s_pos, e, t_pos, xs.index(x0),
+                                      tuple([row.get(e, 0) for row in rows])))
         return table
 
     def stripe_keys(self):
@@ -360,7 +376,10 @@ def piece_size(faces, edges, ns):
     """The number of elements of a piece over `faces` faces whose cotrees
     have `edges` edges each: one per face and choice of an n-wedge of
     those edges for each wedge size n in ns."""
-    return faces * math.prod(math.comb(edges, n) for n in ns)
+    size = faces
+    for n in ns:
+        size *= math.comb(edges, n)
+    return size
 
 
 def build_ht(graph, cc=None):

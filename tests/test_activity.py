@@ -204,6 +204,18 @@ def test_cycles_reject_a_cotree_that_does_not_span_the_deletion(cotree):
         CycleBasis(W4.delete(s), cotree)
 
 
+@pytest.mark.parametrize("cotree", [fs(4, 5, 7), fs(0, 4, 5), fs(4, 5)],
+                         ids=["isolates-a-vertex", "meets-the-face", "too-small"])
+def test_edge_records_reject_a_cotree_that_does_not_span_the_deletion(cotree):
+    # the records of level 1 read the cycle rows of S = {0} before any
+    # coherence test, so the bad cotree is named for what it is
+    cc = coherent_cotree(W4)
+    table = dict(cc.table)
+    table[fs(0)] = cotree
+    with pytest.raises(NotACotree):
+        ht.HTComplex(W4, CoherentCotree(W4, cc.faces, table)).records(1)
+
+
 def test_cycles_build_no_graph(monkeypatch):
     cc = coherent_cotree(K4PP)
     oracle = {s: CycleBasis(K4PP.delete(s), cc.C(s)).rows for s in cc.faces.faces()}

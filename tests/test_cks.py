@@ -1,6 +1,7 @@
 """Trigraded complex: cohomology, Euler tables, Tutte specialization."""
 
 import collections
+import copy
 import itertools
 import json
 import math
@@ -249,6 +250,14 @@ def test_cks_keeps_no_differential(monkeypatch, g):
     assert c.stripe_cohomology() == first and len(built) == 2 * n
 
 
+def with_rows(basis, rows):
+    """A copy of the cycle basis `basis` with the rows `rows`; the cached
+    basis keeps its own."""
+    out = copy.copy(basis)
+    out.rows = rows
+    return out
+
+
 def stripes_one_by_one(c):
     """Per-stripe reference for HTComplex.stripe_cohomology: each stripe
     built on its own, its bases first and then d at every p with a source,
@@ -276,18 +285,23 @@ def as_reference(stripes):
 
 
 def test_stripe_walk_reports_the_stripe_the_reference_reports(monkeypatch, capsys):
-    # the pairing ⟨γ_x, e⟩ at level 0 doubles across the last edge, and so
-    # do the edge records read from it, so d² ≠ 0 at position 0 in every
-    # stripe (k, ℓ) with k = 2, 3, 4, which the walk sees when the stripe
-    # ends
+    # the cycle rows at level 0 double across the last edge, and so do the
+    # edge records and the pairings ⟨γ_x, e⟩ read from them, so d² ≠ 0 at
+    # position 0 in every stripe (k, ℓ) with k = 2, 3, 4, which the walk
+    # sees when the stripe ends
     inline = "v0-v1 v0-v2 v0-v3 v0-v4 v1-v2 v2-v3 v3-v4 v4-v1"
-    original_pair = CoherentCotree.pair
+    original_cycles = CoherentCotree.cycles
 
-    def faulty(self, s, x, e):
-        c = original_pair(self, s, x, e)
-        return 2 * c if not s and e == self.graph.order[-1] else c
+    def faulty(self, s):
+        basis = original_cycles(self, s)
+        if s:
+            return basis
+        last = self.graph.order[-1]
+        return with_rows(basis, {
+            x: {y: 2 * c if y == last else c for y, c in row.items()}
+            for x, row in basis.rows.items()})
 
-    monkeypatch.setattr(CoherentCotree, "pair", faulty)
+    monkeypatch.setattr(CoherentCotree, "cycles", faulty)
     g = graph_from_dsl(inline)
     reference = stripes_one_by_one(build_cks(g))
     failed = {key: coh[:2] for key, coh in reference.items() if isinstance(coh, tuple)}
@@ -757,9 +771,10 @@ def first_shared_record(c):
 
 def test_a_block_is_keyed_by_every_value_of_its_record():
     # one pairing ⟨γ_x, e⟩ of a record that shares its block with an
-    # earlier one is raised by one, value by value: that changes its iota
-    # and keeps its x0 place, so a key that left the value out would place
-    # the earlier record's block for it
+    # earlier one, the coefficient of e in the cycle row of x at S, is
+    # raised by one, value by value: that changes its iota and keeps its
+    # x0 place, so a key that left the value out would place the earlier
+    # record's block for it
     c = HTComplex(W4, coherent_cotree(W4))
     p, s, e = first_shared_record(c)
     xs = W4.sort_edges(c.cc.C(s))
@@ -767,10 +782,14 @@ def test_a_block_is_keyed_by_every_value_of_its_record():
     for x in xs:
         cc = coherent_cotree(W4)
 
-        def pair(s2, y, t, x=x, original=cc.pair):
-            return original(s2, y, t) + (s2 == s and y == x and t == e)
+        def cycles(s2, x=x, original=cc.cycles):
+            basis = original(s2)
+            if s2 != s:
+                return basis
+            row = basis.rows[x]
+            return with_rows(basis, {**basis.rows, x: {**row, e: row.get(e, 0) + 1}})
 
-        cc.pair = pair
+        cc.cycles = cycles
         cks = build_cks(W4, cc)
         faulty = HTComplex(W4, cc)
         assert faulty.d_columns(p, 1) != clean
@@ -878,19 +897,20 @@ def test_dim_counts_each_basis_without_building_it(graphs):
     assert pieces_seen
 
 
-def counting_pairs(monkeypatch):
-    """Wrap CoherentCotree.pair, iota and restrict: asserts that no
-    (cotree, S, x, e) pairing is read twice and counts each kind of call."""
+def counting_reads(monkeypatch):
+    """Wrap CoherentCotree.cycles, pair, iota and restrict: asserts that no
+    (cotree, S) cycle basis is requested twice and counts each kind of
+    call."""
     seen = set()
-    calls = {"pair": 0, "iota": 0, "restrict": 0}
-    original_pair = CoherentCotree.pair
+    calls = {"cycles": 0, "pair": 0, "iota": 0, "restrict": 0}
+    original_cycles = CoherentCotree.cycles
 
-    def pair(self, s, x, e):
-        key = (self, s, x, e)
+    def cycles(self, s):
+        key = (self, s)
         assert key not in seen, key
         seen.add(key)
-        calls["pair"] += 1
-        return original_pair(self, s, x, e)
+        calls["cycles"] += 1
+        return original_cycles(self, s)
 
     def counted(kind, original):
         def wrapper(*args):
@@ -898,7 +918,8 @@ def counting_pairs(monkeypatch):
             return original(*args)
         return wrapper
 
-    monkeypatch.setattr(CoherentCotree, "pair", pair)
+    monkeypatch.setattr(CoherentCotree, "cycles", cycles)
+    monkeypatch.setattr(CoherentCotree, "pair", counted("pair", CoherentCotree.pair))
     monkeypatch.setattr(HTComplex, "iota", counted("iota", HTComplex.iota))
     monkeypatch.setattr(CoherentCotree, "restrict",
                         counted("restrict", CoherentCotree.restrict))
@@ -907,31 +928,33 @@ def counting_pairs(monkeypatch):
 
 def test_delcon_cks_computes_each_operator_once_per_level(monkeypatch):
     # each complex builds the edge records of a face once, for all levels,
-    # so no pairing ⟨γ_x, e⟩ of one cotree is read twice; d reads both of
-    # its operators off the records, so neither iota nor restrict is
-    # called.  A complex is named by its cotree, which DelConCKS gives each
-    # complex its own of
-    calls = counting_pairs(monkeypatch)
+    # so no cycle basis of one cotree is requested twice; d reads both of
+    # its operators off the records, which read the cycle rows, so none of
+    # pair, iota and restrict is called.  A complex is named by its
+    # cotree, which DelConCKS gives each complex its own of
+    calls = counting_reads(monkeypatch)
     for g in (THETA6, W4):
         report = run_checks(g, ["delcon_cks"])
         assert report["delcon_cks"]["passed"], report
-    # the edge records of the three complexes at every admissible edge, one
-    # pairing per edge of their C(S)
-    assert calls == {"pair": 15660, "iota": 0, "restrict": 0}
+    # the edge records of the three complexes at every admissible edge
+    # read one cycle basis per face S below the top level, and from it the
+    # 15,660 pairings of their C(S)
+    assert calls == {"cycles": 2108, "pair": 0, "iota": 0, "restrict": 0}
 
 
 @pytest.mark.parametrize("stripes", ["cks_stripes", "ht_stripes"])
 def test_stripe_walk_computes_each_operator_once(monkeypatch, stripes):
-    # no pairing ⟨γ_x, e⟩ of one complex is read twice, and neither iota
-    # nor restrict is called: the edge records read the pairings of the
-    # 1-wedges, and the restriction of the lost edge x0 is read off them
-    # (the exchange identity)
-    calls = counting_pairs(monkeypatch)
+    # no cycle basis of one complex is requested twice, and none of pair,
+    # iota and restrict is called: the edge records read the pairings of
+    # the 1-wedges off the cycle rows, and the restriction of the lost
+    # edge x0 is read off them (the exchange identity)
+    calls = counting_reads(monkeypatch)
     for g in (THETA6, W4):
         coh = getattr(GraphContext(g), stripes)
         assert not any(isinstance(c, Exception) for c in coh.values())
-    # 586 edge records on the two graphs, one pairing per edge of their C(S)
-    assert calls == {"pair": 1172, "iota": 0, "restrict": 0}
+    # 586 edge records on the two graphs, whose 1,172 pairings come from
+    # one cycle basis per face S below the top level
+    assert calls == {"cycles": 146, "pair": 0, "iota": 0, "restrict": 0}
 
 
 @pytest.mark.parametrize("g", [THETA6, W4], ids=["theta6", "w4"])
@@ -1899,6 +1922,21 @@ def test_lost_rejects_an_incoherent_table():
         bad.lost(frozenset(), 0)
     with pytest.raises(IncoherentCotree):
         bad.restrict(frozenset(), 0, (1,))
+
+
+def test_edge_records_reject_an_incoherent_table():
+    # the records take x0 from C(S) and C(S ∪ e) themselves, not through
+    # lost, and fail with its message
+    cc = coherent_cotree(THETA)
+    table = dict(cc.table)
+    table[frozenset({0})] = frozenset({2})
+    bad = CoherentCotree(THETA, cc.faces, table)
+    with pytest.raises(IncoherentCotree) as lost:
+        bad.lost(frozenset(), 0)
+    with pytest.raises(IncoherentCotree) as records:
+        HTComplex(THETA, bad).records(0)
+    assert str(records.value) == str(lost.value) == \
+        "C(S ∪ {0}) is not C(S) less one edge at S = []"
 
 
 def test_cks_complex_rejects_cotree_of_another_graph():
