@@ -34,7 +34,10 @@ def main():
 
     s = frozenset({2})
     print("\ndifferential of the wedge generator over S = {2}:")
-    print("  d[{2}|(0,)] =", vec(ht.d_element(s, (0,))))
+    # its column in d: (2, 1) -> (4, 0), whose rows are the basis (2, 0)
+    column = ht.d_columns(1, 1).get(ht.index(1, 1)[(s, (0,))], {})
+    targets = ht.basis(2, 0)
+    print("  d[{2}|(0,)] =", vec({targets[i]: c for i, c in column.items()}))
 
     print("\nsquare-free reduction of monomials:")
     print("  z^2       ->", reduce_monomial(ht, {2: 2}))

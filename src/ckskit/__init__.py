@@ -35,8 +35,6 @@ from .graphs import (
     fundamental_cycle,
     graph_from_dsl,
     graph_from_json,
-    graph_to_json,
-    is_generic_character,
     spanning_cotrees,
     spanning_tree_count,
     wedge,
@@ -101,11 +99,9 @@ __all__ = [
     "fundamental_cycle",
     "graph_from_dsl",
     "graph_from_json",
-    "graph_to_json",
     "h_hat",
     "h_polynomial",
     "internal_activity",
-    "is_generic_character",
     "named_graphs",
     "periodized_cotree",
     "reduce_monomial",

@@ -53,7 +53,6 @@ class CoherentCotree:
         self.shelling = shelling
         self._cycles = {}
         self._in = {}
-        self._lost = {}
         self._basis = None
 
     def C(self, s):
@@ -71,55 +70,13 @@ class CoherentCotree:
         """Fundamental-cycle basis of Γ∖S w.r.t. C(S), built once per face
         in Γ itself from the tree T(S) = E ∖ S ∖ C(S), so no graph is built
         for Γ∖S: CycleBasis(Γ, C(S), S) has the rows of CycleBasis(Γ∖S,
-        C(S)).  Raises NotACotree unless T(S) spans Γ, that is, unless C(S)
-        is a spanning cotree of Γ∖S."""
+        C(S)).  Its rows hold the pairings ⟨γ_x, e⟩ that d (through
+        HTComplex.records), f and h read.  Raises NotACotree unless T(S)
+        spans Γ, that is, unless C(S) is a spanning cotree of Γ∖S."""
         s = frozenset(s)
         if s not in self._cycles:
             self._cycles[s] = CycleBasis(self.graph, self.C(s), s)
         return self._cycles[s]
-
-    def pair(self, s, x, e):
-        """Coefficient of edge e in the cycle of cotree edge x, inside the
-        graph with S deleted: one entry of the cycle rows.  The reference
-        for the element-wise d (HTComplex.iota) and for f; the edge records
-        of d (HTComplex.records) read the rows themselves."""
-        return self.cycles(s).rows[x].get(e, 0)
-
-    def lost(self, s, e):
-        """The cotree edge x0 that S loses when e joins it, C(S) ∖ C(S ∪ e)
-        (lost_edge), kept per (S, e) for the element-wise d and the
-        homotopy; the edge records of d take it from the two cotrees
-        themselves.  Raises IncoherentCotree unless C(S ∪ e) = C(S) ∖
-        {x0}, the coherence that validate (run by checks.check_coherence)
-        checks everywhere."""
-        key = (frozenset(s), e)
-        if key not in self._lost:
-            self._lost[key] = lost_edge(self.C(key[0]), self.C(key[0] | {e}), key[0], e)
-        return self._lost[key]
-
-    def restrict(self, s, e, a):
-        """Restriction H¹(Λ_S) -> H¹(Λ_{S∪e}), Λ_S = H_1(Γ∖S), on the
-        increasing wedge a of cocycle classes [x], x ∈ C(S), as a sparse
-        dict over increasing wedges from C(S ∪ e).
-
-        [x] stays [x] for x ∈ C(S ∪ e); the lost edge x0 goes to Σ_y c_y [y]
-        with c_y the coefficient of x0 in the cycle of y in Γ∖(S ∪ e).  So
-        a ↦ a when x0 ∉ a; otherwise x0 is replaced by each y ∉ a, with
-        sign (−1)^(i+j) for x0 at position i of a and y at position j of
-        the result."""
-        x0 = self.lost(s, e)
-        if x0 not in a:
-            return {a: 1}
-        i = a.index(x0)
-        rest = a[:i] + a[i + 1:]
-        pos = self.graph.pos
-        out = {}
-        for y, cycle in self.cycles(frozenset(s) | {e}).rows.items():
-            c = cycle.get(x0, 0)
-            if c and y not in rest:
-                j = sum(1 for z in rest if pos(z) < pos(y))
-                out[rest[:j] + (y,) + rest[j:]] = -c if (i + j) % 2 else c
-        return out
 
     def in_set(self, s):
         """In(S) = edges e of S that land in the cotree chosen for S - e."""
@@ -163,8 +120,10 @@ class CoherentCotree:
 
 
 def lost_edge(c, c2, s, e):
-    """The one edge x0 of c = C(S) outside c2 = C(S ∪ e).  Raises
-    IncoherentCotree unless c2 = c ∖ {x0}."""
+    """The one edge x0 of c = C(S) outside c2 = C(S ∪ e), which the edge
+    records of d (HTComplex.records) and the homotopy (FGH.h_element)
+    read.  Raises IncoherentCotree unless c2 = c ∖ {x0}, the coherence
+    that validate (run by checks.check_coherence) checks everywhere."""
     if len(c2) + 1 != len(c) or not c2 <= c:
         raise IncoherentCotree(f"C(S ∪ {{{e}}}) is not C(S) less one edge "
                                f"at S = {sorted(map(str, s))}")

@@ -449,18 +449,25 @@ def check_j_basis(ctx):
 
 def check_cotree_elim(ctx):
     """The two-term elimination identity among d(1_x y), d(1_y x) and the
-    tree-edge correction terms, compared as vectors over the faces."""
+    tree-edge correction terms, compared as vectors over the faces.  Each
+    d(1_S z) is the column of ({S}, (z,)) in the d that ships,
+    d_columns(1, 1), whose rows are the places of the faces of size 2."""
     cc = ctx.cc
     htc = ctx.ht
     g = ctx.graph
     c0 = g.sort_edges(cc.C(frozenset()))
     gamma = cc.cycles(frozenset())
+    d, index = htc.d_columns(1, 1), htc.index(1, 1)
+
+    def column(s, z):
+        return d.get(index[(frozenset({s}), (z,))], {}).items()
+
     for x, y in itertools.combinations(c0, 2):
         lhs = {}
-        for key, c in htc.d_element(frozenset({x}), (y,)).items():
-            lhs[key] = lhs.get(key, 0) + c
-        for key, c in htc.d_element(frozenset({y}), (x,)).items():
-            lhs[key] = lhs.get(key, 0) - c
+        for i, c in column(x, y):
+            lhs[i] = lhs.get(i, 0) + c
+        for i, c in column(y, x):
+            lhs[i] = lhs.get(i, 0) - c
         rhs = {}
         for t in g.sort_edges(cc.tree(frozenset())):
             if frozenset({t}) not in ctx.faces:
@@ -470,8 +477,8 @@ def check_cotree_elim(ctx):
             coeff_y = -gamma.rows[x].get(t, 0)
             for z, cz in ((x, coeff_x), (y, coeff_y)):
                 if cz and z in ct:
-                    for key, c in htc.d_element(frozenset({t}), (z,)).items():
-                        rhs[key] = rhs.get(key, 0) + cz * c
+                    for i, c in column(t, z):
+                        rhs[i] = rhs.get(i, 0) + cz * c
         lhs = {k: v for k, v in lhs.items() if v}
         rhs = {k: v for k, v in rhs.items() if v}
         if lhs != rhs:

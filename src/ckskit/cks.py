@@ -6,8 +6,8 @@ r-tuple a from C(S) (wedge of cocycle classes, a basis of H^r(Λ_S) for
 Λ_S = H_1(Γ∖S; Z)).  The differential is the edgewise sum of interior
 products on the cycle factor tensored with the restriction
 H¹(Λ_S) -> H¹(Λ_{S∪e}) on the cocycle factor, both in closed form through
-the cotree edge x0 that C(S) loses to C(S ∪ e) (CoherentCotree.lost and
-CoherentCotree.restrict).  It preserves the stripes
+the cotree edge x0 that C(S) loses to C(S ∪ e), read off the edge
+records of d (HTComplex.records).  It preserves the stripes
 (k, ℓ) = (p + q, r), and each stripe is an honest subcomplex whose Euler
 characteristic fills the e(k, ℓ) table; the stripes' cohomology is
 computed one stripe at a time (HTComplex.stripe_cohomology).  Since C(S)

@@ -240,19 +240,6 @@ def graph_from_dsl(text):
         raise ParseError(str(exc)) from exc
 
 
-def graph_to_json(graph):
-    """Canonical byte-stable serialization (inverse of graph_from_json for
-    graphs built by build_graph)."""
-    vmap = {v: i for i, v in enumerate(graph.vertices)}
-    eids = sorted(graph.eids, key=str)
-    payload = {
-        "vertices": graph.n_vertices,
-        "edges": [[vmap[graph.head[e]], vmap[graph.tail[e]]] for e in eids],
-        "order": [graph.pos(e) for e in eids],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 # ---------------------------------------------------------------------------
 # matroid queries
 
@@ -496,35 +483,6 @@ class CycleBasis:
     def pairing(self, edges):
         cols = self.graph.sort_edges(edges)
         return [[self.rows[x].get(e, 0) for e in cols] for x in self.cotree]
-
-
-# ---------------------------------------------------------------------------
-# genericity of characters
-
-def is_generic_character(graph, theta):
-    """Decide whether an integer edge vector avoids every non-generic
-    incidence of the associated hyperplane arrangement.
-
-    For each spanning cotree T*, the system <p, x> = theta_x (x in T*) has a
-    unique solution p in the cycle space.  The fundamental cycles gamma_x
-    of T* restrict to the identity on T*, so p = sum of theta_x gamma_x
-    over x in T*, integral by construction, and nothing is solved.  The
-    character is generic iff no such p also satisfies <p, e> = theta_e for
-    an edge e outside T*.  Returns (bool, violations) where violations
-    lists (cotree, edge) witnesses, cotree by cotree in enumeration order
-    and edge by edge in the edge order.
-    """
-    if isinstance(theta, (list, tuple)):
-        theta = {e: theta[i] for i, e in enumerate(graph.order)}
-    if graph.genus() == 0:
-        return True, []
-    violations = []
-    for ct in spanning_cotrees(graph):
-        rows = CycleBasis(graph, ct).rows
-        for e in graph.sort_edges(graph.eids - frozenset(ct)):
-            if sum(theta[x] * rows[x].get(e, 0) for x in rows) == theta[e]:
-                violations.append((frozenset(ct), e))
-    return not violations, violations
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ with a strictly increasing q-tuple w from the chosen cotree C(S), encoding
 a wedge of fundamental cycles of the graph with S deleted.  The
 differential inserts one edge into S at a time via the interior product,
 re-expressed in C(S ∪ e)-coordinates by the coordinate projection that
-kills the one cotree edge x0 lost when e is added (CoherentCotree.lost).
+kills the one cotree edge x0 lost when e is added (activity.lost_edge).
 The trigraded subclass (cks.CKSComplex) shares this differential and
 tensors it with the restriction of its cocycle wedge, also through x0.
 C(S) has genus − p edges on every face S of size p, so each piece's
@@ -26,14 +26,13 @@ restriction is an exterior power.  Each factor depends on its
 record only through the place of x0 and the a_x, so it is read off the
 templates once per wedge size and distinct record, and cached for the
 process like the templates; assembly writes the product of the two
-factors straight into the columns.  HTComplex.iota and
-CoherentCotree.restrict give the same maps wedge by wedge, from
-CoherentCotree.pair and CoherentCotree.lost, for d_element, the
-reference (and iota for the homotopy FGH.h_element).  The
-HT complex keeps each piece's columns once assembled, and its stripes,
-`ht` and the HT checks all read that copy; the CKS complex assembles per
-call.  The stripes' cohomology is computed one stripe at a time from
-those columns (HTComplex.stripe_cohomology).
+factors straight into the columns.  The cycle rows are the one source
+of the pairings: f and the homotopy h (FGH) read them too, and h takes
+x0 from the two cotrees as the records do.  The HT complex keeps each
+piece's columns once assembled, and its stripes, `ht` and the HT checks
+all read that copy; the CKS complex assembles per call.  The stripes'
+cohomology is computed one stripe at a time from those columns
+(HTComplex.stripe_cohomology).
 
 Also here: the square-free reduction of monomials, the chain maps f and g
 between the complex and its cohomology ring R, the contracting homotopy h,
@@ -130,43 +129,6 @@ class HTComplex:
 
     # -- differential -----------------------------------------------------
 
-    def iota(self, s, e, w):
-        """Interior product by edge e on the increasing wedge w over C(S),
-        as a sparse dict over increasing wedges from C(S ∪ e).
-
-        Removing x = w[i] gives (−1)^i ⟨γ_x, e⟩ times the rest of w, in the
-        coordinates of C(S ∪ e) = C(S) ∖ {x0} (x0 from CoherentCotree.lost):
-        the coordinate projection kills every rest that keeps x0, so when
-        x0 ∈ w only the term that removes x0 survives.
-        """
-        x0 = self.cc.lost(s, e)
-        out = {}
-        for i in [w.index(x0)] if x0 in w else range(len(w)):
-            c = self.cc.pair(s, w[i], e)
-            if c:
-                out[w[:i] + w[i + 1:]] = -c if i % 2 else c
-        return out
-
-    def d_element(self, s, w, *a):
-        """Differential of a basis element (S, w), or (S, w, a) in the CKS
-        complex, as a sparse vector: the sum over the edges e with S ∪ e a
-        face of the interior product by e on w, tensored with the
-        restriction of the cocycle wedge a to C(S ∪ e).  Computed element
-        by element, it is the reference for the columns d_columns
-        assembles."""
-        out = {}
-        for e in self.graph.sort_edges(self.graph.eids - s):
-            t = s | {e}
-            if t not in self.faces:
-                continue
-            terms = {(t, k): c for k, c in self.iota(s, e, w).items()}
-            for x in a:
-                part = self.cc.restrict(s, e, x)
-                terms = {k + (k2,): c * c2 for k, c in terms.items()
-                         for k2, c2 in part.items()}
-            out.update(terms)
-        return out
-
     def d_columns(self, p, q):
         """_assemble(p, q), kept for every later reader; none changes it."""
         columns = self._columns.get((p, q))
@@ -195,8 +157,7 @@ class HTComplex:
         block and row x · C(m − 1, r) + y, for every term (x, c) of w and
         (y, c2) of ja.  Every face of a level has a block of the same
         size, so face S's first column is its place · dim(p, q, *r)/f_p
-        and face T's first row is its place · dim(p + 1, q − 1, *r)/f_{p+1}.
-        d_element gives the same columns element by element."""
+        and face T's first row is its place · dim(p + 1, q − 1, *r)/f_{p+1}."""
         n_src, n_tgt = self.dim(p, q, *r), self.dim(p + 1, q - 1, *r)
         columns = {}
         if not (n_src and n_tgt):
@@ -232,15 +193,14 @@ class HTComplex:
         rows, the cycle basis of Γ∖S, once (cc.cycles), and iota is the
         column e of those rows; x0 is the one edge of C(S) outside
         C(S ∪ e), taken from the two cotrees (activity.lost_edge, which
-        also raises IncoherentCotree).  cc.pair and cc.lost give the same
-        values one at a time, for the references.  The rows go by S in
-        level order, then e in edge order.  The interior product on
-        n-wedges reads a by position, and so does the restriction, which
-        a fixes too: x0 goes to −a_x0 Σ_y a_y [y] over C(S ∪ e) (the
-        exchange identity; a_x0 = ±1).  So the x0 place and iota fix both
-        factors of the row's block in every piece, and rows that share
-        them share the cached factors (_iota_factor, _restrict_factor); the
-        two face places only say where the block goes."""
+        also raises IncoherentCotree).  The rows go by S in level order,
+        then e in edge order.  The interior product on n-wedges reads a by
+        position, and so does the restriction, which a fixes too: x0 goes
+        to −a_x0 Σ_y a_y [y] over C(S ∪ e) (the exchange identity;
+        a_x0 = ±1).  So the x0 place and iota fix both factors of the row's
+        block in every piece, and rows that share them share the cached
+        factors (_iota_factor, _restrict_factor); the two face places only
+        say where the block goes."""
         table = self._records.get(p)
         if table is None:
             table = self._records[p] = []
@@ -310,7 +270,7 @@ def _iota_template(m, j, n):
     triple for each term.  It is the derivation Σ_t (−1)^t ⟨γ_{w_t}, e⟩
     w ∖ w_t, read from the 1-wedge products (value index w_t), followed by
     the coordinate projection that kills every rest keeping x0: when
-    j ∈ w, only the term that removes it is left (see HTComplex.iota)."""
+    j ∈ w, only the term that removes it is left."""
     index = _wedge_index(m - 1, n - 1)
     return tuple(
         tuple((index[_drop(w[:t] + w[t + 1:], j)], -1 if t % 2 else 1, w[t])
@@ -327,7 +287,7 @@ def _restrict_template(m, j, n):
     C(S ∪ e).  Per source wedge, in basis order, a (target wedge, sign,
     value index) triple for each term; like _iota_template, the value
     index is a position in C(S): y ≠ j reads b_y, and j the unit that
-    keeps a wedge without x0 (see CoherentCotree.restrict)."""
+    keeps a wedge without x0."""
     index = _wedge_index(m - 1, n)
     out = []
     for w in itertools.combinations(range(m), n):
@@ -534,11 +494,12 @@ class FGH:
         else:
             x = self.choice[s]
             s0 = s - {x}
+            row = self.cc.cycles(s0).rows[x]
             out = {}
             for t in self.cc.graph.sort_edges(self.cc.tree(s0)):
                 if (s0 | {t}) not in self.ht.faces:
                     continue
-                c = self.cc.pair(s0, x, t)
+                c = row.get(t, 0)
                 if not c:
                     continue
                 for b, c2 in self.f_face(s0 | {t}).items():
@@ -588,11 +549,22 @@ class FGH:
         w_ext = w[:insert_at] + (x0,) + w[insert_at:]
         sign = -1 if insert_at % 2 else 1
         out = {(s0, w_ext): sign}
-        for t in self.cc.graph.sort_edges(self.cc.tree(s0)):
-            if (s0 | {t}) not in self.ht.faces:
+        cc, rows = self.cc, self.cc.cycles(s0).rows
+        for t in cc.graph.sort_edges(cc.tree(s0)):
+            t_face = s0 | {t}
+            if t_face not in self.ht.faces:
                 continue
-            for w2, c in self.ht.iota(s0, t, w_ext).items():
-                for key2, c2 in self.h_element(s0 | {t}, w2).items():
+            # the interior product by t on w_ext in the coordinates of
+            # C(S0 ∪ t): removing w_ext[i] gives (−1)^i ⟨γ_w_ext[i], t⟩, and
+            # the projection that kills the lost edge keeps only the term
+            # that removes it when it lies in w_ext
+            lost = lost_edge(cc.C(s0), cc.C(t_face), s0, t)
+            for i in [w_ext.index(lost)] if lost in w_ext else range(len(w_ext)):
+                c = rows[w_ext[i]].get(t, 0)
+                if not c:
+                    continue
+                c = -c if i % 2 else c
+                for key2, c2 in self.h_element(t_face, w_ext[:i] + w_ext[i + 1:]).items():
                     out[key2] = out.get(key2, 0) - sign * c * c2
         out = {k: v for k, v in out.items() if v}
         self._h[key] = out

@@ -90,8 +90,9 @@ class TestCriterion1Theta:
         _, _, ht, fgh = theta
         assert fgh.f_vector(reduce_monomial(ht, {Z: 2})) == {fs(Y, Z): 1}
         assert reduce_monomial(ht, {X: 1, Y: 1, Z: 1}) == {}
-        assert ht.d_element(fs(Z), (X,)) == {(fs(X, Z), ()): 1,
-                                             (fs(Y, Z), ()): -1}
+        column = ht.d_columns(1, 1)[ht.index(1, 1)[(fs(Z), (X,))]]
+        assert {ht.basis(2, 0)[i]: c for i, c in column.items()} == {
+            (fs(X, Z), ()): 1, (fs(Y, Z), ()): -1}
 
     def test_full_homotopy_table(self, theta):
         _, _, ht, fgh = theta

