@@ -10,7 +10,9 @@ the cotree edge x0 that C(S) loses to C(S ∪ e), read off the edge
 records of d (HTComplex.records).  It preserves the stripes
 (k, ℓ) = (p + q, r), and each stripe is an honest subcomplex whose Euler
 characteristic fills the e(k, ℓ) table; the stripes' cohomology is
-computed one stripe at a time (HTComplex.stripe_cohomology).  Since C(S)
+computed one stripe at a time (HTComplex.stripe_cohomology), and
+cks_cohomology reads d² = 0 off the squares of the edge records
+(HTComplex.squares_vanish), where the checks multiply.  Since C(S)
 has genus − |S| edges on every face, the piece sizes and the table read
 only the face counts, and so does its deletion-contraction recurrence.
 The generating polynomial of that table is a Tutte specialization,
@@ -23,7 +25,7 @@ from operator import itemgetter
 from .activity import CoherentCotree, coherent_cotree
 from .errors import CksKitError, OutsideBasis
 from .graphs import face_complex
-from .ht import HTComplex
+from .ht import HTComplex, _add_path, _restrict_factor
 from .intlinalg import is_zero_matrix, is_zero_product, rank
 from .polynomials import Poly2
 
@@ -52,6 +54,15 @@ class CKSComplex(HTComplex):
         return [(k, ell) for k in range(2 * self.genus + 1)
                 for ell in range(self.genus + 1)]
 
+    def _square_vanishes(self, m, one, two):
+        """HTComplex._square_vanishes, and the two paths' restrictions
+        agree on the 1-wedges of C(S) (HTComplex.squares_vanish)."""
+        restriction = {}
+        for sign, ((x0, a), (x1, b)) in zip((1, -1), (one, two)):
+            _add_path(restriction, _restrict_factor(m, 1, x0, a),
+                      _restrict_factor(m - 1, 1, x1, b), sign)
+        return super()._square_vanishes(m, one, two) and not any(restriction.values())
+
 
 def build_cks(graph, cc=None):
     if cc is None:
@@ -63,9 +74,11 @@ def build_cks(graph, cc=None):
 # cohomology, Euler table, generating polynomial
 
 def cks_cohomology(graph):
-    """Free rank and torsion per tridegree (2p, q, r), as a dict."""
+    """Free rank and torsion per tridegree (2p, q, r), as a dict.  d² = 0
+    is decided from the squares of the edge records, and each stripe is
+    multiplied only if a square fails (HTComplex.stripe_cohomology)."""
     cks = graph if isinstance(graph, CKSComplex) else build_cks(graph)
-    return by_tridegree(cks.stripe_cohomology())
+    return by_tridegree(cks.stripe_cohomology(squares=True))
 
 
 def by_tridegree(stripes):
@@ -96,17 +109,21 @@ def _counts_table(counts, genus):
     """The Euler table of a CKS complex whose faces of size p number
     counts[p]: C(S) has genus − p edges on every such face S, so the
     (2p, q, r) piece has dimension counts[p]·C(genus − p, q)·C(genus − p, r)
-    (ht.piece_size, as in HTComplex.dim).  Each level's binomials are
-    taken once.  A stripe with no nonzero piece has no entry."""
-    levels = [(f, [math.comb(genus - p, n) for n in range(2 * genus + 1)])
-              for p, f in enumerate(counts[:genus + 1])]
+    (ht.piece_size, as in HTComplex.dim), and it adds (−1)^p times that
+    to e(p + q, r).  Only the levels with a face are walked, over
+    q, r ≤ genus − p.  A stripe with no nonzero piece has no entry, and
+    one whose pieces cancel has the entry 0.  The first level with a face
+    writes every key, in sorted order: a later level p's (p + q, r) is
+    also (p0 + q', r) with q', r ≤ genus − p0."""
     table = {}
-    for k in range(2 * genus + 1):
-        for ell in range(genus + 1):
-            dims = [f * binom[k - p] * binom[ell]
-                    for p, (f, binom) in enumerate(levels[:k + 1])]
-            if any(dims):
-                table[(k, ell)] = sum((-1) ** p * n for p, n in enumerate(dims))
+    for p, f in enumerate(counts[:genus + 1]):
+        if f:
+            signed = -f if p % 2 else f
+            binom = [math.comb(genus - p, n) for n in range(genus - p + 1)]
+            for q, bq in enumerate(binom):
+                for ell, bl in enumerate(binom):
+                    key = (p + q, ell)
+                    table[key] = table.get(key, 0) + signed * bq * bl
     return table
 
 

@@ -181,7 +181,7 @@ def cmd_ht(args):
 def cmd_cks(args):
     g = load_graph(args)
     ctx = checks_mod.GraphContext(g)
-    coh = cks_mod.by_tridegree(ctx.cks_stripes)
+    coh = cks_mod.cks_cohomology(ctx.cks)
     table = cks_mod.euler_table(ctx.cks)
     key = cks_mod.euler_mismatch(table, coh)
     if key is not None:

@@ -32,7 +32,11 @@ x0 from the two cotrees as the records do.  The HT complex keeps each
 piece's columns once assembled, and its stripes, `ht` and the HT checks
 all read that copy; the CKS complex assembles per call.  The stripes'
 cohomology is computed one stripe at a time from those columns
-(HTComplex.stripe_cohomology).
+(HTComplex.stripe_cohomology).  The HT stripes and the checks show
+d² = 0 by multiplying each stripe's differentials; cks_cohomology, and
+with it `cks`, reads it off the squares of the edge records instead
+(HTComplex.squares_vanish), two records per path from S to S ∪ {e, f},
+and multiplies only from a level whose squares fail.
 
 Also here: the square-free reduction of monomials, the chain maps f and g
 between the complex and its cohomology ring R, the contracting homotopy h,
@@ -43,6 +47,7 @@ that splits that basis.
 import functools
 import itertools
 import math
+from operator import itemgetter
 
 from .activity import CoherentCotree, coherent_cotree, lost_edge
 from .errors import (
@@ -220,31 +225,135 @@ class HTComplex:
                                       tuple([row.get(e, 0) for row in rows])))
         return table
 
+    def squares_vanish(self):
+        """None when d² = 0 follows from the squares of the edge records,
+        else a witness (S, e, f): the first square, by level, S in level
+        order and e in edge order, that this test cannot show to vanish.
+
+        The block of d² from a face S to a face U = S ∪ {e, f} is the sum
+        of two paths, each the product of two records' blocks: (S, e) then
+        (S ∪ e, f), and (S, f) then (S ∪ f, e), read from records(p) and
+        records(p + 1).  In the piece (2p, q, r) a record's block is
+        I_q ⊗ R_r (_assemble), so the square vanishes at every (q, r) when
+        the two I composites cancel and the two R composites agree.
+        - I_q is Λ(P) after the derivation ι_a, P the coordinate
+          projection that drops x0.  Since ι_b∘Λ(P) = Λ(P)∘ι_{b∘P}, a
+          path is Λ(P_f P_e) after ι_{b∘P_e}∘ι_a, the contraction by a
+          2-form whose values on the 2-wedges of C(S) are the path's
+          composite at q = 2.  The test also requires both paths to drop
+          the same two edges of C(S), as C(S) ∖ C(U) is on a coherent
+          cotree; then the sum of the paths is Λ(P_f P_e) after the
+          contraction by the sum of the two forms, which vanishes at
+          every q when the composites at q = 2 cancel.
+        - Both R composites restrict to the same C(U), and R_r is the r-th
+          exterior power of R_1, so they agree at every r when they agree
+          on the 1-wedges.  HT has only r = 0, where R_0 is the identity.
+        These are the composites of the factors d reads at q ≤ 2 and
+        r ≤ 1, so the test reads d itself there; at larger q and r it
+        rests on the templates being that projection after that derivation
+        and that exterior power, which the tests check exhaustively for
+        cotrees of up to 9 edges.
+
+        The squares are checked one level at a time (_level_squares).  A
+        face pair reached by other than two paths fails the test."""
+        for p in range(len(self.faces.levels) - 2):
+            witness = self._level_squares(p)
+            if witness is not None:
+                return witness
+        return None
+
+    def _level_squares(self, p):
+        """squares_vanish on the squares from the faces of level p: None,
+        or the witness (S, e, f) of the first that fails.  Each square is
+        decided once per distinct quadruple of (x0 place, iota) of its four
+        records; nothing is kept after the call."""
+        m, verdicts, steps = self.genus - p, {}, {}  # steps: by place of S ∪ e
+        for t_pos, f, u_pos, x0, a in self.records(p + 1):
+            steps.setdefault(t_pos, []).append((f, u_pos, (x0, a)))
+        for s_pos, rows in itertools.groupby(self.records(p), itemgetter(0)):
+            paths = {}
+            for _, e, t_pos, x0, a in rows:
+                for f, u_pos, second in steps.get(t_pos, ()):
+                    paths.setdefault(u_pos, []).append((e, f, ((x0, a), second)))
+            for (e, f, one), *others in paths.values():
+                if len(others) == 1:
+                    key = one, others[0][2]
+                    ok = verdicts.get(key)
+                    if ok is None:
+                        ok = verdicts[key] = self._square_vanishes(m, *key)
+                    if ok:
+                        continue
+                return self.faces.levels[p][s_pos], e, f
+        return None
+
+    def _square_vanishes(self, m, one, two):
+        """Whether the two paths of a square over a C(S) of m edges, each a
+        pair of records' (x0 place, iota), drop the same two edges of C(S)
+        and have composites on its 2-wedges that cancel (squares_vanish)."""
+        iota = {}
+        for (x0, a), (x1, b) in (one, two):
+            _add_path(iota, _iota_factor(m, 2, x0, a), _iota_factor(m - 1, 1, x1, b))
+        return _dropped(*one) == _dropped(*two) and not any(iota.values())
+
     def stripe_keys(self):
         """The key (k,) of every stripe p + q = k that can be nonzero."""
         return [(k,) for k in range(self.genus + 1)]
 
-    def stripe_cohomology(self):
+    def stripe_cohomology(self, squares=False):
         """{p: (free, torsion)} of every stripe p + q = k (at weight r for
         the CKS complex), keyed as in stripe_keys, or the NotAComplex
         error of a stripe where d² ≠ 0, kept as a witness.  The stripes are
         built one at a time (_stripe); they share the edge records of d
-        (records)."""
-        return {key: self._stripe(*key) for key in self.stripe_keys()}
+        (records).
 
-    def _stripe(self, k, *r):
+        Each stripe multiplies its differentials to check d² = 0
+        (CochainComplex) unless `squares` is set, as cks_cohomology sets
+        it.  Then the squares from level p (_level_squares) are read when
+        the first stripe that composes d from p to p + 2 ≤ min(k, genus)
+        comes, and a stripe whose levels' squares vanish is not
+        multiplied.  From the first level whose squares fail, every stripe
+        multiplies, and the product finds the witness."""
+        out, shown = {}, 0  # the squares from the levels p < shown vanish
+        for key in self.stripe_keys():
+            while squares and shown < min(key[0], self.genus) - 1:
+                if self._level_squares(shown) is None:
+                    shown += 1
+                else:
+                    squares = False
+            out[key] = self._stripe(*key, check_d2=not squares)
+        return out
+
+    def _stripe(self, k, *r, check_d2=True):
         """One stripe: d_columns(p, k − p, *r) at every level p = 0..min(k,
         genus) with a nonzero piece, then a CochainComplex over ranges of
-        the piece sizes (the d² check), factored."""
+        the piece sizes (with the d² product unless check_d2 is false),
+        factored."""
         bases, columns = {}, {}
         for p in range(min(k, self.genus) + 1):
             bases[p] = range(self.dim(p, k - p, *r))
             if bases[p]:
                 columns[p] = self.d_columns(p, k - p, *r)
         try:
-            return CochainComplex(bases, columns).cohomology()
+            return CochainComplex(bases, columns, check_d2).cohomology()
         except NotAComplex as exc:
             return exc
+
+
+def _dropped(first, second):
+    """The places in C(S) of the two edges a path of two records drops:
+    the first record's x0, and the second's, a place in C(S) ∖ {x0}."""
+    (x0, _), (x1, _) = first, second
+    return {x0, x1 + (x1 >= x0)}
+
+
+def _add_path(out, first, second, sign=1):
+    """Add sign · (second after first) to out, {(source, target): value};
+    the factors as _read_values writes them."""
+    rows = dict(second)
+    for w, terms in first:
+        for x, c in terms:
+            for y, c2 in rows.get(x, ()):
+                out[w, y] = out.get((w, y), 0) + sign * c * c2
 
 
 def _wedge_index(m, n):

@@ -384,13 +384,19 @@ class CochainComplex:
              {j: {i: entry}} (see _columns), j < |C^n| and i < |C^{n+1}|;
              a zero differential may be omitted.  The d² check and
              cohomology read them as they are.
+    check_d2: multiply the differentials to check d² = 0 (_check_d2),
+             which cohomology's clearing relies on.  Only a caller that
+             has shown d² = 0 another way passes False: cks_cohomology,
+             after HTComplex.squares_vanish.  The checks and the HT
+             stripes multiply.
     """
 
-    def __init__(self, bases, columns):
+    def __init__(self, bases, columns, check_d2=True):
         self._dims = {n: len(labels) for n, labels in bases.items() if labels}
         self._columns = {n: cols for n, cols in columns.items() if cols}
         self._check_shapes()
-        self._check_d2()
+        if check_d2:
+            self._check_d2()
 
     def dim(self, n):
         return self._dims.get(n, 0)

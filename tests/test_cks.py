@@ -142,8 +142,8 @@ def test_euler_check_reports_a_corrupted_rank(monkeypatch, capsys):
                                         "reason": "Euler characteristic mismatch"})
     original = CKSComplex.stripe_cohomology
 
-    def corrupted(self):
-        stripes = original(self)
+    def corrupted(self, **kwargs):
+        stripes = original(self, **kwargs)
         free, torsion = stripes[(0, 0)][0]
         stripes[(0, 0)][0] = (free + 1, torsion)
         return stripes
@@ -262,9 +262,9 @@ def with_rows(basis, rows):
     return out
 
 
-def raise_pairing(cc, s, x, e):
-    """Make the cycle rows of cc at the face s read ⟨γ_x, e⟩ one higher,
-    on copies (with_rows)."""
+def raise_pairing(cc, s, x, e, by=1):
+    """Make the cycle rows of cc at the face s read ⟨γ_x, e⟩ higher by
+    `by`, on copies (with_rows)."""
     original = cc.cycles
 
     def cycles(s2):
@@ -272,9 +272,18 @@ def raise_pairing(cc, s, x, e):
         if s2 != s:
             return basis
         row = basis.rows[x]
-        return with_rows(basis, {**basis.rows, x: {**row, e: row.get(e, 0) + 1}})
+        return with_rows(basis, {**basis.rows, x: {**row, e: row.get(e, 0) + by}})
 
     cc.cycles = cycles
+
+
+def counting_products(monkeypatch):
+    """A list that gains an entry at each is_zero_product call."""
+    calls = []
+    original = intlinalg.is_zero_product
+    monkeypatch.setattr(intlinalg, "is_zero_product",
+                        lambda a, b: calls.append(1) or original(a, b))
+    return calls
 
 
 def stripes_one_by_one(c):
@@ -331,8 +340,13 @@ def test_stripe_walk_reports_the_stripe_the_reference_reports(monkeypatch, capsy
     assert check_cks_d2(ctx) == (False, {"piece": (0, 2, 0), "reason": "d^2 != 0"})
     assert check_euler(ctx) == (False, {"stripe": (2, 0), "position": 0,
                                         "reason": "d^2 != 0"})
+    # `cks` sees the fault in the squares of the edge records and falls
+    # back to the product, which reports the witness
+    assert build_cks(g).squares_vanish() is not None
+    calls = counting_products(monkeypatch)
     assert cli.main(["cks", "--inline", inline]) == 1
     assert capsys.readouterr() == ("", "error: d^2 != 0 at degree 0\n")
+    assert calls
 
 
 def include_rows(dc, p, q, r, columns=None):
@@ -1126,11 +1140,14 @@ def counts_table_by_piece_size(counts, genus):
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.integers(0, 8).flatmap(lambda g: st.tuples(
-    st.just(g), st.lists(st.integers(0, 60), max_size=g + 2))))
+    st.just(g), st.lists(st.just(0) | st.integers(0, 60), max_size=g + 2))))
 def test_the_counts_table_sums_the_piece_sizes(case):
-    # any counts, also fewer or more levels than genus + 1
+    # any counts, also empty levels and fewer or more levels than
+    # genus + 1: the same keys in the same order, those whose pieces
+    # cancel to 0 included, and the same values
     genus, counts = case
-    assert cks_mod._counts_table(counts, genus) == counts_table_by_piece_size(counts, genus)
+    table = cks_mod._counts_table(counts, genus)
+    assert list(table.items()) == list(counts_table_by_piece_size(counts, genus).items())
 
 
 def test_cks_reports_a_corrupted_deletion_count(monkeypatch, capsys):
@@ -2030,3 +2047,77 @@ def test_the_first_torsion_agrees_with_the_dense_snf(reverse):
     # over F_2 the factor 2 vanishes, over a large prime nothing does
     assert_rank_mod_p_identity(m, 182, [2])
     assert c.stripe_cohomology()[(3, 2)][2] == (20, [2])
+
+
+# ---------------------------------------------------------------------------
+# the second residual core of the bound-8 corpus: two vertices joined by six
+# edges, with a loop at each (8 edges, genus 7); its CKS cohomology has no
+# torsion
+
+CORE_GRAPH = "v0-v0 v0-v1 v0-v1 v0-v1 v0-v1 v0-v1 v0-v1 v1-v1"
+CORE_GRAPH_RANKS = {
+    "0,0,0": 1, "0,0,1": 7, "0,0,2": 21, "0,0,3": 35, "0,0,4": 35, "0,0,5": 21,
+    "0,0,6": 7, "0,0,7": 1, "0,1,1": 3, "0,1,2": 28, "0,1,3": 85, "0,1,4": 125,
+    "0,1,5": 99, "0,1,6": 41, "0,1,7": 7, "0,2,2": 4, "0,2,3": 56, "0,2,4": 155,
+    "0,2,5": 181, "0,2,6": 99, "0,2,7": 21, "0,3,3": 4, "0,3,4": 70, "0,3,5": 155,
+    "0,3,6": 125, "0,3,7": 35, "0,4,4": 4, "0,4,5": 56, "0,4,6": 85, "0,4,7": 35,
+    "0,5,5": 4, "0,5,6": 28, "0,5,7": 21, "0,6,6": 3, "0,6,7": 7, "0,7,7": 1,
+    "10,0,0": 1, "10,0,1": 2, "10,0,2": 1, "10,1,1": 2, "10,1,2": 2, "10,2,2": 1,
+    "2,0,0": 1, "2,0,1": 2, "2,0,2": 1, "2,1,1": 3, "2,1,2": 4, "2,1,3": 1,
+    "2,2,2": 4, "2,2,3": 4, "2,2,4": 1, "2,3,3": 4, "2,3,4": 4, "2,3,5": 1,
+    "2,4,4": 4, "2,4,5": 4, "2,4,6": 1, "2,5,5": 3, "2,5,6": 2, "2,6,6": 1,
+    "4,0,0": 1, "4,0,1": 2, "4,0,2": 1, "4,1,1": 3, "4,1,2": 4, "4,1,3": 1,
+    "4,2,2": 4, "4,2,3": 4, "4,2,4": 1, "4,3,3": 4, "4,3,4": 4, "4,3,5": 1,
+    "4,4,4": 3, "4,4,5": 2, "4,5,5": 1, "6,0,0": 1, "6,0,1": 2, "6,0,2": 1,
+    "6,1,1": 3, "6,1,2": 4, "6,1,3": 1, "6,2,2": 4, "6,2,3": 4, "6,2,4": 1,
+    "6,3,3": 3, "6,3,4": 2, "6,4,4": 1, "8,0,0": 1, "8,0,1": 2, "8,0,2": 1,
+    "8,1,1": 3, "8,1,2": 4, "8,1,3": 1, "8,2,2": 3, "8,2,3": 2, "8,3,3": 1,
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["own", "reversed"])
+def test_the_second_core_agrees_with_the_dense_snf(monkeypatch, capsys, reverse):
+    # the edge order is the graph's least form in the corpus.  Stripe
+    # (6, 4) factors its d at p = 2 (224 × 700) without the columns that
+    # d at p = 1 cleared, and those leave a residual core for
+    # smith_normal_form; peeling the unit pivots of the same columns in the
+    # dense rows, in another order, and taking the core's Smith form must
+    # give the same rank and no torsion, and the stripe's cohomology must
+    # be the one the full differentials give that way
+    g = graph_from_dsl(CORE_GRAPH)
+    order = g.order[::-1] if reverse else g.order
+    args = ["--order", ",".join(map(str, order))] if reverse else []
+    assert cli.main(["cks", "--inline", CORE_GRAPH, *args]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ranks_by_tridegree"] == CORE_GRAPH_RANKS
+    assert report["torsion"] == {}
+    c = build_cks(Graph(g.vertices, g.head, g.tail, list(order)))
+    original = intlinalg._factor
+    cores = []
+
+    def recording(columns):
+        out = original(columns)
+        if out[2] is None:
+            cores.append((columns, out[:2]))
+        return out
+
+    monkeypatch.setattr(intlinalg, "_factor", recording)
+    stripe = c._stripe(6, 4)
+    assert stripe == {0: (0, []), 1: (0, []), 2: (3, []), 3: (2, [])}
+    (columns, found), = cores
+    keys = sorted(columns)
+    m = dense({n: columns[j] for n, j in enumerate(keys)}, c.dim(3, 3, 4), len(keys))
+    assert (len(m), len(m[0]), found) == (224, 223, (222, []))
+    pivots, core = peel_unit_pivots(m)
+    snf = smith_normal_form(core)
+    assert snf.verify(core)
+    assert (pivots + snf.rank, [x for x in snf.invariant_factors if x > 1]) == found
+    monkeypatch.undo()
+    facts = {}
+    for p in range(3):
+        pivots, core = peel_unit_pivots(c.d_matrix(p, 6 - p, 4))
+        snf = smith_normal_form(core)
+        facts[p] = pivots + snf.rank, [x for x in snf.invariant_factors if x > 1]
+    assert stripe == {p: (c.dim(p, 6 - p, 4) - facts.get(p, (0, []))[0]
+                          - facts.get(p - 1, (0, []))[0], facts.get(p - 1, (0, []))[1])
+                      for p in range(4)}

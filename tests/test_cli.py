@@ -40,17 +40,21 @@ def test_cks_loop_ranks(tmp_path, capsys):
 
 
 def test_cks_computes_cohomology_once(monkeypatch, capsys):
-    # one walk builds and factors each stripe once, with no second pass
-    # through cks_cohomology
+    # one walk, through cks_cohomology, builds and factors each stripe once
     from ckskit import cks, ht
     walks = []
     factored = []
     original = cks.CKSComplex.stripe_cohomology
+    original_cohomology = cks.cks_cohomology
 
-    def counting(self):
-        stripes = original(self)
+    def counting(self, **kwargs):
+        stripes = original(self, **kwargs)
         walks.append(stripes)
         return stripes
+
+    def once(graph):
+        monkeypatch.setattr(cks, "cks_cohomology", None)
+        return original_cohomology(graph)
 
     class Counting(ht.CochainComplex):
         def cohomology(self):
@@ -59,7 +63,7 @@ def test_cks_computes_cohomology_once(monkeypatch, capsys):
 
     monkeypatch.setattr(cks.CKSComplex, "stripe_cohomology", counting)
     monkeypatch.setattr(ht, "CochainComplex", Counting)
-    monkeypatch.setattr(cks, "cks_cohomology", None)
+    monkeypatch.setattr(cks, "cks_cohomology", once)
     code, _, _ = run_cli(["cks", "--inline", THETA_INLINE], capsys)
     built = [key for stripes in walks for key in stripes]
     assert code == 0 and built and len(built) == len(set(built))
