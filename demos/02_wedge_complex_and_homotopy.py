@@ -58,7 +58,7 @@ def main():
                  for i in range(len(prod)) for j in range(len(prod)))
         print(f"  degree {k}: f o g = id  ->  {ok}")
 
-    rr = RRing(ht)
+    rr = RRing(fgh)
     print("\nquotient ring multiplication on basis classes:")
     print("  [{2}] * [{2}]   =", {face(s): c
                                   for s, c in rr.multiply(s, s).items()})

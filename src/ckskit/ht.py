@@ -705,18 +705,19 @@ class FGH:
 # the ring R
 
 class RRing:
-    """The graded ring R with its monomial basis of faces.
+    """The graded ring R with its monomial basis of faces, on a given FGH.
 
     basis_by_degree[k] lists the B-faces of size k; products of basis
     monomials are reduced to square-free combinations and projected back
-    to B-coordinates through f.
+    to B-coordinates through the FGH's f, and kept once per σ.
     """
 
-    def __init__(self, ht, choice=None):
-        self.ht = ht
-        self.fgh = FGH(ht, choice)
-        self.basis_by_degree = ht.cc.basis_by_degree()
+    def __init__(self, fgh):
+        self.fgh = fgh
+        self.ht = fgh.ht
+        self.basis_by_degree = fgh.cc.basis_by_degree()
         self.dims = [len(level) for level in self.basis_by_degree]
+        self._bits = {e: 1 << 2 * self.ht.graph.pos(e) for e in self.ht.graph.order}
         self._products = {}
 
     def multiply(self, sa, sb):
@@ -725,8 +726,7 @@ class RRing:
         once per σ and kept under it: both orders of a pair, and every pair
         with the same σ, return the same dict.  σ(e) ≤ 2 for faces, so the
         key packs it in two bits per edge, at the edge's place in the order."""
-        pos = self.ht.graph.pos
-        key = sum(1 << 2 * pos(e) for e in itertools.chain(sa, sb))
+        key = sum(map(self._bits.__getitem__, itertools.chain(sa, sb)))
         if key not in self._products:
             sigma = {}
             for e in itertools.chain(sa, sb):

@@ -441,16 +441,19 @@ def test_a_restriction_interval_that_meets_an_earlier_facet_fails():
 
 @pytest.mark.parametrize("graph", [THETA, corpus.k4_graph(), W4], ids=["theta", "k4", "w4"])
 def test_the_ring_check_multiplies_each_pair_once(graph, monkeypatch):
-    # n unit products and both orders of each of the n(n + 1)/2 pairs;
-    # associativity reads them from the table
+    # the n unit products and both orders of each of the n(n + 1)/2 pairs
+    # are multiplied, and nothing else; associativity multiplies pairs of
+    # basis monomials again, but RRing.multiply reduces each σ once (below)
     calls = []
     multiply = ht.RRing.multiply
     monkeypatch.setattr(ht.RRing, "multiply",
                         lambda self, *args: calls.append(args) or multiply(self, *args))
     ok, payload = check_ring(GraphContext(graph))
-    n = sum(payload["dims"])
-    assert ok
-    assert len(calls) == n + n * (n + 1)
+    flat = ring_basis(graph)
+    assert ok and len(flat) == sum(payload["dims"])
+    units = {(fs(), s) for s in flat}
+    pairs = {(a, b) for a, b in itertools.combinations_with_replacement(flat, 2)}
+    assert set(calls) == units | pairs | {(b, a) for a, b in pairs}
 
 
 @pytest.mark.parametrize("graph, sigmas", [(THETA, 6), (corpus.k4_graph(), 100), (W4, 590)],
@@ -468,6 +471,69 @@ def test_the_ring_reduces_each_exponent_multiset_once(graph, sigmas, monkeypatch
     pairs = [(fs(), s) for s in flat] + list(itertools.combinations_with_replacement(flat, 2))
     distinct = {frozenset(collections.Counter(itertools.chain(a, b)).items()) for a, b in pairs}
     assert len(calls) == len(distinct) == sigmas
+
+
+def ring_basis(graph):
+    return [s for level in coherent_cotree(graph).basis_by_degree() for s in level]
+
+
+def patch_multiply(monkeypatch, fault):
+    """Make RRing.multiply return fault(sa, sb, product) in place of its
+    product."""
+    multiply = ht.RRing.multiply
+    monkeypatch.setattr(ht.RRing, "multiply",
+                        lambda self, sa, sb: fault(sa, sb, multiply(self, sa, sb)))
+
+
+@pytest.mark.parametrize("graph, element", [(THETA, ["1", "2"]),
+                                            (corpus.k4_graph(), ["3", "4", "5"]),
+                                            (W4, ["4", "5", "6", "7"])],
+                         ids=["theta", "k4", "w4"])
+def test_the_ring_check_reports_a_broken_unit_law(graph, element, monkeypatch):
+    # 1 · b is 0 for the last basis monomial b
+    top = ring_basis(graph)[-1]
+    patch_multiply(monkeypatch, lambda sa, sb, ab: {} if not sa and sb == top else ab)
+    assert check_ring(GraphContext(graph)) == (
+        False, {"reason": "unit law failed", "element": element})
+
+
+@pytest.mark.parametrize("graph, pair", [(THETA, (["2"], ["1", "2"])),
+                                         (corpus.k4_graph(), (["2"], ["3", "4", "5"])),
+                                         (W4, (["3"], ["4", "5", "6", "7"]))],
+                         ids=["theta", "k4", "w4"])
+def test_the_ring_check_reports_a_product_that_is_not_commutative(graph, pair, monkeypatch):
+    # b · a is a, of lower degree than a · b, for the first monomial a of
+    # degree 1 and the last basis monomial b
+    flat = ring_basis(graph)
+    a, b = flat[1], flat[-1]
+    patch_multiply(monkeypatch, lambda sa, sb, ab: {a: 1} if (sa, sb) == (b, a) else ab)
+    assert check_ring(GraphContext(graph)) == (
+        False, {"reason": "not commutative", "pair": pair})
+
+
+@pytest.mark.parametrize("graph", [THETA, corpus.k4_graph(), W4], ids=["theta", "k4", "w4"])
+def test_the_ring_check_reports_a_product_that_is_not_degree_additive(graph, monkeypatch):
+    # every monomial with a square reduces to 1; the unit products have none
+    reduce_monomial = ht.reduce_monomial
+    monkeypatch.setattr(ht, "reduce_monomial", lambda h, sigma: (
+        {fs(): 1} if 2 in sigma.values() else reduce_monomial(h, sigma)))
+    assert check_ring(GraphContext(graph)) == (False, {"reason": "not degree-additive"})
+
+
+@pytest.mark.parametrize("graph, triple", [(corpus.k4_graph(), (["2"], ["2"], ["4"])),
+                                           (W4, (["3"], ["3"], ["5"]))],
+                         ids=["k4", "w4"])
+def test_the_ring_check_reports_a_product_that_is_not_associative(graph, triple, monkeypatch):
+    # a · b is doubled, in both orders, for the first two monomials a, b of
+    # degree 1: then (a · a) · b is not (a · b) · a.  On THETA no such fault
+    # exists: its basis is 1, z, yz, and with the unit law, commutativity
+    # and degree additivity every triple the check reads has equal sides
+    flat = ring_basis(graph)
+    a, b = flat[1], flat[2]
+    patch_multiply(monkeypatch, lambda sa, sb, ab: (
+        {k: 2 * v for k, v in ab.items()} if {sa, sb} == {a, b} else ab))
+    assert check_ring(GraphContext(graph)) == (
+        False, {"reason": "not associative", "triple": triple})
 
 
 # ---------------------------------------------------------------------------

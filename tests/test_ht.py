@@ -363,7 +363,7 @@ def test_ht_identities_and_the_dense_oracle_see_the_same_faults(fault):
 
 def test_ring_multiplication_theta(theta):
     ht, fgh = theta
-    rr = RRing(ht, fgh.choice)
+    rr = RRing(fgh)
     assert rr.dims == [1, 1, 1]
     assert rr.multiply(fs(Z), fs(Z)) == {fs(Y, Z): 1}
     assert rr.multiply(fs(), fs(Z)) == {fs(Z): 1}
