@@ -40,7 +40,6 @@ from .graphs import (
     wedge,
 )
 from .ht import (
-    ChoiceFunction,
     DelConR,
     FGH,
     HTComplex,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CHECKS",
     "CKSComplex",
-    "ChoiceFunction",
     "CksKitError",
     "CochainComplex",
     "CoherentCotree",

@@ -87,6 +87,11 @@ class CoherentCotree:
             self._in[s] = frozenset(e for e in s if e in self.table[s - {e}])
         return self._in[s]
 
+    def pick(self, s):
+        """The choice [S] ∈ In(S) behind f, h and the j basis: the least
+        edge of In(S) in the edge order, for S outside the basis."""
+        return min(self.in_set(s), key=self.graph.pos)
+
     def basis(self):
         """Faces with In(S) empty, in face-complex enumeration order."""
         if self._basis is None:

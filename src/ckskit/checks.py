@@ -23,11 +23,8 @@ class GraphContext:
     of d, which the HT checks read again.
     """
 
-    def __init__(self, graph, choice="min"):
-        if choice == "theta":
-            ht.theta_edges(graph)  # reject a preset that does not fit up front
+    def __init__(self, graph):
         self.graph = graph
-        self.choice_preset = choice
         self._cache = {}
 
     def _get(self, key, build):
@@ -48,16 +45,8 @@ class GraphContext:
         return self._get("ht", lambda: ht.HTComplex(self.graph, self.cc))
 
     @property
-    def choice(self):
-        def build():
-            if self.choice_preset == "theta":
-                return ht.ChoiceFunction.theta_preset(self.cc)
-            return ht.ChoiceFunction.minimal(self.cc)
-        return self._get("choice", build)
-
-    @property
     def fgh(self):
-        return self._get("fgh", lambda: ht.FGH(self.ht, self.choice))
+        return self._get("fgh", lambda: ht.FGH(self.ht))
 
     @property
     def cks(self):
@@ -430,12 +419,12 @@ def check_splitting(ctx):
 
 
 def check_j_basis(ctx):
-    """The vectors d(1_S x) with x the chosen element of In(S ∪ x) number
+    """The vectors d(1_S x) with x = [S ∪ x] (CoherentCotree.pick) number
     |F_k ∖ B_k| per grade and have exactly that rank."""
-    htc, choice, bset = ctx.ht, ctx.choice, set(ctx.cc.basis())
+    htc, cc, bset = ctx.ht, ctx.cc, set(ctx.cc.basis())
     for k in range(1, htc.genus + 1):
-        src = [(s, (x,)) for s in ctx.faces.levels[k - 1] for x in ctx.cc.C(s)
-               if (s | {x}) not in bset and choice[s | {x}] == x]
+        src = [(s, (x,)) for s in ctx.faces.levels[k - 1] for x in cc.C(s)
+               if (s | {x}) not in bset and cc.pick(s | {x}) == x]
         faces_k = ctx.faces.levels[k]
         expected = len(faces_k) - len([s for s in faces_k if s in bset])
         if len(src) != expected:
@@ -689,17 +678,17 @@ CHECKS = {
 }
 
 
-def run_checks(graph, names=None, choice="min"):
-    """Run the selected checks (all by default) on one graph.
+def run_checks(graph, names=None):
+    """Run the selected checks (all by default) on one graph, each name
+    once, in the order of its first occurrence.
 
     Returns a dict name -> {"passed": bool, "payload": ...}; unknown
     names raise KeyError."""
-    if names is None:
-        names = list(CHECKS)
+    names = list(CHECKS if names is None else dict.fromkeys(names))
     for name in names:
         if name not in CHECKS:
             raise KeyError(name)
-    ctx = GraphContext(graph, choice=choice)
+    ctx = GraphContext(graph)
     out = {}
     for name in names:
         ok, payload = CHECKS[name](ctx)

@@ -143,7 +143,7 @@ def cmd_activity(args):
 
 def cmd_ht(args):
     g = load_graph(args)
-    ctx = checks_mod.GraphContext(g, choice=args.choice)
+    ctx = checks_mod.GraphContext(g)
     htc = ctx.ht
     d = g.genus()
     diffs = {}
@@ -263,7 +263,7 @@ def _parse_checks(spec_str):
 def cmd_verify(args):
     g = load_graph(args)
     names = _parse_checks(args.checks)
-    report = checks_mod.run_checks(g, names=names, choice=args.choice)
+    report = checks_mod.run_checks(g, names=names)
     payload = {
         "schema": SCHEMA,
         "edges": g.n_edges,
@@ -360,17 +360,15 @@ def build_parser():
         ("tutte", cmd_tutte, ()),
         ("analyze", cmd_analyze, ()),
         ("activity", cmd_activity, ()),
-        ("ht", cmd_ht, ("choice", "matrices")),
+        ("ht", cmd_ht, ("matrices",)),
         ("cks", cmd_cks, ()),
         ("periodize", cmd_periodize, ("level",)),
-        ("verify", cmd_verify, ("choice", "checks")),
+        ("verify", cmd_verify, ("checks",)),
     ):
         sub = subs.add_parser(name)
         _add_graph_args(sub)
         sub.add_argument("--format", choices=["json", "csv", "table"],
                          default="json" if name != "tutte" else None)
-        if "choice" in extra:
-            sub.add_argument("--choice", choices=["min", "theta"], default="min")
         if "matrices" in extra:
             sub.add_argument("--matrices", action="store_true",
                              help="include the f/g/h matrices in the output")

@@ -41,10 +41,6 @@ class SupportContainsBond(CksKitError):
     pass
 
 
-class ChoiceOutsideIn(CksKitError):
-    pass
-
-
 class EdgeIsBondOrLoop(CksKitError):
     pass
 

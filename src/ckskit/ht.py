@@ -51,11 +51,9 @@ from operator import itemgetter
 
 from .activity import CoherentCotree, coherent_cotree, lost_edge
 from .errors import (
-    ChoiceOutsideIn,
     EdgeIsBondOrLoop,
     MismatchedGraph,
     NotAComplex,
-    ParseError,
     SupportContainsBond,
 )
 from .graphs import (
@@ -517,62 +515,7 @@ def reduce_monomial(ht, sigma):
 
 
 # ---------------------------------------------------------------------------
-# choice functions and the homotopy data
-
-class ChoiceFunction:
-    """A pick [S] ∈ In(S) for every face S outside the monomial basis."""
-
-    def __init__(self, cc, mapping):
-        self.cc = cc
-        self.mapping = dict(mapping)
-        bset = set(cc.basis())
-        for s in cc.faces.faces():
-            if s in bset:
-                continue
-            x = self.mapping.get(s)
-            if x is None or x not in cc.in_set(s):
-                raise ChoiceOutsideIn(
-                    f"choice for {sorted(map(str, s))} is not in In(S)")
-
-    @classmethod
-    def minimal(cls, cc):
-        """Default: the smallest element of In(S) in the edge order."""
-        bset = set(cc.basis())
-        mapping = {}
-        for s in cc.faces.faces():
-            if s not in bset:
-                mapping[s] = min(cc.in_set(s), key=cc.graph.pos)
-        return cls(cc, mapping)
-
-    @classmethod
-    def theta_preset(cls, cc):
-        """The published reference choices for the theta graph (three
-        parallel edges x < y < z): [{x}]=x, [{y}]=y, [{x,y}]=x, [{x,z}]=x."""
-        x, y, z = theta_edges(cc.graph)
-        mapping = {
-            frozenset({x}): x,
-            frozenset({y}): y,
-            frozenset({x, y}): x,
-            frozenset({x, z}): x,
-        }
-        return cls(cc, mapping)
-
-    def __getitem__(self, s):
-        return self.mapping[frozenset(s)]
-
-    def __contains__(self, s):
-        return frozenset(s) in self.mapping
-
-
-def theta_edges(graph):
-    """The edges x < y < z of the theta graph, the one graph the theta
-    preset fits: two vertices joined by three edges."""
-    if (graph.n_vertices != 2 or graph.n_edges != 3
-            or any(map(graph.is_loop, graph.order))):
-        raise ParseError("the theta choice preset needs two vertices "
-                         "joined by three edges")
-    return graph.order
-
+# the homotopy data
 
 class FGH:
     """The projection f, inclusion g, and contracting homotopy h.
@@ -580,13 +523,13 @@ class FGH:
     f: Z^{F_k} -> Z^{B_k} kills the image of d and restricts to the
     identity on basis faces; g is the basis inclusion; h has bidegree
     (-2, +1) and satisfies id - gf = hd + dh on the q=0 edge of each
-    graded stripe and id = hd + dh elsewhere.
+    graded stripe and id = hd + dh elsewhere.  f and h read the choice
+    [S] ∈ In(S) of each face S outside B from CoherentCotree.pick.
     """
 
-    def __init__(self, ht, choice=None):
+    def __init__(self, ht):
         self.ht = ht
         self.cc = ht.cc
-        self.choice = choice if choice is not None else ChoiceFunction.minimal(ht.cc)
         self.bset = set(self.cc.basis())
         self._f = {}
         self._h = {}
@@ -601,7 +544,7 @@ class FGH:
         if s in self.bset:
             out = {s: 1}
         else:
-            x = self.choice[s]
+            x = self.cc.pick(s)
             s0 = s - {x}
             row = self.cc.cycles(s0).rows[x]
             out = {}
@@ -647,7 +590,7 @@ class FGH:
             # possible only when w is empty; f retracts here, h does nothing
             self._h[key] = {}
             return {}
-        x0 = self.choice[u]
+        x0 = self.cc.pick(u)
         if x0 not in s:
             self._h[key] = {}
             return {}

@@ -25,7 +25,7 @@ from ckskit.cks import (
     tutte_loop_specialization,
 )
 from ckskit.graphs import spanning_tree_count
-from ckskit.ht import ChoiceFunction, FGH, HTComplex
+from ckskit.ht import FGH, HTComplex
 from ckskit.intlinalg import smith_normal_form
 from ckskit.polynomials import Poly1, Poly2
 from test_cks import tutte_specialization_literal
@@ -66,7 +66,7 @@ def theta():
     g = corpus.theta_graph()
     cc = coherent_cotree(g)
     ht = HTComplex(g, cc)
-    return g, cc, ht, FGH(ht, ChoiceFunction.theta_preset(cc))
+    return g, cc, ht, FGH(ht)
 
 
 class TestCriterion1Theta:

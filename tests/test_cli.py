@@ -133,7 +133,7 @@ HT_MATRICES_STDOUT_SHA256 = {
                "b37575cef67c9d2565045782b148f9ad8b56a6dbfb20d420e71c2070388abc73"),
     "loop": ("a:0-0", [],
              "3898bdc06dbce5950736340b0202c8e6f738d9536896643636f4790327541ad4"),
-    "theta": ("v0-v1 v0-v1 v0-v1", ["--choice", "theta"],
+    "theta": ("v0-v1 v0-v1 v0-v1", [],
               "c2c8dc32ce5ae250f0aa1b1c7943b163c70186c24472cf11d487e547e9858ebe"),
     "theta6": ("v0-v1 v0-v1 v0-v1 v0-v1 v0-v1 v0-v1", [],
                "8a2af92992ce0f91a842afd97b5bd80c8c87147f55b8fce65e5078191f0cdbe0"),
@@ -174,10 +174,15 @@ def test_ht_assembles_each_differential_once(monkeypatch, capsys):
     ["verify", "--inline", "v0-v0", "--checks", "tutte"],
     ["ht", "--inline", "v0-v1 v0-v1 v1-v1"],
     ["ht", "--inline", "v0-v0 v0-v0 v0-v1"],
+    ["ht", "--inline", THETA_INLINE],
+    ["verify", "--inline", THETA_INLINE],
 ])
-def test_theta_choice_on_another_graph_exits_2(args, capsys):
-    code, _, err = run_cli(args + ["--choice", "theta"], capsys)
-    assert code == 2 and err.startswith("error: the theta choice preset")
+def test_ht_and_verify_take_no_choice(args, capsys):
+    # f, g and h read one choice, the least edge of In(S)
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--choice", "theta"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --choice" in capsys.readouterr().err
 
 
 def test_cks_takes_no_choice(capsys):
@@ -206,6 +211,21 @@ def test_verify_check_subset(capsys):
         ["verify", "--inline", THETA_INLINE, "--checks", "tutte,matroid"], capsys)
     assert code == 0
     assert set(json.loads(out)["checks"]) == {"tutte", "matroid"}
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--inline", THETA_INLINE], ["corpus", "--bound", "2"],
+], ids=["verify", "corpus"])
+def test_a_repeated_check_runs_once(monkeypatch, capsys, command):
+    # the report keeps one entry per name, so a repeat would only redo it
+    calls = []
+    for name in ("tutte", "matroid"):
+        check = cli.checks_mod.CHECKS[name]
+        monkeypatch.setitem(cli.checks_mod.CHECKS, name,
+                            lambda ctx, name=name, check=check: calls.append(name) or check(ctx))
+    code, out, _ = run_cli(command + ["--checks", "tutte,matroid,tutte,tutte"], capsys)
+    assert code == 0
+    assert calls == ["tutte", "matroid"] * json.loads(out).get("graphs", 1)
 
 
 def test_unknown_check_rejected(capsys):
@@ -385,7 +405,7 @@ def test_activity_json_fields(capsys):
 
 def test_ht_identity_checks(capsys):
     code, out, _ = run_cli(
-        ["ht", "--inline", THETA_INLINE, "--choice", "theta"], capsys)
+        ["ht", "--inline", THETA_INLINE], capsys)
     assert code == 0
     data = json.loads(out)
     assert all(data["identity_checks"].values())

@@ -21,11 +21,9 @@ from ckskit.checks import (
     run_checks,
 )
 from ckskit.errors import (
-    ChoiceOutsideIn,
     EdgeIsBondOrLoop,
     NotAComplex,
     OutsideBasis,
-    ParseError,
     SupportContainsBond,
 )
 from ckskit.graphs import (
@@ -37,7 +35,6 @@ from ckskit.graphs import (
     union_find,
 )
 from ckskit.ht import (
-    ChoiceFunction,
     DelConR,
     FGH,
     HTComplex,
@@ -65,9 +62,8 @@ def fs(*edges):
 
 @pytest.fixture(scope="module")
 def theta():
-    cc = coherent_cotree(THETA)
-    ht = HTComplex(THETA, cc)
-    return ht, FGH(ht, ChoiceFunction.theta_preset(cc))
+    ht = HTComplex(THETA, coherent_cotree(THETA))
+    return ht, FGH(ht)
 
 
 def test_basis_dimensions(theta):
@@ -176,20 +172,19 @@ def test_reduce_monomial_matches_the_reduction_in_the_deletion():
     assert monomials > 5_000
 
 
-def test_choice_function_validation():
-    cc = coherent_cotree(THETA)
-    with pytest.raises(ChoiceOutsideIn):
-        ChoiceFunction(cc, {fs(X): Y})
-    minimal = ChoiceFunction.minimal(cc)
-    assert minimal[fs(X, Y)] == X and minimal[fs(X, Z)] == X
-    # the theta preset fits only two vertices joined by three edges: not
-    # a loop, nor the genus-2 graphs with three edges that have loops
-    for g in (corpus.loop_graph(), build_graph([(0, 1), (0, 1), (1, 1)]),
-              build_graph([(0, 0), (0, 0), (0, 1)])):
-        with pytest.raises(ParseError):
-            ChoiceFunction.theta_preset(coherent_cotree(g))
-        with pytest.raises(ParseError):
-            GraphContext(g, choice="theta")
+@pytest.mark.parametrize("heads", [[(0, 1)] * 3, [(0, 1), (1, 0), (0, 1)],
+                                   [(1, 0), (1, 0), (0, 1)]],
+                         ids=["same", "middle_reversed", "first_two_reversed"])
+def test_pick_is_the_published_theta_choice(heads):
+    # the published reference choices for the theta graph, edges x < y < z
+    # in the edge order: [{x}] = x, [{y}] = y, [{x, y}] = x, [{x, z}] = x;
+    # {z}, {y, z} and the empty face lie in the basis B
+    for order in itertools.permutations(range(3)):
+        cc = coherent_cotree(build_graph(heads, edge_order=list(order)))
+        x, y, z = cc.graph.order
+        assert set(cc.basis()) == {fs(), fs(z), fs(y, z)}, order
+        for s, want in ((fs(x), x), (fs(y), y), (fs(x, y), x), (fs(x, z), x)):
+            assert cc.pick(s) == want, (heads, order, s)
 
 
 def test_f_collapses_degree_one_faces(theta):
@@ -222,7 +217,7 @@ def test_homotopy_table(theta):
 
 
 def test_homotopy_identities_theta():
-    ctx = GraphContext(THETA, choice="theta")
+    ctx = GraphContext(THETA)
     from ckskit.checks import check_ht_identities
     ok, witness = check_ht_identities(ctx)
     assert ok, witness
@@ -266,22 +261,17 @@ def ht_identities_by_matmul(ctx):
 
 
 def identity_cases():
-    """(graph, choice preset) over the bound-4 corpus, theta6 and W4; the
-    theta preset where it fits."""
-    graphs = [g for _, g in corpus.corpus_graphs(bound=4)] + [THETA6, W4]
-    # the preset fits two vertices joined by three edges (ht.theta_edges)
-    return [(g, "min") for g in graphs] + [
-        (g, "theta") for g in graphs
-        if g.n_vertices == 2 and g.n_edges == 3 and not any(map(g.is_loop, g.order))]
+    """The bound-4 corpus, theta6 and W4."""
+    return [g for _, g in corpus.corpus_graphs(bound=4)] + [THETA6, W4]
 
 
 def test_ht_identities_agree_with_the_dense_oracle():
     cases = identity_cases()
-    assert len(cases) > 40 and any(choice == "theta" for _, choice in cases)
-    for g, choice in cases:
-        got = check_ht_identities(GraphContext(g, choice))
-        assert got == (True, None), (g.order, choice, got)
-        assert ht_identities_by_matmul(GraphContext(g, choice)) == got
+    assert len(cases) > 40
+    for g in cases:
+        got = check_ht_identities(GraphContext(g))
+        assert got == (True, None), (g.order, got)
+        assert ht_identities_by_matmul(GraphContext(g)) == got
 
 
 def _fault_f(ctx):
@@ -348,14 +338,14 @@ def _fault_pair(ctx):
                          ids=["f_face", "h_element", "pair"])
 def test_ht_identities_and_the_dense_oracle_see_the_same_faults(fault):
     cases = seen = 0
-    for g, choice in identity_cases():
+    for g in identity_cases():
         results = []
         for check in (check_ht_identities, ht_identities_by_matmul):
-            ctx = GraphContext(g, choice)
+            ctx = GraphContext(g)
             if fault(ctx):
                 results.append(check(ctx))
         if results:
-            assert results[0] == results[1], (g.order, choice, results)
+            assert results[0] == results[1], (g.order, results)
             cases += 1
             seen += not results[0][0]
     assert cases > 20 and seen, (cases, seen)
@@ -456,7 +446,7 @@ def test_j_basis_reports_a_choice_outside_the_cotree():
     # vectors: one short of the two faces of size 2 outside B
     ctx = GraphContext(THETA)
     assert 2 not in ctx.cc.C(fs(0))
-    ctx.fgh.choice.mapping[fs(0, 2)] = 2
+    ctx.cc.pick = lambda s, pick=ctx.cc.pick: 2 if s == fs(0, 2) else pick(s)
     assert check_j_basis(ctx) == (False, {"grade": 2, "count": 1, "expected": 2})
 
 
@@ -580,7 +570,7 @@ class ElementWiseFGH(FGH):
         s = frozenset(s)
         if s in self.bset:
             return {s: 1}
-        x = self.choice[s]
+        x = self.cc.pick(s)
         s0 = s - {x}
         out = {}
         for t in self.cc.graph.sort_edges(self.cc.tree(s0)):
@@ -593,7 +583,7 @@ class ElementWiseFGH(FGH):
     def h_element(self, s, w):
         s = frozenset(s)
         u = s | frozenset(w)
-        x0 = None if u in self.bset else self.choice[u]
+        x0 = None if u in self.bset else self.cc.pick(u)
         if x0 not in s:
             return {}
         s0 = s - {x0}
@@ -614,16 +604,16 @@ def test_f_and_h_agree_with_the_element_wise_oracle():
     # f on every face and h on every basis element, key order included
     # (the h matrices and `ht --matrices` read them in that order)
     elements = 0
-    for g, choice in identity_cases():
-        ctx = GraphContext(g, choice)
-        fgh, oracle = ctx.fgh, ElementWiseFGH(ctx.ht, ctx.choice)
+    for g in identity_cases():
+        ctx = GraphContext(g)
+        fgh, oracle = ctx.fgh, ElementWiseFGH(ctx.ht)
         for s in ctx.faces.faces():
             assert list(fgh.f_face(s).items()) == list(oracle.f_face(s).items()), (g.order, s)
         for p in range(ctx.ht.genus + 1):
             for q in range(ctx.ht.genus - p + 1):
                 for b in ctx.ht.basis(p, q):
                     assert list(fgh.h_element(*b).items()) == \
-                        list(oracle.h_element(*b).items()), (g.order, choice, b)
+                        list(oracle.h_element(*b).items()), (g.order, b)
                     elements += 1
     assert elements > 1000
 
