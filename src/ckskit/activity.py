@@ -17,12 +17,12 @@ from .errors import FaceNotInComplex, IncoherentCotree, NotASpanningTree
 from .graphs import (
     CycleBasis,
     _guard,
+    closure,
     face_complex,
     fundamental_cycles,
     is_spanning_cotree,
     is_spanning_tree,
     spanning_cotrees,
-    union_find,
 )
 from .polynomials import Poly2
 
@@ -195,33 +195,47 @@ def internal_activity(graph, tree):
 
 def _fundamental_cut(graph, tree, t):
     """Edges reconnecting the two components of tree - t (including t)."""
-    find, _ = union_find(graph.vertices, graph.ends(tree - {t}))
-    return frozenset(e for e in graph.eids
-                     if find(graph.head[e]) != find(graph.tail[e]))
+    ends = graph.mask[t]
+    side = closure(ends & -ends, [graph.mask[e] for e in tree if e != t])
+    return frozenset(e for e, m in graph.mask.items() if m & side and m & ~side)
 
 
 # ---------------------------------------------------------------------------
 # Tutte / h polynomials
 
-def _component_count(graph, edges):
-    _, merged = union_find(graph.vertices, graph.ends(edges))
-    return graph.n_vertices - len(merged)
-
-
 def tutte(graph):
     """Rank-nullity (corank-nullity) sum over all edge subsets: the subsets
     counted by corank i and nullity j, with x − 1 and y − 1 substituted
-    into x^i y^j."""
+    into x^i y^j.  The subsets are walked depth first; taking an edge
+    joins its ends in a union-find on vertex positions, undone on return."""
     _guard(graph.n_edges, "the Tutte polynomial")
-    edges = list(graph.order)
     n = graph.n_vertices
+    place = {v: i for i, v in enumerate(graph.vertices)}
+    ends = [(place[graph.head[e]], place[graph.tail[e]]) for e in graph.order]
+    parent = list(range(n))
     counts = {}
-    for r in range(len(edges) + 1):
-        for combo in itertools.combinations(edges, r):
-            k = _component_count(graph, combo)
-            i = k - 1                     # corank exponent of (x-1)
-            j = k + len(combo) - n        # nullity exponent of (y-1)
-            counts[(i, j)] = counts.get((i, j), 0) + 1
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    def walk(i, size, k):
+        # edges before i are decided: `size` taken, in k components
+        if i == len(ends):
+            key = (k - 1, k + size - n)  # corank and nullity exponents
+            counts[key] = counts.get(key, 0) + 1
+            return
+        walk(i + 1, size, k)
+        a, b = find(ends[i][0]), find(ends[i][1])
+        if a == b:
+            walk(i + 1, size + 1, k)
+        else:
+            parent[a] = b
+            walk(i + 1, size + 1, k - 1)
+            parent[a] = a
+
+    walk(0, 0, n)
     return Poly2(counts).substitute(Poly2({(1, 0): 1, (0, 0): -1}),
                                     Poly2({(0, 1): 1, (0, 0): -1}))
 

@@ -111,9 +111,9 @@ def _stripe_failure(stripes):
 # ---------------------------------------------------------------------------
 # graph_core checks
 
-def _elimination(family, universe_note):
+def _elimination(graph, family, universe_note):
     for c1, c2 in itertools.combinations(family, 2):
-        for e in c1 & c2:
+        for e in graph.sort_edges(c1 & c2):
             union = (c1 | c2) - {e}
             if not any(c <= union for c in family):
                 return False, {"pair": (sorted(map(str, c1)), sorted(map(str, c2))),
@@ -124,27 +124,39 @@ def _elimination(family, universe_note):
 def check_matroid(ctx):
     """Circuit elimination for cycles and bonds, symmetric basis exchange,
     and the identification of top faces with spanning cotrees."""
-    ok, wit = _elimination(ctx.cycles, "cycles")
+    g = ctx.graph
+    ok, wit = _elimination(g, ctx.cycles, "cycles")
     if not ok:
         return False, wit
-    ok, wit = _elimination(ctx.bonds, "bonds")
+    ok, wit = _elimination(g, ctx.bonds, "bonds")
     if not ok:
         return False, wit
-    cotrees = graphs.spanning_cotrees(ctx.graph)
-    d = ctx.graph.genus()
+    cotrees = graphs.spanning_cotrees(g)
+    d = g.genus()
     if any(len(t) != d for t in cotrees):
         return False, {"reason": "cotree of wrong cardinality"}
-    members = set(cotrees)
-    if set(ctx.faces.levels[d]) != members:
+    if set(ctx.faces.levels[d]) != set(cotrees):
         return False, {"reason": "top faces differ from spanning cotrees"}
-    # the two families are equal, so exchange is tested by membership
-    for a, b in itertools.permutations(cotrees, 2):
-        for x in a - b:
-            if not any((a - {x}) | {y} in members and (b - {y}) | {x} in members
-                       for y in b - a):
+    # the two families are equal, so exchange is tested by membership, on
+    # cotrees as bitmasks of edge positions; x and y run over the bits of
+    # a ∖ b and b ∖ a from the lowest, the least edge first
+    masks = [sum(1 << g.pos(e) for e in t) for t in cotrees]
+    members = set(masks)
+    for (a, ta), (b, tb) in itertools.permutations(zip(masks, cotrees), 2):
+        xs = a & ~b
+        while xs:
+            x = xs & -xs
+            xs ^= x
+            ys = b & ~a
+            while ys:
+                y = ys & -ys
+                ys ^= y
+                if (a ^ x | y) in members and (b ^ y | x) in members:
+                    break
+            else:
                 return False, {"reason": "basis exchange failed",
-                               "pair": (sorted(map(str, a)), sorted(map(str, b))),
-                               "element": str(x)}
+                               "pair": (sorted(map(str, ta)), sorted(map(str, tb))),
+                               "element": str(g.order[x.bit_length() - 1])}
     return True, {"cycles": len(ctx.cycles), "bonds": len(ctx.bonds),
                   "cotrees": len(cotrees)}
 

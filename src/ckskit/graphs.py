@@ -39,11 +39,16 @@ class Graph:
             raise EmptyGraph("an edgeless graph must consist of one vertex")
         if len(self._pos) != len(self.order):
             raise ValueError("duplicate edge ids")
-        vset = set(self.vertices)
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        if len(bit) != len(self.vertices):
+            raise ValueError("duplicate vertices")
         for e in self.order:
-            if self.head[e] not in vset or self.tail[e] not in vset:
+            if self.head[e] not in bit or self.tail[e] not in bit:
                 raise ValueError(f"edge {e!r} references a missing vertex")
-        if not _connected(self.vertices, self.ends(self.order)):
+        # edge -> the bitmask of its ends' vertex positions; full has them all
+        self.mask = {e: bit[self.head[e]] | bit[self.tail[e]] for e in self.order}
+        self.full = (1 << len(bit)) - 1
+        if closure(1, self.mask.values()) != self.full:
             raise DisconnectedGraph("graph must be connected")
 
     # -- basic queries ----------------------------------------------------
@@ -117,6 +122,23 @@ def _flatten_vertex(v):
     return frozenset([v])
 
 
+def closure(seed, masks):
+    """The one connectivity kernel: the vertices that edges with the given
+    end masks (Graph.mask) connect to the vertex mask `seed`, found by
+    adding the ends of every edge that meets it until none adds one."""
+    pending = list(masks)
+    while True:
+        rest = []
+        for m in pending:
+            if m & seed:
+                seed |= m
+            else:
+                rest.append(m)
+        if len(rest) == len(pending):
+            return seed
+        pending = rest
+
+
 def union_find(vertices, pairs):
     """Merge the classes of the endpoints of each (a, b) pair in turn.
 
@@ -140,12 +162,6 @@ def union_find(vertices, pairs):
             parent[ra] = rb
             merged.append(i)
     return find, merged
-
-
-def _connected(vertices, incidences):
-    verts = list(vertices)
-    _, merged = union_find(verts, incidences)
-    return bool(verts) and len(merged) == len(verts) - 1
 
 
 def build_graph(edge_list, edge_order=None):
@@ -259,10 +275,10 @@ def _guard(n_edges, what):
 
 
 def is_independent(graph, edges):
-    """No cycle inside `edges` (forest test)."""
-    pairs = graph.ends(edges)
-    _, merged = union_find({v for pair in pairs for v in pair}, pairs)
-    return len(merged) == len(pairs)
+    """No cycle inside `edges` (forest test): no edge has its ends already
+    connected by the edges before it."""
+    masks = [graph.mask[e] for e in edges]
+    return all(closure(m & -m, masks[:i]) & m != m for i, m in enumerate(masks))
 
 
 def enumerate_cycles(graph):
@@ -286,7 +302,8 @@ def _is_circuit(graph, edges):
         deg[graph.tail[e]] = deg.get(graph.tail[e], 0) + 1
     if any(d != 2 for d in deg.values()):
         return False
-    return _connected(deg.keys(), graph.ends(edges))
+    masks = [graph.mask[e] for e in edges]
+    return closure(masks[0], masks).bit_count() == len(deg)
 
 
 def enumerate_bonds(graph):
@@ -304,10 +321,10 @@ def enumerate_bonds(graph):
 
 def contains_bond(graph, edges):
     """True iff the edge set contains a bond, i.e. its deletion disconnects:
-    the one connectivity test, a union-find pass over the other edges."""
+    the other edges do not close the first vertex to every vertex."""
     edges = frozenset(edges)
-    keep = graph.ends(e for e in graph.order if e not in edges)
-    return not _connected(graph.vertices, keep)
+    rest = [m for e, m in graph.mask.items() if e not in edges]
+    return closure(1, rest) != graph.full
 
 
 class FaceComplex:
@@ -345,15 +362,19 @@ class FaceComplex:
 
 
 def face_complex(graph):
-    """All edge sets containing no bond (so deletion keeps connectivity)."""
+    """All edge sets containing no bond (so deletion keeps connectivity).
+    Faces are closed under subsets, so each (k+1)-face is a k-face plus one
+    edge after its last, and so grown, each level keeps its lex order."""
     _guard(graph.n_edges, "face enumeration")
-    d = graph.genus()
-    edges = graph.sort_edges(graph.eids)
-    levels = []
-    for k in range(d + 1):
-        level = [frozenset(c) for c in itertools.combinations(edges, k)
-                 if not contains_bond(graph, c)]
-        levels.append(level)
+    masks = list(graph.mask.values())
+    grown = [()]  # the faces of the last level, as tuples of edge positions
+    levels = [[frozenset()]]
+    for _ in range(graph.genus()):
+        grown = [s + (i,) for s in grown
+                 for i in range(s[-1] + 1 if s else 0, len(masks))
+                 if closure(1, [m for j, m in enumerate(masks)
+                                if j != i and j not in s]) == graph.full]
+        levels.append([frozenset(graph.order[j] for j in t) for t in grown])
     return FaceComplex(graph, levels)
 
 

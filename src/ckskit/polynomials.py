@@ -82,20 +82,20 @@ class Poly2(_Poly):
         return self.coeffs.get((i, j), 0)
 
     def substitute(self, px, py):
-        """Evaluate at polynomial arguments x <- px, y <- py (both Poly2)."""
-        out = Poly2()
-        xpow = {0: Poly2.const(1)}
-        ypow = {0: Poly2.const(1)}
-
-        def power(cache, base, n):
-            if n not in cache:
-                cache[n] = power(cache, base, n - 1) * base
-            return cache[n]
-
+        """Evaluate at polynomial arguments x <- px, y <- py (both Poly2),
+        summing every term's expansion c·px^i·py^j into one dict."""
+        out = {}
+        xpow, ypow = [Poly2.const(1)], [Poly2.const(1)]
         for (i, j), c in self.coeffs.items():
-            term = Poly2.const(c) * power(xpow, px, i) * power(ypow, py, j)
-            out = out + term
-        return out
+            while len(xpow) <= i:
+                xpow.append(xpow[-1] * px)
+            while len(ypow) <= j:
+                ypow.append(ypow[-1] * py)
+            for (a, b), ca in xpow[i].coeffs.items():
+                for (a2, b2), cb in ypow[j].coeffs.items():
+                    key = (a + a2, b + b2)
+                    out[key] = out.get(key, 0) + c * ca * cb
+        return Poly2(out)
 
     def eval_y(self):
         """Specialize x <- 1, returning a Poly1 in the remaining variable."""

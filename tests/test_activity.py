@@ -2,6 +2,11 @@
 
 import collections
 import itertools
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -33,8 +38,10 @@ from ckskit.graphs import (
     face_complex,
     fundamental_cycle,
     spanning_tree_count,
+    union_find,
 )
 from ckskit.polynomials import Poly1, Poly2
+from test_polynomials import substitute_by_terms
 
 THETA = corpus.theta_graph()
 X, Y, Z = 0, 1, 2
@@ -156,6 +163,29 @@ def test_tutte_independent_of_edge_order():
     for order in ([5, 4, 3, 2, 1, 0], [2, 0, 5, 1, 4, 3], [1, 2, 3, 4, 5, 0]):
         g2 = Graph(g.vertices, g.head, g.tail, [g.order[i] for i in order])
         assert tutte_by_activity(g2) == t
+
+
+# the wheel with hub 0 and rim 1-2-3-4-5-6, genus 6
+W6 = build_graph([(0, i) for i in range(1, 7)] + [(i, i % 6 + 1) for i in range(1, 7)])
+
+
+def tutte_by_subsets(graph):
+    """The rank-nullity sum with a fresh union_find per subset, and the
+    term-by-term substitution: the oracle for tutte's walk."""
+    n = graph.n_vertices
+    counts = collections.Counter()
+    for r in range(graph.n_edges + 1):
+        for combo in itertools.combinations(graph.order, r):
+            k = n - len(union_find(graph.vertices, graph.ends(combo))[1])
+            counts[(k - 1, k + r - n)] += 1
+    return substitute_by_terms(Poly2(counts), Poly2({(1, 0): 1, (0, 0): -1}),
+                               Poly2({(0, 1): 1, (0, 0): -1}))
+
+
+def test_tutte_walk_matches_the_subset_oracle():
+    cases = [g for _, g in corpus.corpus_graphs(bound=6)] + [K5, W6]
+    for g in cases:
+        assert tutte(g) == tutte_by_subsets(g)
 
 
 def test_h_polynomial_theta():
@@ -356,7 +386,7 @@ def oracle_check_shelling(graph, sh):
 
 def oracle_check_matroid(ctx):
     for family, note in ((ctx.cycles, "cycles"), (ctx.bonds, "bonds")):
-        ok, wit = _elimination(family, note)
+        ok, wit = _elimination(ctx.graph, family, note)
         if not ok:
             return False, wit
     cotrees = graphs.spanning_cotrees(ctx.graph)
@@ -366,7 +396,7 @@ def oracle_check_matroid(ctx):
     if set(ctx.faces.levels[d]) != set(cotrees):
         return False, {"reason": "top faces differ from spanning cotrees"}
     for a, b in itertools.permutations(cotrees, 2):
-        for x in a - b:
+        for x in ctx.graph.sort_edges(a - b):
             if not any(graphs.is_spanning_cotree(ctx.graph, (a - {x}) | {y})
                        and graphs.is_spanning_cotree(ctx.graph, (b - {y}) | {x})
                        for y in b - a):
@@ -396,6 +426,69 @@ def test_the_shelling_walk_agrees_with_the_interval_oracles(cases, monkeypatch):
             result = check_matroid(ctx)
             assert calls == []
             assert result == oracle_check_matroid(ctx)
+
+
+# a labelled graph: its edge ids are strings, whose set order follows the
+# hash seed.  K4 on u, v, w, z has 6 edges and genus 3.  Each family fails
+# on its first pair, which shares or differs in three edges; the witness
+# is the least of them in the edge order c, b, a, d, e, f, that is c.
+MATROID_WITNESS_SCRIPT = """
+import json
+from ckskit import checks, graphs
+from ckskit.graphs import FaceComplex, Graph
+
+ends = {"a": "uv", "b": "uw", "c": "uz", "d": "vw", "e": "vz", "f": "wz"}
+g = Graph("uvwz", {e: h for e, (h, _) in ends.items()},
+          {e: t for e, (_, t) in ends.items()}, list("cbadef"))
+out = []
+for key in ("cycles", "bonds"):
+    ctx = checks.GraphContext(g)
+    ctx._cache[key] = [frozenset("abcd"), frozenset("abce")]
+    ctx._cache["cycles" if key == "bonds" else "bonds"] = []
+    out.append(checks.check_matroid(ctx))
+cotrees = [frozenset("abc"), frozenset("def")]
+graphs.spanning_cotrees = lambda graph: cotrees
+ctx = checks.GraphContext(g)
+ctx._cache.update(cycles=[], bonds=[])
+ctx._cache["faces"] = FaceComplex(g, [[frozenset()], [], [], cotrees])
+out.append(checks.check_matroid(ctx))
+print(json.dumps(out))
+"""
+
+
+def test_matroid_witnesses_do_not_depend_on_the_hash_seed():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", MATROID_WITNESS_SCRIPT],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    pair = [["a", "b", "c", "d"], ["a", "b", "c", "e"]]
+    assert json.loads(outs[0]) == [
+        [False, {"pair": pair, "edge": "c", "family": "cycles"}],
+        [False, {"pair": pair, "edge": "c", "family": "bonds"}],
+        [False, {"reason": "basis exchange failed",
+                 "pair": [["a", "b", "c"], ["d", "e", "f"]], "element": "c"}],
+    ]
+
+
+def test_basis_exchange_must_be_symmetric(monkeypatch):
+    # A - x + y is a member for every x in A and y in B, but B - y + x
+    # never is: the one-sided exchange holds for (A, B), the symmetric one
+    # fails there first, at the least edge of A
+    g = corpus.k4_graph()
+    a, b = fs(0, 1, 2), fs(3, 4, 5)
+    cotrees = [a, b] + [(a - {x}) | {y} for x in a for y in b]
+    monkeypatch.setattr(graphs, "spanning_cotrees", lambda graph: cotrees)
+    ctx = GraphContext(g)
+    ctx._cache.update(cycles=[], bonds=[],
+                      faces=FaceComplex(g, [[fs()], [], [], cotrees]))
+    assert check_matroid(ctx) == (False, {
+        "reason": "basis exchange failed",
+        "pair": (["0", "1", "2"], ["3", "4", "5"]), "element": "0"})
 
 
 def with_shelling(graph, cotrees, restriction):

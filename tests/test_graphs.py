@@ -10,8 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckskit import corpus
-from ckskit.activity import _component_count, _fundamental_cut
-from ckskit.checks import GraphContext, check_unimodular
+from ckskit.activity import _fundamental_cut
+from ckskit.checks import (
+    PERIODIZE_EDGE_LIMIT,
+    GraphContext,
+    check_matroid,
+    check_unimodular,
+)
 from ckskit.errors import (
     BondDeletion,
     DisconnectedGraph,
@@ -21,9 +26,10 @@ from ckskit.errors import (
 )
 from ckskit.graphs import (
     CycleBasis,
+    FaceComplex,
     Graph,
-    _connected,
     build_graph,
+    closure,
     contains_bond,
     enumerate_bonds,
     enumerate_cycles,
@@ -40,6 +46,7 @@ from ckskit.graphs import (
     wedge,
 )
 from ckskit.intlinalg import det, rank
+from ckskit.periodize import NATIVE_MAX_EDGES, PeriodizedGraph
 from test_activity import K5, W4, W5
 from test_cks import solve_exact
 
@@ -84,6 +91,9 @@ def test_build_graph_rejects_bad_input():
         build_graph([(0, 1), (2, 3)])
     with pytest.raises(ValueError):
         build_graph([(0, 1), (0, 1)], edge_order=[0, 0])
+    # a repeated vertex would hold a bit of the vertex mask no edge reaches
+    with pytest.raises(ValueError, match="duplicate vertices"):
+        Graph(["a", "b", "a"], {0: "a"}, {0: "b"}, [0])
 
 
 def test_dsl_and_json_parsing():
@@ -158,6 +168,63 @@ def test_face_positions_follow_the_level_order():
         for level in faces.levels:
             assert [faces.position[s] for s in level] == list(range(len(level)))
             assert all(set(s) in faces for s in level)
+
+
+def face_complex_by_subsets(graph):
+    """The levels of the face complex as every k-subset of the edges with
+    no bond, k = 0..genus, in lexicographic order of the edge order: the
+    oracle for face_complex, which grows each level from the last."""
+    edges = graph.sort_edges(graph.eids)
+    return [[frozenset(c) for c in itertools.combinations(edges, k)
+             if not contains_bond(graph, c)]
+            for k in range(graph.genus() + 1)]
+
+
+def test_face_complex_matches_the_subset_walk_on_the_corpus():
+    for _, g in corpus.corpus_graphs(bound=6):
+        for order in (g.order, g.order[::-1]):
+            h = Graph(g.vertices, g.head, g.tail, list(order))
+            assert face_complex(h).levels == face_complex_by_subsets(h)
+
+
+def test_face_complex_matches_the_subset_walk_on_level_1_periodizations():
+    # native_face_check enumerates these: level 1 of every graph that
+    # check_periodize periodizes, 3|E| <= NATIVE_MAX_EDGES edges
+    cases = [PeriodizedGraph(g, 1).graph
+             for _, g in corpus.corpus_graphs(bound=PERIODIZE_EDGE_LIMIT)
+             if g.n_edges <= PERIODIZE_EDGE_LIMIT]
+    assert len(cases) == 47 and all(pg.n_edges <= NATIVE_MAX_EDGES for pg in cases)
+    for pg in cases:
+        assert face_complex(pg).levels == face_complex_by_subsets(pg)
+
+
+def test_spanning_cotrees_do_not_read_the_face_complex(monkeypatch):
+    # check_matroid compares the two enumerations, so neither may be the
+    # other's output
+    from ckskit import graphs
+    cases = [g for _, g in corpus.corpus_graphs(bound=4)] + [K5, W4]
+    tops = [face_complex(g).levels[g.genus()] for g in cases]
+
+    def refuse(graph):
+        raise AssertionError("spanning_cotrees read the face complex")
+
+    monkeypatch.setattr(graphs, "face_complex", refuse)
+    assert [spanning_cotrees(g) for g in cases] == tops
+
+
+def test_matroid_reports_a_top_face_the_face_complex_skipped(monkeypatch):
+    # a face_complex whose last extension step drops one top face
+    from ckskit import graphs
+    grown = graphs.face_complex
+
+    def skipping(graph):
+        levels = grown(graph).levels
+        return FaceComplex(graph, levels[:-1] + [levels[-1][1:]])
+
+    monkeypatch.setattr(graphs, "face_complex", skipping)
+    for g in (THETA, corpus.k4_graph(), W4):
+        assert check_matroid(GraphContext(g)) == (
+            False, {"reason": "top faces differ from spanning cotrees"})
 
 
 def test_loop_graph_faces():
@@ -394,8 +461,13 @@ def test_connectivity_helper_matches_boundary_rank(case):
     assert len({find(v) for v in range(n)}) == n - r
     assert len(merged) == r and rank(_columns(bd, merged)) == r
     assert all(find(a) == find(b) for a, b in pairs)
-    assert _connected(range(n), pairs) == (n - r == 1)
-    assert _component_count(g, range(m)) == n - r
+    # the mask kernel: each closure of a vertex bit is one class
+    masks = [g.mask[i] for i in range(m)]
+    assert masks == [1 << a | 1 << b for a, b in pairs]
+    for v in range(n):
+        cls = sum(1 << w for w in range(n) if find(w) == find(v))
+        assert closure(1 << v, masks) == cls
+    assert (closure(1, masks) == g.full) == (n - r == 1)
     assert is_independent(g, range(m)) == (r == m)
     assert is_spanning_tree(g, range(m)) == (r == m == n - 1)
     assert g.contract(range(m)).n_vertices == n - r

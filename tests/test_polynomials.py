@@ -1,5 +1,8 @@
 """Sparse one- and two-variable integer polynomials."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ckskit.polynomials import Poly1, Poly2
 
 
@@ -41,3 +44,32 @@ def test_poly2_substitute():
 def test_poly2_specialize_first_variable_to_one():
     t = Poly2({(1, 0): 1, (0, 1): 1, (0, 2): 1})
     assert t.eval_y() == Poly1({0: 1, 1: 1, 2: 1})
+
+
+def substitute_by_terms(p, px, py):
+    """The term-by-term substitution, the oracle for Poly2.substitute: one
+    Poly2 per term, c·px^i·py^j, added to the running sum."""
+    out = Poly2()
+    xpow = {0: Poly2.const(1)}
+    ypow = {0: Poly2.const(1)}
+
+    def power(cache, base, n):
+        if n not in cache:
+            cache[n] = power(cache, base, n - 1) * base
+        return cache[n]
+
+    for (i, j), c in p.coeffs.items():
+        out = out + Poly2.const(c) * power(xpow, px, i) * power(ypow, py, j)
+    return out
+
+
+small_poly2 = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                              st.integers(-5, 5), max_size=8).map(Poly2)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_poly2, small_poly2, small_poly2)
+def test_substitute_matches_the_term_by_term_sum(p, px, py):
+    got, want = p.substitute(px, py), substitute_by_terms(p, px, py)
+    assert got.coeffs == want.coeffs
+    assert str(got) == str(want)
