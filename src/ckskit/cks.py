@@ -76,7 +76,9 @@ def build_cks(graph, cc=None):
 def cks_cohomology(graph):
     """Free rank and torsion per tridegree (2p, q, r), as a dict.  d² = 0
     is decided from the squares of the edge records, and each stripe is
-    multiplied only if a square fails (HTComplex.stripe_cohomology)."""
+    multiplied only if a square fails; otherwise each of its
+    differentials is built when its factoring reaches it, without the
+    columns that clearing leaves out (HTComplex.stripe_cohomology)."""
     cks = graph if isinstance(graph, CKSComplex) else build_cks(graph)
     return by_tridegree(cks.stripe_cohomology(squares=True))
 

@@ -36,7 +36,10 @@ cohomology is computed one stripe at a time from those columns
 d² = 0 by multiplying each stripe's differentials; cks_cohomology, and
 with it `cks`, reads it off the squares of the edge records instead
 (HTComplex.squares_vanish), two records per path from S to S ∪ {e, f},
-and multiplies only from a level whose squares fail.
+and multiplies only from a level whose squares fail.  Where it does not
+multiply, a stripe's d_n is assembled only when the stripe's factoring
+reaches degree n, without the columns that clearing leaves out, and it
+is dropped once factored (HTComplex._stripe).
 
 Also here: the square-free reduction of monomials, the chain maps f and g
 between the complex and its cohomology ring R, the contracting homotopy h,
@@ -139,12 +142,16 @@ class HTComplex:
             columns = self._columns[(p, q)] = self._assemble(p, q)
         return columns
 
-    def _assemble(self, p, q, *r):
+    def _assemble(self, p, q, *r, skip=()):
         """Matrix of d: (2p, q) -> (2p+2, q-1), or (2p, q, r) ->
         (2p+2, q-1, r), as sparse columns {j: {i: entry}} over its nonzero
         entries, j < dim(p, q, *r) and i < dim(p + 1, q − 1, *r): the
         columns CochainComplex reads.  Every entry lies inside its piece:
-        each face block is placed from the face positions.
+        each face block is placed from the face positions.  The columns
+        at the positions in skip are left out, never written: the columns
+        CochainComplex.cohomology's clearing drops from an unbuilt piece
+        (_stripe).  The other columns are filled as in the whole piece, in
+        the same order.
 
         Filled one face block at a time: the block from the elements on S
         to those on S ∪ e is the Kronecker product of the interior product
@@ -173,8 +180,11 @@ class HTComplex:
             j, i = s_pos * width, t_pos * height
             restriction = _restrict_factor(m, n, x0, a)
             for w, terms in _iota_factor(m, q, x0, a):
+                first = j + w * na
                 for ja, row in restriction:
-                    column = columns.setdefault(j + w * na + ja, {})
+                    if first + ja in skip:
+                        continue
+                    column = columns.setdefault(first + ja, {})
                     for x, c in terms:
                         for y, c2 in row:
                             column[i + x * size + y] = c * c2
@@ -309,8 +319,10 @@ class HTComplex:
         it.  Then the squares from level p (_level_squares) are read when
         the first stripe that composes d from p to p + 2 ≤ min(k, genus)
         comes, and a stripe whose levels' squares vanish is not
-        multiplied.  From the first level whose squares fail, every stripe
-        multiplies, and the product finds the witness."""
+        multiplied: it builds each d_n only when its factoring reaches n,
+        without the columns that clearing leaves out (_stripe).  From the
+        first level whose squares fail, every stripe multiplies whole
+        pieces, and the product finds the witness."""
         out, shown = {}, 0  # the squares from the levels p < shown vanish
         for key in self.stripe_keys():
             while squares and shown < min(key[0], self.genus) - 1:
@@ -322,15 +334,20 @@ class HTComplex:
         return out
 
     def _stripe(self, k, *r, check_d2=True):
-        """One stripe: d_columns(p, k − p, *r) at every level p = 0..min(k,
-        genus) with a nonzero piece, then a CochainComplex over ranges of
-        the piece sizes (with the d² product unless check_d2 is false),
-        factored."""
+        """One stripe: a CochainComplex over ranges of the piece sizes at
+        the levels p = 0..min(k, genus), with d at every nonzero piece,
+        factored.  With check_d2, d is d_columns(p, k − p, *r), whole
+        pieces, all built first and multiplied for d² = 0.  Without, d at
+        p is handed over unbuilt, as _assemble(p, k − p, *r, skip=...),
+        which CochainComplex.cohomology builds when its factoring reaches
+        p, without the columns that clearing leaves out, and drops once
+        factored: the stripe holds one built piece at a time."""
         bases, columns = {}, {}
         for p in range(min(k, self.genus) + 1):
             bases[p] = range(self.dim(p, k - p, *r))
             if bases[p]:
-                columns[p] = self.d_columns(p, k - p, *r)
+                columns[p] = (self.d_columns(p, k - p, *r) if check_d2 else
+                              functools.partial(self._assemble, p, k - p, *r))
         try:
             return CochainComplex(bases, columns, check_d2).cohomology()
         except NotAComplex as exc:

@@ -18,7 +18,8 @@ Ranks, invariant factors and cohomology factor each matrix once with a
 sparse unit-pivot elimination that hands only its residual core to the
 dense Smith normal form.  Cohomology factors a complex in increasing
 degree and clears as it goes: a column of d_{n+1} at a pivot row of d_n
-is an integer combination of the other columns, so it is never factored.
+is an integer combination of the other columns, so it is never factored,
+nor built when d_{n+1} comes unbuilt.
 """
 
 import collections
@@ -383,7 +384,13 @@ class CochainComplex:
     columns: dict degree n -> d_n: C^n -> C^{n+1} as sparse columns
              {j: {i: entry}} (see _columns), j < |C^n| and i < |C^{n+1}|;
              a zero differential may be omitted.  The d² check and
-             cohomology read them as they are.
+             cohomology read them as they are.  A differential may also
+             come unbuilt, as a function of the keyword `skip` that
+             returns its columns without those at the positions in skip:
+             cohomology calls it once, when it reaches degree n, with the
+             columns its clearing leaves out, and keeps nothing of it
+             after factoring it.  Only with check_d2 false, as the d²
+             product reads every column.
     check_d2: multiply the differentials to check d² = 0 (_check_d2),
              which cohomology's clearing relies on.  Only a caller that
              has shown d² = 0 another way passes False: cks_cohomology,
@@ -394,7 +401,9 @@ class CochainComplex:
     def __init__(self, bases, columns, check_d2=True):
         self._dims = {n: len(labels) for n, labels in bases.items() if labels}
         self._columns = {n: cols for n, cols in columns.items() if cols}
-        self._check_shapes()
+        for n, cols in self._columns.items():
+            if not callable(cols):
+                self._check_shape(n, cols)
         if check_d2:
             self._check_d2()
 
@@ -404,14 +413,13 @@ class CochainComplex:
     def degrees(self):
         return sorted(self._dims)
 
-    def _check_shapes(self):
+    def _check_shape(self, n, cols):
         """ValueError unless every column index of d_n lies in [0, |C^n|)
         and every row index in [0, |C^{n+1}|)."""
-        for n, cols in self._columns.items():
-            rows = set().union(*cols.values())
-            if (min(cols) < 0 or max(cols) >= self.dim(n)
-                    or rows and (min(rows) < 0 or max(rows) >= self.dim(n + 1))):
-                raise ValueError(f"differential at degree {n} has wrong shape")
+        rows = set().union(*cols.values())
+        if cols and (min(cols) < 0 or max(cols) >= self.dim(n)
+                     or rows and (min(rows) < 0 or max(rows) >= self.dim(n + 1))):
+            raise ValueError(f"differential at degree {n} has wrong shape")
 
     def _check_d2(self):
         """NotAComplex(n) at the first n with d_{n+1}·d_n ≠ 0, over every
@@ -434,15 +442,12 @@ class CochainComplex:
         columns of d_{n+1} at P are integer combinations of the others, and
         factoring d_{n+1} without them keeps its column lattice: its rank
         and invariant factors over Z.  Nothing is cleared after a core,
-        nor across a zero (omitted) d_n.
+        nor across a zero (omitted) d_n.  An unbuilt d_{n+1} is built
+        here without its columns at P (_differential).
         """
         facts, cleared = {}, {}
         for n in sorted(self._columns):
-            columns = self._columns[n]
-            skip = cleared.get(n)
-            if skip:
-                columns = {j: col for j, col in columns.items() if j not in skip}
-            rank, torsion, pivot_rows = _factor(columns)
+            rank, torsion, pivot_rows = _factor(self._differential(n, cleared.pop(n, ())))
             facts[n] = rank, torsion
             if pivot_rows:
                 cleared[n + 1] = set(pivot_rows)
@@ -453,3 +458,14 @@ class CochainComplex:
             out[n] = (self.dim(n) - rank_out - rank_in, torsion)
         return out
 
+    def _differential(self, n, skip):
+        """d_n without its columns at the positions in skip: an unbuilt
+        d_n is built so, and its shape checked; a built one is copied
+        without them."""
+        columns = self._columns[n]
+        if callable(columns):
+            columns = columns(skip=skip)
+            self._check_shape(n, columns)
+        elif skip:
+            columns = {j: col for j, col in columns.items() if j not in skip}
+        return columns

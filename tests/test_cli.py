@@ -96,8 +96,17 @@ def test_cks_builds_no_delcon_setup_and_one_coherent_cotree(monkeypatch, capsys)
 # Markowitz-scan elimination and the dense d² check, the 6-loop bouquet and
 # K4 with two parallel edges with stripes built one at a time and the Euler
 # recurrences read from each edge's deletion-contraction complexes, theta8,
-# K5 and W6 with each differential scanned from dense rows
+# K5 and W6 with each differential scanned from dense rows, and the doubled
+# 4-cycle (Z/2 at (4, 1, 2), from a residual core) and the six-edge core
+# graph in two edge orders with each stripe's differentials built whole
+# before the first was factored
 CKS_STDOUT_SHA256 = {
+    "c4_doubled": ("v1-v0 v1-v0 v2-v0 v2-v0 v3-v1 v3-v1 v3-v2 v3-v2",
+                   "af024f6dca8b4378cdfef69b0df76c43875f2b8030364fd1f332612b21ee8c69"),
+    "core6": ("v0-v1 v0-v1 v0-v1 v0-v1 v0-v1 v0-v1 v0-v0 v1-v1",
+              "6b46ffe90ba9d188860a15c26ff8741df003feea020a786bda9736ddde634387"),
+    "core6_loops_first": ("v1-v1 v0-v0 v0-v1 v0-v1 v0-v1 v0-v1 v0-v1 v0-v1",
+                          "83d9eac3d83b285b9203b007aca355cfeeb906d5b3c8fbfee3baf30715aeedaf"),
     "bouquet6": ("a:0-0 b:0-0 c:0-0 d:0-0 e:0-0 f:0-0",
                  "a561f7db46cbd905c4bedaa5dc6b5a42e953ce2ed465a571136be6b402374f37"),
     "k4pp": ("v0-v1 v0-v2 v0-v3 v1-v2 v1-v3 v2-v3 v0-v1 v2-v3",
