@@ -135,6 +135,9 @@ def test_factor_reports_its_pivot_rows_or_none_after_a_core():
     got = intlinalg._factor({0: {2: 1}, 1: {0: -1}})
     assert got[:2] == (2, []) and sorted(got[2]) == [0, 2]
     assert intlinalg._factor({0: {0: 1}, 1: {1: 2}}) == (2, [2], None)
+    # no ±1 anywhere, so the whole matrix is the core, but its
+    # determinant is −1: a core need not carry torsion
+    assert intlinalg._factor(_columns([[2, 3], [5, 7]])) == (2, [], None)
     assert intlinalg._factor({}) == (0, [], [])
 
 
@@ -501,3 +504,50 @@ def test_engine_torsion_examples():
     assert _rank_and_torsion([[2, 0], [0, 3]]) == (2, [6])
     assert _rank_and_torsion([]) == (0, [])
     assert _rank_and_torsion([[], []]) == (0, [])
+
+
+def test_a_pivot_cascades_through_the_rows_it_leaves_alone():
+    # row 1 is alone only once row 0's pivot has cleared column 0, and
+    # row 2 once row 1's has cleared column 1; the heap alone would pop
+    # column 2, the shortest, and pivot on row 2 first
+    a = [[1, 0, 0],
+         [2, 1, 0],
+         [0, 3, -1]]
+    assert intlinalg._factor(_columns(a)) == (3, [], [0, 1, 2])
+
+
+def test_a_row_alone_with_a_2_is_not_a_pivot(monkeypatch):
+    # row 0 holds only a 2: the heap pivots on row 1's ±1 in column 1 and
+    # leaves the 2 as the residual core, whose Smith form keeps it
+    cores = []
+    snf = intlinalg.smith_normal_form
+
+    def recording(a):
+        cores.append(a)
+        return snf(a)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    assert intlinalg._factor(_columns([[2, 0], [1, 1]])) == (2, [2], None)
+    assert cores == [[[2]]]
+
+
+def test_engine_matches_snf_on_sparse_random_matrices():
+    # sparse enough that many rows start or become alone; the pivot rows
+    # P, when no core is left, are rank many and A[P, :] has the Smith
+    # form of a ±1 minor, which clearing reads
+    rng = random.Random(42)
+    unit_only = cores = 0
+    for _ in range(400):
+        rows, cols = rng.randint(0, 10), rng.randint(0, 10)
+        a = [[rng.choice((1, -1, 1, -1, 2, -2, 3)) if rng.random() < 0.25 else 0
+              for _ in range(cols)] for _ in range(rows)]
+        rank_, torsion, pivot_rows = intlinalg._factor(_columns(a))
+        assert (rank_, torsion) == snf_rank_and_torsion(a), a
+        if pivot_rows is None:
+            cores += 1
+            continue
+        unit_only += 1
+        assert len(pivot_rows) == len(set(pivot_rows)) == rank_
+        assert smith_normal_form([a[i] for i in pivot_rows]).invariant_factors \
+            == [1] * rank_, a
+    assert unit_only > 200 and cores > 20
